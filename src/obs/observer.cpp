@@ -1,6 +1,7 @@
 #include "obs/observer.hpp"
 
 #include <cstdio>
+#include <limits>
 #include <utility>
 
 namespace hymm {
@@ -48,6 +49,39 @@ Observer::Observer(ObserverOptions options)
       &metrics_.histogram("engine.window_occupancy", pow2_bounds(1, 256));
   dmb_occupancy_hist_ =
       &metrics_.histogram("dmb.set_occupancy", pow2_bounds(16, 1 << 16));
+
+  eviction_id_ = trace_.intern("eviction");
+  partial_spill_id_ = trace_.intern("partial spill");
+  lines_id_ = trace_.intern("lines");
+  bytes_id_ = trace_.intern("bytes");
+  entries_id_ = trace_.intern("entries");
+  cycles_id_ = trace_.intern("cycles");
+  percent_id_ = trace_.intern("%");
+  dmb_occupancy_track_ = trace_.intern("DMB occupancy");
+  partial_bytes_track_ = trace_.intern("partial bytes");
+  lsq_depth_track_ = trace_.intern("LSQ depth");
+  smq_backlog_track_ = trace_.intern("SMQ backlog");
+  for (std::size_t i = 0; i < kStallCauseCount; ++i) {
+    stall_tracks_[i] = trace_.intern(
+        std::string("stall ") + stall_cause_key(static_cast<StallCause>(i)));
+  }
+  ts_lsq_depth_track_ = trace_.intern("TS LSQ depth");
+  ts_smq_backlog_track_ = trace_.intern("TS SMQ backlog");
+  ts_dmb_lines_track_ = trace_.intern("TS DMB lines");
+  ts_partial_bytes_track_ = trace_.intern("TS partial bytes");
+  ts_dmb_hit_rate_track_ = trace_.intern("TS DMB hit rate");
+  ts_alu_util_track_ = trace_.intern("TS ALU util");
+  ts_dram_bw_util_track_ = trace_.intern("TS DRAM BW util");
+}
+
+void Observer::intern_pe_lanes(std::size_t lanes) {
+  // "PE " + up to 20 digits + " busy" + NUL.
+  char name[sizeof "PE  busy" +
+            std::numeric_limits<std::size_t>::digits10 + 1];
+  for (std::size_t i = pe_busy_tracks_.size(); i < lanes; ++i) {
+    std::snprintf(name, sizeof name, "PE %02zu busy", i);
+    pe_busy_tracks_.push_back(trace_.intern(name));
+  }
 }
 
 void Observer::begin_run(const std::string& label) {
@@ -67,12 +101,12 @@ void Observer::begin_run(const std::string& label) {
 
 void Observer::on_dmb_eviction(Cycle now) {
   dmb_evictions_->add();
-  if (options_.trace) trace_.instant(pid_, "eviction", now);
+  if (options_.trace) trace_.instant(pid_, eviction_id_, now);
 }
 
 void Observer::on_partial_spill(Cycle now) {
   dmb_partial_spills_->add();
-  if (options_.trace) trace_.instant(pid_, "partial spill", now);
+  if (options_.trace) trace_.instant(pid_, partial_spill_id_, now);
 }
 
 void Observer::on_dmb_prefetch() { dmb_prefetches_->add(); }
@@ -171,16 +205,20 @@ SpatialData Observer::take_spatial() { return spatial_.take(); }
 
 void Observer::trace_timeseries_sample(const TimeSeriesSample& s) {
   if (options_.trace) {
-    trace_.counter(pid_, "TS LSQ depth", "entries", s.cycle, s.lsq_depth);
-    trace_.counter(pid_, "TS SMQ backlog", "entries", s.cycle,
+    trace_.counter(pid_, ts_lsq_depth_track_, entries_id_, s.cycle,
+                   s.lsq_depth);
+    trace_.counter(pid_, ts_smq_backlog_track_, entries_id_, s.cycle,
                    s.smq_backlog);
-    trace_.counter(pid_, "TS DMB lines", "lines", s.cycle, s.dmb_lines);
-    trace_.counter(pid_, "TS partial bytes", "bytes", s.cycle,
+    trace_.counter(pid_, ts_dmb_lines_track_, lines_id_, s.cycle,
+                   s.dmb_lines);
+    trace_.counter(pid_, ts_partial_bytes_track_, bytes_id_, s.cycle,
                    s.partial_bytes);
     if (ts_has_prev_ && s.cycle > ts_prev_.cycle) {
       // Windowed rates over the span since the previous sample. The
       // trace keeps its own prev copy so storage decimation in the
-      // TimeSeries never changes what the counter tracks show.
+      // TimeSeries never changes what the counter tracks show. The
+      // percentages are truncated to integers; changing that would
+      // change the trace format.
       const double span =
           static_cast<double>(s.cycle - ts_prev_.cycle);
       const std::uint64_t hits = s.dmb_hits - ts_prev_.dmb_hits;
@@ -190,19 +228,22 @@ void Observer::trace_timeseries_sample(const TimeSeriesSample& s) {
               ? 0.0
               : 100.0 * static_cast<double>(hits) /
                     static_cast<double>(hits + misses);
-      trace_.counter(pid_, "TS DMB hit rate", "%", s.cycle, hit_rate);
-      trace_.counter(pid_, "TS ALU util", "%", s.cycle,
-                     100.0 *
+      trace_.counter(pid_, ts_dmb_hit_rate_track_, percent_id_, s.cycle,
+                     static_cast<std::uint64_t>(hit_rate));
+      trace_.counter(pid_, ts_alu_util_track_, percent_id_, s.cycle,
+                     static_cast<std::uint64_t>(
+                         100.0 *
                          static_cast<double>(s.alu_busy_cycles -
                                              ts_prev_.alu_busy_cycles) /
-                         span);
+                         span));
       if (s.dram_peak_bytes_per_cycle > 0) {
         trace_.counter(
-            pid_, "TS DRAM BW util", "%", s.cycle,
-            100.0 *
+            pid_, ts_dram_bw_util_track_, percent_id_, s.cycle,
+            static_cast<std::uint64_t>(
+                100.0 *
                 static_cast<double>(s.dram_bytes - ts_prev_.dram_bytes) /
                 (span *
-                 static_cast<double>(s.dram_peak_bytes_per_cycle)));
+                 static_cast<double>(s.dram_peak_bytes_per_cycle))));
       }
     }
   }
@@ -225,41 +266,41 @@ void Observer::sample_tracks(Cycle now, std::uint64_t dmb_lines,
     stall_gauges_[i]->set(static_cast<std::int64_t>(stall_cycles[i]));
   }
   if (!options_.trace) return;
-  trace_.counter(pid_, "DMB occupancy", "lines", now, dmb_lines);
-  trace_.counter(pid_, "partial bytes", "bytes", now, partial_bytes);
-  trace_.counter(pid_, "LSQ depth", "entries", now, lsq_depth);
-  trace_.counter(pid_, "SMQ backlog", "entries", now, smq_backlog);
+  trace_.counter(pid_, dmb_occupancy_track_, lines_id_, now, dmb_lines);
+  trace_.counter(pid_, partial_bytes_track_, bytes_id_, now, partial_bytes);
+  trace_.counter(pid_, lsq_depth_track_, entries_id_, now, lsq_depth);
+  trace_.counter(pid_, smq_backlog_track_, entries_id_, now, smq_backlog);
   // One cumulative counter series per stall bucket: in the Perfetto
   // UI the slope of "stall <cause>" is the fraction of cycles that
   // cause is costing right now.
   for (std::size_t i = 0;
-       i < stall_cycles.size() && i < stall_gauges_.size(); ++i) {
-    trace_.counter(pid_,
-                   std::string("stall ") +
-                       stall_cause_key(static_cast<StallCause>(i)),
-                   "cycles", now, stall_cycles[i]);
+       i < stall_cycles.size() && i < stall_tracks_.size(); ++i) {
+    trace_.counter(pid_, stall_tracks_[i], cycles_id_, now, stall_cycles[i]);
   }
   if (spatial_.active()) {
     // One cumulative counter per PE lane: in the Perfetto UI the
     // slope of "PE NN busy" is that lane's utilization right now.
     const std::vector<std::uint64_t>& lanes =
         spatial_.data().lane_busy_cycles;
-    char name[16];
+    if (pe_busy_tracks_.size() < lanes.size()) intern_pe_lanes(lanes.size());
     for (std::size_t i = 0; i < lanes.size(); ++i) {
-      std::snprintf(name, sizeof name, "PE %02zu busy", i);
-      trace_.counter(pid_, name, "cycles", now, lanes[i]);
+      trace_.counter(pid_, pe_busy_tracks_[i], cycles_id_, now, lanes[i]);
     }
   }
 }
 
 void Observer::phase_span(const std::string& name, Cycle begin, Cycle end) {
   run_hist_.phase_cycles.observe(end - begin);
-  if (options_.trace) trace_.duration(pid_, 0, name, begin, end);
+  if (options_.trace) {
+    trace_.duration(pid_, 0, trace_.intern(name), begin, end);
+  }
 }
 
 void Observer::region_span(const std::string& name, Cycle begin, Cycle end) {
   run_hist_.phase_cycles.observe(end - begin);
-  if (options_.trace) trace_.duration(pid_, 1, name, begin, end);
+  if (options_.trace) {
+    trace_.duration(pid_, 1, trace_.intern(name), begin, end);
+  }
 }
 
 }  // namespace hymm

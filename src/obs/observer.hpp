@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "common/stall.hpp"
 #include "common/types.hpp"
@@ -163,9 +164,13 @@ class Observer {
   void region_span(const std::string& name, Cycle begin, Cycle end);
 
  private:
+  using NameId = TraceWriter::NameId;
+
   // Emits the derived windowed counter tracks for one recorded
   // sample (trace builds only).
   void trace_timeseries_sample(const TimeSeriesSample& s);
+  // Interns "PE NN busy" for lanes [pe_busy_tracks_.size(), lanes).
+  void intern_pe_lanes(std::size_t lanes);
 
   ObserverOptions options_;
   MetricsRegistry metrics_;
@@ -198,6 +203,29 @@ class Observer {
   Histogram* merge_depth_;
   Histogram* engine_window_;
   Histogram* dmb_occupancy_hist_;
+
+  // Interned trace names, so no hot-path event builds a string or
+  // looks one up.
+  NameId eviction_id_;
+  NameId partial_spill_id_;
+  NameId lines_id_;
+  NameId bytes_id_;
+  NameId entries_id_;
+  NameId cycles_id_;
+  NameId percent_id_;
+  NameId dmb_occupancy_track_;
+  NameId partial_bytes_track_;
+  NameId lsq_depth_track_;
+  NameId smq_backlog_track_;
+  std::array<NameId, kStallCauseCount> stall_tracks_{};
+  std::vector<NameId> pe_busy_tracks_;
+  NameId ts_lsq_depth_track_;
+  NameId ts_smq_backlog_track_;
+  NameId ts_dmb_lines_track_;
+  NameId ts_partial_bytes_track_;
+  NameId ts_dmb_hit_rate_track_;
+  NameId ts_alu_util_track_;
+  NameId ts_dram_bw_util_track_;
 };
 
 }  // namespace hymm

@@ -1,6 +1,8 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <ostream>
 
 #include "common/check.hpp"
@@ -8,64 +10,84 @@
 
 namespace hymm {
 
-void TraceWriter::set_process_name(int pid, std::string name) {
-  Event e;
-  e.ph = 'M';
-  e.pid = pid;
-  e.name = "process_name";
-  e.arg_key = "name";
-  e.arg_str = std::move(name);
-  metadata_.push_back(std::move(e));
+namespace {
+
+// Accumulates the serialized document in memory and hands it to the
+// stream in large writes.
+class ChunkedOut {
+ public:
+  explicit ChunkedOut(std::ostream& out) : out_(out) {
+    buf_.reserve(kFlushBytes + 4096);
+  }
+
+  void put(std::string_view s) { buf_.append(s); }
+  void put(char c) { buf_.push_back(c); }
+
+  template <typename Int>
+  void num(Int v) {
+    char digits[24];
+    const auto r = std::to_chars(digits, digits + sizeof digits, v);
+    buf_.append(digits, r.ptr);
+  }
+
+  // Called between records, so a flush never splits one.
+  void maybe_flush() {
+    if (buf_.size() >= kFlushBytes) flush();
+  }
+
+  void flush() {
+    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+    buf_.clear();
+  }
+
+ private:
+  static constexpr std::size_t kFlushBytes = 1 << 20;
+
+  std::ostream& out_;
+  std::string buf_;
+};
+
+}  // namespace
+
+TraceWriter::NameId TraceWriter::intern(std::string_view s) {
+  HYMM_CHECK(strings_.size() < std::numeric_limits<NameId>::max());
+  const auto [it, added] =
+      ids_.try_emplace(std::string(s), static_cast<NameId>(strings_.size()));
+  if (added) strings_.emplace_back(s);
+  return it->second;
 }
 
-void TraceWriter::set_thread_name(int pid, int tid, std::string name) {
-  Event e;
-  e.ph = 'M';
-  e.pid = pid;
-  e.tid = tid;
-  e.name = "thread_name";
-  e.arg_key = "name";
-  e.arg_str = std::move(name);
-  metadata_.push_back(std::move(e));
+std::int16_t TraceWriter::narrow_tid(int tid) {
+  HYMM_CHECK_MSG(tid >= std::numeric_limits<std::int16_t>::min() &&
+                     tid <= std::numeric_limits<std::int16_t>::max(),
+                 "trace tid " << tid << " does not fit 16 bits");
+  return static_cast<std::int16_t>(tid);
 }
 
-void TraceWriter::duration(int pid, int tid, std::string name, Cycle begin,
+void TraceWriter::set_process_name(int pid, std::string_view name) {
+  metadata_.push_back(Event{0, intern(name), intern("process_name"),
+                            intern("name"), pid, 0, 'M'});
+}
+
+void TraceWriter::set_thread_name(int pid, int tid, std::string_view name) {
+  metadata_.push_back(Event{0, intern(name), intern("thread_name"),
+                            intern("name"), pid, narrow_tid(tid), 'M'});
+}
+
+void TraceWriter::duration(int pid, int tid, NameId name, Cycle begin,
                            Cycle end) {
   HYMM_DCHECK(end >= begin);
-  Event e;
-  e.ph = 'X';
-  e.ts = begin;
-  e.dur = end - begin;
-  e.pid = pid;
-  e.tid = tid;
-  e.name = std::move(name);
-  events_.push_back(std::move(e));
+  events_.push_back(
+      Event{begin, end - begin, name, 0, pid, narrow_tid(tid), 'X'});
 }
 
-void TraceWriter::counter(int pid, std::string track, std::string series,
-                          Cycle ts, std::uint64_t value) {
-  Event e;
-  e.ph = 'C';
-  e.ts = ts;
-  e.pid = pid;
-  e.name = std::move(track);
-  e.arg_key = std::move(series);
-  e.arg_u64 = value;
-  events_.push_back(std::move(e));
-}
-
-void TraceWriter::instant(int pid, std::string name, Cycle ts) {
+void TraceWriter::instant(int pid, NameId name, Cycle ts) {
   if (instant_count_ >= kMaxInstantEvents) {
     ++dropped_instants_;
     return;
   }
   ++instant_count_;
-  Event e;
-  e.ph = 'i';
-  e.ts = ts;
-  e.pid = pid;
-  e.name = std::move(name);
-  events_.push_back(std::move(e));
+  events_.push_back(Event{ts, 0, name, 0, pid, 0, 'i'});
 }
 
 void TraceWriter::write(std::ostream& out) const {
@@ -77,42 +99,59 @@ void TraceWriter::write(std::ostream& out) const {
   std::stable_sort(ordered.begin(), ordered.end(),
                    [](const Event* a, const Event* b) { return a->ts < b->ts; });
 
-  JsonWriter w(out, /*pretty=*/false);
-  w.begin_object();
-  w.key("traceEvents");
-  w.begin_array();
-  const auto emit = [&w](const Event& e) {
-    w.begin_object();
-    w.field("name", std::string_view(e.name));
-    w.key("ph");
-    w.value(std::string_view(&e.ph, 1));
-    w.field("pid", e.pid);
-    w.field("tid", e.tid);
-    if (e.ph != 'M') w.field("ts", static_cast<std::uint64_t>(e.ts));
-    if (e.ph == 'X') w.field("dur", static_cast<std::uint64_t>(e.dur));
-    if (e.ph == 'i') w.field("s", "t");  // thread-scoped instant
-    if (!e.arg_key.empty()) {
-      w.key("args");
-      w.begin_object();
-      if (e.ph == 'M') {
-        w.field(e.arg_key, std::string_view(e.arg_str));
-      } else {
-        w.field(e.arg_key, e.arg_u64);
-      }
-      w.end_object();
+  std::vector<std::string> escaped;
+  escaped.reserve(strings_.size());
+  for (const std::string& s : strings_) escaped.push_back(json_escape(s));
+
+  // The same bytes JsonWriter(out, /*pretty=*/false) produces.
+  ChunkedOut o(out);
+  bool first = true;
+  const auto emit = [&](const Event& e) {
+    HYMM_DCHECK(e.name < escaped.size() && e.arg < escaped.size());
+    o.put(first ? "{\"name\":\"" : ",{\"name\":\"");
+    first = false;
+    o.put(escaped[e.name]);
+    o.put("\",\"ph\":\"");
+    o.put(e.ph);
+    o.put("\",\"pid\":");
+    o.num(e.pid);
+    o.put(",\"tid\":");
+    o.num(e.tid);
+    if (e.ph != 'M') {
+      o.put(",\"ts\":");
+      o.num(e.ts);
     }
-    w.end_object();
+    if (e.ph == 'X') {
+      o.put(",\"dur\":");
+      o.num(e.word);
+    }
+    if (e.ph == 'i') o.put(",\"s\":\"t\"");  // thread-scoped instant
+    if (e.arg != 0) {
+      o.put(",\"args\":{\"");
+      o.put(escaped[e.arg]);
+      o.put("\":");
+      if (e.ph == 'M') {
+        o.put('"');
+        o.put(escaped[e.word]);
+        o.put('"');
+      } else {
+        o.num(e.word);
+      }
+      o.put('}');
+    }
+    o.put('}');
+    o.maybe_flush();
   };
+  o.put("{\"traceEvents\":[");
   for (const Event& e : metadata_) emit(e);
   for (const Event* e : ordered) emit(*e);
-  w.end_array();
-  w.field("displayTimeUnit", "ms");
+  o.put("],\"displayTimeUnit\":\"ms\"");
   if (dropped_instants_ > 0) {
-    w.field("droppedInstantEvents",
-            static_cast<std::uint64_t>(dropped_instants_));
+    o.put(",\"droppedInstantEvents\":");
+    o.num(dropped_instants_);
   }
-  w.end_object();
-  out << '\n';
+  o.put("}\n");
+  o.flush();
 }
 
 }  // namespace hymm

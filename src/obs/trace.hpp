@@ -13,11 +13,19 @@
 ///                         evictions)
 ///   "M" metadata events — process/thread naming (one process per
 ///                         simulated run, so several runs share a file)
+///
+/// Every name (track, series, event or process name) is interned once
+/// in a string table the writer owns; a buffered event is a 32-byte
+/// record of ids and numbers that holds no heap memory. Hot callers
+/// intern their fixed names up front and pass the ids.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <unordered_map>
 #include <vector>
 
 #include "common/types.hpp"
@@ -28,25 +36,35 @@ namespace hymm {
 /// trace-event JSON document at the end.
 class TraceWriter {
  public:
+  /// Index of a string in the writer's string table.
+  using NameId = std::uint32_t;
+
   /// Instant events beyond this many are dropped (a long run can evict
   /// millions of times; the trace stays openable). The drop count is
   /// recorded in the emitted metadata.
   static constexpr std::size_t kMaxInstantEvents = 1 << 18;
 
+  /// Id of `s` in the string table, adding it on first use. Ids stay
+  /// valid for the writer's lifetime; the empty string is always id 0.
+  NameId intern(std::string_view s);
+
   /// Names a process group; subsequent events carry `pid`.
-  void set_process_name(int pid, std::string name);
+  void set_process_name(int pid, std::string_view name);
   /// Names a thread within process group `pid`.
-  void set_thread_name(int pid, int tid, std::string name);
+  void set_thread_name(int pid, int tid, std::string_view name);
 
   /// Duration ("X") event spanning [begin, end] cycles.
-  void duration(int pid, int tid, std::string name, Cycle begin, Cycle end);
+  void duration(int pid, int tid, NameId name, Cycle begin, Cycle end);
 
-  /// Counter ("C") sample: one series point on track `track`.
-  void counter(int pid, std::string track, std::string series, Cycle ts,
-               std::uint64_t value);
+  /// Counter ("C") sample: one series point on track `track`. An empty
+  /// series emits no `args`.
+  void counter(int pid, NameId track, NameId series, Cycle ts,
+               std::uint64_t value) {
+    events_.push_back(Event{ts, value, track, series, pid, 0, 'C'});
+  }
 
   /// Instant ("i") event.
-  void instant(int pid, std::string name, Cycle ts);
+  void instant(int pid, NameId name, Cycle ts);
 
   /// Number of buffered events (metadata excluded).
   std::size_t event_count() const { return events_.size(); }
@@ -59,17 +77,21 @@ class TraceWriter {
 
  private:
   struct Event {
-    char ph = 'i';
-    Cycle ts = 0;
-    Cycle dur = 0;  // X only
-    int pid = 0;
-    int tid = 0;
-    std::string name;
-    std::string arg_key;    // C: series name; M: metadata arg
-    std::uint64_t arg_u64 = 0;
-    std::string arg_str;    // M only
+    Cycle ts;            ///< unused for M
+    std::uint64_t word;  ///< X: dur; C: value; M: argument string id
+    NameId name;
+    NameId arg;  ///< C: series; M: argument key; id 0: no args
+    int pid;
+    std::int16_t tid;  ///< range-checked where a caller supplies it
+    char ph;
   };
+  static_assert(sizeof(Event) == 32);
+  static_assert(std::is_trivially_copyable_v<Event>);
 
+  static std::int16_t narrow_tid(int tid);
+
+  std::vector<std::string> strings_{""};  // indexed by NameId
+  std::unordered_map<std::string, NameId> ids_{{"", 0}};
   std::vector<Event> events_;
   std::vector<Event> metadata_;
   std::size_t instant_count_ = 0;

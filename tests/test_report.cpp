@@ -352,8 +352,9 @@ TEST(ResultsJson, AppendsMetricsRegistryWhenProvided) {
 
 TEST(ResultsJson, AppendsTraceInfoWhenProvided) {
   TraceWriter trace;
-  trace.instant(0, "evt", 1);
-  trace.instant(0, "evt", 2);
+  const TraceWriter::NameId evt = trace.intern("evt");
+  trace.instant(0, evt, 1);
+  trace.instant(0, evt, 2);
   std::vector<ExperimentResult> results = {make_result()};
   std::ostringstream out;
   write_results_json(results, out, nullptr, &trace);

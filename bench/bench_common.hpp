@@ -28,7 +28,6 @@
 #include "core/runner.hpp"
 #include "graph/datasets.hpp"
 #include "obs/observer.hpp"
-#include "sim/checkpoint.hpp"
 #include "sweep/bench_options.hpp"
 #include "sweep/sweep.hpp"
 #include "tune/router.hpp"
@@ -142,11 +141,6 @@ inline std::vector<std::vector<DataflowComparison>> run_config_sweep(
               << first.scale << " ..." << std::endl;
   };
   sweep_options.sample = opts.sample;
-  // Warm-state checkpoints are opt-in via --checkpoint-dir: cells
-  // sharing a combination workload (and repeat invocations, via the
-  // on-disk store) restore it instead of re-simulating.
-  CheckpointStore checkpoints(opts.checkpoint_dir);
-  if (!opts.checkpoint_dir.empty()) sweep_options.checkpoints = &checkpoints;
 
   SweepRunner runner(sweep_options);
   const SweepRun run = runner.run(spec);
@@ -205,11 +199,6 @@ inline std::vector<DataflowComparison> run_autotuned_datasets(
     std::vector<TuneDecision>* decisions_out = nullptr) {
   Tuner tuner(opts.tune_cache);
   WorkloadCache cache;
-  // Opt-in warm-state checkpoints; the tuner's measured mode is the
-  // big win — every candidate shares one combination checkpoint.
-  CheckpointStore checkpoints(opts.checkpoint_dir);
-  CheckpointStore* store =
-      opts.checkpoint_dir.empty() ? nullptr : &checkpoints;
   std::vector<DataflowComparison> out;
   for (const DatasetSpec& dataset : opts.datasets) {
     const double scale = opts.scale_for(dataset);
@@ -218,7 +207,7 @@ inline std::vector<DataflowComparison> run_autotuned_datasets(
     const std::shared_ptr<const PreparedWorkload> prepared =
         cache.get(dataset, scale, opts.seed);
     const TuneDecision decision =
-        tuner.tune(prepared, base, opts.autotune, opts.threads, store);
+        tuner.tune(prepared, base, opts.autotune, opts.threads);
     std::cerr << "[bench]   threshold " << decision.fixed_threshold << " -> "
               << decision.threshold
               << (decision.cache_hit ? " (cache hit)" : "") << "\n";
@@ -246,7 +235,6 @@ inline std::vector<DataflowComparison> run_autotuned_datasets(
       return std::string("all");
     };
     sweep_options.sample = opts.sample;
-    sweep_options.checkpoints = store;
     SweepRunner runner(sweep_options);
     const SweepRun run = runner.run(spec);
 
@@ -287,9 +275,6 @@ inline std::vector<DataflowComparison> run_routed_datasets(
     std::vector<RouteDecision>* decisions_out = nullptr) {
   TileRouter router(opts.tune_cache);
   WorkloadCache cache;
-  CheckpointStore checkpoints(opts.checkpoint_dir);
-  CheckpointStore* store =
-      opts.checkpoint_dir.empty() ? nullptr : &checkpoints;
   std::vector<DataflowComparison> out;
   for (const DatasetSpec& dataset : opts.datasets) {
     const double scale = opts.scale_for(dataset);
@@ -298,7 +283,7 @@ inline std::vector<DataflowComparison> run_routed_datasets(
     const std::shared_ptr<const PreparedWorkload> prepared =
         cache.get(dataset, scale, opts.seed);
     const RouteDecision decision =
-        router.route(prepared, base, opts.route, opts.threads, store);
+        router.route(prepared, base, opts.route, opts.threads);
     std::cerr << "[bench]   threshold " << decision.global_threshold
               << ", map " << (decision.degenerate ? "global" : "per-tile")
               << (decision.cache_hit ? " (cache hit)" : "") << "\n";
@@ -327,7 +312,6 @@ inline std::vector<DataflowComparison> run_routed_datasets(
       return std::string("all");
     };
     sweep_options.sample = opts.sample;
-    sweep_options.checkpoints = store;
     SweepRunner runner(sweep_options);
     const SweepRun run = runner.run(spec);
 

@@ -93,11 +93,6 @@ int main(int argc, char** argv) {
   config.buffer_reuse = opts.serve_reuse.value_or(true);
   config.seed = opts.seed;
   config.threads = opts.threads;
-  // Warm-state checkpoints (persisted under --checkpoint-dir): a
-  // repeat serving run over the same workload restores each class's
-  // layer-0 combination instead of re-simulating it.
-  CheckpointStore checkpoints(opts.checkpoint_dir);
-  if (!opts.checkpoint_dir.empty()) config.checkpoints = &checkpoints;
 
   const ServeResult result = run_serve(classes, model.weights(), config);
   const ServeReportMeta meta{workload.spec, workload.scale, opts.seed};

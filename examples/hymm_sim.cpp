@@ -27,7 +27,6 @@
 #include "graph/generator.hpp"
 #include "graph/io.hpp"
 #include "obs/observer.hpp"
-#include "sim/checkpoint.hpp"
 #include "sweep/bench_options.hpp"
 #include "sweep/sweep.hpp"
 #include "tune/router.hpp"
@@ -68,9 +67,6 @@ void usage() {
       "  --sample[=F]         sampled simulation: estimate cycles from a\n"
       "                       seeded band subset (bare = 0.25; also\n"
       "                       HYMM_SAMPLE; results labeled, not verified)\n"
-      "  --checkpoint-dir <d> reuse warm combination state across runs\n"
-      "                       (also HYMM_CHECKPOINT_DIR; ignored when an\n"
-      "                       observer — --trace/--json — is attached)\n"
       "Observability (see DESIGN.md \"Observability\"):\n"
       "  --trace <file>       Chrome/Perfetto trace of the run(s)\n"
       "  --json <file>        JSON run report (full counter set)\n"
@@ -264,8 +260,6 @@ int main(int argc, char** argv) {
   SweepOptions sweep_options;
   sweep_options.threads = opts.threads;
   sweep_options.sample = opts.sample;
-  CheckpointStore checkpoints(opts.checkpoint_dir);
-  if (!opts.checkpoint_dir.empty()) sweep_options.checkpoints = &checkpoints;
   sweep_options.observe = observing;
   sweep_options.observer_options.trace = !config.trace_path.empty();
   sweep_options.observer_options.sample_interval = config.obs_sample_interval;

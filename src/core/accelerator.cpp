@@ -191,28 +191,39 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   DenseMatrix axw = DenseMatrix::zeros(n, w.cols());
 
   // --- Combination phase: XW = X * W ---
-  CscMatrix x_csc;  // OP architecture streams X column-wise
-  if (flow == Dataflow::kOuterProduct) x_csc = CscMatrix::from_csr(*x_used);
-  // The cold path, reusable against a private MemorySystem so the
-  // checkpoint builder can run it off to the side. The region values
-  // are identical for any MemorySystem that allocated the canonical
-  // W/XW/AXW/spill sequence above (the address map is deterministic).
-  const auto run_combination = [&](MemorySystem& sys, DenseMatrix& out_xw) {
+  // Observer runs never share: a restored combination would skip the
+  // phase's trace events and counter samples.
+  const CombinationShare& share = request.share;
+  const bool sharing =
+      obs == nullptr && (share.publish || share.restore != nullptr);
+  CheckpointKey key;
+  bool restored = false;
+  if (sharing) {
+    key = combination_checkpoint_key(*x_used, w, config_, flow);
+    result.checkpoint.enabled = true;
+    result.checkpoint.key = checkpoint_key_hex(key);
+    restored = share.restore != nullptr &&
+               restore_warm_state(*share.restore, key, ms, xw);
+    result.checkpoint.restored = restored;
+  }
+  if (!restored) {
     if (flow == Dataflow::kOuterProduct) {
+      // OP architecture streams X column-wise.
+      const CscMatrix x_csc = CscMatrix::from_csr(*x_used);
       OpEngineParams op;
       op.sparse = &x_csc;
       op.sparse_class = TrafficClass::kFeatures;
       op.b = &w;
       op.b_region = w_region;
       op.b_class = TrafficClass::kWeights;
-      op.c = &out_xw;
+      op.c = &xw;
       op.c_region = xw_region;
       op.c_final_class = TrafficClass::kCombined;
       op.spill_region = spill_region;
       op.accumulate_in_buffer = config_.op_baseline_accumulator;
       op.window = config_.engine_window;
-      OpEngine engine(sys, op);
-      run_phase(sys, engine);
+      OpEngine engine(ms, op);
+      run_phase(ms, engine);
     } else {
       RwpEngineParams rwp;
       rwp.sparse = x_used;
@@ -220,59 +231,29 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
       rwp.b = &w;
       rwp.b_region = w_region;
       rwp.b_class = TrafficClass::kWeights;
-      rwp.c = &out_xw;
+      rwp.c = &xw;
       rwp.c_region = xw_region;
       rwp.c_class = TrafficClass::kCombined;
       rwp.c_store_kind = StoreKind::kAllocate;
       rwp.window = config_.engine_window;
-      RwpEngine engine(sys, rwp);
-      run_phase(sys, engine);
+      RwpEngine engine(ms, rwp);
+      run_phase(ms, engine);
     }
-  };
-  // Observer runs are ineligible: a restored combination would skip
-  // the phase's trace events and counter samples.
-  CheckpointStore* ckpt = obs == nullptr ? request.checkpoints : nullptr;
-  bool restored = false;
-  if (ckpt != nullptr) {
-    const CheckpointKey key =
-        combination_checkpoint_key(*x_used, w, config_, flow);
-    result.checkpoint.enabled = true;
-    result.checkpoint.key = checkpoint_key_hex(key);
-    bool built = false;
-    const auto blob = ckpt->get_or_build(
-        key,
-        [&] {
-          MemorySystem cold(config_);
-          // Replicate the canonical region sequence so embedded
-          // addresses match every restoring run.
-          cold.address_map().allocate("W", w_region.bytes,
-                                      TrafficClass::kWeights);
-          cold.address_map().allocate("XW", xw_region.bytes,
-                                      TrafficClass::kCombined);
-          cold.address_map().allocate("AXW", axw_region.bytes,
-                                      TrafficClass::kOutput);
-          cold.address_map().allocate("partial-spill", spill_region.bytes,
-                                      TrafficClass::kPartial);
-          DenseMatrix cold_xw = DenseMatrix::zeros(n, w.cols());
-          run_combination(cold, cold_xw);
-          std::vector<std::byte> sealed =
-              serialize_warm_state(key, cold, cold_xw);
-#ifndef NDEBUG
-          // Round-trip soundness: restoring the blob and re-serializing
-          // must reproduce it byte for byte.
-          MemorySystem check(config_);
-          DenseMatrix check_xw = DenseMatrix::zeros(n, w.cols());
-          HYMM_DCHECK(restore_warm_state(sealed, key, check, check_xw));
-          HYMM_DCHECK(serialize_warm_state(key, check, check_xw) == sealed);
-#endif
-          return sealed;
-        },
-        &built);
-    result.checkpoint.built = built;
-    restored = blob != nullptr && restore_warm_state(*blob, key, ms, xw);
-    result.checkpoint.restored = restored;
   }
-  if (!restored) run_combination(ms, xw);
+  if (sharing && share.publish) {
+    std::vector<std::byte> sealed = serialize_warm_state(key, ms, xw);
+#ifndef NDEBUG
+    // Round-trip soundness: restoring the blob and re-serializing must
+    // reproduce it byte for byte.
+    MemorySystem check(config_);
+    DenseMatrix check_xw = DenseMatrix::zeros(n, w.cols());
+    HYMM_DCHECK(restore_warm_state(sealed, key, check, check_xw));
+    HYMM_DCHECK(serialize_warm_state(key, check, check_xw) == sealed);
+#endif
+    share.publish(
+        std::make_shared<const std::vector<std::byte>>(std::move(sealed)));
+    result.checkpoint.built = true;
+  }
   result.combination_stats = ms.stats();
   result.combination_stats.cycles = ms.now();
   HYMM_OBS(obs, phase_span("combination", 0, ms.now()));

@@ -9,6 +9,8 @@
 ///   HyMM         | RWP         | OP (R1) + RWP     | degree sorting
 #pragma once
 
+#include <functional>
+
 #include "common/config.hpp"
 #include "core/engine.hpp"
 #include "core/hybrid_engine.hpp"
@@ -20,14 +22,29 @@
 
 namespace hymm {
 
-/// How the combination phase of one run interacted with the warm-state
-/// checkpoint store (sim/checkpoint.hpp). All-false when no store was
-/// passed or the run was ineligible (observer attached).
+/// How the combination phase of one run was shared with other runs of
+/// its sweep (sim/checkpoint.hpp). All-false when the run shared
+/// nothing (no CombinationShare, or an observer attached).
 struct LayerCheckpointInfo {
-  bool enabled = false;   ///< a store was passed and the run is eligible
+  bool enabled = false;   ///< the run took part in a shared combination
   bool restored = false;  ///< combination state restored from the blob
-  bool built = false;     ///< this run simulated the cold combination
+  bool built = false;     ///< this run simulated and published the phase
   std::string key;        ///< checkpoint_key_hex, empty when disabled
+};
+
+/// Combination-phase sharing between runs, planned by the sweep
+/// executor (sweep/sweep.hpp): the first run of a shared combination
+/// publishes its phase-boundary state, the others restore it. At most
+/// one member is set; both are ignored when an observer is attached,
+/// because a restored phase would drop its trace events and counter
+/// samples.
+struct CombinationShare {
+  /// Leader: receives the sealed warm state right after the run's
+  /// own combination phase, before aggregation starts.
+  std::function<void(CheckpointBlob)> publish;
+  /// Follower: the leader's sealed warm state, restored instead of
+  /// simulating the phase (a blob that fails validation runs cold).
+  CheckpointBlob restore;
 };
 
 /// Outcome of one simulated GCN layer (`Accelerator::run_layer`).
@@ -90,12 +107,8 @@ struct LayerRunRequest {
   /// coordinates). Ignored for the homogeneous dataflows.
   const TileRoutingMap* route = nullptr;
 
-  /// Optional warm-state reuse (sim/checkpoint.hpp): runs sharing the
-  /// same streamed inputs and timing config simulate the combination
-  /// phase once and restore its end state afterwards, bit-identically.
-  /// Ignored when an observer is attached — the restored run would
-  /// miss the combination phase's trace events and counter samples.
-  CheckpointStore* checkpoints = nullptr;
+  /// Optional combination-phase sharing; see CombinationShare.
+  CombinationShare share;
 };
 
 /// Key identifying the combination phase's warm state: the streamed
@@ -103,7 +116,7 @@ struct LayerRunRequest {
 /// kind the dataflow runs combination with, and the timing-model hash.
 /// `x_used` must be the matrix actually streamed (the degree-sorted
 /// features for hybrid runs). The tiling threshold is excluded via
-/// tuning_config_hash, so every tuner candidate shares one checkpoint.
+/// tuning_config_hash: it only splits the aggregation phase.
 CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
                                          const DenseMatrix& w,
                                          const AcceleratorConfig& config,

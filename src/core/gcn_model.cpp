@@ -56,7 +56,6 @@ GcnModel::InferenceResult GcnModel::run(const InferenceRequest& request) const {
     layer_request.x = &x;
     layer_request.w = &weights_[l];
     layer_request.observer = request.observer;
-    layer_request.checkpoints = request.checkpoints;
     if (pass_sort) {
       // The degree sort is computed once for the whole network (the
       // adjacency never changes between layers) — only the inner

@@ -82,9 +82,6 @@ class GcnModel {
     Observer* observer = nullptr;            ///< optional; never affects timing
     const DegreeSortResult* sort = nullptr;  ///< optional precomputed sort
     const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
-    /// Optional warm-state checkpoint store (sim/checkpoint.hpp),
-    /// passed to every layer run; ignored when `observer` is set.
-    CheckpointStore* checkpoints = nullptr;
   };
 
   /// Simulates the whole network under the request's dataflow. When

@@ -392,7 +392,8 @@ void write_sample_json(JsonWriter& w, const SampleInfo& s) {
 }
 
 // Schema /7: warm-state checkpoint interaction (sim/checkpoint.hpp).
-// Only emitted when a CheckpointStore was attached to the run.
+// Only emitted when the cell's combination phase was shared within its
+// sweep.
 void write_checkpoint_json(JsonWriter& w, const LayerCheckpointInfo& c) {
   w.begin_object();
   w.field("restored", c.restored);

@@ -1,83 +1,20 @@
 #include "core/runner.hpp"
 
-#include <chrono>
-
 #include "common/check.hpp"
+#include "common/timer.hpp"
 
 namespace hymm {
 
-ExperimentResult run_experiment(const ExperimentRequest& request) {
-  HYMM_CHECK(request.workload != nullptr && request.a_hat != nullptr &&
-             request.weights != nullptr && request.reference != nullptr);
+namespace {
+
+// The fields every result distills from its layer run, exact or
+// sampled (LayerRunResult and SampledLayerResult share these names).
+template <typename Layer>
+ExperimentResult distill(const ExperimentRequest& request, const Layer& layer,
+                         double sim_wall_ms) {
   const GcnWorkload& workload = *request.workload;
-  const AcceleratorConfig& config = request.config;
-  const DenseMatrix& reference_output = *request.reference;
-
-  if (request.sample > 0.0) {
-    // Sampled mode: seeded band subset + extrapolation instead of the
-    // full cycle-accurate run. No functional output, so the result is
-    // never verified; observer and checkpoints do not apply.
-    SampledLayerRequest sampled_request;
-    sampled_request.flow = request.flow;
-    sampled_request.a_hat = request.a_hat;
-    sampled_request.x = &workload.features;
-    sampled_request.w = request.weights;
-    sampled_request.sort = request.sort;
-    sampled_request.sorted_features = request.sorted_features;
-    sampled_request.options.fraction = request.sample;
-    sampled_request.options.seed = request.sample_seed;
-    const auto sim_begin = std::chrono::steady_clock::now();
-    const SampledLayerResult layer = run_layer_sampled(config, sampled_request);
-    const auto sim_end = std::chrono::steady_clock::now();
-
-    ExperimentResult r;
-    r.sim_wall_ms =
-        std::chrono::duration<double, std::milli>(sim_end - sim_begin)
-            .count();
-    r.dataset = workload.spec.name;
-    r.abbrev = workload.spec.abbrev;
-    r.scale = workload.scale;
-    r.flow = request.flow;
-    r.cycles = layer.stats.cycles;
-    r.alu_utilization = layer.stats.alu_utilization();
-    r.dmb_hit_rate = layer.stats.dmb_hit_rate();
-    r.dram_total_bytes = layer.stats.dram_total_bytes();
-    r.dram_read_bytes = layer.stats.dram_read_bytes;
-    r.dram_write_bytes = layer.stats.dram_write_bytes;
-    r.partial_bytes_peak = layer.stats.partial_bytes_peak;
-    r.mac_ops = layer.stats.mac_ops;
-    r.dram_peak_bytes_per_cycle = config.dram_bytes_per_cycle;
-    r.combination_cycles = layer.combination_stats.cycles;
-    r.aggregation_cycles = layer.aggregation_stats.cycles;
-    r.preprocess_ms = layer.preprocess_ms;
-    r.partition = layer.partition;
-    r.stats = layer.stats;
-    r.combination_stats = layer.combination_stats;
-    r.aggregation_stats = layer.aggregation_stats;
-    r.sample = layer.sample;
-    return r;
-  }
-
-  Accelerator accelerator(config);
-  LayerRunRequest layer_request;
-  layer_request.flow = request.flow;
-  layer_request.a_hat = request.a_hat;
-  layer_request.x = &workload.features;
-  layer_request.w = request.weights;
-  layer_request.observer = request.observer;
-  layer_request.sort = request.sort;
-  layer_request.sorted_features = request.sorted_features;
-  layer_request.route =
-      request.flow == Dataflow::kHybrid ? request.route : nullptr;
-  layer_request.checkpoints = request.checkpoints;
-  const auto sim_begin = std::chrono::steady_clock::now();
-  const LayerRunResult layer = accelerator.run_layer(layer_request);
-  const auto sim_end = std::chrono::steady_clock::now();
-
   ExperimentResult r;
-  r.sim_wall_ms =
-      std::chrono::duration<double, std::milli>(sim_end - sim_begin)
-          .count();
+  r.sim_wall_ms = sim_wall_ms;
   r.dataset = workload.spec.name;
   r.abbrev = workload.spec.abbrev;
   r.scale = workload.scale;
@@ -90,7 +27,7 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   r.dram_write_bytes = layer.stats.dram_write_bytes;
   r.partial_bytes_peak = layer.stats.partial_bytes_peak;
   r.mac_ops = layer.stats.mac_ops;
-  r.dram_peak_bytes_per_cycle = config.dram_bytes_per_cycle;
+  r.dram_peak_bytes_per_cycle = request.config.dram_bytes_per_cycle;
   r.combination_cycles = layer.combination_stats.cycles;
   r.aggregation_cycles = layer.aggregation_stats.cycles;
   r.preprocess_ms = layer.preprocess_ms;
@@ -98,8 +35,55 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   r.stats = layer.stats;
   r.combination_stats = layer.combination_stats;
   r.aggregation_stats = layer.aggregation_stats;
+  return r;
+}
+
+}  // namespace
+
+ExperimentResult run_experiment(const ExperimentRequest& request) {
+  HYMM_CHECK(request.workload != nullptr && request.a_hat != nullptr &&
+             request.weights != nullptr && request.reference != nullptr);
+  const GcnWorkload& workload = *request.workload;
+
+  if (request.sample > 0.0) {
+    // Sampled mode: seeded band subset + extrapolation instead of the
+    // full cycle-accurate run. No functional output, so the result is
+    // never verified; observer and share do not apply.
+    SampledLayerRequest sampled_request;
+    sampled_request.flow = request.flow;
+    sampled_request.a_hat = request.a_hat;
+    sampled_request.x = &workload.features;
+    sampled_request.w = request.weights;
+    sampled_request.sort = request.sort;
+    sampled_request.sorted_features = request.sorted_features;
+    sampled_request.options.fraction = request.sample;
+    sampled_request.options.seed = request.sample_seed;
+    const Timer sim_timer;
+    const SampledLayerResult layer =
+        run_layer_sampled(request.config, sampled_request);
+    ExperimentResult r = distill(request, layer, sim_timer.elapsed_ms());
+    r.sample = layer.sample;
+    return r;
+  }
+
+  LayerRunRequest layer_request;
+  layer_request.flow = request.flow;
+  layer_request.a_hat = request.a_hat;
+  layer_request.x = &workload.features;
+  layer_request.w = request.weights;
+  layer_request.observer = request.observer;
+  layer_request.sort = request.sort;
+  layer_request.sorted_features = request.sorted_features;
+  layer_request.route =
+      request.flow == Dataflow::kHybrid ? request.route : nullptr;
+  layer_request.share = request.share;
+  const Accelerator accelerator(request.config);
+  const Timer sim_timer;
+  const LayerRunResult layer = accelerator.run_layer(layer_request);
+  ExperimentResult r = distill(request, layer, sim_timer.elapsed_ms());
   r.hybrid_info = layer.hybrid_info;
   r.checkpoint = layer.checkpoint;
+  const DenseMatrix& reference_output = *request.reference;
   r.max_abs_err =
       DenseMatrix::max_abs_diff(layer.output, reference_output);
   r.verified = DenseMatrix::allclose(layer.output, reference_output,

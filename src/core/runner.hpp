@@ -146,9 +146,9 @@ struct ExperimentResult {
   /// "route" object of hymm-run-report/8.
   RouteInfo route;
 
-  /// Warm-state checkpoint interaction of the combination phase
-  /// (sim/checkpoint.hpp); all-false unless the request passed a
-  /// CheckpointStore. Serialized as the "checkpoint" object of
+  /// Combination-phase sharing within the cell's sweep
+  /// (sim/checkpoint.hpp); all-false unless the request carried a
+  /// CombinationShare. Serialized as the "checkpoint" object of
   /// hymm-run-report/8.
   LayerCheckpointInfo checkpoint;
 
@@ -210,15 +210,14 @@ struct ExperimentRequest {
   /// extrapolation samples the global split — and the result's
   /// route annotation stays disabled.
   const TileRoutingMap* route = nullptr;
-  /// Optional warm-state checkpoint store (sim/checkpoint.hpp): cells
-  /// sharing a combination workload simulate it once and restore the
-  /// boundary state bit-identically. Ignored when `observer` is set.
-  CheckpointStore* checkpoints = nullptr;
+  /// Optional combination-phase sharing (CombinationShare), forwarded
+  /// to LayerRunRequest::share. Ignored when `observer` is set.
+  CombinationShare share;
   /// Sampled-simulation fraction (0 = exact run). When > 0 the layer
   /// runs in sampled mode (core/sampling.hpp): cycles/stalls/DRAM
   /// bytes are seeded-subset extrapolations with error bars, the
-  /// result is never functionally verified, and observer/checkpoints
-  /// are ignored.
+  /// result is never functionally verified, and observer/share are
+  /// ignored.
   double sample = 0.0;
   /// Band-selection seed of sampled runs.
   std::uint64_t sample_seed = 42;

@@ -18,8 +18,7 @@ constexpr std::size_t cls_index(TrafficClass cls) {
 
 ClassCost simulate_one(const RequestClass& cls,
                        const std::vector<DenseMatrix>& weights,
-                       Dataflow flow, const AcceleratorConfig& config,
-                       CheckpointStore* checkpoints) {
+                       Dataflow flow, const AcceleratorConfig& config) {
   const GcnModel model(cls.a_hat, weights);
 
   GcnModel::InferenceRequest request;
@@ -27,7 +26,6 @@ ClassCost simulate_one(const RequestClass& cls,
   request.features = &cls.features;
   request.config = config;
   request.verify = true;
-  request.checkpoints = checkpoints;
   // Hybrid: sort once here and share it across the model's layers via
   // the request passthrough.
   DegreeSortResult sort;
@@ -80,14 +78,13 @@ ClassCost simulate_one(const RequestClass& cls,
 std::vector<ClassCost> simulate_class_costs(
     const std::vector<RequestClass>& classes,
     const std::vector<DenseMatrix>& weights, Dataflow flow,
-    const AcceleratorConfig& config, unsigned threads,
-    CheckpointStore* checkpoints) {
+    const AcceleratorConfig& config, unsigned threads) {
   HYMM_CHECK_MSG(!classes.empty(), "no request classes");
   std::vector<ClassCost> costs(classes.size());
   // Indexed slots: each class writes only costs[i], so the result is
   // bit-identical at any thread count.
   parallel_for(classes.size(), threads, [&](std::size_t i) {
-    costs[i] = simulate_one(classes[i], weights, flow, config, checkpoints);
+    costs[i] = simulate_one(classes[i], weights, flow, config);
   });
   return costs;
 }

@@ -20,8 +20,6 @@
 
 namespace hymm {
 
-class CheckpointStore;  // sim/checkpoint.hpp
-
 /// One layer's serving-relevant costs, distilled from the exact
 /// simulation of the class's standalone inference.
 struct LayerCost {
@@ -55,15 +53,11 @@ struct ClassCost {
 /// indexed slot, so results are bit-identical at any thread count.
 /// Hybrid runs hand the model a precomputed degree sort through the
 /// InferenceRequest passthrough (sorted once per class, not per
-/// layer). `checkpoints` (optional) is a warm-state checkpoint store
-/// (sim/checkpoint.hpp) threaded into every layer run: repeated
-/// serving processes over the same classes restore each layer-0
-/// combination from disk instead of re-simulating its warm-up.
+/// layer).
 std::vector<ClassCost> simulate_class_costs(
     const std::vector<RequestClass>& classes,
     const std::vector<DenseMatrix>& weights, Dataflow flow,
-    const AcceleratorConfig& config, unsigned threads,
-    CheckpointStore* checkpoints = nullptr);
+    const AcceleratorConfig& config, unsigned threads);
 
 /// Cycle/traffic savings one batch member gets relative to its
 /// class's standalone run. Bytes split by mechanism so the report's

@@ -81,7 +81,7 @@ ServeResult run_serve(const std::vector<RequestClass>& classes,
   ServeResult result;
   result.class_costs =
       simulate_class_costs(classes, weights, config.flow, config.accel,
-                           config.threads, config.checkpoints);
+                           config.threads);
   // Per-(class, position) savings depend only on the class and on
   // whether the member is the leader — precompute both variants.
   std::vector<RequestSavings> leader_savings;

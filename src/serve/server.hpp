@@ -34,9 +34,6 @@ struct ServeConfig {
   bool buffer_reuse = true;         ///< keep XW resident between phases
   std::uint64_t seed = 42;          ///< arrival/class-pick RNG seed
   unsigned threads = 0;  ///< class-cost simulation workers (0 = auto)
-  /// Optional warm-state checkpoint store (sim/checkpoint.hpp) for
-  /// the class-cost simulations; must outlive run_serve.
-  CheckpointStore* checkpoints = nullptr;
 };
 
 /// The lifecycle of one generated request, in arrival order. Dropped

@@ -2,8 +2,6 @@
 
 #include <bit>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <utility>
 
 #include "common/check.hpp"
@@ -110,86 +108,6 @@ bool open_checkpoint(const std::vector<std::byte>& blob,
   *payload = body;
   *payload_size = static_cast<std::size_t>(size);
   return true;
-}
-
-CheckpointStore::CheckpointStore(std::string dir) : dir_(std::move(dir)) {
-  if (!dir_.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(dir_, ec);
-    // Unwritable directories surface later as load/store misses, never
-    // as errors: persistence is strictly best-effort.
-  }
-}
-
-std::string CheckpointStore::file_for(const CheckpointKey& key) const {
-  return dir_ + "/ckpt_" + checkpoint_key_hex(key) + ".bin";
-}
-
-std::shared_ptr<const std::vector<std::byte>> CheckpointStore::get_or_build(
-    const CheckpointKey& key,
-    const std::function<std::vector<std::byte>()>& build, bool* was_built) {
-  if (was_built != nullptr) *was_built = false;
-  Entry* entry = nullptr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::unique_ptr<Entry>& slot = entries_[checkpoint_key_hex(key)];
-    if (slot == nullptr) slot = std::make_unique<Entry>();
-    entry = slot.get();
-  }
-  bool built_here = false;
-  std::call_once(entry->once, [&] {
-    // Disk first: a prior process may have persisted this workload.
-    if (!dir_.empty()) {
-      std::ifstream in(file_for(key), std::ios::binary | std::ios::ate);
-      if (in) {
-        const std::streamsize size = in.tellg();
-        in.seekg(0);
-        std::vector<std::byte> blob(
-            size > 0 ? static_cast<std::size_t>(size) : 0);
-        if (!blob.empty()) {
-          in.read(reinterpret_cast<char*>(blob.data()), size);
-        }
-        if (!in) blob.clear();
-        const std::byte* payload = nullptr;
-        std::size_t payload_size = 0;
-        if (open_checkpoint(blob, key, &payload, &payload_size)) {
-          entry->blob =
-              std::make_shared<const std::vector<std::byte>>(std::move(blob));
-          disk_loads_.fetch_add(1);
-          return;
-        }
-        // Corrupted / truncated / foreign blob: fall through to a
-        // cold build (which rewrites the file).
-      }
-    }
-    std::vector<std::byte> blob = build();
-    builds_.fetch_add(1);
-    built_here = true;
-    if (!dir_.empty()) {
-      // Write via a unique temp name + rename so concurrent processes
-      // never observe a half-written checkpoint.
-      const std::string path = file_for(key);
-      const std::string tmp =
-          path + ".tmp." +
-          std::to_string(
-              reinterpret_cast<std::uintptr_t>(static_cast<void*>(entry)));
-      std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-      if (out) {
-        out.write(reinterpret_cast<const char*>(blob.data()),
-                  static_cast<std::streamsize>(blob.size()));
-        out.close();
-        std::error_code ec;
-        if (out.good()) {
-          std::filesystem::rename(tmp, path, ec);
-        }
-        if (!out.good() || ec) std::filesystem::remove(tmp, ec);
-      }
-    }
-    entry->blob = std::make_shared<const std::vector<std::byte>>(std::move(blob));
-  });
-  if (was_built != nullptr) *was_built = built_here;
-  if (!built_here) hits_.fetch_add(1);
-  return entry->blob;
 }
 
 }  // namespace hymm

@@ -1,8 +1,7 @@
-// Warm-state checkpoint/restore (ROADMAP item 5): serialize the full
-// simulator state at the combination/aggregation phase boundary so
-// runs sharing a workload (sweep cells, serving-class standalone
-// simulations, tuner candidate searches) skip the combination phase
-// entirely and restore the warm DMB/LSQ/DRAM state instead.
+// Warm-state checkpoint/restore: serialize the full simulator state
+// at the combination/aggregation phase boundary so sweep cells that
+// share a combination phase (sweep/sweep.hpp) simulate it once and
+// restore the warm DMB/LSQ/DRAM state instead.
 //
 // A checkpoint is a self-describing binary blob:
 //
@@ -14,27 +13,22 @@
 // tag counter, PE issue cycle) followed by the host-side XW values.
 // Restoring into a fresh MemorySystem is bit-identical to the cold
 // run continued past the same cycle: every future cycle, stall bucket
-// and DRAM byte matches (DCHECKed at build time via a serialize ->
-// restore -> re-serialize round trip, and locked by
-// tests/test_checkpoint.cpp).
+// and DRAM byte matches (DCHECKed when a blob is sealed via a
+// serialize -> restore -> re-serialize round trip, and locked by
+// tests/test_checkpoint.cpp and tests/test_sweep.cpp).
 //
 // Keys reuse the tune-cache fingerprint scheme (graph/fingerprint.hpp):
 // `workload` digests the streamed feature matrix, the weight values
 // and the combination engine kind; `config` is tuning_config_hash,
 // which deliberately excludes the tiling threshold — the threshold
-// only affects aggregation, so every tuner candidate shares one
-// checkpoint. Corrupted or truncated checkpoint files are ignored
+// only affects aggregation. A blob that fails validation is ignored
 // (cold-run fallback), never fatal; see docs/performance.md.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace hymm {
@@ -87,8 +81,12 @@ struct CheckpointKey {
   friend bool operator==(const CheckpointKey&, const CheckpointKey&) = default;
 };
 
-/// "0x<workload>_0x<config>" — used in filenames and run reports.
+/// "0x<workload>_0x<config>" — used in run reports.
 std::string checkpoint_key_hex(const CheckpointKey& key);
+
+/// A sealed checkpoint, shared read-only between the run that built
+/// it and the runs that restore it.
+using CheckpointBlob = std::shared_ptr<const std::vector<std::byte>>;
 
 /// Frames a payload into a full checkpoint blob (magic + key +
 /// length + payload + checksum).
@@ -101,49 +99,5 @@ std::vector<std::byte> seal_checkpoint(const CheckpointKey& key,
 bool open_checkpoint(const std::vector<std::byte>& blob,
                      const CheckpointKey& key, const std::byte** payload,
                      std::size_t* payload_size);
-
-/// Process-wide cache of sealed checkpoint blobs, keyed by
-/// CheckpointKey, with optional directory persistence. Thread-safe:
-/// concurrent get_or_build calls for one key run the builder exactly
-/// once (the WorkloadCache once_flag pattern); other callers block
-/// until the blob is published, then restore from it.
-class CheckpointStore {
- public:
-  /// `dir` empty = in-memory only. A non-empty dir is used for
-  /// best-effort persistence: loads validate the blob and fall back
-  /// to a cold build on any corruption; write failures are ignored.
-  explicit CheckpointStore(std::string dir = "");
-
-  /// Returns the sealed blob for `key`. The first caller (per process
-  /// lifetime) loads it from disk or runs `build`; later callers get
-  /// the published blob. `build` must return a sealed blob for `key`.
-  /// `was_built` (optional) reports whether this call ran the builder.
-  std::shared_ptr<const std::vector<std::byte>> get_or_build(
-      const CheckpointKey& key,
-      const std::function<std::vector<std::byte>()>& build,
-      bool* was_built = nullptr);
-
-  /// Counters for tests and reports (process lifetime).
-  std::uint64_t builds() const { return builds_.load(); }
-  std::uint64_t hits() const { return hits_.load(); }
-  std::uint64_t disk_loads() const { return disk_loads_.load(); }
-
-  const std::string& dir() const { return dir_; }
-
- private:
-  struct Entry {
-    std::once_flag once;
-    std::shared_ptr<const std::vector<std::byte>> blob;
-  };
-
-  std::string file_for(const CheckpointKey& key) const;
-
-  std::string dir_;
-  std::mutex mu_;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> entries_;
-  std::atomic<std::uint64_t> builds_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> disk_loads_{0};
-};
 
 }  // namespace hymm

@@ -1,8 +1,6 @@
 #include "sweep/bench_options.hpp"
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <sstream>
 
@@ -102,35 +100,6 @@ double parse_sample(const std::string& source, const std::string& value) {
   return fraction;
 }
 
-// Validates a checkpoint directory eagerly: create it if missing and
-// probe writability with a temp file, so a bad --checkpoint-dir fails
-// at startup naming the path instead of silently running cold.
-std::string parse_checkpoint_dir(const std::string& source,
-                                 const std::string& value) {
-  if (value.empty()) {
-    throw UsageError("invalid value '' for " + source +
-                     " (expected a directory path)");
-  }
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  fs::create_directories(value, ec);
-  const fs::path probe =
-      fs::path(value) / ".hymm_ckpt_probe";
-  bool writable = false;
-  {
-    std::ofstream out(probe, std::ios::binary | std::ios::trunc);
-    out << 'x';
-    out.close();
-    writable = out.good();
-  }
-  fs::remove(probe, ec);
-  if (!writable) {
-    throw UsageError("invalid value '" + value + "' for " + source +
-                     " (directory is not writable)");
-  }
-  return value;
-}
-
 }  // namespace
 
 double BenchOptions::scale_for(const DatasetSpec& spec) const {
@@ -189,9 +158,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
   }
   if (const char* v = env("HYMM_SAMPLE")) {
     options.sample = parse_sample("HYMM_SAMPLE", v);
-  }
-  if (const char* v = env("HYMM_CHECKPOINT_DIR")) {
-    options.checkpoint_dir = parse_checkpoint_dir("HYMM_CHECKPOINT_DIR", v);
   }
 
   // --- --key=value / --key value flags ---
@@ -264,8 +230,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // (never consumes the following argument).
       options.sample = parse_sample(
           "--sample", inline_value ? *inline_value : "0.25");
-    } else if (arg == "--checkpoint-dir") {
-      options.checkpoint_dir = parse_checkpoint_dir("--checkpoint-dir", next());
     } else if (unrecognized != nullptr) {
       // Pass the flag through untouched (original spelling), plus any
       // following non-flag tokens that may be its values.

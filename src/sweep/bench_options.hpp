@@ -48,10 +48,6 @@
 ///                                          extrapolate (0 < F <= 1;
 ///                                          bare --sample = 0.25;
 ///                                          "0" = off)
-///   HYMM_CHECKPOINT_DIR --checkpoint-dir=D warm-state checkpoint
-///                                          directory (sim/checkpoint);
-///                                          created if missing, must be
-///                                          writable
 ///
 /// Flags accept "--flag value" and "--flag=value" and win over the
 /// environment. Unknown dataset tokens and malformed numbers fail
@@ -130,11 +126,6 @@ struct BenchOptions {
   /// (0 < sample <= 1). Bare --sample selects the default 0.25.
   /// Out-of-range values throw UsageError — no clamping.
   double sample = 0.0;
-  /// Warm-state checkpoint directory (sim/checkpoint.hpp); empty =
-  /// checkpointing off. Validated at parse time: the directory is
-  /// created if missing and probed for writability; an unwritable path
-  /// throws UsageError naming it.
-  std::string checkpoint_dir;
 
   /// Effective scale for one dataset: the override, else 1.0 under
   /// --full-datasets, else the dataset's bench default.

@@ -8,10 +8,26 @@
 /// thread count — each cell simulates on private state, sharing only
 /// the immutable PreparedWorkload from the WorkloadCache.
 ///
+/// Reuse: a run without observers plans its grid before executing it
+/// and never simulates the same work twice. A cell whose key
+/// (workload, flow, tuning_config_hash, plus the tiling threshold and
+/// routing map for hybrid cells) repeats an earlier cell's is not
+/// simulated: it gets a copy of that cell's result and records it in
+/// SweepCellResult::reused_from. Among the remaining cells, those
+/// sharing a combination phase (workload, flow, tuning_config_hash)
+/// simulate it once: the first in grid order (the leader) publishes
+/// its phase-boundary state (sim/checkpoint.hpp) and the others
+/// restore it, bit-identically. The plan depends only on the grid, so
+/// which cell builds and which restores does not depend on the thread
+/// count. The snapshots live only for one run(). Sampled runs reuse
+/// nothing.
+///
 /// Observability: observers are never shared across threads. Cells
 /// mapping to the same group key share one Observer and run serially
 /// in grid order on one worker (e.g. one trace file per dataset); by
 /// default every cell is its own group, giving full parallelism.
+/// Observed cells always simulate cold, because a restored phase
+/// would drop its trace events and counter samples.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +95,10 @@ struct SweepCellResult {
   SweepCell cell;           ///< the grid point that produced this
   DatasetSpec scaled_spec;  ///< post-scaling spec (workload.spec)
   ExperimentResult result;  ///< the simulated metrics
+  /// Set when this cell repeated an earlier cell's key and was not
+  /// simulated: the index of the cell whose result `result` copies
+  /// (its sim_wall_ms is 0).
+  std::optional<std::size_t> reused_from;
 };
 
 /// Cells that shared one Observer (ran serially on one worker), in
@@ -105,23 +125,20 @@ struct SweepOptions {
   /// Create one Observer per group (metrics + optional trace).
   bool observe = false;
   ObserverOptions observer_options;  ///< instruments for each group observer
-  /// Maps a cell to its observer/serialization group; cells with equal
-  /// keys run serially in grid order sharing one Observer. Default:
+  /// Maps a cell to its observer group. With `observe`, cells with
+  /// equal keys run serially in grid order sharing one Observer;
+  /// without it, groups only label cells (SweepRun::groups,
+  /// on_group_start) and every cell is scheduled on its own. Default:
   /// every cell is its own group.
   std::function<std::string(const SweepCell&)> group_key;
-  /// Called (under a lock, from worker threads, in completion order)
-  /// when a group starts simulating — progress reporting.
+  /// Called (under a lock, from worker threads, in start order) when
+  /// the first simulated cell of a group starts — progress reporting.
+  /// Groups whose every cell reuses an earlier result never start.
   std::function<void(const SweepCell& first_cell)> on_group_start;
-  /// Optional warm-state checkpoint store (sim/checkpoint.hpp),
-  /// shared across every cell and worker: cells whose combination
-  /// workload matches simulate that phase once and restore its end
-  /// state bit-identically. Cells with observers skip checkpointing
-  /// on their own. The store must outlive run().
-  CheckpointStore* checkpoints = nullptr;
   /// Sampled-simulation fraction applied to every cell (0 = exact
   /// runs; see core/sampling.hpp). Sampled cells extrapolate with
-  /// error bars, are never functionally verified, and ignore
-  /// observers and checkpoints.
+  /// error bars, are never functionally verified, ignore observers
+  /// and reuse nothing.
   double sample = 0.0;
 };
 
@@ -131,24 +148,25 @@ unsigned resolve_thread_count(unsigned requested);
 
 /// Runs body(i) for every i in [0, count) on up to `threads` workers
 /// (0 = resolve_thread_count's auto policy; 1 = the calling thread).
-/// Indices are claimed from an atomic counter, so the set of calls —
-/// and therefore the result — is independent of the schedule as long
-/// as body(i) writes only to its own index-i slot (the same
-/// discipline SweepRunner follows; the serving cost library builds
-/// its per-class simulations through this). Worker exceptions are
-/// rethrown on the calling thread (the first one wins).
+/// Indices are claimed in increasing order from an atomic counter, so
+/// the set of calls — and therefore the result — is independent of
+/// the schedule as long as body(i) writes only to its own index-i
+/// slot (the same discipline SweepRunner follows; the serving cost
+/// library builds its per-class simulations through this). Worker
+/// exceptions are rethrown on the calling thread (the first one wins).
 void parallel_for(std::size_t count, unsigned threads,
                   const std::function<void(std::size_t)>& body);
 
 /// Schedules a SweepSpec grid onto worker threads (see file comment
-/// for the determinism and observer-group rules).
+/// for the determinism, reuse and observer-group rules).
 class SweepRunner {
  public:
   /// Captures the options; threads spin up per run() call.
   explicit SweepRunner(SweepOptions options = {});
 
   /// Runs every cell of the grid; returns when all cells finished.
-  /// Worker exceptions are rethrown on the calling thread.
+  /// Worker exceptions are rethrown on the calling thread. Reuse is
+  /// planned per call: nothing carries over from an earlier run().
   SweepRun run(const SweepSpec& spec);
 
   /// The cache workloads are built through (shared across run()s).

@@ -78,8 +78,7 @@ AcceleratorConfig TileRouter::apply(const AcceleratorConfig& config,
 
 RouteDecision TileRouter::route(
     std::shared_ptr<const PreparedWorkload> workload,
-    const AcceleratorConfig& config, RouteMode mode, unsigned threads,
-    CheckpointStore* checkpoints) {
+    const AcceleratorConfig& config, RouteMode mode, unsigned threads) {
   HYMM_CHECK(workload != nullptr);
   RouteDecision decision;
   decision.mode = mode;
@@ -94,7 +93,7 @@ RouteDecision TileRouter::route(
   // the ablation's per-tile-vs-global-tuned comparison is apples to
   // apples.
   const TuneDecision tuned_threshold = tuner_.tune(
-      workload, config, AutotuneMode::kAnalytic, threads, checkpoints);
+      workload, config, AutotuneMode::kAnalytic, threads);
   decision.global_threshold = tuned_threshold.threshold;
   const AcceleratorConfig tuned = Tuner::apply(config, tuned_threshold);
 
@@ -144,7 +143,7 @@ RouteDecision TileRouter::route(
     } else {
       // Measured: race the candidate map against the plain global
       // split through the simulator (two hybrid cells, same tuned
-      // config, shared combination checkpoint).
+      // config, so the sweep shares their combination phase).
       SweepSpec spec;
       spec.workloads = {workload};
       spec.flows = {Dataflow::kHybrid};
@@ -152,7 +151,6 @@ RouteDecision TileRouter::route(
       spec.routes = {nullptr, std::make_shared<TileRoutingMap>(candidate)};
       SweepOptions options;
       options.threads = threads;
-      options.checkpoints = checkpoints;
       SweepRunner runner(options);
       const SweepRun run = runner.run(spec);
       HYMM_CHECK(run.cells.size() == 2);

@@ -86,14 +86,13 @@ class TileRouter {
   /// The global threshold is tuned analytically first (through the
   /// shared cache, mode "analytic"), the map is built at that
   /// threshold on the spatial-heatmap tile grid, and the mode's
-  /// comparison decides whether it survives. `threads` and
-  /// `checkpoints` only matter for measured misses (the two-cell
-  /// race), exactly like Tuner::tune. kGlobal returns the baseline
-  /// decision (null map) without touching the cache.
+  /// comparison decides whether it survives. `threads` only matters
+  /// for measured misses (the two-cell race), exactly like
+  /// Tuner::tune. kGlobal returns the baseline decision (null map)
+  /// without touching the cache.
   RouteDecision route(std::shared_ptr<const PreparedWorkload> workload,
                       const AcceleratorConfig& config, RouteMode mode,
-                      unsigned threads = 1,
-                      CheckpointStore* checkpoints = nullptr);
+                      unsigned threads = 1);
 
   /// `config` with the decision's global threshold applied — what the
   /// routed cells should actually run (the map's op_rows were derived

@@ -93,7 +93,7 @@ AcceleratorConfig Tuner::apply(const AcceleratorConfig& config,
 
 TuneDecision Tuner::tune(std::shared_ptr<const PreparedWorkload> workload,
                          const AcceleratorConfig& config, AutotuneMode mode,
-                         unsigned threads, CheckpointStore* checkpoints) {
+                         unsigned threads) {
   HYMM_CHECK(workload != nullptr);
   TuneDecision decision;
   decision.mode = mode;
@@ -137,7 +137,9 @@ TuneDecision Tuner::tune(std::shared_ptr<const PreparedWorkload> workload,
   } else {
     // Measured: one hybrid sweep cell per candidate threshold, all
     // sharing the immutable workload (and its once-built degree sort)
-    // through the sweep executor.
+    // through the sweep executor. The candidates differ only in
+    // tiling_threshold, so the executor simulates their combination
+    // phase once and restores it for the rest.
     SweepSpec spec;
     spec.workloads = {workload};
     spec.flows = {Dataflow::kHybrid};
@@ -149,9 +151,6 @@ TuneDecision Tuner::tune(std::shared_ptr<const PreparedWorkload> workload,
     }
     SweepOptions options;
     options.threads = threads;
-    // All candidates share one combination checkpoint: they differ
-    // only in tiling_threshold, which tuning_config_hash excludes.
-    options.checkpoints = checkpoints;
     SweepRunner runner(options);
     const SweepRun run = runner.run(spec);
     HYMM_CHECK(run.cells.size() == thresholds.size());

@@ -87,15 +87,11 @@ class Tuner {
   /// `config.tiling_threshold` is read as the fixed baseline;
   /// `threads` only matters for measured misses (0 = HYMM_THREADS /
   /// auto, like SweepOptions). kOff returns the fixed threshold
-  /// without touching the cache. `checkpoints` (optional) is handed
-  /// to the measured search's sweep: every candidate differs only in
-  /// tiling_threshold — which tuning_config_hash deliberately
-  /// excludes — so all candidates restore one shared combination
-  /// checkpoint instead of re-simulating the XW phase per candidate.
+  /// without touching the cache. The measured search runs its
+  /// candidates as one sweep, which shares their combination phase.
   TuneDecision tune(std::shared_ptr<const PreparedWorkload> workload,
                     const AcceleratorConfig& config, AutotuneMode mode,
-                    unsigned threads = 1,
-                    CheckpointStore* checkpoints = nullptr);
+                    unsigned threads = 1);
 
   /// `config` with the decision's threshold applied — what sweep
   /// cells should actually run.

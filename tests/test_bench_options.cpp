@@ -4,8 +4,6 @@
 // unowned flags must pass through for the caller.
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <fstream>
 #include <map>
 #include <string>
 #include <vector>
@@ -326,32 +324,6 @@ TEST(BenchOptionsTest, RouteConflictsWithAutotune) {
             RouteMode::kTilesAnalytic);
   EXPECT_EQ(parse({"--autotune=analytic"}).autotune,
             AutotuneMode::kAnalytic);
-}
-
-// Checkpoint-directory knob: validated eagerly at parse time — the
-// directory is created if missing and probed for writability, so a
-// bad path fails at startup naming it instead of silently running
-// cold.
-TEST(BenchOptionsTest, CheckpointDirKnob) {
-  EXPECT_TRUE(parse({}).checkpoint_dir.empty());
-
-  const std::string dir =
-      ::testing::TempDir() + "hymm_ckpt_opt_test/nested";
-  std::filesystem::remove_all(::testing::TempDir() + "hymm_ckpt_opt_test");
-  const BenchOptions opts = parse({"--checkpoint-dir=" + dir});
-  EXPECT_EQ(opts.checkpoint_dir, dir);
-  // Missing directories are created, not rejected.
-  EXPECT_TRUE(std::filesystem::is_directory(dir));
-
-  EXPECT_EQ(parse({}, {{"HYMM_CHECKPOINT_DIR", dir}}).checkpoint_dir, dir);
-
-  EXPECT_NE(error_of({"--checkpoint-dir="}), "");
-  // A path whose parent is a *file* cannot become a directory.
-  const std::string file_path = dir + "/blocker";
-  { std::ofstream(file_path) << 'x'; }
-  const std::string err = error_of({"--checkpoint-dir", file_path + "/sub"});
-  EXPECT_NE(err.find("--checkpoint-dir"), std::string::npos) << err;
-  std::filesystem::remove_all(::testing::TempDir() + "hymm_ckpt_opt_test");
 }
 
 }  // namespace

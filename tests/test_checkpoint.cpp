@@ -1,18 +1,17 @@
 // Warm-state checkpoint/restore (sim/checkpoint.hpp): blob framing
 // rejects corruption, keys ignore aggregation-only knobs, restored
-// runs are bit-identical to cold ones, concurrent sweep cells sharing
-// a workload build the checkpoint exactly once, and a corrupted
-// persisted file degrades to a cold rebuild — never an error.
+// runs are bit-identical to cold ones, a corrupted blob degrades to a
+// cold run — never an error — and concurrent sweep cells sharing a
+// combination phase build it exactly once.
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <cstdint>
-#include <filesystem>
-#include <fstream>
 #include <initializer_list>
 #include <vector>
 
 #include "core/accelerator.hpp"
+#include "core/runner.hpp"
 #include "graph/datasets.hpp"
 #include "graph/generator.hpp"
 #include "linalg/gcn.hpp"
@@ -127,8 +126,9 @@ TEST(CheckpointKeying, ThresholdInvariantButTimingSensitive) {
 class CheckpointFlows : public ::testing::TestWithParam<Dataflow> {};
 
 // The headline guarantee: a run that restores the combination phase
-// from a checkpoint is bit-identical to the cold run — functional
-// outputs, cycles, every stall bucket and DRAM byte.
+// from a published checkpoint is bit-identical to the cold run —
+// functional outputs, cycles, every stall bucket and DRAM byte. A
+// blob that fails validation falls back to a cold run.
 TEST_P(CheckpointFlows, RestoredRunIsBitIdenticalToCold) {
   const Problem p = make_problem();
   Accelerator acc{AcceleratorConfig{}};
@@ -141,25 +141,32 @@ TEST_P(CheckpointFlows, RestoredRunIsBitIdenticalToCold) {
   const LayerRunResult cold = acc.run_layer(request);
   EXPECT_FALSE(cold.checkpoint.enabled);
 
-  CheckpointStore store;
-  request.checkpoints = &store;
-  const LayerRunResult built = acc.run_layer(request);
+  CheckpointBlob blob;
+  LayerRunRequest leader = request;
+  leader.share.publish = [&](CheckpointBlob b) { blob = std::move(b); };
+  const LayerRunResult built = acc.run_layer(leader);
+  ASSERT_NE(blob, nullptr);
   EXPECT_TRUE(built.checkpoint.enabled);
   EXPECT_TRUE(built.checkpoint.built);
-  // The builder simulates combination off to the side and restores
-  // from its own blob, so even the building run reports restored.
-  EXPECT_TRUE(built.checkpoint.restored);
+  EXPECT_FALSE(built.checkpoint.restored);
   EXPECT_FALSE(built.checkpoint.key.empty());
-  EXPECT_EQ(store.builds(), 1u);
 
-  const LayerRunResult restored = acc.run_layer(request);
+  LayerRunRequest follower = request;
+  follower.share.restore = blob;
+  const LayerRunResult restored = acc.run_layer(follower);
   EXPECT_TRUE(restored.checkpoint.restored);
   EXPECT_FALSE(restored.checkpoint.built);
   EXPECT_EQ(restored.checkpoint.key, built.checkpoint.key);
-  EXPECT_EQ(store.builds(), 1u);
-  EXPECT_GE(store.hits(), 1u);
 
-  for (const LayerRunResult* warm : {&built, &restored}) {
+  std::vector<std::byte> flipped = *blob;
+  flipped[flipped.size() / 2] ^= std::byte{0x01};
+  follower.share.restore =
+      std::make_shared<const std::vector<std::byte>>(std::move(flipped));
+  const LayerRunResult fallback = acc.run_layer(follower);
+  EXPECT_TRUE(fallback.checkpoint.enabled);
+  EXPECT_FALSE(fallback.checkpoint.restored);
+
+  for (const LayerRunResult* warm : {&built, &restored, &fallback}) {
     EXPECT_EQ(warm->stats.cycles, cold.stats.cycles);
     EXPECT_EQ(warm->stats.stall_cycles, cold.stats.stall_cycles);
     EXPECT_EQ(warm->stats.dram_total_bytes(), cold.stats.dram_total_bytes());
@@ -178,82 +185,10 @@ INSTANTIATE_TEST_SUITE_P(AllDataflows, CheckpointFlows,
                            return to_string(info.param);
                          });
 
-// A second process (modeled as a fresh store over the same directory)
-// restores from disk instead of rebuilding, and a corrupted file on
-// disk degrades to a cold rebuild with identical results.
-TEST(CheckpointPersistence, DiskRoundTripAndCorruptionFallback) {
-  namespace fs = std::filesystem;
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "hymm_ckpt_persist_test";
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-
-  const Problem p = make_problem();
-  Accelerator acc{AcceleratorConfig{}};
-  LayerRunRequest request;
-  request.flow = Dataflow::kHybrid;
-  request.a_hat = &p.a_hat;
-  request.x = &p.x;
-  request.w = &p.w;
-
-  CheckpointStore writer(dir.string());
-  request.checkpoints = &writer;
-  const LayerRunResult cold = acc.run_layer(request);
-  EXPECT_TRUE(cold.checkpoint.built);
-  EXPECT_EQ(writer.builds(), 1u);
-
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(dir))
-    files.push_back(entry.path());
-  ASSERT_EQ(files.size(), 1u) << "expected exactly one persisted checkpoint";
-
-  // Fresh store, intact file: restored from disk, no rebuild.
-  {
-    CheckpointStore reader(dir.string());
-    request.checkpoints = &reader;
-    const LayerRunResult warm = acc.run_layer(request);
-    EXPECT_TRUE(warm.checkpoint.restored);
-    EXPECT_EQ(reader.builds(), 0u);
-    EXPECT_EQ(reader.disk_loads(), 1u);
-    EXPECT_EQ(warm.stats.cycles, cold.stats.cycles);
-    EXPECT_EQ(warm.stats.stall_cycles, cold.stats.stall_cycles);
-    EXPECT_EQ(warm.output, cold.output);
-  }
-
-  // Flip one payload byte on disk: the fresh store must notice and
-  // fall back to a cold build, still bit-identical.
-  {
-    std::fstream f(files[0],
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    f.seekg(0, std::ios::end);
-    const auto file_size = static_cast<std::streamoff>(f.tellg());
-    ASSERT_GT(file_size, 24);
-    f.seekg(file_size / 2);
-    char byte = 0;
-    f.read(&byte, 1);
-    byte ^= 0x01;
-    f.seekp(file_size / 2);
-    f.write(&byte, 1);
-  }
-  {
-    CheckpointStore reader(dir.string());
-    request.checkpoints = &reader;
-    const LayerRunResult rebuilt = acc.run_layer(request);
-    EXPECT_TRUE(rebuilt.checkpoint.built);
-    EXPECT_EQ(reader.builds(), 1u);
-    EXPECT_EQ(rebuilt.stats.cycles, cold.stats.cycles);
-    EXPECT_EQ(rebuilt.output, cold.output);
-  }
-
-  fs::remove_all(dir);
-}
-
 // Sweep integration under a real thread race: four configs differing
 // only in the tiling threshold share one workload, so eight workers
-// must build the combination checkpoint exactly once — and the
-// checkpointed sweep's metrics must match the plain sweep's
-// bit-for-bit.
+// must simulate the combination phase exactly once — and every cell
+// must match its cold run bit-for-bit.
 TEST(CheckpointSweep, ConcurrentCellsShareOneBuild) {
   SweepSpec spec;
   spec.datasets = {*find_dataset("CR")};
@@ -267,36 +202,39 @@ TEST(CheckpointSweep, ConcurrentCellsShareOneBuild) {
     spec.configs.push_back(config);
   }
 
-  SweepOptions plain;
-  plain.threads = 1;
-  const SweepRun base = SweepRunner(plain).run(spec);
+  SweepOptions options;
+  options.threads = 8;
+  SweepRunner runner(options);
+  const SweepRun warm = runner.run(spec);
+  const std::shared_ptr<const PreparedWorkload> prepared =
+      runner.cache().get(spec.datasets.front(), 0.1, 42);
 
-  CheckpointStore store;
-  SweepOptions checkpointed;
-  checkpointed.threads = 8;
-  checkpointed.checkpoints = &store;
-  const SweepRun warm = SweepRunner(checkpointed).run(spec);
-
-  EXPECT_EQ(store.builds(), 1u);
-  EXPECT_EQ(store.hits(), 3u);
-
-  ASSERT_EQ(base.cells.size(), warm.cells.size());
-  ASSERT_EQ(base.cells.size(), 4u);
+  ASSERT_EQ(warm.cells.size(), 4u);
   std::size_t builders = 0;
-  for (std::size_t i = 0; i < base.cells.size(); ++i) {
-    const ExperimentResult& a = base.cells[i].result;
-    const ExperimentResult& b = warm.cells[i].result;
-    SCOPED_TRACE("config " + std::to_string(i));
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.stats.stall_cycles, b.stats.stall_cycles);
-    EXPECT_EQ(a.dram_total_bytes, b.dram_total_bytes);
-    EXPECT_TRUE(a.verified);
+  std::size_t restorers = 0;
+  for (const SweepCellResult& cell : warm.cells) {
+    SCOPED_TRACE("config " + std::to_string(cell.cell.config_index));
+    ExperimentRequest request;
+    request.workload = &prepared->workload();
+    request.a_hat = &prepared->a_hat();
+    request.weights = &prepared->weights();
+    request.reference = &prepared->reference();
+    request.flow = Dataflow::kHybrid;
+    request.config = cell.cell.config;
+    const ExperimentResult cold = run_experiment(request);
+    const ExperimentResult& b = cell.result;
+    EXPECT_EQ(cold.cycles, b.cycles);
+    EXPECT_EQ(cold.stats.stall_cycles, b.stats.stall_cycles);
+    EXPECT_EQ(cold.dram_total_bytes, b.dram_total_bytes);
     EXPECT_TRUE(b.verified);
     EXPECT_TRUE(b.checkpoint.enabled);
-    EXPECT_TRUE(b.checkpoint.restored);
-    if (b.checkpoint.built) ++builders;
+    EXPECT_FALSE(cell.reused_from.has_value());
+    builders += b.checkpoint.built;
+    restorers += b.checkpoint.restored;
   }
   EXPECT_EQ(builders, 1u);
+  EXPECT_EQ(restorers, 3u);
+  EXPECT_TRUE(warm.cells.front().result.checkpoint.built);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Sweep-executor invariants: a multi-threaded sweep returns results
 // in stable grid order with per-cell counters bit-identical to the
 // serial path, the WorkloadCache builds each (spec, scale, seed) key
-// exactly once no matter how many threads race on it, and observer
-// groups serialize their cells in grid order.
+// exactly once no matter how many threads race on it, observer
+// groups serialize their cells in grid order, and cells that reuse
+// shared work equal their cold runs.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -31,9 +32,16 @@ SweepSpec small_grid() {
 }
 
 // Every counter a perf snapshot or figure reads must be bit-identical
-// between a serial and a 4-worker run of the same grid.
+// between a serial and a 4-worker run of the same grid. Two tiling
+// thresholds per DMB size make cells share work, so which cells are
+// deduped, which build a combination phase and which restore it must
+// not depend on the thread count either.
 TEST(SweepDeterminism, ThreadCountDoesNotChangeResults) {
-  const SweepSpec spec = small_grid();
+  SweepSpec spec = small_grid();
+  for (AcceleratorConfig config : small_grid().configs) {
+    config.tiling_threshold = 0.35;
+    spec.configs.push_back(config);
+  }
 
   SweepOptions serial_options;
   serial_options.threads = 1;
@@ -48,6 +56,8 @@ TEST(SweepDeterminism, ThreadCountDoesNotChangeResults) {
   ASSERT_EQ(base.cells.size(), threaded.cells.size());
   ASSERT_EQ(base.cells.size(),
             spec.datasets.size() * spec.configs.size() * spec.flows.size());
+  std::size_t reused = 0;
+  std::size_t restored = 0;
   for (std::size_t i = 0; i < base.cells.size(); ++i) {
     const ExperimentResult& a = base.cells[i].result;
     const ExperimentResult& b = threaded.cells[i].result;
@@ -64,9 +74,18 @@ TEST(SweepDeterminism, ThreadCountDoesNotChangeResults) {
     EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes);
     EXPECT_EQ(a.partial_bytes_peak, b.partial_bytes_peak);
     EXPECT_EQ(a.stats.stall_cycles, b.stats.stall_cycles);
+    EXPECT_EQ(a.checkpoint.built, b.checkpoint.built);
+    EXPECT_EQ(a.checkpoint.restored, b.checkpoint.restored);
+    EXPECT_EQ(base.cells[i].reused_from, threaded.cells[i].reused_from);
     EXPECT_TRUE(a.verified);
     EXPECT_TRUE(b.verified);
+    reused += base.cells[i].reused_from.has_value();
+    restored += a.checkpoint.restored;
   }
+  // RWP and OP ignore the threshold: their 0.35 cells are deduped. The
+  // hybrid's 0.35 cells restore the 0.20 cell's combination phase.
+  EXPECT_EQ(reused, spec.datasets.size() * 2 * 2);
+  EXPECT_EQ(restored, spec.datasets.size() * 2);
 }
 
 // The threaded sweep must match the historical serial path
@@ -298,6 +317,121 @@ TEST(WorkloadCacheTest, PreparedWorkloadMatchesManualBuild) {
 TEST(ResolveThreadCountTest, ExplicitRequestWins) {
   EXPECT_EQ(resolve_thread_count(3), 3u);
   EXPECT_GE(resolve_thread_count(0), 1u);
+}
+
+void expect_same_stats(const SimStats& a, const SimStats& b) {
+  EXPECT_EQ(a.cycles, b.cycles);
+  EXPECT_EQ(a.stall_cycles, b.stall_cycles);
+  EXPECT_EQ(a.skipped_cycles, b.skipped_cycles);
+  EXPECT_EQ(a.mac_ops, b.mac_ops);
+  EXPECT_EQ(a.alu_busy_cycles, b.alu_busy_cycles);
+  EXPECT_EQ(a.merge_adds, b.merge_adds);
+  EXPECT_EQ(a.dmb_read_hits, b.dmb_read_hits);
+  EXPECT_EQ(a.dmb_read_misses, b.dmb_read_misses);
+  EXPECT_EQ(a.dmb_accumulate_hits, b.dmb_accumulate_hits);
+  EXPECT_EQ(a.dmb_accumulate_misses, b.dmb_accumulate_misses);
+  EXPECT_EQ(a.dmb_evictions, b.dmb_evictions);
+  EXPECT_EQ(a.dmb_partial_spills, b.dmb_partial_spills);
+  EXPECT_EQ(a.lsq_loads, b.lsq_loads);
+  EXPECT_EQ(a.lsq_stores, b.lsq_stores);
+  EXPECT_EQ(a.lsq_forwards, b.lsq_forwards);
+  EXPECT_EQ(a.dram_read_bytes, b.dram_read_bytes);
+  EXPECT_EQ(a.dram_write_bytes, b.dram_write_bytes);
+  EXPECT_EQ(a.partial_bytes_peak, b.partial_bytes_peak);
+  EXPECT_EQ(a.partial_timeline, b.partial_timeline);
+}
+
+// A reduced-scale grid shaped like perfbench's sweep-ac: DMB {128, 256}
+// KB x tiling threshold {0.10, 0.20, 0.35} x three flows on AC.
+SweepSpec dmb_threshold_grid() {
+  SweepSpec spec;
+  spec.datasets = {*find_dataset("AC")};
+  spec.scale = 0.05;
+  spec.seed = 42;
+  spec.configs.clear();
+  for (const std::size_t kb : {128, 256}) {
+    for (const double threshold : {0.10, 0.20, 0.35}) {
+      AcceleratorConfig config;
+      config.dmb_bytes = kb * 1024;
+      config.tiling_threshold = threshold;
+      spec.configs.push_back(config);
+    }
+  }
+  return spec;
+}
+
+// Every cell of a reusing sweep — deduped, restored or cold — must
+// equal the same cell run on its own with no reuse, bit for bit.
+TEST(SweepReuse, ReusedCellsMatchColdRuns) {
+  const SweepSpec spec = dmb_threshold_grid();
+  SweepOptions options;
+  options.threads = 4;
+  SweepRunner runner(options);
+  const SweepRun run = runner.run(spec);
+  const std::shared_ptr<const PreparedWorkload> prepared =
+      runner.cache().get(spec.datasets.front(), *spec.scale, spec.seed);
+  ASSERT_EQ(run.cells.size(), 18u);
+
+  std::size_t deduped = 0;
+  std::size_t built = 0;
+  std::size_t restored = 0;
+  for (const SweepCellResult& cell : run.cells) {
+    SCOPED_TRACE(to_string(cell.cell.flow) + " cell " +
+                 std::to_string(cell.cell.index));
+    ExperimentRequest request;
+    request.workload = &prepared->workload();
+    request.a_hat = &prepared->a_hat();
+    request.weights = &prepared->weights();
+    request.reference = &prepared->reference();
+    request.flow = cell.cell.flow;
+    request.config = cell.cell.config;
+    const ExperimentResult cold = run_experiment(request);
+    const ExperimentResult& r = cell.result;
+    EXPECT_EQ(r.cycles, cold.cycles);
+    expect_same_stats(r.stats, cold.stats);
+    expect_same_stats(r.combination_stats, cold.combination_stats);
+    expect_same_stats(r.aggregation_stats, cold.aggregation_stats);
+    EXPECT_EQ(r.max_abs_err, cold.max_abs_err);
+    EXPECT_EQ(r.verified, cold.verified);
+    EXPECT_TRUE(r.verified);
+    if (cell.reused_from) {
+      ++deduped;
+      EXPECT_LT(*cell.reused_from, cell.cell.index);
+      EXPECT_EQ(r.sim_wall_ms, 0.0);
+      continue;
+    }
+    built += r.checkpoint.built;
+    restored += r.checkpoint.restored;
+  }
+  // RWP and OP at thresholds 0.20 and 0.35 repeat their 0.10 cell (2
+  // DMB sizes x 2 flows x 2 thresholds). Per DMB size, the hybrid's
+  // 0.10 cell builds the combination phase and 0.20 and 0.35 restore
+  // it; RWP and OP each keep one simulated cell, which runs cold.
+  EXPECT_EQ(deduped, 8u);
+  EXPECT_EQ(built, 2u);
+  EXPECT_EQ(restored, 4u);
+
+  // The snapshots belong to one run(): the same runner simulates again.
+  const SweepRun again = runner.run(spec);
+  std::size_t leaders = 0;
+  for (const SweepCellResult& cell : again.cells) {
+    if (!cell.result.checkpoint.built || cell.reused_from) continue;
+    ++leaders;
+    EXPECT_GT(cell.result.sim_wall_ms, 0.0);
+    EXPECT_FALSE(cell.result.checkpoint.restored);
+  }
+  EXPECT_EQ(leaders, 2u);
+
+  // Observed cells reuse nothing.
+  SweepOptions observed_options;
+  observed_options.threads = 4;
+  observed_options.observe = true;
+  const SweepRun observed = SweepRunner(observed_options).run(spec);
+  for (const SweepCellResult& cell : observed.cells) {
+    EXPECT_FALSE(cell.reused_from.has_value());
+    EXPECT_FALSE(cell.result.checkpoint.enabled);
+    EXPECT_GT(cell.result.sim_wall_ms, 0.0);
+  }
 }
 
 }  // namespace

@@ -32,10 +32,11 @@
 #                        useful to see what the fast-forward removed
 #
 # Reading the output: sort by exclusive CPU time. The known hot spots
-# and their fixes are catalogued in docs/architecture.md — before the
-# PR that added this script, LoadStoreQueue::tick's retry loop plus
-# DenseMatrixBuffer::read's directory probes dominated RWP/HyMM cells
-# at ~20x the OP engine's per-cycle cost. Sampling profilers
+# and their fixes are catalogued in docs/architecture.md ("Fast-forward
+# and the host-side hot path"). Rejected loads no longer re-probe the
+# DMB every cycle (LSQ parked loads), so LoadStoreQueue::tick and
+# DenseMatrixBuffer::read should no longer top RWP/HyMM cells; if they
+# do, a parked-load wake is firing too often. Sampling profilers
 # undersample short runs; treat the *distribution* as meaningful, not
 # the absolute seconds.
 

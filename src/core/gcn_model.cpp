@@ -97,18 +97,6 @@ GcnModel::InferenceResult GcnModel::run(const InferenceRequest& request) const {
   return result;
 }
 
-GcnModel::InferenceResult GcnModel::run(Dataflow flow,
-                                        const CsrMatrix& features,
-                                        const AcceleratorConfig& config,
-                                        bool verify) const {
-  InferenceRequest request;
-  request.flow = flow;
-  request.features = &features;
-  request.config = config;
-  request.verify = verify;
-  return run(request);
-}
-
 DenseMatrix GcnModel::reference(const CsrMatrix& features) const {
   return gcn_inference_reference(a_hat_, features, weights_);
 }

@@ -89,13 +89,6 @@ class GcnModel {
   /// reference(*request.features).
   InferenceResult run(const InferenceRequest& request) const;
 
-  /// Deprecated positional overload (kept for one PR — new callers
-  /// fill an InferenceRequest); equivalent to a request with only
-  /// flow/features/config/verify set.
-  InferenceResult run(Dataflow flow, const CsrMatrix& features,
-                      const AcceleratorConfig& config,
-                      bool verify = true) const;
-
   /// Host-side golden inference (ReLU between layers, none after the
   /// last).
   DenseMatrix reference(const CsrMatrix& features) const;

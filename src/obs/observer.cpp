@@ -111,7 +111,9 @@ void Observer::on_partial_spill(Cycle now) {
 
 void Observer::on_dmb_prefetch() { dmb_prefetches_->add(); }
 void Observer::on_lsq_forward() { lsq_forwards_->add(); }
-void Observer::on_lsq_reject() { lsq_rejects_->add(); }
+void Observer::on_lsq_rejects(std::uint64_t count) {
+  lsq_rejects_->add(count);
+}
 
 void Observer::on_dram_read() {
   dram_reads_->add();

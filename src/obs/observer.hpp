@@ -78,7 +78,8 @@ class Observer {
   void on_partial_spill(Cycle now);  ///< partial-output line spilled
   void on_dmb_prefetch();            ///< DMB prefetch issued
   void on_lsq_forward();             ///< store-to-load forward
-  void on_lsq_reject();              ///< LSQ allocation rejected
+  /// `count` loads the DMB rejected (or left parked) in one LSQ tick.
+  void on_lsq_rejects(std::uint64_t count);
   void on_dram_read();               ///< DRAM read request issued
   void on_dram_write();              ///< DRAM write request issued
   void on_smq_refill();              ///< SMQ buffer refilled

@@ -79,6 +79,8 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
 
 DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
     Addr line, TrafficClass cls, std::uint64_t waiter_tag, Cycle now) {
+  HYMM_DCHECK(!lines_.contains(line) && !prefetch_inflight_.contains(line) &&
+              !mshrs_.contains(line));
   if (mshrs_.size() >= mshr_capacity_ || !dram_.can_accept_read()) {
     return ReadResult::kReject;
   }
@@ -90,7 +92,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
   mshr.alloc_cycle = now;
   mshr.waiters.push_back(waiter_tag);
   mshrs_.emplace(line, std::move(mshr));
-  ++membership_epoch_;
+  joined_lines_.push_back(line);
   dram_.issue_read(line, cls, dram_tag_for(line), now);
   return ReadResult::kMiss;
 }
@@ -154,7 +156,7 @@ bool DenseMatrixBuffer::evict_one(Cycle now, bool ignore_write_bp) {
 
 bool DenseMatrixBuffer::write_allocate(Addr line, TrafficClass cls,
                                        Cycle now) {
-  ++membership_epoch_;
+  joined_lines_.push_back(line);
   return install(line, cls, /*dirty=*/true, now);
 }
 
@@ -166,7 +168,7 @@ bool DenseMatrixBuffer::write_through(Addr line, TrafficClass cls,
 }
 
 bool DenseMatrixBuffer::accumulate(Addr line, Cycle now) {
-  ++membership_epoch_;
+  joined_lines_.push_back(line);
   if (LineState* state = lines_.find(line)) {
     HYMM_DCHECK(state->cls == TrafficClass::kPartial);
     ++stats_.dmb_accumulate_hits;
@@ -197,7 +199,7 @@ bool DenseMatrixBuffer::prefetch(Addr line, TrafficClass cls, Cycle now) {
   // Prefetches ride the same headroom window as writes so a saturated
   // channel throttles them before they starve demand traffic.
   if (!dram_.can_accept_write(now)) return false;
-  ++membership_epoch_;
+  joined_lines_.push_back(line);
   dram_.issue_streaming_read(cls, now);
   HYMM_OBS(obs_, on_dmb_prefetch());
   const Cycle ready = now + dram_latency_;
@@ -228,7 +230,7 @@ void DenseMatrixBuffer::demote_class(TrafficClass cls) {
 
 bool DenseMatrixBuffer::pin_partial(Addr line, Cycle now) {
   if (pinned_count_ >= capacity_lines_) return false;
-  ++membership_epoch_;
+  joined_lines_.push_back(line);
   // Pinning happens at phase start and must not fail on transient
   // write back-pressure: the evicted combination lines book their
   // writeback bandwidth and the phase simply starts later.
@@ -293,7 +295,8 @@ void DenseMatrixBuffer::flush_dirty(Cycle now) {
 
 void DenseMatrixBuffer::reset_contents() {
   HYMM_CHECK_MSG(pinned_count_ == 0, "unpin before resetting the DMB");
-  ++membership_epoch_;
+  // Every line is absent afterwards, so no earlier join matters.
+  joined_lines_.clear();
   lines_.clear();
   data_lru_.clear();
   partial_lru_.clear();
@@ -344,7 +347,8 @@ void DenseMatrixBuffer::tick(Cycle now) {
 }
 
 void DenseMatrixBuffer::save_state(StateWriter& w) const {
-  w.put_u64(membership_epoch_);
+  w.put_u64(joined_lines_.size());
+  for (const Addr line : joined_lines_) w.put_u64(line);
   // Each resident line lives in exactly one recency tier; serializing
   // both tiers cold-to-hot captures the directory and the exact
   // eviction order in one pass.
@@ -400,10 +404,14 @@ void DenseMatrixBuffer::load_state(StateReader& r) {
   pending_prefetches_.clear();
   prefetch_inflight_.clear();
   ready_waiters_.clear();
+  joined_lines_.clear();
   pinned_count_ = 0;
   tick_active_ = false;
 
-  membership_epoch_ = r.get_u64();
+  const std::uint64_t joined_count = r.get_u64();
+  for (std::uint64_t i = 0; i < joined_count; ++i) {
+    joined_lines_.push_back(r.get_u64());
+  }
   for (LruList<Addr>* list : {&data_lru_, &partial_lru_}) {
     const std::uint64_t count = r.get_u64();
     for (std::uint64_t i = 0; i < count; ++i) {

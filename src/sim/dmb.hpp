@@ -34,9 +34,10 @@ class DenseMatrixBuffer {
   // Warm-state checkpointing (sim/checkpoint.hpp): serializes /
   // restores the full directory — resident lines in exact recency
   // order per tier, MSHRs with their waiter lists, pending hits,
-  // prefetches and ready waiters. Restore requires a buffer built
-  // from the same config; the rebuilt state is bit-identical for all
-  // future timing (recency order, not node identity, is what evicts).
+  // prefetches, ready waiters and the unread join list. Restore
+  // requires a buffer built from the same config; the rebuilt state is
+  // bit-identical for all future timing (recency order, not node
+  // identity, is what evicts).
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
@@ -47,7 +48,7 @@ class DenseMatrixBuffer {
   enum class ReadResult {
     kHit,     // waiter becomes ready after the hit latency
     kMiss,    // waiter queued on an MSHR; ready when DRAM fills
-    kReject,  // out of MSHRs / DRAM queue full: retry next cycle
+    kReject,  // out of MSHRs / DRAM queue full: the caller retries
   };
 
   // Requests one line for reading. waiter_tag is handed back through
@@ -55,23 +56,23 @@ class DenseMatrixBuffer {
   ReadResult read(Addr line, TrafficClass cls, std::uint64_t waiter_tag,
                   Cycle now);
 
-  // Retry fast path for a line the caller has proven absent from all
-  // three directories (lines_, prefetch_inflight_, mshrs_): skips the
-  // membership probes and goes straight to the miss/reject decision,
-  // with outcomes and side effects identical to read(). Valid only
-  // while membership_epoch() still equals the value observed when the
-  // line's absence was established (a read() returning kReject proves
-  // absence).
+  // Retry path for a parked load (see LoadStoreQueue): one the DMB
+  // rejected while its line was absent from all three directories
+  // (lines_, prefetch_inflight_, mshrs_), with no join of that line
+  // reported since. Skips the membership probes and goes straight to
+  // the miss/reject decision, with outcomes and side effects identical
+  // to read().
   ReadResult read_absent(Addr line, TrafficClass cls,
                          std::uint64_t waiter_tag, Cycle now);
 
-  // Bumped whenever a line can join a directory: an MSHR allocation,
-  // a fresh install from the engine side (write-allocate, accumulate,
-  // pin), or a prefetch issue. MSHR-fill installs do NOT bump: a fill
-  // only installs a line that was in the MSHR table, and every entry
-  // into that table bumps the epoch itself — so a line proven absent
-  // under an unchanged epoch is still absent.
-  std::uint64_t membership_epoch() const { return membership_epoch_; }
+  // Lines that may have joined a directory since the last
+  // clear_joined_lines(): every MSHR allocation, write-allocate,
+  // accumulate, pin and prefetch issue appends its line. MSHR fills
+  // and prefetch arrivals do not: they only move a line that was
+  // already reported when it entered the MSHR or prefetch table. The
+  // LSQ reads and clears the list once per tick to wake parked loads.
+  const std::vector<Addr>& joined_lines() const { return joined_lines_; }
+  void clear_joined_lines() { joined_lines_.clear(); }
 
   // Streaming prefetch for sequential access patterns (the OP
   // engines' stationary-row stream): books DRAM bandwidth without an
@@ -200,8 +201,8 @@ class DenseMatrixBuffer {
   }
 
   // Hot-path directories use the open-addressing FlatMap (see
-  // common/flat_map.hpp): membership probes here run per in-flight
-  // load per cycle and dominated the simulator's host-time profile.
+  // common/flat_map.hpp): every load offered to read() probes all
+  // three.
   FlatMap<LineState> lines_;
   // Two recency tiers, front = oldest. Data lines (W, XW, ...) share
   // one LRU so the phase's live working set wins regardless of class;
@@ -214,7 +215,7 @@ class DenseMatrixBuffer {
   std::size_t pinned_count_ = 0;
 
   FlatMap<Mshr> mshrs_;
-  std::uint64_t membership_epoch_ = 0;
+  std::vector<Addr> joined_lines_;
   std::deque<PendingHit> pending_hits_;
   std::vector<std::uint64_t> ready_waiters_;
   bool tick_active_ = false;

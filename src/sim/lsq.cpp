@@ -15,7 +15,9 @@ LoadStoreQueue::LoadStoreQueue(const AcceleratorConfig& config,
       dmb_(dmb),
       stats_(stats) {
   load_entries_.reserve(capacity_ * 2);
-  unissued_loads_.reserve(capacity_);
+  arrivals_.reserve(capacity_);
+  parked_.reserve(capacity_);
+  parked_lines_.reserve(capacity_ * 2);
 }
 
 std::size_t LoadStoreQueue::free_entries() const {
@@ -42,7 +44,7 @@ std::optional<LoadStoreQueue::EntryId> LoadStoreQueue::load(Addr line,
     entry.issued = true;
     entry.ready = true;
   } else {
-    unissued_loads_.push_back(UnissuedLoad{id, line, cls});
+    arrivals_.push_back(UnissuedLoad{id, line, cls});
   }
   load_entries_.emplace(id, entry);
   return id;
@@ -88,44 +90,103 @@ bool LoadStoreQueue::store(Addr line, TrafficClass cls, StoreKind kind,
   return true;
 }
 
-void LoadStoreQueue::tick(Cycle now) {
-  tick_active_ = false;
-  // 1. Data arriving from the DMB.
-  for (const std::uint64_t tag : dmb_.ready_waiters()) {
-    LoadEntry* entry = load_entries_.find(tag);
-    // The waiter may have been forwarded-and-released already only if
-    // ids were reused — they are not, so it must exist.
-    if (entry != nullptr) {
-      entry->ready = true;
-      tick_active_ = true;
-      // Allocation -> ready latency; forwarded loads never pass
-      // through here (they are born ready).
-      HYMM_OBS(obs_, observe_load_latency(now - entry->issue_cycle));
+void LoadStoreQueue::mark_issued(EntryId id) {
+  load_entries_.at(id).issued = true;
+  tick_active_ = true;
+}
+
+bool LoadStoreQueue::unpark(Addr line) {
+  std::uint32_t* count = parked_lines_.find(line);
+  HYMM_DCHECK(count != nullptr);
+  if (--*count > 0) return true;
+  parked_lines_.erase(line);
+  return false;
+}
+
+void LoadStoreQueue::issue_loads(Cycle now) {
+  // A join on a parked load's line can turn its reject into a hit or a
+  // secondary miss; only then do parked loads need the full probe.
+  bool probe_all = false;
+  if (!parked_.empty()) {
+    for (const Addr line : dmb_.joined_lines()) {
+      if (parked_lines_.contains(line)) {
+        probe_all = true;
+        break;
+      }
     }
+  }
+  // Joins from here on (this tick's grants and store drain, the
+  // engines' next step) are read by the next tick.
+  dmb_.clear_joined_lines();
+
+  // Otherwise every parked line is still absent: the oldest parked
+  // loads take MSHRs while miss capacity lasts, and the rest are
+  // rejected without a probe. A grant on a line another parked load
+  // waits for makes that one a secondary miss, so the rest of the
+  // queue then takes the full probe in order.
+  std::uint64_t rejects = 0;
+  std::size_t granted = 0;
+  while (!probe_all && granted < parked_.size()) {
+    const UnissuedLoad& u = parked_[granted];
+    if (dmb_.read_absent(u.line, u.cls, u.id, now) ==
+        DenseMatrixBuffer::ReadResult::kReject) {
+      break;
+    }
+    ++granted;
+    mark_issued(u.id);
+    probe_all = unpark(u.line);
+  }
+  if (probe_all) {
+    std::size_t kept = 0;
+    for (std::size_t i = granted; i < parked_.size(); ++i) {
+      const UnissuedLoad u = parked_[i];
+      if (dmb_.read(u.line, u.cls, u.id, now) ==
+          DenseMatrixBuffer::ReadResult::kReject) {
+        parked_[kept++] = u;
+      } else {
+        mark_issued(u.id);
+        unpark(u.line);
+      }
+    }
+    rejects += kept;
+    parked_.resize(kept);
+  } else {
+    rejects += parked_.size() - granted;
+    parked_.erase(parked_.begin(),
+                  parked_.begin() + static_cast<std::ptrdiff_t>(granted));
   }
 
-  // 2. Issue loads to the DMB (retrying ones it rejected earlier).
-  // The descriptor carries line/class so the (common) reject outcome
-  // costs no load_entries_ probe.
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < unissued_loads_.size(); ++i) {
-    UnissuedLoad u = unissued_loads_[i];
-    const auto result =
-        u.absent_epoch == dmb_.membership_epoch()
-            ? dmb_.read_absent(u.line, u.cls, u.id, now)
-            : dmb_.read(u.line, u.cls, u.id, now);
-    if (result == DenseMatrixBuffer::ReadResult::kReject) {
-      HYMM_OBS(obs_, on_lsq_reject());
-      // A full-probe reject proves the line absent everywhere; cache
-      // that under the current epoch.
-      u.absent_epoch = dmb_.membership_epoch();
-      unissued_loads_[kept++] = u;
+  // New loads queue behind every parked one.
+  for (const UnissuedLoad& u : arrivals_) {
+    if (dmb_.read(u.line, u.cls, u.id, now) ==
+        DenseMatrixBuffer::ReadResult::kReject) {
+      ++rejects;
+      parked_.push_back(u);
+      ++parked_lines_[u.line];
     } else {
-      load_entries_.at(u.id).issued = true;
-      tick_active_ = true;
+      mark_issued(u.id);
     }
   }
-  unissued_loads_.resize(kept);
+  arrivals_.clear();
+  if (rejects > 0) HYMM_OBS(obs_, on_lsq_rejects(rejects));
+}
+
+void LoadStoreQueue::tick(Cycle now) {
+  tick_active_ = false;
+  // 1. Data arriving from the DMB. Ids are never reused and an entry
+  // is released only once ready, so every waiter's entry must exist.
+  for (const std::uint64_t tag : dmb_.ready_waiters()) {
+    LoadEntry* entry = load_entries_.find(tag);
+    HYMM_DCHECK(entry != nullptr);
+    entry->ready = true;
+    tick_active_ = true;
+    // Allocation -> ready latency; forwarded loads never pass through
+    // here (they are born ready).
+    HYMM_OBS(obs_, observe_load_latency(now - entry->issue_cycle));
+  }
+
+  // 2. Offer new and parked loads to the DMB.
+  issue_loads(now);
 
   // 3. Drain one store per cycle.
   if (!store_queue_.empty()) {
@@ -169,12 +230,15 @@ void LoadStoreQueue::save_state(StateWriter& w) const {
     w.put_bool(e.issued);
     w.put_bool(e.ready);
   }
-  w.put_u64(unissued_loads_.size());
-  for (const UnissuedLoad& u : unissued_loads_) {
-    w.put_u64(u.id);
-    w.put_u64(u.line);
-    w.put_u8(static_cast<std::uint8_t>(u.cls));
-    w.put_u64(u.absent_epoch);
+  // parked_lines_ is derived state: it is rebuilt from parked_ on
+  // restore.
+  for (const auto* loads : {&arrivals_, &parked_}) {
+    w.put_u64(loads->size());
+    for (const UnissuedLoad& u : *loads) {
+      w.put_u64(u.id);
+      w.put_u64(u.line);
+      w.put_u8(static_cast<std::uint8_t>(u.cls));
+    }
   }
   w.put_u64(store_queue_.size());
   for (const StoreEntry& s : store_queue_) {
@@ -203,16 +267,20 @@ void LoadStoreQueue::load_state(StateReader& r) {
     e.ready = r.get_bool();
     load_entries_.emplace(id, e);
   }
-  unissued_loads_.clear();
-  const std::uint64_t unissued_count = r.get_u64();
-  for (std::uint64_t i = 0; i < unissued_count; ++i) {
-    UnissuedLoad u;
-    u.id = r.get_u64();
-    u.line = r.get_u64();
-    u.cls = static_cast<TrafficClass>(r.get_u8());
-    u.absent_epoch = r.get_u64();
-    unissued_loads_.push_back(u);
+  arrivals_.clear();
+  parked_.clear();
+  parked_lines_.clear();
+  for (auto* loads : {&arrivals_, &parked_}) {
+    const std::uint64_t count = r.get_u64();
+    for (std::uint64_t i = 0; i < count; ++i) {
+      UnissuedLoad u;
+      u.id = r.get_u64();
+      u.line = r.get_u64();
+      u.cls = static_cast<TrafficClass>(r.get_u8());
+      loads->push_back(u);
+    }
   }
+  for (const UnissuedLoad& u : parked_) ++parked_lines_[u.line];
   store_queue_.clear();
   const std::uint64_t store_count = r.get_u64();
   for (std::uint64_t i = 0; i < store_count; ++i) {

@@ -36,7 +36,7 @@ class LoadStoreQueue {
                  SimStats& stats);
 
   // Warm-state checkpointing (sim/checkpoint.hpp): serializes /
-  // restores entries, retry descriptors, the store queue and the
+  // restores entries, new and parked loads, the store queue and the
   // store-to-load forwarding window (which persists across phases and
   // feeds aggregation-phase forwards). Restore requires a queue built
   // from the same config and the already-restored companion DMB.
@@ -75,14 +75,22 @@ class LoadStoreQueue {
   // false when the queue is full.
   bool store(Addr line, TrafficClass cls, StoreKind kind, Cycle now);
 
-  // Progress: collect DMB readiness, retry rejected loads, drain one
-  // store. Call once per cycle after DenseMatrixBuffer::tick().
+  // Progress: collect DMB readiness, offer new and parked loads to the
+  // DMB, drain one store. Call once per cycle after
+  // DenseMatrixBuffer::tick().
+  //
+  // A load the DMB rejects is parked: its line was absent from every
+  // DMB directory at that moment. The tick offers parked loads again,
+  // oldest first, only while miss capacity lasts or after their line
+  // joined a directory (DenseMatrixBuffer::joined_lines()); otherwise
+  // they are counted as rejected without a probe. MSHR grant order and
+  // every outcome equal an ordered retry of every waiting load.
   void tick(Cycle now);
 
   // True when the last tick() changed observable state (marked a load
-  // ready, got a retried load accepted, or drained a store). Failed
-  // retries and blocked store drains are pure no-ops and repeat
-  // identically until a DRAM/DMB event, so they do not count.
+  // ready, got a load accepted, or drained a store). Rejects and
+  // blocked store drains are pure no-ops and repeat identically until
+  // a DRAM/DMB event, so they do not count.
   bool ticked_active() const { return tick_active_; }
 
   // The queue holds no internal timers: every state change is driven
@@ -114,22 +122,33 @@ class LoadStoreQueue {
   std::size_t capacity_;
   bool forwarding_;
 
-  // Retry descriptor: carries the line/class so a rejected retry
-  // costs zero load_entries_ probes (the entry is only touched on
-  // acceptance), plus the DMB membership epoch under which the line
-  // was last proven absent from every directory — while it still
-  // matches, the retry takes DenseMatrixBuffer::read_absent and
-  // skips the probes too.
+  // A load not yet accepted by the DMB. Carries line/class so a
+  // reject costs no load_entries_ probe (the entry is only touched on
+  // acceptance).
   struct UnissuedLoad {
     EntryId id = 0;
     Addr line = 0;
     TrafficClass cls = TrafficClass::kCombined;
-    std::uint64_t absent_epoch = ~std::uint64_t{0};
   };
+
+  // Step 2 of tick(): offers parked_ then arrivals_ to the DMB.
+  void issue_loads(Cycle now);
+  void mark_issued(EntryId id);
+  // Drops one parked load on `line`; true when another still waits on
+  // it.
+  bool unpark(Addr line);
 
   EntryId next_id_ = 1;
   FlatMap<LoadEntry> load_entries_;
-  std::vector<UnissuedLoad> unissued_loads_;
+  // Loads allocated since the last tick; their first offer is a full
+  // DenseMatrixBuffer::read().
+  std::vector<UnissuedLoad> arrivals_;
+  // Rejected loads, oldest first. Each one's line was absent from every
+  // DMB directory when it was rejected, and any join of that line since
+  // is still in dmb_.joined_lines().
+  std::vector<UnissuedLoad> parked_;
+  // line -> parked loads waiting on it; derived from parked_.
+  FlatMap<std::uint32_t> parked_lines_;
   bool tick_active_ = false;
   std::deque<StoreEntry> store_queue_;
   // Store-to-load forwarding window: the last `capacity_` stored

@@ -89,38 +89,22 @@ TEST(GcnModel, ReferenceMatchesStandaloneReference) {
       model.reference(x), gcn_inference_reference(a_hat, x, weights)));
 }
 
+GcnModel::InferenceRequest request_for(Dataflow flow, const CsrMatrix& x) {
+  GcnModel::InferenceRequest request;
+  request.flow = flow;
+  request.features = &x;
+  return request;
+}
+
 TEST(GcnModel, HybridPaysPreprocessingPerLayer) {
   const CsrMatrix a_hat = small_a_hat();
   const GcnModel model =
       GcnModel::with_random_weights(a_hat, 24, {16, 8}, 13);
   const CsrMatrix x = small_features(a_hat.rows(), 24, 14);
-  const auto result = model.run(Dataflow::kHybrid, x, AcceleratorConfig{});
+  const auto result = model.run(request_for(Dataflow::kHybrid, x));
   EXPECT_GT(result.total_preprocess_ms, 0.0);
-  const auto baseline =
-      model.run(Dataflow::kRowWiseProduct, x, AcceleratorConfig{});
+  const auto baseline = model.run(request_for(Dataflow::kRowWiseProduct, x));
   EXPECT_EQ(baseline.total_preprocess_ms, 0.0);
-}
-
-// The deprecated positional overload must stay exactly equivalent to
-// a request with only flow/features/config/verify set until it is
-// removed.
-TEST(GcnModel, PositionalOverloadMatchesRequestApi) {
-  const CsrMatrix a_hat = small_a_hat();
-  const GcnModel model =
-      GcnModel::with_random_weights(a_hat, 32, {16, 8}, 21);
-  const CsrMatrix x = small_features(a_hat.rows(), 32, 22);
-  for (const Dataflow flow : {Dataflow::kRowWiseProduct,
-                              Dataflow::kOuterProduct, Dataflow::kHybrid}) {
-    GcnModel::InferenceRequest request;
-    request.flow = flow;
-    request.features = &x;
-    const auto via_request = model.run(request);
-    const auto via_positional = model.run(flow, x, AcceleratorConfig{});
-    EXPECT_EQ(via_request.total_cycles, via_positional.total_cycles);
-    EXPECT_EQ(via_request.total_dram_bytes, via_positional.total_dram_bytes);
-    EXPECT_TRUE(DenseMatrix::allclose(via_request.output,
-                                      via_positional.output));
-  }
 }
 
 // A precomputed degree sort handed through the request changes only
@@ -166,13 +150,12 @@ TEST(GcnModel, ShapeMismatchesRejected) {
   const CsrMatrix a_hat = small_a_hat();
   const GcnModel model = GcnModel::with_random_weights(a_hat, 24, {16}, 1);
   const CsrMatrix wrong_dim = small_features(a_hat.rows(), 25, 2);
-  EXPECT_THROW(model.run(Dataflow::kRowWiseProduct, wrong_dim,
-                         AcceleratorConfig{}),
+  EXPECT_THROW(model.run(request_for(Dataflow::kRowWiseProduct, wrong_dim)),
                CheckError);
   const CsrMatrix wrong_nodes = small_features(a_hat.rows() + 1, 24, 3);
-  EXPECT_THROW(model.run(Dataflow::kRowWiseProduct, wrong_nodes,
-                         AcceleratorConfig{}),
-               CheckError);
+  EXPECT_THROW(
+      model.run(request_for(Dataflow::kRowWiseProduct, wrong_nodes)),
+      CheckError);
   // The request API requires features.
   GcnModel::InferenceRequest request;
   EXPECT_THROW(model.run(request), CheckError);

@@ -1,15 +1,13 @@
-// Ablation: fixed-20% threshold vs the partition auto-tuner
+// Ablation: fixed-20% threshold vs the measured threshold search
 // (src/tune/, docs/tuning.md). For every selected dataset the hybrid
-// runs three ways:
+// runs two ways:
 //   fixed    — the paper's tiling_threshold = 0.20;
-//   analytic — the cost model picks the threshold (no simulation);
-//   measured — every tuner candidate is simulated and the
+//   measured — every candidate threshold is simulated and the
 //              cycle-minimal one wins.
 // Because the fixed threshold is itself a measured candidate and is
 // only displaced by strictly fewer cycles, the measured column is <=
 // the fixed column on every dataset by construction — the interesting
-// output is by how much, and whether the analytic model lands on the
-// same flat part of the curve.
+// output is by how much.
 #include <iostream>
 #include <vector>
 
@@ -29,15 +27,7 @@ int main(int argc, char** argv) {
   const std::vector<DataflowComparison> fixed =
       bench::run_datasets(opts, base, hybrid_only);
 
-  // Then each tuner mode; both share one in-memory/file cache scope
-  // per mode invocation (opts.tune_cache when set).
-  BenchOptions analytic_opts = opts;
-  analytic_opts.autotune = AutotuneMode::kAnalytic;
-  std::vector<TuneDecision> analytic_decisions;
-  const std::vector<DataflowComparison> analytic =
-      bench::run_autotuned_datasets(analytic_opts, base, hybrid_only,
-                                    &analytic_decisions);
-
+  // Then the measured search, one dataset at a time.
   BenchOptions measured_opts = opts;
   measured_opts.autotune = AutotuneMode::kMeasured;
   std::vector<TuneDecision> measured_decisions;
@@ -45,19 +35,16 @@ int main(int argc, char** argv) {
       bench::run_autotuned_datasets(measured_opts, base, hybrid_only,
                                     &measured_decisions);
 
-  Table table({"Dataset", "Fixed 20% cycles", "Analytic t", "Analytic cycles",
-               "Measured t", "Measured cycles", "vs fixed"});
+  Table table({"Dataset", "Fixed 20% cycles", "Measured t", "Measured cycles",
+               "vs fixed"});
   bool measured_never_worse = true;
   for (std::size_t d = 0; d < opts.datasets.size(); ++d) {
     const auto& f = fixed[d].by_flow(Dataflow::kHybrid);
-    const auto& a = analytic[d].by_flow(Dataflow::kHybrid);
     const auto& m = measured[d].by_flow(Dataflow::kHybrid);
     if (m.cycles > f.cycles) measured_never_worse = false;
     const double speedup =
         static_cast<double>(f.cycles) / static_cast<double>(m.cycles);
     table.add_row({bench::scale_note(fixed[d]), std::to_string(f.cycles),
-                   Table::fmt_percent(analytic_decisions[d].threshold, 0),
-                   std::to_string(a.cycles),
                    Table::fmt_percent(measured_decisions[d].threshold, 0),
                    std::to_string(m.cycles), Table::fmt(speedup, 3) + "x"});
   }
@@ -65,8 +52,6 @@ int main(int argc, char** argv) {
   std::cout << "\nmeasured <= fixed on every dataset: "
             << (measured_never_worse ? "yes" : "NO (tuner bug!)") << "\n"
             << "The measured tuner can only tie or beat the fixed 20% "
-               "threshold (the baseline is always a candidate); the "
-               "analytic column shows how close the cost model gets "
-               "without simulating.\n";
+               "threshold (the baseline is always a candidate).\n";
   return measured_never_worse ? 0 : 1;
 }

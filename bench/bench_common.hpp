@@ -30,7 +30,6 @@
 #include "obs/observer.hpp"
 #include "sweep/bench_options.hpp"
 #include "sweep/sweep.hpp"
-#include "tune/router.hpp"
 #include "tune/tuner.hpp"
 
 namespace hymm::bench {
@@ -183,12 +182,11 @@ inline std::vector<DataflowComparison> run_datasets(
 }
 
 // Auto-tuned variant of run_datasets (opts.autotune != kOff): tunes
-// each dataset's hybrid tiling threshold with the requested mode
-// (decisions persisted in opts.tune_cache when set), then simulates
-// the dataset's flows under its tuned config. The tuned threshold is
-// per dataset, so datasets run as successive single-workload sweeps
-// — the one prepared workload is shared immutably between the
-// tuner's candidate cells and the final run. Hybrid results carry
+// each dataset's hybrid tiling threshold with the measured search,
+// then simulates the dataset's flows under its tuned config. The
+// tuned threshold is per dataset, so datasets run as successive
+// single-workload sweeps — the one prepared workload is shared
+// immutably between the tuner's candidate cells and the final run. Hybrid results carry
 // the TuneInfo annotation; `decisions_out` (optional) receives one
 // decision per dataset in selection order.
 inline std::vector<DataflowComparison> run_autotuned_datasets(
@@ -197,7 +195,6 @@ inline std::vector<DataflowComparison> run_autotuned_datasets(
                                           Dataflow::kRowWiseProduct,
                                           Dataflow::kHybrid},
     std::vector<TuneDecision>* decisions_out = nullptr) {
-  Tuner tuner(opts.tune_cache);
   WorkloadCache cache;
   std::vector<DataflowComparison> out;
   for (const DatasetSpec& dataset : opts.datasets) {
@@ -207,14 +204,15 @@ inline std::vector<DataflowComparison> run_autotuned_datasets(
     const std::shared_ptr<const PreparedWorkload> prepared =
         cache.get(dataset, scale, opts.seed);
     const TuneDecision decision =
-        tuner.tune(prepared, base, opts.autotune, opts.threads);
+        tune_threshold(prepared, base, opts.autotune, opts.threads);
     std::cerr << "[bench]   threshold " << decision.fixed_threshold << " -> "
-              << decision.threshold
-              << (decision.cache_hit ? " (cache hit)" : "") << "\n";
+              << decision.threshold << "\n";
+    AcceleratorConfig tuned = base;
+    tuned.tiling_threshold = decision.threshold;
 
     SweepSpec spec;
     spec.workloads = {prepared};
-    spec.configs = {Tuner::apply(base, decision)};
+    spec.configs = {tuned};
     spec.flows = flows;
     spec.seed = opts.seed;
 
@@ -257,99 +255,13 @@ inline std::vector<DataflowComparison> run_autotuned_datasets(
   return out;
 }
 
-// Per-tile-routed variant of run_datasets (opts.route != kGlobal):
-// the TileRouter decides each dataset's routing map under the
-// requested mode (verdicts persisted in opts.tune_cache when set),
-// then simulates the dataset's flows with the map attached to the
-// hybrid cells. The map is always attached — when the global split
-// won it is the *degenerate* map, which simulates bit-identically to
-// the un-routed path while keeping the routed code path live. Hybrid
-// exact-mode results carry the RouteInfo annotation (sampled runs
-// ignore routing, so their results stay unlabeled); `decisions_out`
-// (optional) receives one decision per dataset in selection order.
-inline std::vector<DataflowComparison> run_routed_datasets(
-    const BenchOptions& opts, const AcceleratorConfig& base = {},
-    const std::vector<Dataflow>& flows = {Dataflow::kOuterProduct,
-                                          Dataflow::kRowWiseProduct,
-                                          Dataflow::kHybrid},
-    std::vector<RouteDecision>* decisions_out = nullptr) {
-  TileRouter router(opts.tune_cache);
-  WorkloadCache cache;
-  std::vector<DataflowComparison> out;
-  for (const DatasetSpec& dataset : opts.datasets) {
-    const double scale = opts.scale_for(dataset);
-    std::cerr << "[bench] routing " << dataset.abbrev << " at scale " << scale
-              << " (" << to_string(opts.route) << ") ..." << std::endl;
-    const std::shared_ptr<const PreparedWorkload> prepared =
-        cache.get(dataset, scale, opts.seed);
-    const RouteDecision decision =
-        router.route(prepared, base, opts.route, opts.threads);
-    std::cerr << "[bench]   threshold " << decision.global_threshold
-              << ", map " << (decision.degenerate ? "global" : "per-tile")
-              << (decision.cache_hit ? " (cache hit)" : "") << "\n";
-
-    SweepSpec spec;
-    spec.workloads = {prepared};
-    spec.configs = {TileRouter::apply(base, decision)};
-    spec.routes = {decision.map};
-    spec.flows = flows;
-    spec.seed = opts.seed;
-
-    SweepOptions sweep_options;
-    sweep_options.threads = opts.threads;
-    sweep_options.observe = opts.observing();
-    sweep_options.observer_options.trace = !opts.trace_dir.empty();
-    sweep_options.observer_options.timeseries =
-        opts.timeseries_interval > 0;
-    if (opts.timeseries_interval > 0) {
-      sweep_options.observer_options.timeseries_interval =
-          opts.timeseries_interval;
-    }
-    sweep_options.observer_options.spatial = opts.spatial_tile > 0;
-    sweep_options.observer_options.spatial_tile =
-        opts.spatial_tile >= 2 ? static_cast<NodeId>(opts.spatial_tile) : 0;
-    sweep_options.group_key = [](const SweepCell&) {
-      return std::string("all");
-    };
-    sweep_options.sample = opts.sample;
-    SweepRunner runner(sweep_options);
-    const SweepRun run = runner.run(spec);
-
-    DataflowComparison comparison;
-    comparison.spec = run.cells.front().scaled_spec;
-    comparison.scale = run.cells.front().cell.scale;
-    for (const SweepCellResult& cell : run.cells) {
-      ExperimentResult r = cell.result;
-      // Sampled runs ignore the routing map (core/runner.cpp), so
-      // labeling them would claim a split they never ran.
-      if (r.flow == Dataflow::kHybrid && !r.sample.enabled) {
-        r.route = to_route_info(decision);
-      }
-      comparison.results.push_back(std::move(r));
-    }
-    check_verified(comparison);
-    if (opts.observing() && run.groups.front().observer != nullptr) {
-      write_group_artifacts(opts, comparison, *run.groups.front().observer,
-                            "");
-    }
-    if (decisions_out != nullptr) decisions_out->push_back(decision);
-    out.push_back(std::move(comparison));
-  }
-  return out;
-}
-
-// Mode dispatch shared by drivers that honour all three split-policy
-// knobs: per-tile routing wins (BenchOptions already rejects the
-// route+autotune combination), then the threshold auto-tuner, then
-// the plain fixed-threshold sweep.
+// Mode dispatch shared by drivers that honour --autotune: the measured
+// threshold search, else the plain fixed-threshold sweep.
 inline std::vector<DataflowComparison> run_datasets_with_policy(
     const BenchOptions& opts, const AcceleratorConfig& base = {},
     const std::vector<Dataflow>& flows = {Dataflow::kOuterProduct,
                                           Dataflow::kRowWiseProduct,
                                           Dataflow::kHybrid}) {
-  if (opts.route != RouteMode::kGlobal) {
-    return run_routed_datasets(opts, base, flows);
-  }
   if (opts.autotune != AutotuneMode::kOff) {
     return run_autotuned_datasets(opts, base, flows);
   }

@@ -11,14 +11,9 @@
 // Dataset selection, scaling and sweep parallelism follow the shared
 // bench knobs (HYMM_DATASETS, HYMM_SCALE, HYMM_FULL_DATASETS,
 // HYMM_THREADS / --datasets, --scale, --threads, ...). With
-// --autotune[=analytic|measured] (HYMM_AUTOTUNE) the hybrid runs
-// under each dataset's tuned tiling threshold instead of the fixed
-// default — the CI autotune leg snapshots analytic-tuned cycles this
-// way and diffs them against a fixed-threshold snapshot. With
-// --route=tiles[:analytic|:measured] (HYMM_ROUTE) the hybrid runs
-// under each dataset's per-tile routing map instead; the CI routing
-// leg snapshots tiles:analytic cycles and gates them against the
-// global-tuned snapshot the same way.
+// --autotune (HYMM_AUTOTUNE=measured) the hybrid runs under each
+// dataset's measured-best tiling threshold instead of the fixed
+// default.
 #include <fstream>
 #include <iostream>
 #include <string>

@@ -29,8 +29,6 @@
 #include "obs/observer.hpp"
 #include "sweep/bench_options.hpp"
 #include "sweep/sweep.hpp"
-#include "tune/router.hpp"
-#include "tune/tune_cache.hpp"
 #include "tune/tuner.hpp"
 
 namespace {
@@ -52,14 +50,8 @@ void usage() {
       "  --threads <n>        sweep workers (default: HYMM_THREADS/auto)\n"
       "  --dmb-kb <n>         DMB capacity in KB (default 256)\n"
       "  --tiling <0..1>      tiling threshold (default 0.2)\n"
-      "  --autotune[=mode]    tune the hybrid tiling threshold per graph\n"
-      "                       (analytic|measured; bare = measured)\n"
-      "  --route[=mode]       per-tile OP/RWP routing of the hybrid split\n"
-      "                       (global|tiles:analytic|tiles:measured;\n"
-      "                       bare/tiles = tiles:analytic; see\n"
-      "                       docs/routing.md)\n"
-      "  --tune-cache <file>  persist tuner/router decisions\n"
-      "                       (hymm-tune-cache/2)\n"
+      "  --autotune[=mode]    pick the hybrid tiling threshold by simulating\n"
+      "                       every candidate (off|measured; bare = measured)\n"
       "  --fifo               FIFO eviction instead of LRU\n"
       "  --no-accumulator     disable the near-memory accumulator\n"
       "  --csv <file>         append machine-readable results\n"
@@ -81,8 +73,7 @@ void usage() {
 void print_version() {
   std::cout << "hymm_sim\n"
             << "  run-report schema: " << kRunReportSchema << '\n'
-            << "  bench schema:      " << kBenchSchema << '\n'
-            << "  tune-cache schema: " << TuneCache::kSchema << '\n';
+            << "  bench schema:      " << kBenchSchema << '\n';
 }
 
 std::optional<Dataflow> parse_flow(const std::string& s) {
@@ -210,46 +201,19 @@ int main(int argc, char** argv) {
   // --- Auto-tune the hybrid tiling threshold (src/tune/) ---
   TuneDecision tune_decision;
   if (opts.autotune != AutotuneMode::kOff) {
-    Tuner tuner(opts.tune_cache);
     tune_decision =
-        tuner.tune(prepared, config, opts.autotune, opts.threads);
-    config = Tuner::apply(config, tune_decision);
+        tune_threshold(prepared, config, opts.autotune, opts.threads);
+    config.tiling_threshold = tune_decision.threshold;
     std::cout << "Autotune (" << to_string(tune_decision.mode)
               << "): threshold " << tune_decision.fixed_threshold << " -> "
-              << tune_decision.threshold
-              << (tune_decision.cache_hit ? " (cache hit)" : "");
-    if (tune_decision.simulations > 0) {
-      std::cout << " after " << tune_decision.simulations
-                << " candidate simulations";
-    }
-    std::cout << "\n\n";
-  }
-
-  // --- Decide the hybrid's per-tile routing map (src/tune/router.hpp) ---
-  RouteDecision route_decision;
-  if (opts.route != RouteMode::kGlobal) {
-    TileRouter router(opts.tune_cache);
-    route_decision = router.route(prepared, config, opts.route, opts.threads);
-    config = TileRouter::apply(config, route_decision);
-    std::cout << "Route (" << to_string(route_decision.mode) << "): "
-              << (route_decision.degenerate ? "global split (degenerate map)"
-                                            : "per-tile map")
-              << ", threshold " << route_decision.global_threshold
-              << (route_decision.cache_hit ? " (cache hit)" : "");
-    if (route_decision.simulations > 0) {
-      std::cout << " after " << route_decision.simulations
-                << " race simulations";
-    }
-    std::cout << "\n  predicted cycles: global "
-              << route_decision.predicted_global_cycles << ", per-tile "
-              << route_decision.predicted_tiled_cycles << "\n\n";
+              << tune_decision.threshold << " after "
+              << tune_decision.simulations << " candidate simulations\n\n";
   }
 
   // --- Run the flows as one sweep ---
   SweepSpec sweep_spec;
   sweep_spec.workloads = {prepared};
   sweep_spec.configs = {config};
-  if (route_decision.map != nullptr) sweep_spec.routes = {route_decision.map};
   sweep_spec.flows = flows;
   sweep_spec.seed = opts.seed;
 
@@ -287,12 +251,6 @@ int main(int argc, char** argv) {
     if (opts.autotune != AutotuneMode::kOff &&
         r.flow == Dataflow::kHybrid) {
       r.tune = to_tune_info(tune_decision);
-    }
-    // Sampled runs ignore the routing map (core/runner.cpp), so they
-    // stay unlabeled.
-    if (opts.route != RouteMode::kGlobal && r.flow == Dataflow::kHybrid &&
-        !r.sample.enabled) {
-      r.route = to_route_info(route_decision);
     }
     if (r.sample.enabled) {
       // Sampled runs produce no functional output, so there is

@@ -7,29 +7,23 @@ Usage:
 Each file must declare a supported schema and satisfy that schema's
 structural requirements:
 
-  hymm-run-report/4..8    "results" array; every result carries the
+  hymm-run-report/9       "results" array; every result carries the
                           required run keys and a "stats" object with
-                          a stall breakdown. "histograms"/"timeseries"
-                          need /5+; "spatial" needs /6 (and its
+                          a stall breakdown. A "spatial" object's
                           per-region cell arrays must match the
                           declared grid geometry, with "pe" counters
-                          and an "imbalance" summary present);
-                          "sample"/"checkpoint" need /7 (a result
-                          labeled "sampled": true must carry a
+                          and an "imbalance" summary present; a
+                          result labeled "sampled": true must carry a
                           "sample" object with per-phase band counts
-                          and error bars); "route" needs /8 (its
-                          "tile_flows" array must match the declared
-                          grid geometry, flows must be 0/1, and a
-                          sampled result must not carry one).
+                          and error bars; a "tune" object carries the
+                          measured search's threshold, simulation
+                          count, config hash and per-candidate
+                          measured cycles.
   hymm-bench/1|2|3        "runs" array; every run carries abbrev,
                           flow, cycles and a stall breakdown; /2 runs
                           also the per-phase breakdown; /3 runs also
                           the "sampled" label (sampled runs carry
                           sample_fraction and sample_rel_error_bound).
-  hymm-tune-cache/1|2     "entries" array of cached tuner decisions;
-                          /2 entries also carry the router fields
-                          (route_kind in {"", "global", "tiles"} and
-                          a numeric tile edge).
   hymm-serve-report/1     serve_bench output: "config", "classes",
                           "summary" (latency quantile blocks),
                           "traffic" (the DRAM conservation ledger,
@@ -45,17 +39,10 @@ errors or unreadable files.
 import json
 import sys
 
-RUN_REPORT_SCHEMAS = {
-    "hymm-run-report/4": 4,
-    "hymm-run-report/5": 5,
-    "hymm-run-report/6": 6,
-    "hymm-run-report/7": 7,
-    "hymm-run-report/8": 8,
-}
+RUN_REPORT_SCHEMA = "hymm-run-report/9"
 BENCH_SCHEMAS = {"hymm-bench/1": 1, "hymm-bench/2": 2, "hymm-bench/3": 3}
 SAMPLE_PHASE_KEYS = ("bands_total", "bands_simulated", "nnz_total",
                      "nnz_simulated", "cycles_estimate", "cycles_stderr")
-TUNE_CACHE_SCHEMAS = {"hymm-tune-cache/1": 1, "hymm-tune-cache/2": 2}
 SERVE_REPORT_SCHEMAS = {"hymm-serve-report/1": 1}
 
 RESULT_KEYS = ("dataset", "abbrev", "scale", "flow", "cycles", "verified")
@@ -137,39 +124,25 @@ def check_sample(sample, where, problems):
                 f"bands_total {bands}")
 
 
-def check_route(route, where, problems):
-    for key in ("mode", "graph_fingerprint", "config_hash"):
-        if not isinstance(route.get(key), str):
-            problems.append(f"{where}: {key!r} is not a string")
-    for key in ("degenerate", "cache_hit"):
-        if not isinstance(route.get(key), bool):
-            problems.append(f"{where}: {key!r} is not a boolean")
-    for key in ("simulations", "global_threshold",
-                "predicted_global_cycles", "predicted_tiled_cycles",
-                "nodes", "tile", "op_rows", "region2_cols"):
-        if not isinstance(route.get(key), (int, float)):
+def check_tune(tune, where, problems):
+    for key in ("fixed_threshold", "threshold", "simulations"):
+        if not isinstance(tune.get(key), (int, float)):
             problems.append(f"{where}: {key!r} is not a number")
-    rows = route.get("grid_rows")
-    cols = route.get("grid_cols")
-    if not isinstance(rows, int) or not isinstance(cols, int) \
-            or rows <= 0 or cols <= 0:
-        problems.append(f"{where}: routing grid geometry is invalid")
+    if not isinstance(tune.get("config_hash"), str):
+        problems.append(f"{where}: 'config_hash' is not a string")
+    candidates = tune.get("candidates")
+    if not isinstance(candidates, list):
+        problems.append(f"{where}: missing \"candidates\" array")
         return
-    cells = rows * cols
-    flows = route.get("tile_flows")
-    if not isinstance(flows, list) or len(flows) != cells:
-        problems.append(
-            f"{where}: \"tile_flows\" is not a {cells}-cell list")
-    elif any(f not in (0, 1) for f in flows):
-        problems.append(f"{where}: tile_flows entries must be 0 or 1")
-    for key in ("tile_predicted_cycles", "tile_nnz"):
-        column = route.get(key)
-        if column is not None and \
-                (not isinstance(column, list) or len(column) != cells):
-            problems.append(f"{where}: {key!r} is not a {cells}-cell list")
+    for i, candidate in enumerate(candidates):
+        for key in ("threshold", "measured_cycles"):
+            if not isinstance(candidate, dict) or \
+                    not isinstance(candidate.get(key), (int, float)):
+                problems.append(
+                    f"{where}.candidates[{i}]: {key!r} is not a number")
 
 
-def check_run_report(doc, version, problems):
+def check_run_report(doc, problems):
     results = doc.get("results")
     if not isinstance(results, list) or not results:
         problems.append("missing or empty \"results\" array")
@@ -187,17 +160,10 @@ def check_run_report(doc, version, problems):
             problems.append(f"{where}: missing \"stats\" object")
         else:
             check_stalls(stats, f"{where}.stats", problems)
-        for key, since in (("histograms", 5), ("timeseries", 5),
-                           ("spatial", 6), ("sample", 7),
-                           ("checkpoint", 7), ("route", 8)):
-            if key in result and version < since:
-                problems.append(
-                    f"{where}: {key!r} needs hymm-run-report/{since}+ "
-                    f"but the report declares /{version}")
         spatial = result.get("spatial")
-        if version >= 6 and isinstance(spatial, dict):
+        if isinstance(spatial, dict):
             check_spatial(spatial, where, problems)
-        if version >= 7 and result.get("sampled"):
+        if result.get("sampled"):
             sample = result.get("sample")
             if not isinstance(sample, dict):
                 problems.append(
@@ -205,13 +171,9 @@ def check_run_report(doc, version, problems):
                     "\"sample\" object")
             else:
                 check_sample(sample, f"{where}.sample", problems)
-        route = result.get("route")
-        if version >= 8 and isinstance(route, dict):
-            check_route(route, f"{where}.route", problems)
-            if result.get("sampled"):
-                problems.append(
-                    f"{where}: sampled result must not carry a "
-                    "\"route\" object (sampled runs ignore routing)")
+        tune = result.get("tune")
+        if isinstance(tune, dict):
+            check_tune(tune, f"{where}.tune", problems)
 
 
 def check_bench(doc, version, problems):
@@ -329,28 +291,6 @@ def check_serve_report(doc, _version, problems):
                 f"{len(requests)}")
 
 
-def check_tune_cache(doc, version, problems):
-    entries = doc.get("entries")
-    if not isinstance(entries, list):
-        problems.append("missing \"entries\" array")
-        return
-    for i, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            problems.append(f"entries[{i}]: not an object")
-            continue
-        if version >= 2:
-            kind = entry.get("route_kind")
-            if kind not in ("", "global", "tiles"):
-                problems.append(
-                    f"entries[{i}]: route_kind {kind!r} is not one of "
-                    "\"\", \"global\", \"tiles\" (required by "
-                    "hymm-tune-cache/2)")
-            if not isinstance(entry.get("tile"), (int, float)):
-                problems.append(
-                    f"entries[{i}]: \"tile\" is not a number (required "
-                    "by hymm-tune-cache/2)")
-
-
 def check_file(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -363,12 +303,10 @@ def check_file(path):
         return 1
     schema = doc.get("schema")
     problems = []
-    if schema in RUN_REPORT_SCHEMAS:
-        check_run_report(doc, RUN_REPORT_SCHEMAS[schema], problems)
+    if schema == RUN_REPORT_SCHEMA:
+        check_run_report(doc, problems)
     elif schema in BENCH_SCHEMAS:
         check_bench(doc, BENCH_SCHEMAS[schema], problems)
-    elif schema in TUNE_CACHE_SCHEMAS:
-        check_tune_cache(doc, TUNE_CACHE_SCHEMAS[schema], problems)
     elif schema in SERVE_REPORT_SCHEMAS:
         check_serve_report(doc, SERVE_REPORT_SCHEMAS[schema], problems)
     else:

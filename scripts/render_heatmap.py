@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Render the "spatial" tile heatmap of a hymm-run-report/6+ report.
+"""Render the "spatial" tile heatmap of a hymm-run-report/9 report.
 
 Usage:
     render_heatmap.py REPORT [--abbrev CR] [--flow HyMM] [--result N]
@@ -17,12 +17,7 @@ object), sums the chosen per-tile metric across the hybrid regions
     yellow -> white), one pixel per tile; convertible with any image
     tool (e.g. ImageMagick) and viewable directly in most viewers.
 
-Metrics: nnz, macs, dmb_hits, dmb_misses, dram_bytes, cycles — plus
-route, which renders the per-tile routing map of a hymm-run-report/8
-"route" object ('O' = OP tile, '.' = RWP; orange/blue in PPM mode)
-with the router's predicted global-vs-tiled cycles in the header.
-The routing grid and the spatial grid share tile coordinates, so a
---metric=route map overlays any spatial metric of the same run.
+Metrics: nnz, macs, dmb_hits, dmb_misses, dram_bytes, cycles.
 --log applies log1p scaling before normalization, which makes
 power-law tile distributions (the common case for degree-sorted
 adjacency) readable.
@@ -32,7 +27,7 @@ that is the degree-sorted order, so row/column 0 holds the
 highest-degree vertices (docs/schemas.md documents the caveat).
 
 Exit status: 0 on success, 1 when the report has no matching result
-or no spatial/route data, 2 on usage errors.
+or no spatial data, 2 on usage errors.
 """
 
 import argparse
@@ -40,11 +35,8 @@ import json
 import math
 import sys
 
-SPATIAL_METRICS = ("nnz", "macs", "dmb_hits", "dmb_misses", "dram_bytes",
-                   "cycles")
-METRICS = SPATIAL_METRICS + ("route",)
-SUPPORTED_SCHEMAS = ("hymm-run-report/6", "hymm-run-report/7",
-                     "hymm-run-report/8")
+METRICS = ("nnz", "macs", "dmb_hits", "dmb_misses", "dram_bytes", "cycles")
+SUPPORTED_SCHEMA = "hymm-run-report/9"
 ASCII_RAMP = " .:-=+*#%@"
 
 
@@ -138,52 +130,11 @@ def render_ppm(rows, cols, normalized, path):
         fail(f"cannot write {path}: {err}")
 
 
-def render_route(result, args):
-    route = result.get("route")
-    if not route:
-        fail(f"result {result.get('abbrev')}/{result.get('flow')} carries "
-             f"no route data (run with --route=tiles)")
-    rows = int(route.get("grid_rows", 0))
-    cols = int(route.get("grid_cols", 0))
-    flows = route.get("tile_flows", [])
-    if rows == 0 or cols == 0 or len(flows) != rows * cols:
-        fail("route object has inconsistent grid geometry")
-    kind = "degenerate (= global split)" if route.get("degenerate") \
-        else "per-tile"
-    print(f"# {result.get('abbrev')}/{result.get('flow')} — routing map "
-          f"({route.get('mode')}, {kind}), {rows}x{cols} grid, tile "
-          f"{route.get('tile')} nodes, op_rows {route.get('op_rows')}, "
-          f"predicted cycles global {route.get('predicted_global_cycles')} "
-          f"vs tiled {route.get('predicted_tiled_cycles')}",
-          file=sys.stderr)
-    for r in range(rows):
-        line = ("O" if flows[r * cols + c] == 0 else "."
-                for c in range(cols))
-        sys.stdout.write("".join(line) + "\n")
-    if args.ppm:
-        # OP = orange, RWP = blue; one pixel per tile like the heatmap.
-        lines = [f"P3\n{cols} {rows}\n255\n"]
-        for r in range(rows):
-            row = []
-            for c in range(cols):
-                rgb = (255, 140, 0) if flows[r * cols + c] == 0 \
-                    else (0, 90, 255)
-                row.extend(str(x) for x in rgb)
-            lines.append(" ".join(row) + "\n")
-        try:
-            with open(args.ppm, "w", encoding="utf-8") as f:
-                f.writelines(lines)
-        except OSError as err:
-            fail(f"cannot write {args.ppm}: {err}")
-        print(f"# wrote {args.ppm}", file=sys.stderr)
-    return 0
-
-
 def main(argv):
     parser = argparse.ArgumentParser(
         prog="render_heatmap.py", add_help=True,
-        description="Render the spatial tile heatmap (or per-tile "
-                    "routing map) of a hymm-run-report/6+ report.")
+        description="Render the spatial tile heatmap of a "
+                    "hymm-run-report/9 report.")
     parser.add_argument("report")
     parser.add_argument("--abbrev")
     parser.add_argument("--flow")
@@ -201,17 +152,12 @@ def main(argv):
         fail(f"cannot read {args.report}: {err}")
 
     schema = doc.get("schema", "")
-    if schema not in SUPPORTED_SCHEMAS:
-        fail(f"{args.report} has schema {schema!r}; heatmaps need one of "
-             f"{', '.join(SUPPORTED_SCHEMAS)}")
-    if args.metric == "route" and schema != "hymm-run-report/8":
-        fail(f"--metric=route needs hymm-run-report/8 (got {schema!r})")
+    if schema != SUPPORTED_SCHEMA:
+        fail(f"{args.report} has schema {schema!r}; heatmaps need "
+             f"{SUPPORTED_SCHEMA}")
 
-    key = "route" if args.metric == "route" else "spatial"
     result = select_result(doc.get("results", []), args.abbrev, args.flow,
-                           args.result, key)
-    if args.metric == "route":
-        return render_route(result, args)
+                           args.result, "spatial")
     spatial = result.get("spatial")
     if not spatial:
         fail(f"result {result.get('abbrev')}/{result.get('flow')} carries "

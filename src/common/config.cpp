@@ -24,7 +24,6 @@ std::string to_string(EvictionPolicy policy) {
 std::string to_string(AutotuneMode mode) {
   switch (mode) {
     case AutotuneMode::kOff: return "off";
-    case AutotuneMode::kAnalytic: return "analytic";
     case AutotuneMode::kMeasured: return "measured";
   }
   return "?";
@@ -32,26 +31,7 @@ std::string to_string(AutotuneMode mode) {
 
 std::optional<AutotuneMode> parse_autotune_mode(std::string_view text) {
   if (text == "off") return AutotuneMode::kOff;
-  if (text == "analytic") return AutotuneMode::kAnalytic;
   if (text == "measured") return AutotuneMode::kMeasured;
-  return std::nullopt;
-}
-
-std::string to_string(RouteMode mode) {
-  switch (mode) {
-    case RouteMode::kGlobal: return "global";
-    case RouteMode::kTilesAnalytic: return "tiles:analytic";
-    case RouteMode::kTilesMeasured: return "tiles:measured";
-  }
-  return "?";
-}
-
-std::optional<RouteMode> parse_route_mode(std::string_view text) {
-  if (text == "global") return RouteMode::kGlobal;
-  if (text == "tiles" || text == "tiles:analytic") {
-    return RouteMode::kTilesAnalytic;
-  }
-  if (text == "tiles:measured") return RouteMode::kTilesMeasured;
   return std::nullopt;
 }
 

@@ -33,32 +33,14 @@ std::string to_string(EvictionPolicy policy);
 // the mode without depending on the tuner library.
 enum class AutotuneMode {
   kOff,       // fixed config.tiling_threshold (paper default: 20 %)
-  kAnalytic,  // cost-model argmin over the canonical candidate list
   kMeasured,  // simulate every candidate, pick the cycle-minimal one
 };
 
 std::string to_string(AutotuneMode mode);
 
-// Parses "off" / "analytic" / "measured" (the --autotune= /
-// HYMM_AUTOTUNE values); nullopt for anything else.
+// Parses "off" / "measured" (the --autotune= / HYMM_AUTOTUNE values);
+// nullopt for anything else.
 std::optional<AutotuneMode> parse_autotune_mode(std::string_view text);
-
-// How a driver picks the hybrid's adjacency split (src/tune/
-// router.hpp). Like AutotuneMode, the enum lives here so option
-// parsing in hymm_sweep can carry the mode without depending on the
-// router library.
-enum class RouteMode {
-  kGlobal,         // the paper's global 3-region split (default)
-  kTilesAnalytic,  // per-tile map from the cost model; no simulation
-  kTilesMeasured,  // per-tile map only if it wins a measured head-to-head
-};
-
-std::string to_string(RouteMode mode);
-
-// Parses "global" / "tiles" / "tiles:analytic" / "tiles:measured"
-// (the --route= / HYMM_ROUTE values; bare "tiles" means
-// "tiles:analytic"); nullopt for anything else.
-std::optional<RouteMode> parse_route_mode(std::string_view text);
 
 // All microarchitectural parameters of the simulated accelerator.
 // Defaults reproduce Table III and Section IV of the paper.

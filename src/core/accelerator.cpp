@@ -124,18 +124,10 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   const CsrMatrix* a_used = &a_hat;
   const CsrMatrix* x_used = &x;
   TiledAdjacency tiled;
-  RoutedAdjacency routed;
-  // Splits the sorted adjacency either by the request's per-tile
-  // routing map or by the global 3-region partition; fills
-  // result.partition with the effective boundaries either way.
+  // Splits the sorted adjacency by the global 3-region partition.
   const auto build_split = [&](const CsrMatrix& sorted) {
-    if (request.route != nullptr) {
-      routed = build_routed_adjacency(sorted, *request.route);
-      result.partition = routed.partition;
-    } else {
-      result.partition = partition_regions(sorted, config_, chunks);
-      tiled = TiledAdjacency::build(sorted, result.partition);
-    }
+    result.partition = partition_regions(sorted, config_, chunks);
+    tiled = TiledAdjacency::build(sorted, result.partition);
   };
   if (hybrid) {
     if (request.sort != nullptr) {
@@ -308,11 +300,7 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
     }
     case Dataflow::kHybrid: {
       HybridAggregationParams params;
-      if (request.route != nullptr) {
-        params.routed = &routed;
-      } else {
-        params.tiled = &tiled;
-      }
+      params.tiled = &tiled;
       params.b = &xw;
       params.b_region = xw_region;
       params.b_class = TrafficClass::kCombined;

@@ -100,13 +100,6 @@ struct LayerRunRequest {
   const DegreeSortResult* sort = nullptr;  ///< optional precomputed sort
   const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
 
-  /// Optional per-tile routing map (core/routing.hpp), hybrid flow
-  /// only: the aggregation phase splits the sorted adjacency by the
-  /// map instead of the global partition_regions boundary. The map
-  /// must cover this workload's node count (in degree-sorted
-  /// coordinates). Ignored for the homogeneous dataflows.
-  const TileRoutingMap* route = nullptr;
-
   /// Optional combination-phase sharing; see CombinationShare.
   CombinationShare share;
 };

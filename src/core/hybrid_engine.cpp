@@ -7,20 +7,11 @@ namespace hymm {
 
 HybridAggregationInfo run_hybrid_aggregation(
     MemorySystem& ms, const HybridAggregationParams& params) {
-  HYMM_CHECK((params.tiled != nullptr) != (params.routed != nullptr));
+  HYMM_CHECK(params.tiled != nullptr);
   HYMM_CHECK(params.b != nullptr && params.c != nullptr);
-  const RegionPartition& partition = params.routed != nullptr
-                                         ? params.routed->partition
-                                         : params.tiled->partition();
-  const CscMatrix& op_csc = params.routed != nullptr
-                                ? params.routed->op_csc
-                                : params.tiled->region1_csc();
-  const CsrMatrix& rwp_csr = params.routed != nullptr
-                                 ? params.routed->rwp_csr
-                                 : params.tiled->region23_csr();
-  const NodeId rwp_row_offset = params.routed != nullptr
-                                    ? params.routed->rwp_row_offset
-                                    : partition.region1_rows;
+  const RegionPartition& partition = params.tiled->partition();
+  const CscMatrix& op_csc = params.tiled->region1_csc();
+  const CsrMatrix& rwp_csr = params.tiled->region23_csr();
   HYMM_CHECK(params.c->rows() == partition.nodes);
 
   HybridAggregationInfo info;
@@ -85,7 +76,7 @@ HybridAggregationInfo run_hybrid_aggregation(
     rwp.c_region = params.c_region;
     rwp.c_class = TrafficClass::kOutput;
     rwp.c_store_kind = StoreKind::kThrough;
-    rwp.row_offset = rwp_row_offset;
+    rwp.row_offset = partition.region1_rows;
     rwp.region2_col_boundary = partition.region2_cols;
     rwp.window = ms.config().engine_window;
     // Spatial attribution follows the exact per-MAC region decision,

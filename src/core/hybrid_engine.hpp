@@ -9,7 +9,6 @@
 
 #include "core/engine.hpp"
 #include "core/op_engine.hpp"
-#include "core/routing.hpp"
 #include "core/rwp_engine.hpp"
 #include "graph/partition.hpp"
 #include "linalg/dense.hpp"
@@ -20,13 +19,6 @@ namespace hymm {
 struct HybridAggregationParams {
   /// Paper-style global 3-region split (graph/partition.hpp).
   const TiledAdjacency* tiled = nullptr;
-
-  /// Per-tile routed split (core/routing.hpp): the generalized form of
-  /// `tiled`. Exactly one of the two must be set; with `routed` the
-  /// engine takes its partition, OP block, RWP block and RWP row
-  /// rebasing from the routing map's split. A degenerate routed split
-  /// simulates bit-identically to the equivalent `tiled` one.
-  const RoutedAdjacency* routed = nullptr;
 
   const DenseMatrix* b = nullptr;  ///< XW, row-per-node
   AddressRegion b_region;          ///< address range backing `b`

@@ -201,23 +201,19 @@ void write_stats_json(JsonWriter& w, const SimStats& s) {
   w.end_object();
 }
 
-// Schema /4: how the tiling threshold was chosen (docs/tuning.md).
-// Only emitted when a tuner actually ran (tune.enabled).
+// How the measured search chose the tiling threshold (docs/tuning.md).
+// Only emitted when the tuner actually ran (tune.enabled).
 void write_tune_json(JsonWriter& w, const TuneInfo& t) {
   w.begin_object();
-  w.field("mode", t.mode);
   w.field("fixed_threshold", t.fixed_threshold);
   w.field("threshold", t.threshold);
-  w.field("cache_hit", t.cache_hit);
   w.field("simulations", t.simulations);
-  w.field("graph_fingerprint", t.graph_fingerprint);
   w.field("config_hash", t.config_hash);
   w.key("candidates");
   w.begin_array();
   for (const TuneCandidateInfo& c : t.candidates) {
     w.begin_object();
     w.field("threshold", c.threshold);
-    w.field("model_cycles", c.model_cycles);
     w.field("measured_cycles", c.measured_cycles);
     w.end_object();
   }
@@ -402,46 +398,6 @@ void write_checkpoint_json(JsonWriter& w, const LayerCheckpointInfo& c) {
   w.end_object();
 }
 
-// Schema /8: the per-tile routing annotation (core/routing.hpp,
-// docs/routing.md). Only emitted when a TileRouter actually ran
-// (route.enabled); renders with
-// `scripts/render_heatmap.py --metric=route`.
-void write_route_json(JsonWriter& w, const RouteInfo& r) {
-  w.begin_object();
-  w.field("mode", r.mode);
-  w.field("degenerate", r.degenerate);
-  w.field("cache_hit", r.cache_hit);
-  w.field("simulations", r.simulations);
-  w.field("global_threshold", r.global_threshold);
-  w.field("predicted_global_cycles", r.predicted_global_cycles);
-  w.field("predicted_tiled_cycles", r.predicted_tiled_cycles);
-  w.field("nodes", std::uint64_t{r.nodes});
-  w.field("tile", std::uint64_t{r.tile});
-  w.field("grid_rows", static_cast<std::uint64_t>(r.grid_rows));
-  w.field("grid_cols", static_cast<std::uint64_t>(r.grid_cols));
-  w.field("op_rows", std::uint64_t{r.op_rows});
-  w.field("region2_cols", std::uint64_t{r.region2_cols});
-  w.key("tile_flows");
-  w.begin_array();
-  for (const std::uint8_t f : r.tile_flows) w.value(std::uint64_t{f});
-  w.end_array();
-  if (!r.tile_predicted_cycles.empty()) {
-    w.key("tile_predicted_cycles");
-    w.begin_array();
-    for (const double c : r.tile_predicted_cycles) w.value(c);
-    w.end_array();
-  }
-  if (!r.tile_nnz.empty()) {
-    w.key("tile_nnz");
-    w.begin_array();
-    for (const std::uint64_t n : r.tile_nnz) w.value(n);
-    w.end_array();
-  }
-  w.field("graph_fingerprint", r.graph_fingerprint);
-  w.field("config_hash", r.config_hash);
-  w.end_object();
-}
-
 void write_partition_json(JsonWriter& w, const RegionPartition& p) {
   w.begin_object();
   w.field("nodes", std::uint64_t{p.nodes});
@@ -495,10 +451,6 @@ void write_results_json(std::span<const ExperimentResult> results,
     if (r.tune.enabled) {
       w.key("tune");
       write_tune_json(w, r.tune);
-    }
-    if (r.route.enabled) {
-      w.key("route");
-      write_route_json(w, r.route);
     }
     w.key("stats");
     write_stats_json(w, r.stats);

@@ -41,14 +41,13 @@ std::string csv_quote(const std::string& field);
 void write_results_csv(std::span<const ExperimentResult> results,
                        std::ostream& out);
 
-/// JSON run report (schema "hymm-run-report/8"; spec in
+/// JSON run report (schema "hymm-run-report/9"; spec in
 /// docs/schemas.md): one object per result carrying the full SimStats
 /// counter set (whole layer plus the combination/aggregation phase
 /// deltas and, for hybrid runs, the per-region breakdown), each with
 /// its stall-cycle breakdown and bottleneck verdict, plus the
 /// partition, the verification verdict, — when a result was
-/// auto-tuned — the tuner decision under "tune", — when a tiles
-/// --route mode ran — the routing attribution under "route", — when
+/// auto-tuned — the tuner decision under "tune", — when
 /// an observer was attached — the latency-histogram summary under
 /// "histograms" and the windowed telemetry under "timeseries", and
 /// — with --spatial — the tile heatmap and per-PE counters under

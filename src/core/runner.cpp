@@ -74,8 +74,6 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   layer_request.observer = request.observer;
   layer_request.sort = request.sort;
   layer_request.sorted_features = request.sorted_features;
-  layer_request.route =
-      request.flow == Dataflow::kHybrid ? request.route : nullptr;
   layer_request.share = request.share;
   const Accelerator accelerator(request.config);
   const Timer sim_timer;

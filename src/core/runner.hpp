@@ -24,62 +24,21 @@ namespace hymm {
 /// One evaluated tuner candidate, as recorded in the run report.
 struct TuneCandidateInfo {
   double threshold = 0.0;        ///< candidate tiling threshold
-  double model_cycles = 0.0;     ///< analytic cost-model estimate
-  double measured_cycles = 0.0;  ///< simulated cycles; 0 if not simulated
+  double measured_cycles = 0.0;  ///< simulated cycles
 };
 
 /// Driver-level annotation describing how a result's tiling threshold
 /// was chosen (src/tune/). Plain data: core does not depend on the
 /// tuner library — drivers that ran the tuner attach the decision to
-/// their hybrid results, and the JSON run report (hymm-run-report/4)
-/// serializes it under "tune".
+/// their hybrid results, and the JSON run report serializes it under
+/// "tune".
 struct TuneInfo {
   bool enabled = false;          ///< false = fixed config threshold
-  std::string mode;              ///< "analytic" | "measured"
   double fixed_threshold = 0.0;  ///< baseline before tuning
   double threshold = 0.0;        ///< threshold actually simulated
-  bool cache_hit = false;        ///< decision served from the tune cache
   std::uint64_t simulations = 0; ///< candidate simulations this run paid
-  std::string graph_fingerprint; ///< hex digest of the tuned workload
   std::string config_hash;       ///< hex digest of the timing config
-  std::vector<TuneCandidateInfo> candidates;  ///< search detail (empty on hits)
-};
-
-/// Driver-level annotation describing how a hybrid result's per-tile
-/// routing map was chosen (src/tune/router.hpp). Plain data, like
-/// TuneInfo: core does not depend on the router library — drivers
-/// that ran the TileRouter attach the decision (and a copy of the
-/// map) to their hybrid results, and the JSON run report
-/// (hymm-run-report/8) serializes it under "route".
-struct RouteInfo {
-  bool enabled = false;     ///< false = global 3-region split, no map
-  std::string mode;         ///< "analytic" | "measured"
-  /// True when the router fell back to the degenerate map (the global
-  /// split won); the run is then bit-identical to --route=global.
-  bool degenerate = true;
-  bool cache_hit = false;   ///< decision served from the tune cache
-  std::uint64_t simulations = 0;  ///< candidate simulations this run paid
-  double global_threshold = 0.0;  ///< tiling threshold the map was built on
-  double predicted_global_cycles = 0.0;  ///< cost model, degenerate map
-  double predicted_tiled_cycles = 0.0;   ///< cost model, chosen map
-  NodeId nodes = 0;          ///< adjacency dimension the map covers
-  NodeId tile = 0;           ///< tile edge in nodes
-  std::size_t grid_rows = 0; ///< routing grid rows (== cols)
-  std::size_t grid_cols = 0; ///< routing grid cols
-  NodeId op_rows = 0;        ///< pinned-output prefix of the map
-  NodeId region2_cols = 0;   ///< RWP hot-column boundary of the map
-  /// Per-tile chosen flow, row-major (0 = OP, 1 = RWP), for the
-  /// report's routing-map attribution and render_heatmap
-  /// --metric=route.
-  std::vector<std::uint8_t> tile_flows;
-  /// Cost-model cycle prediction per tile (row-major; empty when the
-  /// map skipped the cost model). Compared against the actual spatial
-  /// per-tile cycles when --spatial is on.
-  std::vector<double> tile_predicted_cycles;
-  /// Adjacency nonzeros per tile (row-major; empty when unknown).
-  std::vector<std::uint64_t> tile_nnz;
-  std::string graph_fingerprint; ///< hex digest of the routed workload
-  std::string config_hash;       ///< hex digest of the timing config
+  std::vector<TuneCandidateInfo> candidates;  ///< search detail
 };
 
 /// Distilled metrics of one simulated (dataset, dataflow, config)
@@ -140,16 +99,10 @@ struct ExperimentResult {
   /// run_experiment itself.
   TuneInfo tune;
 
-  /// How the per-tile routing map was chosen (route.enabled=false
-  /// means the global 3-region split ran). Filled by drivers that ran
-  /// the TileRouter, not by run_experiment itself. Serialized as the
-  /// "route" object of hymm-run-report/8.
-  RouteInfo route;
-
   /// Combination-phase sharing within the cell's sweep
   /// (sim/checkpoint.hpp); all-false unless the request carried a
   /// CombinationShare. Serialized as the "checkpoint" object of
-  /// hymm-run-report/8.
+  /// hymm-run-report/9.
   LayerCheckpointInfo checkpoint;
 
   /// Sampled-mode annotation (core/sampling.hpp): enabled=false on
@@ -158,7 +111,7 @@ struct ExperimentResult {
   /// here, `verified` is always false (band runs produce no
   /// functional output), and the run report labels the result
   /// `"sampled": true`. Serialized as the "sample" object of
-  /// hymm-run-report/8.
+  /// hymm-run-report/9.
   SampleInfo sample;
 
   /// Per-run latency/duration histograms (obs/histogram.hpp), taken
@@ -176,7 +129,7 @@ struct ExperimentResult {
   /// counters and the per-tile heatmap over the adjacency. Empty
   /// unless the observer was built with ObserverOptions::spatial (the
   /// --spatial / HYMM_SPATIAL knob). Serialized as the "spatial"
-  /// object of hymm-run-report/8; conservation against `stats` is
+  /// object of hymm-run-report/9; conservation against `stats` is
   /// DCHECKed when taken.
   SpatialData spatial;
 
@@ -203,13 +156,6 @@ struct ExperimentRequest {
   Observer* observer = nullptr;            ///< optional; never affects timing
   const DegreeSortResult* sort = nullptr;  ///< optional precomputed sort
   const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
-  /// Optional per-tile routing map (core/routing.hpp), hybrid flow
-  /// only: forwarded to LayerRunRequest::route. The map lives in
-  /// degree-sorted coordinates and must cover the workload's node
-  /// count. On sampled runs (`sample` > 0) the map is ignored — band
-  /// extrapolation samples the global split — and the result's
-  /// route annotation stays disabled.
-  const TileRoutingMap* route = nullptr;
   /// Optional combination-phase sharing (CombinationShare), forwarded
   /// to LayerRunRequest::share. Ignored when `observer` is set.
   CombinationShare share;

@@ -96,7 +96,7 @@ struct PhaseSampleEstimate {
 };
 
 /// The sampled-run annotation carried by ExperimentResult and
-/// serialized as the "sample" object of hymm-run-report/8.
+/// serialized as the "sample" object of hymm-run-report/9.
 struct SampleInfo {
   bool enabled = false;   ///< true on sampled runs
   double fraction = 0.0;  ///< requested band fraction

@@ -87,16 +87,4 @@ std::string fingerprint_hex(std::uint64_t digest) {
   return buf;
 }
 
-std::optional<std::uint64_t> parse_fingerprint_hex(std::string_view text) {
-  if (text.size() != 18 || text.substr(0, 2) != "0x") return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : text.substr(2)) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return std::nullopt;
-  }
-  return v;
-}
-
 }  // namespace hymm

@@ -1,17 +1,16 @@
 /// @file
-/// Stable fingerprints for the tuning cache (docs/schemas.md,
-/// `hymm-tune-cache/2`). A cached threshold is only valid for the
-/// exact sparse structure it was tuned on and for the exact timing
-/// model it was measured under, so cache keys pair a graph
-/// fingerprint with a config hash. Both are plain FNV/splitmix-style
-/// 64-bit digests: stable across processes and platforms (they hash
-/// the logical contents, never pointers or iteration order), and
-/// cheap relative to even one candidate simulation.
+/// Stable content digests. The sweep executor and the combination
+/// checkpoint key (core/accelerator.hpp) pair a graph fingerprint
+/// with a config hash to decide when two cells share work, and the
+/// run report's "tune" object names the timing config by its hash.
+/// Both are plain FNV/splitmix-style 64-bit digests: stable across
+/// processes and platforms (they hash the logical contents, never
+/// pointers or iteration order), and cheap relative to even one
+/// simulation.
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 
 #include "common/config.hpp"
 #include "graph/csr.hpp"
@@ -26,12 +25,11 @@ namespace hymm {
 std::uint64_t graph_fingerprint(const CsrMatrix& matrix);
 
 /// Digest of every AcceleratorConfig field that can change simulated
-/// cycle counts, EXCEPT `tiling_threshold` — the threshold is the
-/// *output* of tuning, so including it would make every cached
-/// decision key on itself and never hit. Observability knobs
+/// cycle counts, EXCEPT `tiling_threshold` — the threshold only splits
+/// the aggregation phase, so cells that differ in it alone still share
+/// their combination phase. Observability knobs
 /// (trace_path/json_path/obs_sample_interval) are excluded too: they
-/// never affect timing, and a run that merely turns tracing on must
-/// still reuse the cached threshold.
+/// never affect timing.
 std::uint64_t tuning_config_hash(const AcceleratorConfig& config);
 
 /// Combines two digests (e.g. a graph fingerprint with a weights-shape
@@ -39,11 +37,7 @@ std::uint64_t tuning_config_hash(const AcceleratorConfig& config);
 std::uint64_t fingerprint_combine(std::uint64_t a, std::uint64_t b);
 
 /// Formats a digest as "0x%016x". JSON numbers are doubles (53-bit
-/// integer range), so 64-bit digests are persisted as hex strings.
+/// integer range), so 64-bit digests are written as hex strings.
 std::string fingerprint_hex(std::uint64_t digest);
-
-/// Parses the fingerprint_hex format back ("0x" prefix required);
-/// nullopt on malformed input.
-std::optional<std::uint64_t> parse_fingerprint_hex(std::string_view text);
 
 }  // namespace hymm

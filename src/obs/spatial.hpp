@@ -86,15 +86,12 @@ ImbalanceStats compute_imbalance(std::span<const std::uint64_t> values);
 /// Tile edge (in nodes) the spatial grid uses for an `nodes` x `nodes`
 /// adjacency: the explicit override when >= 2, else ~nodes/32
 /// (SpatialTracker::kAutoGridSide), always raised until the grid fits
-/// kMaxGridSide per side. The per-tile dataflow router
-/// (src/core/routing.hpp) sizes its routing grid with the same
-/// function so routing maps and spatial heatmaps share tile
-/// coordinates.
+/// kMaxGridSide per side.
 NodeId spatial_tile_edge(NodeId nodes, NodeId tile_override);
 
 /// One run's spatial attribution, handed from the Observer's tracker
 /// to ExperimentResult::spatial and serialized as the "spatial" object
-/// of hymm-run-report/8 (docs/schemas.md).
+/// of hymm-run-report/9 (docs/schemas.md).
 struct SpatialData {
   NodeId nodes = 0;          ///< adjacency dimension the grid covers
   NodeId tile = 0;           ///< tile edge in nodes (rows == cols)

@@ -17,7 +17,7 @@
 // serialize -> restore -> re-serialize round trip, and locked by
 // tests/test_checkpoint.cpp and tests/test_sweep.cpp).
 //
-// Keys reuse the tune-cache fingerprint scheme (graph/fingerprint.hpp):
+// Keys use the content fingerprints of graph/fingerprint.hpp:
 // `workload` digests the streamed feature matrix, the weight values
 // and the combination engine kind; `config` is tuning_config_hash,
 // which deliberately excludes the tiling threshold — the threshold

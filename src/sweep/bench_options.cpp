@@ -49,17 +49,7 @@ AutotuneMode parse_autotune(const std::string& source,
   const std::optional<AutotuneMode> mode = parse_autotune_mode(value);
   if (!mode) {
     throw UsageError("invalid value '" + value + "' for " + source +
-                     " (expected off, analytic or measured)");
-  }
-  return *mode;
-}
-
-RouteMode parse_route(const std::string& source, const std::string& value) {
-  const std::optional<RouteMode> mode = parse_route_mode(value);
-  if (!mode) {
-    throw UsageError("invalid value '" + value + "' for " + source +
-                     " (expected global, tiles, tiles:analytic or "
-                     "tiles:measured)");
+                     " (expected off or measured)");
   }
   return *mode;
 }
@@ -136,10 +126,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
   if (const char* v = env("HYMM_AUTOTUNE")) {
     options.autotune = parse_autotune("HYMM_AUTOTUNE", v);
   }
-  if (const char* v = env("HYMM_ROUTE")) {
-    options.route = parse_route("HYMM_ROUTE", v);
-  }
-  if (const char* v = env("HYMM_TUNE_CACHE")) options.tune_cache = v;
   if (const char* v = env("HYMM_ARRIVAL_RATE")) {
     options.arrival_rate = parse_arrival_rate("HYMM_ARRIVAL_RATE", v);
   }
@@ -206,13 +192,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // search (never consumes the following argument).
       options.autotune = parse_autotune(
           "--autotune", inline_value ? *inline_value : "measured");
-    } else if (arg == "--route") {
-      // Value optional: bare --route means tiles:analytic (never
-      // consumes the following argument).
-      options.route =
-          parse_route("--route", inline_value ? *inline_value : "tiles");
-    } else if (arg == "--tune-cache") {
-      options.tune_cache = next();
     } else if (arg == "--arrival-rate") {
       options.arrival_rate = parse_arrival_rate("--arrival-rate", next());
     } else if (arg == "--requests") {
@@ -242,13 +221,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
     }
   }
 
-  if (options.route != RouteMode::kGlobal &&
-      options.autotune != AutotuneMode::kOff) {
-    throw UsageError(
-        "--route=" + to_string(options.route) + " conflicts with --autotune=" +
-        to_string(options.autotune) +
-        " (the tile router tunes the global threshold itself; drop one)");
-  }
   options.datasets_explicit = !options.datasets.empty();
   if (options.datasets.empty()) options.datasets = paper_datasets();
   return options;

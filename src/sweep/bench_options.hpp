@@ -19,18 +19,9 @@
 ///                                          edge; "0" = off)
 ///   HYMM_THREADS        --threads=N        sweep workers (0 = auto)
 ///                       --seed=N           workload seed (default 42)
-///   HYMM_AUTOTUNE       --autotune[=MODE]  partition auto-tuner mode:
-///                                          off|analytic|measured (bare
-///                                          --autotune = measured);
-///                                          mutually exclusive with a
-///                                          tiles --route mode
-///   HYMM_ROUTE          --route[=MODE]     per-tile dataflow routing:
-///                                          global|tiles|tiles:analytic|
-///                                          tiles:measured (bare --route
-///                                          and "tiles" = tiles:analytic)
-///   HYMM_TUNE_CACHE     --tune-cache=FILE  hymm-tune-cache/2 file the
-///                                          tuner and tile router persist
-///                                          decisions in
+///   HYMM_AUTOTUNE       --autotune[=MODE]  measured threshold search:
+///                                          off|measured (bare
+///                                          --autotune = measured)
 ///   HYMM_ARRIVAL_RATE   --arrival-rate=R   serving: open-loop Poisson
 ///                                          arrival rate in requests per
 ///                                          second of modeled time
@@ -89,19 +80,9 @@ struct BenchOptions {
   std::uint64_t spatial_tile = 0;
   unsigned threads = 0;               ///< 0 = HYMM_THREADS/auto
   std::uint64_t seed = 42;
-  /// Partition auto-tuner (src/tune/): how hybrid cells pick their
-  /// tiling threshold. kOff keeps the config's fixed value. A
-  /// non-kOff mode combined with a tiles route mode is a UsageError:
-  /// the router tunes the global threshold itself, so the combination
-  /// would be ambiguous.
+  /// Measured threshold search (src/tune/): how hybrid cells pick
+  /// their tiling threshold. kOff keeps the config's fixed value.
   AutotuneMode autotune = AutotuneMode::kOff;
-  /// Per-tile dataflow routing (src/tune/router.hpp): how hybrid
-  /// cells split the adjacency. kGlobal keeps the paper's 3-region
-  /// partition; the tiles modes build a TileRoutingMap per workload.
-  RouteMode route = RouteMode::kGlobal;
-  /// Tune-cache file (hymm-tune-cache/2); empty = in-memory only.
-  /// Shared by the threshold tuner and the tile router.
-  std::string tune_cache;
 
   // --- Serving knobs (src/serve/; consumed by serve_bench) ---
   /// Open-loop Poisson arrival rate in requests per second of modeled

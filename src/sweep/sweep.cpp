@@ -27,8 +27,6 @@ std::vector<SweepCell> SweepSpec::cells() const {
   HYMM_CHECK_MSG(!configs.empty(), "SweepSpec with no configs");
   HYMM_CHECK_MSG(!flows.empty(), "SweepSpec with no flows");
   HYMM_CHECK_MSG(dataset_count > 0, "SweepSpec with no workloads");
-  HYMM_CHECK_MSG(routes.empty() || routes.size() == configs.size(),
-                 "SweepSpec.routes must be empty or parallel to configs");
   const auto expand = [&](const DatasetSpec& spec, double effective_scale,
                           std::shared_ptr<const PreparedWorkload> prepared) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
@@ -42,7 +40,6 @@ std::vector<SweepCell> SweepSpec::cells() const {
         cell.config = configs[c];
         cell.flow = flow;
         cell.prepared = prepared;
-        if (!routes.empty()) cell.route = routes[c];
         cells.push_back(std::move(cell));
       }
     }
@@ -142,7 +139,7 @@ struct ReusePlan {
 // or the WorkloadCache key it is built under.
 using CombinationKey = std::tuple<std::string, Dataflow, std::uint64_t>;
 // A whole cell adds what only the hybrid's aggregation reads.
-using CellKey = std::tuple<CombinationKey, double, const TileRoutingMap*>;
+using CellKey = std::tuple<CombinationKey, double>;
 
 CombinationKey combination_key(const SweepCell& cell) {
   std::string workload =
@@ -163,8 +160,7 @@ ReusePlan plan_reuse(const std::vector<SweepCell>& cells) {
   for (const SweepCell& cell : cells) {
     CombinationKey combination = combination_key(cell);
     const bool hybrid = cell.flow == Dataflow::kHybrid;
-    CellKey key{combination, hybrid ? cell.config.tiling_threshold : 0.0,
-                hybrid ? cell.route.get() : nullptr};
+    CellKey key{combination, hybrid ? cell.config.tiling_threshold : 0.0};
     const auto [it, inserted] = first_cell.emplace(std::move(key), cell.index);
     if (!inserted) {
       plan.cells[cell.index] = {Role::kDuplicate, it->second, 0};
@@ -265,7 +261,6 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
     if (cell.flow == Dataflow::kHybrid) {
       request.sort = &prepared->sort();
       request.sorted_features = &prepared->sorted_features();
-      request.route = cell.route.get();
     }
     SweepCellResult& slot = run.cells[index];
     slot.cell = cell;

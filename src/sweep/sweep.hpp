@@ -10,8 +10,8 @@
 ///
 /// Reuse: a run without observers plans its grid before executing it
 /// and never simulates the same work twice. A cell whose key
-/// (workload, flow, tuning_config_hash, plus the tiling threshold and
-/// routing map for hybrid cells) repeats an earlier cell's is not
+/// (workload, flow, tuning_config_hash, plus the tiling threshold for
+/// hybrid cells) repeats an earlier cell's is not
 /// simulated: it gets a copy of that cell's result and records it in
 /// SweepCellResult::reused_from. Among the remaining cells, those
 /// sharing a combination phase (workload, flow, tuning_config_hash)
@@ -57,10 +57,6 @@ struct SweepCell {
   /// Pre-built workload (set when the spec came from
   /// SweepSpec::workloads); null cells build through the cache.
   std::shared_ptr<const PreparedWorkload> prepared;
-  /// Per-tile routing map for this cell's config
-  /// (SweepSpec::routes[config_index]); null = global split. Hybrid
-  /// cells forward it to ExperimentRequest::route.
-  std::shared_ptr<const TileRoutingMap> route;
 };
 
 /// The grid: datasets x configs x flows at one (scale, seed). The
@@ -75,12 +71,6 @@ struct SweepSpec {
   std::vector<Dataflow> flows = {Dataflow::kOuterProduct,
                                  Dataflow::kRowWiseProduct,
                                  Dataflow::kHybrid};
-  /// Per-config routing maps (core/routing.hpp), parallel to
-  /// `configs`: routes[i] is attached to every cell of configs[i]
-  /// (null entries and an empty vector mean the global split). This
-  /// is how the TileRouter's measured mode races a routed candidate
-  /// against the global one through the executor.
-  std::vector<std::shared_ptr<const TileRoutingMap>> routes;
   /// Scale applied to every dataset; nullopt selects each dataset's
   /// default_scale. Ignored for pre-built workloads.
   std::optional<double> scale;

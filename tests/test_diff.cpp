@@ -101,7 +101,7 @@ TEST(DiffNormalize, Bench1FallsBackToTotalPhase) {
 
 TEST(DiffNormalize, RunReportHybridRegionsReplaceAggregation) {
   const ReportSnapshot report = parse_snapshot(R"({
-    "schema": "hymm-run-report/5",
+    "schema": "hymm-run-report/9",
     "results": [
       {
         "abbrev": "CR", "flow": "HyMM", "cycles": 1000,
@@ -127,13 +127,13 @@ TEST(DiffNormalize, RunReportHybridRegionsReplaceAggregation) {
   EXPECT_DOUBLE_EQ(run.phases[1].cycles + run.phases[2].cycles, 600.0);
 }
 
-// A minimal hymm-run-report/6 report: one CR/HyMM run with a 2x2
+// A minimal hymm-run-report/9 report: one CR/HyMM run with a 2x2
 // spatial grid whose per-cell cycles the tests can vary.
 std::string report6_with_spatial(double cell0_cycles,
                                  double cell3_cycles = 100.0) {
   std::ostringstream oss;
   oss << R"({
-    "schema": "hymm-run-report/6",
+    "schema": "hymm-run-report/9",
     "results": [
       {
         "abbrev": "CR", "flow": "HyMM", "cycles": 1000,
@@ -180,7 +180,7 @@ TEST(DiffNormalize, RunReport6SpatialBecomesARegionSummedTileGrid) {
 
 TEST(DiffNormalize, RunReport5WithoutSpatialHasEmptyTiles) {
   const ReportSnapshot report = parse_snapshot(R"({
-    "schema": "hymm-run-report/5",
+    "schema": "hymm-run-report/9",
     "results": [
       { "abbrev": "CR", "flow": "RWP", "cycles": 500,
         "stats": { "stalls": { "compute": 500 } } }

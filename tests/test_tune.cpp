@@ -1,20 +1,15 @@
-// Tests for the partition auto-tuner (src/tune/): cost-model
-// monotonicity and clamp properties, fingerprint stability, tune-cache
-// round-trips with structural invalidation, the JSON value parser the
-// cache reads itself back with, and the measured tuner's contract —
-// never worse than the fixed baseline, cache-backed repeat runs skip
-// simulation entirely, and thread count never changes the decision.
-#include <cstdio>
-#include <fstream>
-#include <sstream>
+// Tests for the measured threshold search (src/tune/) — never worse
+// than the fixed baseline, and thread count never changes the
+// decision — plus the content fingerprints (graph/fingerprint) the
+// sweep executor keys shared work on and the JSON value parser
+// (obs/json) the diff tool reads reports with.
+#include <cstdlib>
 
 #include <gtest/gtest.h>
 
+#include "graph/fingerprint.hpp"
 #include "obs/json.hpp"
 #include "sweep/sweep.hpp"
-#include "tune/cost_model.hpp"
-#include "graph/fingerprint.hpp"
-#include "tune/tune_cache.hpp"
 #include "tune/tuner.hpp"
 
 namespace hymm {
@@ -23,10 +18,6 @@ namespace {
 std::shared_ptr<const PreparedWorkload> cora_workload(double scale = 0.5) {
   const DatasetSpec spec = *find_dataset("CR");
   return std::make_shared<PreparedWorkload>(spec, scale, 42);
-}
-
-std::string temp_path(const std::string& name) {
-  return testing::TempDir() + name;
 }
 
 // --- JSON parser (obs/json) --------------------------------------
@@ -102,11 +93,12 @@ TEST(Fingerprint, StableAndContentSensitive) {
                                     std::move(values));
   EXPECT_NE(fp1, graph_fingerprint(perturbed));
 
-  const std::uint64_t wf1 = workload_fingerprint(*w);
-  EXPECT_EQ(wf1, workload_fingerprint(*w));
+  // Another seed draws other features.
+  const std::uint64_t features = graph_fingerprint(w->workload().features);
+  EXPECT_EQ(features, graph_fingerprint(w->workload().features));
   const auto other_seed = std::make_shared<PreparedWorkload>(
       *find_dataset("CR"), 0.25, 43);
-  EXPECT_NE(wf1, workload_fingerprint(*other_seed));
+  EXPECT_NE(features, graph_fingerprint(other_seed->workload().features));
 }
 
 TEST(Fingerprint, ConfigHashIgnoresThresholdAndObservability) {
@@ -137,183 +129,12 @@ TEST(Fingerprint, HexRoundTrip) {
        {std::uint64_t{0}, std::uint64_t{0xdeadbeefcafef00dULL},
         ~std::uint64_t{0}}) {
     const std::string hex = fingerprint_hex(v);
-    EXPECT_EQ(hex.size(), 18u);
-    const auto parsed = parse_fingerprint_hex(hex);
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_EQ(*parsed, v);
+    ASSERT_EQ(hex.size(), 18u);
+    EXPECT_EQ(hex.substr(0, 2), "0x");
+    EXPECT_EQ(hex.find_first_not_of("0123456789abcdef", 2), std::string::npos)
+        << hex;
+    EXPECT_EQ(std::strtoull(hex.c_str(), nullptr, 16), v);
   }
-  EXPECT_FALSE(parse_fingerprint_hex("deadbeef").has_value());
-  EXPECT_FALSE(parse_fingerprint_hex("0x123").has_value());
-  EXPECT_FALSE(parse_fingerprint_hex("0x123456789abcdefg").has_value());
-}
-
-// --- Cost model ---------------------------------------------------
-
-TEST(CostModel, DenseRowLines) {
-  EXPECT_EQ(dense_row_lines(1), 1u);
-  EXPECT_EQ(dense_row_lines(16), 1u);
-  EXPECT_EQ(dense_row_lines(17), 2u);
-  EXPECT_EQ(dense_row_lines(64), 4u);
-}
-
-TEST(CostModel, MonotonicityOverThreshold) {
-  const auto w = cora_workload(0.5);
-  const AcceleratorConfig config;
-  const std::vector<CostEstimate> estimates = estimate_candidates(
-      w->sort().sorted, config, candidate_thresholds(), 16);
-  ASSERT_GE(estimates.size(), 3u);
-  for (std::size_t i = 1; i < estimates.size(); ++i) {
-    // Growing regions can only shrink the pessimistic region-3
-    // traffic and grow the OP region's.
-    EXPECT_LE(estimates[i].rwp_cold_bytes, estimates[i - 1].rwp_cold_bytes);
-    EXPECT_GE(estimates[i].op_bytes, estimates[i - 1].op_bytes);
-    // The MAC lower bound is threshold-independent.
-    EXPECT_DOUBLE_EQ(estimates[i].compute_cycles,
-                     estimates[0].compute_cycles);
-  }
-  for (const CostEstimate& e : estimates) {
-    EXPECT_GE(e.cycles, e.compute_cycles);
-    EXPECT_GE(e.dram_bytes,
-              e.op_bytes + e.rwp_hot_bytes + e.rwp_cold_bytes);
-  }
-  // Threshold 0 disables region 1 entirely.
-  EXPECT_EQ(estimates[0].partition.region1_rows, 0u);
-  EXPECT_DOUBLE_EQ(estimates[0].op_bytes, 0.0);
-}
-
-TEST(CostModel, ClampMakesLargeThresholdsEquivalent) {
-  const auto w = cora_workload(0.5);
-  AcceleratorConfig tiny;
-  tiny.dmb_bytes = 16 * 1024;  // 256 lines: clamps far below 50 % of n
-  const CostEstimate half = estimate_hybrid_cost(w->sort().sorted, tiny,
-                                                 0.5, 16);
-  const CostEstimate full = estimate_hybrid_cost(w->sort().sorted, tiny,
-                                                 1.0, 16);
-  // Both candidates hit the DMB clamp, so they describe the same
-  // partition and the same cost.
-  EXPECT_EQ(half.partition.region1_rows, full.partition.region1_rows);
-  EXPECT_EQ(half.partition.region2_cols, full.partition.region2_cols);
-  EXPECT_DOUBLE_EQ(half.cycles, full.cycles);
-
-  // And the clamp is the partition_regions clamp, bit for bit.
-  AcceleratorConfig at_half = tiny;
-  at_half.tiling_threshold = 0.5;
-  const RegionPartition direct =
-      partition_regions(w->sort().sorted, at_half, dense_row_lines(16));
-  EXPECT_EQ(half.partition.region1_rows, direct.region1_rows);
-  EXPECT_EQ(half.partition.region2_cols, direct.region2_cols);
-  EXPECT_EQ(half.partition.nnz_region3, direct.nnz_region3);
-}
-
-// --- Tune cache ---------------------------------------------------
-
-TuneCacheEntry sample_entry() {
-  TuneCacheEntry e;
-  e.graph_fingerprint = 0x1111222233334444ULL;
-  e.config_hash = 0x5555666677778888ULL;
-  e.mode = "measured";
-  e.threshold = 0.35;
-  e.cycles = 12345.0;
-  e.dataset = "CR";
-  return e;
-}
-
-TEST(TuneCache, FileRoundTrip) {
-  const std::string path = temp_path("tune_cache_roundtrip.json");
-  std::remove(path.c_str());
-  {
-    TuneCache cache(path);
-    cache.insert(sample_entry());
-    EXPECT_EQ(cache.size(), 1u);
-  }
-  // A fresh cache object reloads the persisted entry.
-  TuneCache reloaded(path);
-  EXPECT_EQ(reloaded.size(), 1u);
-  const auto hit = reloaded.lookup(0x1111222233334444ULL,
-                                   0x5555666677778888ULL, "measured");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_DOUBLE_EQ(hit->threshold, 0.35);
-  EXPECT_DOUBLE_EQ(hit->cycles, 12345.0);
-  EXPECT_EQ(hit->dataset, "CR");
-
-  // The persisted document is valid JSON under the schema.
-  std::ifstream in(path);
-  std::stringstream buf;
-  buf << in.rdbuf();
-  EXPECT_TRUE(json_is_valid(buf.str()));
-  const auto doc = json_parse(buf.str());
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->get_string("schema"), TuneCache::kSchema);
-}
-
-TEST(TuneCache, MismatchedKeysMiss) {
-  TuneCache cache;  // memory-only
-  cache.insert(sample_entry());
-  // Any single key component change invalidates the entry.
-  EXPECT_FALSE(cache.lookup(0xdead, 0x5555666677778888ULL, "measured"));
-  EXPECT_FALSE(cache.lookup(0x1111222233334444ULL, 0xdead, "measured"));
-  EXPECT_FALSE(
-      cache.lookup(0x1111222233334444ULL, 0x5555666677778888ULL, "analytic"));
-  EXPECT_TRUE(
-      cache.lookup(0x1111222233334444ULL, 0x5555666677778888ULL, "measured"));
-}
-
-TEST(TuneCache, InsertReplacesSameKey) {
-  TuneCache cache;
-  cache.insert(sample_entry());
-  TuneCacheEntry updated = sample_entry();
-  updated.threshold = 0.1;
-  cache.insert(updated);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_DOUBLE_EQ(cache
-                       .lookup(updated.graph_fingerprint, updated.config_hash,
-                               updated.mode)
-                       ->threshold,
-                   0.1);
-}
-
-TEST(TuneCache, CorruptOrForeignFilesAreIgnored) {
-  const std::string garbage = temp_path("tune_cache_garbage.json");
-  {
-    std::ofstream out(garbage);
-    out << "{ not json";
-  }
-  EXPECT_EQ(TuneCache(garbage).size(), 0u);
-
-  const std::string foreign = temp_path("tune_cache_foreign.json");
-  {
-    std::ofstream out(foreign);
-    out << R"({"schema": "hymm-run-report/4", "entries": []})" << "\n";
-  }
-  EXPECT_EQ(TuneCache(foreign).size(), 0u);
-
-  // Previous-schema files are structurally invalidated (the /2 bump
-  // added routing fields), not parsed best-effort.
-  const std::string outdated = temp_path("tune_cache_v1.json");
-  {
-    std::ofstream out(outdated);
-    out << R"({"schema": "hymm-tune-cache/1", "entries": [)"
-        << R"({"graph_fingerprint": "0x0000000000000001",)"
-        << R"( "config_hash": "0x0000000000000002",)"
-        << R"( "mode": "analytic", "threshold": 0.15}]})"
-        << "\n";
-  }
-  EXPECT_EQ(TuneCache(outdated).size(), 0u);
-
-  // Malformed entries are skipped individually, valid ones kept.
-  const std::string partial = temp_path("tune_cache_partial.json");
-  {
-    std::ofstream out(partial);
-    out << R"({"schema": "hymm-tune-cache/2", "entries": [)"
-        << R"({"mode": "measured"},)"
-        << R"({"graph_fingerprint": "0x0000000000000001",)"
-        << R"( "config_hash": "0x0000000000000002",)"
-        << R"( "mode": "analytic", "threshold": 0.15}]})"
-        << "\n";
-  }
-  TuneCache cache(partial);
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cache.lookup(1, 2, "analytic").has_value());
 }
 
 // --- Tuner --------------------------------------------------------
@@ -327,42 +148,26 @@ TEST(Tuner, CandidateListCoversBaselineAndDisabledCorner) {
 }
 
 TEST(Tuner, OffModeIsAPassThrough) {
-  Tuner tuner;
   const auto w = cora_workload(0.25);
   const TuneDecision decision =
-      tuner.tune(w, AcceleratorConfig{}, AutotuneMode::kOff);
+      tune_threshold(w, AcceleratorConfig{}, AutotuneMode::kOff);
   EXPECT_DOUBLE_EQ(decision.threshold, AcceleratorConfig{}.tiling_threshold);
   EXPECT_EQ(decision.simulations, 0u);
-  EXPECT_EQ(tuner.measured_simulations(), 0u);
-}
-
-TEST(Tuner, AnalyticPicksANonDegenerateThreshold) {
-  Tuner tuner;
-  const auto w = cora_workload(0.5);
-  const TuneDecision decision =
-      tuner.tune(w, AcceleratorConfig{}, AutotuneMode::kAnalytic);
-  EXPECT_GT(decision.threshold, 0.0);  // "no OP region" must not win
-  EXPECT_EQ(decision.simulations, 0u);
-  EXPECT_FALSE(decision.candidates.empty());
-  for (const TuneCandidate& c : decision.candidates) {
-    EXPECT_GT(c.model_cycles, 0.0);
-    EXPECT_DOUBLE_EQ(c.measured_cycles, 0.0);
-  }
+  EXPECT_TRUE(decision.candidates.empty());
 }
 
 TEST(Tuner, MeasuredNeverWorseThanFixedAndConsistent) {
-  Tuner tuner;
   const auto w = cora_workload(0.5);
   const AcceleratorConfig config;
   const TuneDecision decision =
-      tuner.tune(w, config, AutotuneMode::kMeasured, 2);
+      tune_threshold(w, config, AutotuneMode::kMeasured, 2);
   ASSERT_GT(decision.simulations, 0u);
 
   // The fixed 20 % baseline was itself simulated; the winner can only
   // tie or beat it.
   const auto fixed = std::find_if(
       decision.candidates.begin(), decision.candidates.end(),
-      [&](const TuneCandidate& c) {
+      [&](const TuneCandidateInfo& c) {
         return c.threshold == config.tiling_threshold;
       });
   ASSERT_NE(fixed, decision.candidates.end());
@@ -371,7 +176,8 @@ TEST(Tuner, MeasuredNeverWorseThanFixedAndConsistent) {
 
   // Re-simulating the tuned config reproduces the winning cycles
   // exactly (candidate cells and real runs share one simulator).
-  const AcceleratorConfig tuned = Tuner::apply(config, decision);
+  AcceleratorConfig tuned = config;
+  tuned.tiling_threshold = decision.threshold;
   ExperimentRequest request;
   request.workload = &w->workload();
   request.a_hat = &w->a_hat();
@@ -386,47 +192,13 @@ TEST(Tuner, MeasuredNeverWorseThanFixedAndConsistent) {
   EXPECT_DOUBLE_EQ(static_cast<double>(rerun.cycles), decision.best_cycles);
 }
 
-TEST(Tuner, CacheMakesSecondMeasuredRunSkipSimulation) {
-  const std::string path = temp_path("tune_cache_skip.json");
-  std::remove(path.c_str());
-  const auto w = cora_workload(0.5);
-  const AcceleratorConfig config;
-
-  TuneDecision first;
-  {
-    Tuner tuner(path);
-    first = tuner.tune(w, config, AutotuneMode::kMeasured, 2);
-    EXPECT_FALSE(first.cache_hit);
-    EXPECT_GT(tuner.measured_simulations(), 0u);
-  }
-
-  // A fresh tuner bound to the same cache file answers from the cache:
-  // zero candidate simulations, identical decision.
-  Tuner second(path);
-  const TuneDecision repeat =
-      second.tune(w, config, AutotuneMode::kMeasured, 2);
-  EXPECT_TRUE(repeat.cache_hit);
-  EXPECT_EQ(repeat.simulations, 0u);
-  EXPECT_EQ(second.measured_simulations(), 0u);
-  EXPECT_DOUBLE_EQ(repeat.threshold, first.threshold);
-  EXPECT_DOUBLE_EQ(repeat.best_cycles, first.best_cycles);
-
-  // A different timing config is a different question — miss.
-  AcceleratorConfig resized = config;
-  resized.dmb_bytes /= 2;
-  const TuneDecision other =
-      second.tune(w, resized, AutotuneMode::kMeasured, 2);
-  EXPECT_FALSE(other.cache_hit);
-  EXPECT_GT(other.simulations, 0u);
-}
-
 TEST(Tuner, DecisionIsThreadCountInvariant) {
   const auto w = cora_workload(0.5);
   const AcceleratorConfig config;
-  Tuner serial;    // separate tuners: no cache sharing between them
-  Tuner parallel;
-  const TuneDecision d1 = serial.tune(w, config, AutotuneMode::kMeasured, 1);
-  const TuneDecision d4 = parallel.tune(w, config, AutotuneMode::kMeasured, 4);
+  const TuneDecision d1 =
+      tune_threshold(w, config, AutotuneMode::kMeasured, 1);
+  const TuneDecision d4 =
+      tune_threshold(w, config, AutotuneMode::kMeasured, 4);
   EXPECT_DOUBLE_EQ(d1.threshold, d4.threshold);
   EXPECT_DOUBLE_EQ(d1.best_cycles, d4.best_cycles);
   ASSERT_EQ(d1.candidates.size(), d4.candidates.size());
@@ -439,7 +211,8 @@ TEST(Tuner, DecisionIsThreadCountInvariant) {
   // And the tuned run itself is bit-identical at 1 vs 4 workers.
   SweepSpec spec;
   spec.workloads = {w};
-  spec.configs = {Tuner::apply(config, d1)};
+  spec.configs = {config};
+  spec.configs.front().tiling_threshold = d1.threshold;
   spec.flows = {Dataflow::kHybrid};
   SweepOptions one_worker;
   one_worker.threads = 1;
@@ -459,18 +232,19 @@ TEST(Tuner, DecisionIsThreadCountInvariant) {
 }
 
 TEST(Tuner, ToTuneInfoCarriesTheDecision) {
-  Tuner tuner;
   const auto w = cora_workload(0.25);
   const TuneDecision decision =
-      tuner.tune(w, AcceleratorConfig{}, AutotuneMode::kAnalytic);
+      tune_threshold(w, AcceleratorConfig{}, AutotuneMode::kMeasured);
   const TuneInfo info = to_tune_info(decision);
   EXPECT_TRUE(info.enabled);
-  EXPECT_EQ(info.mode, "analytic");
   EXPECT_DOUBLE_EQ(info.threshold, decision.threshold);
-  EXPECT_EQ(info.candidates.size(), decision.candidates.size());
-  EXPECT_EQ(info.graph_fingerprint,
-            fingerprint_hex(decision.graph_fingerprint));
-  ASSERT_TRUE(parse_fingerprint_hex(info.config_hash).has_value());
+  EXPECT_EQ(info.simulations, decision.simulations);
+  ASSERT_EQ(info.candidates.size(), decision.candidates.size());
+  for (std::size_t i = 0; i < info.candidates.size(); ++i) {
+    EXPECT_DOUBLE_EQ(info.candidates[i].measured_cycles,
+                     decision.candidates[i].measured_cycles);
+  }
+  EXPECT_EQ(info.config_hash, fingerprint_hex(decision.config_hash));
 }
 
 }  // namespace

@@ -1,7 +1,9 @@
 #include "obs/observer.hpp"
 
+#include <bit>
 #include <cstdio>
 #include <limits>
+#include <string_view>
 #include <utility>
 
 namespace hymm {
@@ -52,36 +54,32 @@ Observer::Observer(ObserverOptions options)
 
   eviction_id_ = trace_.intern("eviction");
   partial_spill_id_ = trace_.intern("partial spill");
-  lines_id_ = trace_.intern("lines");
-  bytes_id_ = trace_.intern("bytes");
-  entries_id_ = trace_.intern("entries");
-  cycles_id_ = trace_.intern("cycles");
-  percent_id_ = trace_.intern("%");
-  dmb_occupancy_track_ = trace_.intern("DMB occupancy");
-  partial_bytes_track_ = trace_.intern("partial bytes");
-  lsq_depth_track_ = trace_.intern("LSQ depth");
-  smq_backlog_track_ = trace_.intern("SMQ backlog");
+  const NameId lines = trace_.intern("lines");
+  const NameId bytes = trace_.intern("bytes");
+  const NameId entries = trace_.intern("entries");
+  const NameId cycles = trace_.intern("cycles");
+  const NameId percent = trace_.intern("%");
+  const auto track = [&](Track t, std::string_view name, NameId series) {
+    tracks_[t].name = trace_.intern(name);
+    tracks_[t].series = series;
+  };
+  track(kDmbOccupancy, "DMB occupancy", lines);
+  track(kPartialBytes, "partial bytes", bytes);
+  track(kLsqDepth, "LSQ depth", entries);
+  track(kSmqBacklog, "SMQ backlog", entries);
   for (std::size_t i = 0; i < kStallCauseCount; ++i) {
-    stall_tracks_[i] = trace_.intern(
-        std::string("stall ") + stall_cause_key(static_cast<StallCause>(i)));
+    track(static_cast<Track>(kStallFirst + i),
+          std::string("stall ") + stall_cause_key(static_cast<StallCause>(i)),
+          cycles);
   }
-  ts_lsq_depth_track_ = trace_.intern("TS LSQ depth");
-  ts_smq_backlog_track_ = trace_.intern("TS SMQ backlog");
-  ts_dmb_lines_track_ = trace_.intern("TS DMB lines");
-  ts_partial_bytes_track_ = trace_.intern("TS partial bytes");
-  ts_dmb_hit_rate_track_ = trace_.intern("TS DMB hit rate");
-  ts_alu_util_track_ = trace_.intern("TS ALU util");
-  ts_dram_bw_util_track_ = trace_.intern("TS DRAM BW util");
-}
-
-void Observer::intern_pe_lanes(std::size_t lanes) {
-  // "PE " + up to 20 digits + " busy" + NUL.
-  char name[sizeof "PE  busy" +
-            std::numeric_limits<std::size_t>::digits10 + 1];
-  for (std::size_t i = pe_busy_tracks_.size(); i < lanes; ++i) {
-    std::snprintf(name, sizeof name, "PE %02zu busy", i);
-    pe_busy_tracks_.push_back(trace_.intern(name));
-  }
+  track(kTsLsqDepth, "TS LSQ depth", entries);
+  track(kTsSmqBacklog, "TS SMQ backlog", entries);
+  track(kTsDmbLines, "TS DMB lines", lines);
+  track(kTsPartialBytes, "TS partial bytes", bytes);
+  track(kTsDmbHitRate, "TS DMB hit rate", percent);
+  track(kTsAluUtil, "TS ALU util", percent);
+  track(kTsDramBwUtil, "TS DRAM BW util", percent);
+  pe_busy_track_ = trace_.intern("PE busy");
 }
 
 void Observer::begin_run(const std::string& label) {
@@ -93,6 +91,8 @@ void Observer::begin_run(const std::string& label) {
   spatial_.reset();
   run_hist_ = RunHistograms{};
   ts_has_prev_ = false;
+  for (CounterTrack& t : tracks_) t.open = false;
+  pe_last_.clear();
   if (!options_.trace) return;
   trace_.set_process_name(pid_, label);
   trace_.set_thread_name(pid_, 0, "phases");
@@ -205,22 +205,52 @@ void Observer::spatial_cycles(std::uint64_t n) {
 
 SpatialData Observer::take_spatial() { return spatial_.take(); }
 
+void Observer::emit(Track track, Cycle now, std::uint64_t value) {
+  CounterTrack& t = tracks_[track];
+  if (t.open && t.last == value) return;
+  t.open = true;
+  t.last = value;
+  trace_.counter(pid_, t.name, t.series, now, value);
+}
+
+void Observer::emit_real(Track track, Cycle now, double value) {
+  CounterTrack& t = tracks_[track];
+  const auto bits = std::bit_cast<std::uint64_t>(value);
+  if (t.open && t.last == bits) return;
+  t.open = true;
+  t.last = bits;
+  trace_.real_counter(pid_, t.name, t.series, now, value);
+}
+
+void Observer::emit_pe_lanes(Cycle now,
+                             const std::vector<std::uint64_t>& lanes) {
+  if (lanes.empty() || lanes == pe_last_) return;
+  if (pe_lane_set_size_ != lanes.size()) {
+    // Series keys "00", "01", ...: one per lane, interned once.
+    std::vector<NameId> keys;
+    char key[std::numeric_limits<std::size_t>::digits10 + 2];
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      std::snprintf(key, sizeof key, "%02zu", i);
+      keys.push_back(trace_.intern(key));
+    }
+    pe_lane_set_ = trace_.series_set(keys);
+    pe_lane_set_size_ = lanes.size();
+  }
+  pe_last_ = lanes;
+  trace_.multi_counter(pid_, pe_busy_track_, pe_lane_set_, now, lanes);
+}
+
 void Observer::trace_timeseries_sample(const TimeSeriesSample& s) {
   if (options_.trace) {
-    trace_.counter(pid_, ts_lsq_depth_track_, entries_id_, s.cycle,
-                   s.lsq_depth);
-    trace_.counter(pid_, ts_smq_backlog_track_, entries_id_, s.cycle,
-                   s.smq_backlog);
-    trace_.counter(pid_, ts_dmb_lines_track_, lines_id_, s.cycle,
-                   s.dmb_lines);
-    trace_.counter(pid_, ts_partial_bytes_track_, bytes_id_, s.cycle,
-                   s.partial_bytes);
+    emit(kTsLsqDepth, s.cycle, s.lsq_depth);
+    emit(kTsSmqBacklog, s.cycle, s.smq_backlog);
+    emit(kTsDmbLines, s.cycle, s.dmb_lines);
+    emit(kTsPartialBytes, s.cycle, s.partial_bytes);
     if (ts_has_prev_ && s.cycle > ts_prev_.cycle) {
-      // Windowed rates over the span since the previous sample. The
-      // trace keeps its own prev copy so storage decimation in the
-      // TimeSeries never changes what the counter tracks show. The
-      // percentages are truncated to integers; changing that would
-      // change the trace format.
+      // Windowed rates over the span since the previous sample, in
+      // percent. The trace keeps its own prev copy so storage
+      // decimation in the TimeSeries never changes what the counter
+      // tracks show.
       const double span =
           static_cast<double>(s.cycle - ts_prev_.cycle);
       const std::uint64_t hits = s.dmb_hits - ts_prev_.dmb_hits;
@@ -230,22 +260,17 @@ void Observer::trace_timeseries_sample(const TimeSeriesSample& s) {
               ? 0.0
               : 100.0 * static_cast<double>(hits) /
                     static_cast<double>(hits + misses);
-      trace_.counter(pid_, ts_dmb_hit_rate_track_, percent_id_, s.cycle,
-                     static_cast<std::uint64_t>(hit_rate));
-      trace_.counter(pid_, ts_alu_util_track_, percent_id_, s.cycle,
-                     static_cast<std::uint64_t>(
-                         100.0 *
-                         static_cast<double>(s.alu_busy_cycles -
-                                             ts_prev_.alu_busy_cycles) /
-                         span));
-      if (s.dram_peak_bytes_per_cycle > 0) {
-        trace_.counter(
-            pid_, ts_dram_bw_util_track_, percent_id_, s.cycle,
-            static_cast<std::uint64_t>(
+      emit_real(kTsDmbHitRate, s.cycle, hit_rate);
+      emit_real(kTsAluUtil, s.cycle,
                 100.0 *
-                static_cast<double>(s.dram_bytes - ts_prev_.dram_bytes) /
-                (span *
-                 static_cast<double>(s.dram_peak_bytes_per_cycle))));
+                    static_cast<double>(s.alu_busy_cycles -
+                                        ts_prev_.alu_busy_cycles) /
+                    span);
+      if (s.dram_peak_bytes_per_cycle > 0) {
+        emit_real(
+            kTsDramBwUtil, s.cycle,
+            100.0 * static_cast<double>(s.dram_bytes - ts_prev_.dram_bytes) /
+                (span * static_cast<double>(s.dram_peak_bytes_per_cycle)));
       }
     }
   }
@@ -268,27 +293,20 @@ void Observer::sample_tracks(Cycle now, std::uint64_t dmb_lines,
     stall_gauges_[i]->set(static_cast<std::int64_t>(stall_cycles[i]));
   }
   if (!options_.trace) return;
-  trace_.counter(pid_, dmb_occupancy_track_, lines_id_, now, dmb_lines);
-  trace_.counter(pid_, partial_bytes_track_, bytes_id_, now, partial_bytes);
-  trace_.counter(pid_, lsq_depth_track_, entries_id_, now, lsq_depth);
-  trace_.counter(pid_, smq_backlog_track_, entries_id_, now, smq_backlog);
+  emit(kDmbOccupancy, now, dmb_lines);
+  emit(kPartialBytes, now, partial_bytes);
+  emit(kLsqDepth, now, lsq_depth);
+  emit(kSmqBacklog, now, smq_backlog);
   // One cumulative counter series per stall bucket: in the Perfetto
   // UI the slope of "stall <cause>" is the fraction of cycles that
   // cause is costing right now.
-  for (std::size_t i = 0;
-       i < stall_cycles.size() && i < stall_tracks_.size(); ++i) {
-    trace_.counter(pid_, stall_tracks_[i], cycles_id_, now, stall_cycles[i]);
+  for (std::size_t i = 0; i < stall_cycles.size() && i < kStallCauseCount;
+       ++i) {
+    emit(static_cast<Track>(kStallFirst + i), now, stall_cycles[i]);
   }
-  if (spatial_.active()) {
-    // One cumulative counter per PE lane: in the Perfetto UI the
-    // slope of "PE NN busy" is that lane's utilization right now.
-    const std::vector<std::uint64_t>& lanes =
-        spatial_.data().lane_busy_cycles;
-    if (pe_busy_tracks_.size() < lanes.size()) intern_pe_lanes(lanes.size());
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      trace_.counter(pid_, pe_busy_tracks_[i], cycles_id_, now, lanes[i]);
-    }
-  }
+  // One cumulative series per PE lane: in the Perfetto UI the slope of
+  // "PE busy NN" is that lane's utilization right now.
+  if (spatial_.active()) emit_pe_lanes(now, spatial_.data().lane_busy_cycles);
 }
 
 void Observer::phase_span(const std::string& name, Cycle begin, Cycle end) {

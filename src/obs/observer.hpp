@@ -12,8 +12,18 @@
 ///   gauges      <component>.<level>    e.g. lsq.depth
 ///   histograms  <component>.<dist>     e.g. smq.row_degree
 ///   trace tracks "DMB occupancy", "partial bytes", "LSQ depth",
-///                "SMQ backlog"; phase spans on thread "phases",
+///                "SMQ backlog", "stall <cause>" (cumulative cycles),
+///                "PE busy" (one multi-series event, args keyed by
+///                lane "00", "01", ...; cumulative busy cycles) and,
+///                with time series on, "TS ..." (the three windowed
+///                rates unrounded); phase spans on thread "phases",
 ///                region sub-phases on thread "regions".
+///
+/// A counter track holds its value until its next sample, so a sample
+/// is written only when it differs from the last one written on that
+/// track in the current run; the PE lanes are written, all together,
+/// when any lane changed. begin_run forgets the last values, so every
+/// process group opens with one sample per track.
 #pragma once
 
 #include <array>
@@ -154,6 +164,7 @@ class Observer {
   /// Counter-track sample, called by MemorySystem every
   /// sample_interval cycles. `stall_cycles` is the cumulative
   /// per-cause cycle-accounting vector (kStallCauseCount entries).
+  /// Writes only the tracks whose value changed (see the file comment).
   void sample_tracks(Cycle now, std::uint64_t dmb_lines,
                      std::uint64_t partial_bytes, std::uint64_t lsq_depth,
                      std::uint64_t smq_backlog,
@@ -167,11 +178,37 @@ class Observer {
  private:
   using NameId = TraceWriter::NameId;
 
+  // Counter tracks with one series each, indexed into tracks_.
+  enum Track : std::size_t {
+    kDmbOccupancy,
+    kPartialBytes,
+    kLsqDepth,
+    kSmqBacklog,
+    kStallFirst,  // one per StallCause, in enum order
+    kTsLsqDepth = kStallFirst + kStallCauseCount,
+    kTsSmqBacklog,
+    kTsDmbLines,
+    kTsPartialBytes,
+    kTsDmbHitRate,  // real-valued
+    kTsAluUtil,     // real-valued
+    kTsDramBwUtil,  // real-valued
+    kTrackCount
+  };
+  struct CounterTrack {
+    NameId name = 0;
+    NameId series = 0;
+    bool open = false;       // written since begin_run
+    std::uint64_t last = 0;  // last value written (a double's bits)
+  };
+
+  // Writes `value` on `track` unless it equals the track's last value.
+  void emit(Track track, Cycle now, std::uint64_t value);
+  void emit_real(Track track, Cycle now, double value);
   // Emits the derived windowed counter tracks for one recorded
   // sample (trace builds only).
   void trace_timeseries_sample(const TimeSeriesSample& s);
-  // Interns "PE NN busy" for lanes [pe_busy_tracks_.size(), lanes).
-  void intern_pe_lanes(std::size_t lanes);
+  // The "PE busy" sample: every lane, when any lane changed.
+  void emit_pe_lanes(Cycle now, const std::vector<std::uint64_t>& lanes);
 
   ObserverOptions options_;
   MetricsRegistry metrics_;
@@ -209,24 +246,11 @@ class Observer {
   // looks one up.
   NameId eviction_id_;
   NameId partial_spill_id_;
-  NameId lines_id_;
-  NameId bytes_id_;
-  NameId entries_id_;
-  NameId cycles_id_;
-  NameId percent_id_;
-  NameId dmb_occupancy_track_;
-  NameId partial_bytes_track_;
-  NameId lsq_depth_track_;
-  NameId smq_backlog_track_;
-  std::array<NameId, kStallCauseCount> stall_tracks_{};
-  std::vector<NameId> pe_busy_tracks_;
-  NameId ts_lsq_depth_track_;
-  NameId ts_smq_backlog_track_;
-  NameId ts_dmb_lines_track_;
-  NameId ts_partial_bytes_track_;
-  NameId ts_dmb_hit_rate_track_;
-  NameId ts_alu_util_track_;
-  NameId ts_dram_bw_util_track_;
+  std::array<CounterTrack, kTrackCount> tracks_{};
+  NameId pe_busy_track_;
+  TraceWriter::SeriesSetId pe_lane_set_ = 0;
+  std::size_t pe_lane_set_size_ = 0;  // lanes in pe_lane_set_; 0: none
+  std::vector<std::uint64_t> pe_last_;  // last lanes written; empty: none
 };
 
 }  // namespace hymm

@@ -1,7 +1,9 @@
 #include "obs/trace.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cmath>
 #include <limits>
 #include <ostream>
 
@@ -23,9 +25,11 @@ class ChunkedOut {
   void put(std::string_view s) { buf_.append(s); }
   void put(char c) { buf_.push_back(c); }
 
-  template <typename Int>
-  void num(Int v) {
-    char digits[24];
+  // Integers in decimal; doubles in the shortest form that reads back
+  // to the same value.
+  template <typename Number>
+  void num(Number v) {
+    char digits[32];
     const auto r = std::to_chars(digits, digits + sizeof digits, v);
     buf_.append(digits, r.ptr);
   }
@@ -64,6 +68,15 @@ std::int16_t TraceWriter::narrow_tid(int tid) {
   return static_cast<std::int16_t>(tid);
 }
 
+TraceWriter::SeriesSetId TraceWriter::series_set(
+    std::span<const NameId> series) {
+  HYMM_CHECK(series_sets_.size() < std::numeric_limits<SeriesSetId>::max());
+  HYMM_CHECK(!series.empty());
+  for (const NameId id : series) HYMM_CHECK(id < strings_.size());
+  series_sets_.emplace_back(series.begin(), series.end());
+  return static_cast<SeriesSetId>(series_sets_.size() - 1);
+}
+
 void TraceWriter::set_process_name(int pid, std::string_view name) {
   metadata_.push_back(Event{0, intern(name), intern("process_name"),
                             intern("name"), pid, 0, 'M'});
@@ -79,6 +92,24 @@ void TraceWriter::duration(int pid, int tid, NameId name, Cycle begin,
   HYMM_DCHECK(end >= begin);
   events_.push_back(
       Event{begin, end - begin, name, 0, pid, narrow_tid(tid), 'X'});
+}
+
+void TraceWriter::real_counter(int pid, NameId track, NameId series,
+                               Cycle ts, double value) {
+  HYMM_CHECK_MSG(std::isfinite(value),
+                 "trace counter value " << value << " is not finite");
+  events_.push_back(Event{ts, std::bit_cast<std::uint64_t>(value), track,
+                          series, pid, 0, 'R'});
+}
+
+void TraceWriter::multi_counter(int pid, NameId track, SeriesSetId set,
+                                Cycle ts,
+                                std::span<const std::uint64_t> values) {
+  HYMM_CHECK(set < series_sets_.size());
+  HYMM_CHECK(values.size() == series_sets_[set].size());
+  events_.push_back(
+      Event{ts, series_values_.size(), track, set, pid, 0, 'S'});
+  series_values_.insert(series_values_.end(), values.begin(), values.end());
 }
 
 void TraceWriter::instant(int pid, NameId name, Cycle ts) {
@@ -103,16 +134,18 @@ void TraceWriter::write(std::ostream& out) const {
   escaped.reserve(strings_.size());
   for (const std::string& s : strings_) escaped.push_back(json_escape(s));
 
-  // The same bytes JsonWriter(out, /*pretty=*/false) produces.
+  // The same bytes JsonWriter(out, /*pretty=*/false) produces, except
+  // that doubles take their shortest round-trip form, not %.17g.
   ChunkedOut o(out);
   bool first = true;
   const auto emit = [&](const Event& e) {
-    HYMM_DCHECK(e.name < escaped.size() && e.arg < escaped.size());
+    HYMM_DCHECK(e.name < escaped.size() &&
+                (e.ph == 'S' || e.arg < escaped.size()));
     o.put(first ? "{\"name\":\"" : ",{\"name\":\"");
     first = false;
     o.put(escaped[e.name]);
     o.put("\",\"ph\":\"");
-    o.put(e.ph);
+    o.put(e.ph == 'R' || e.ph == 'S' ? 'C' : e.ph);
     o.put("\",\"pid\":");
     o.num(e.pid);
     o.put(",\"tid\":");
@@ -126,7 +159,21 @@ void TraceWriter::write(std::ostream& out) const {
       o.num(e.word);
     }
     if (e.ph == 'i') o.put(",\"s\":\"t\"");  // thread-scoped instant
-    if (e.arg != 0) {
+    if (e.ph == 'S') {
+      const std::vector<NameId>& series = series_sets_[e.arg];
+      const std::uint64_t* value = series_values_.data() + e.word;
+      char sep = '{';
+      o.put(",\"args\":");
+      for (const NameId key : series) {
+        o.put(sep);
+        sep = ',';
+        o.put('"');
+        o.put(escaped[key]);
+        o.put("\":");
+        o.num(*value++);
+      }
+      o.put('}');
+    } else if (e.arg != 0) {
       o.put(",\"args\":{\"");
       o.put(escaped[e.arg]);
       o.put("\":");
@@ -134,6 +181,8 @@ void TraceWriter::write(std::ostream& out) const {
         o.put('"');
         o.put(escaped[e.word]);
         o.put('"');
+      } else if (e.ph == 'R') {
+        o.num(std::bit_cast<double>(e.word));
       } else {
         o.num(e.word);
       }

@@ -7,8 +7,13 @@
 ///
 /// Event kinds used:
 ///   "X" complete events — phase / region sub-phase durations
-///   "C" counter events  — occupancy tracks (DMB lines, partial bytes,
-///                         LSQ depth, SMQ backlog)
+///   "C" counter events  — occupancy, stall and PE-lane tracks. A
+///                         counter holds its value until the track's
+///                         next sample, so callers write a sample only
+///                         when the value changes. A sample carries one
+///                         integer or one floating-point series, or
+///                         several integer series in one `args` object
+///                         (multi_counter)
 ///   "i" instant events  — point occurrences (partial spills,
 ///                         evictions)
 ///   "M" metadata events — process/thread naming (one process per
@@ -16,12 +21,15 @@
 ///
 /// Every name (track, series, event or process name) is interned once
 /// in a string table the writer owns; a buffered event is a 32-byte
-/// record of ids and numbers that holds no heap memory. Hot callers
-/// intern their fixed names up front and pass the ids.
+/// record of ids and numbers that holds no heap memory; the values of
+/// a multi-series sample live in one flat pool the writer owns. Hot
+/// callers intern their fixed names (and series sets) up front and
+/// pass the ids.
 #pragma once
 
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -38,6 +46,8 @@ class TraceWriter {
  public:
   /// Index of a string in the writer's string table.
   using NameId = std::uint32_t;
+  /// Index of an ordered list of series names (series_set).
+  using SeriesSetId = std::uint32_t;
 
   /// Instant events beyond this many are dropped (a long run can evict
   /// millions of times; the trace stays openable). The drop count is
@@ -47,6 +57,10 @@ class TraceWriter {
   /// Id of `s` in the string table, adding it on first use. Ids stay
   /// valid for the writer's lifetime; the empty string is always id 0.
   NameId intern(std::string_view s);
+
+  /// Id of the ordered series names `series`, for multi_counter. Each
+  /// call adds a set; callers build one per track and keep the id.
+  SeriesSetId series_set(std::span<const NameId> series);
 
   /// Names a process group; subsequent events carry `pid`.
   void set_process_name(int pid, std::string_view name);
@@ -62,6 +76,15 @@ class TraceWriter {
                std::uint64_t value) {
     events_.push_back(Event{ts, value, track, series, pid, 0, 'C'});
   }
+  /// Counter ("C") sample with a floating-point value, written in the
+  /// shortest form that reads back to the same double. `value` must be
+  /// finite (JSON has no NaN or infinity).
+  void real_counter(int pid, NameId track, NameId series, Cycle ts,
+                    double value);
+  /// Counter ("C") sample of several series in one event: `values[i]`
+  /// is written under the i-th name of `set`. Counts as one event.
+  void multi_counter(int pid, NameId track, SeriesSetId set, Cycle ts,
+                     std::span<const std::uint64_t> values);
 
   /// Instant ("i") event.
   void instant(int pid, NameId name, Cycle ts);
@@ -76,11 +99,17 @@ class TraceWriter {
   void write(std::ostream& out) const;
 
  private:
+  // `ph` is the emitted phase, except that the two counter variants
+  // are tagged 'R' (real value) and 'S' (multi-series) and written as
+  // "C".
   struct Event {
     Cycle ts;            ///< unused for M
-    std::uint64_t word;  ///< X: dur; C: value; M: argument string id
+    std::uint64_t word;  ///< X: dur; C: value; R: double bits;
+                         ///< S: offset into series_values_;
+                         ///< M: argument string id
     NameId name;
-    NameId arg;  ///< C: series; M: argument key; id 0: no args
+    NameId arg;  ///< C, R: series (id 0: no args); S: series set;
+                 ///< M: argument key
     int pid;
     std::int16_t tid;  ///< range-checked where a caller supplies it
     char ph;
@@ -92,7 +121,9 @@ class TraceWriter {
 
   std::vector<std::string> strings_{""};  // indexed by NameId
   std::unordered_map<std::string, NameId> ids_{{"", 0}};
+  std::vector<std::vector<NameId>> series_sets_;  // indexed by SeriesSetId
   std::vector<Event> events_;
+  std::vector<std::uint64_t> series_values_;  // S events' values
   std::vector<Event> metadata_;
   std::size_t instant_count_ = 0;
   std::size_t dropped_instants_ = 0;

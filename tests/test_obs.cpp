@@ -10,11 +10,17 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/stall.hpp"
 #include "core/accelerator.hpp"
 #include "graph/generator.hpp"
 #include "linalg/gcn.hpp"
@@ -234,6 +240,60 @@ TEST(Trace, CounterWithEmptySeriesEmitsNoArgs) {
             "\"tid\":0,\"ts\":4}],\"displayTimeUnit\":\"ms\"}\n");
 }
 
+// Real-valued samples take the shortest form that reads back to the
+// same double; integral values print without a fraction.
+TEST(Trace, RealCounterWritesShortestRoundTripForm) {
+  TraceWriter t;
+  const TraceWriter::NameId track = t.intern("rate");
+  const TraceWriter::NameId pct = t.intern("%");
+  t.real_counter(0, track, pct, 1, 100.0 / 3.0);
+  t.real_counter(0, track, pct, 2, 25.0);
+  t.real_counter(0, track, pct, 3, 1e-7);
+  EXPECT_THROW(t.real_counter(0, track, pct, 4, std::nan("")), CheckError);
+  std::ostringstream out;
+  t.write(out);
+  const std::string doc = out.str();
+  EXPECT_NE(doc.find("\"ts\":1,\"args\":{\"%\":33.333333333333336}}"),
+            std::string::npos)
+      << doc;
+  EXPECT_NE(doc.find("\"ts\":2,\"args\":{\"%\":25}}"), std::string::npos);
+  EXPECT_NE(doc.find("\"ts\":3,\"args\":{\"%\":1e-07}}"), std::string::npos);
+  const auto parsed = json_parse(doc);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->find("traceEvents")
+                ->array_items[0]
+                .find("args")
+                ->get_number("%"),
+            100.0 / 3.0);
+}
+
+// A multi-series sample is one event whose args hold every series of
+// its set, in set order.
+TEST(Trace, MultiCounterWritesOneEventWithEverySeries) {
+  TraceWriter t;
+  const TraceWriter::NameId keys[] = {t.intern("00"), t.intern("01"),
+                                      t.intern("02")};
+  const TraceWriter::SeriesSetId lanes = t.series_set(keys);
+  const std::uint64_t first[] = {0, 0, 0};
+  const std::uint64_t second[] = {7, 0, 3};
+  t.multi_counter(1, t.intern("PE busy"), lanes, 0, first);
+  t.multi_counter(1, t.intern("PE busy"), lanes, 64, second);
+  EXPECT_EQ(t.event_count(), 2u);
+  const std::uint64_t short_row[] = {1, 2};
+  EXPECT_THROW(t.multi_counter(1, t.intern("PE busy"), lanes, 9, short_row),
+               CheckError);
+  EXPECT_THROW(t.series_set({}), CheckError);
+  std::ostringstream out;
+  t.write(out);
+  EXPECT_EQ(out.str(),
+            "{\"traceEvents\":["
+            "{\"name\":\"PE busy\",\"ph\":\"C\",\"pid\":1,\"tid\":0,"
+            "\"ts\":0,\"args\":{\"00\":0,\"01\":0,\"02\":0}},"
+            "{\"name\":\"PE busy\",\"ph\":\"C\",\"pid\":1,\"tid\":0,"
+            "\"ts\":64,\"args\":{\"00\":7,\"01\":0,\"02\":3}}"
+            "],\"displayTimeUnit\":\"ms\"}\n");
+}
+
 // One string-table entry serves every pid that uses it.
 TEST(Trace, NameInternedOnceSerializesTheSameForEveryPid) {
   TraceWriter t;
@@ -421,11 +481,180 @@ TEST(TracedRun, MetricsOnlyObserverBuffersNoEvents) {
 }
 
 
+// --- Compact counter tracks ---
+
+// One point of a counter step function: (pid, track, series) at ts.
+using StepKey = std::tuple<int, std::string, std::string>;
+using StepFunctions =
+    std::map<StepKey, std::vector<std::pair<double, double>>>;
+
+// Every counter sample of a serialized trace, per (pid, track,
+// series), in file order (which is ts order).
+StepFunctions parse_counter_steps(const std::string& doc) {
+  StepFunctions steps;
+  const auto parsed = json_parse(doc);
+  if (!parsed) {
+    ADD_FAILURE() << "trace is not valid JSON";
+    return steps;
+  }
+  for (const JsonValue& e : parsed->find("traceEvents")->array_items) {
+    if (e.get_string("ph") != "C") continue;
+    const JsonValue* args = e.find("args");
+    if (args == nullptr) continue;
+    for (const auto& [series, value] : args->object_members) {
+      steps[{static_cast<int>(e.get_number("pid")), e.get_string("name"),
+             series}]
+          .emplace_back(e.get_number("ts"), value.number_value);
+    }
+  }
+  return steps;
+}
+
+// The value a step function holds at `ts`: its last sample at or
+// before `ts` (a counter holds until its next sample).
+std::optional<double> value_at(
+    const std::vector<std::pair<double, double>>& samples, double ts) {
+  std::optional<double> value;
+  for (const auto& [t, v] : samples) {
+    if (t > ts) break;
+    value = v;
+  }
+  return value;
+}
+
+// Drives an Observer with a scripted sequence of samples over two
+// process groups and checks that the written trace, read back as step
+// functions, holds every fed value at every sample time while
+// dropping the repeats.
+TEST(CompactTracks, TraceRebuildsEveryFedStepFunction) {
+  ObserverOptions oopts;
+  oopts.trace = true;
+  oopts.spatial = true;
+  Observer obs(oopts);
+  constexpr std::size_t kLanes = 4;
+
+  // Fed values, per (pid, track, series): ts -> value at that ts.
+  std::map<StepKey, std::map<double, double>> fed;
+  std::size_t fed_samples = 0;
+  const auto feed = [&](Cycle now, std::uint64_t dmb, std::uint64_t lsq,
+                        std::vector<Cycle> stalls) {
+    stalls.resize(kStallCauseCount, 0);
+    obs.sample_tracks(now, dmb, /*partial_bytes=*/dmb * 64, lsq,
+                      /*smq_backlog=*/3, stalls);
+    const int pid = obs.run_pid();
+    const auto put = [&](std::string track, std::string series, double v) {
+      fed[{pid, std::move(track), std::move(series)}][now] = v;
+      ++fed_samples;
+    };
+    put("DMB occupancy", "lines", dmb);
+    put("partial bytes", "bytes", dmb * 64);
+    put("LSQ depth", "entries", lsq);
+    put("SMQ backlog", "entries", 3);
+    for (std::size_t i = 0; i < kStallCauseCount; ++i) {
+      put(std::string("stall ") +
+              stall_cause_key(static_cast<StallCause>(i)),
+          "cycles", stalls[i]);
+    }
+    const std::vector<std::uint64_t>& lanes =
+        obs.spatial().data().lane_busy_cycles;
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+      put("PE busy", (i < 10 ? "0" : "") + std::to_string(i), lanes[i]);
+    }
+  };
+  const std::size_t compute = static_cast<std::size_t>(StallCause::kCompute);
+  const std::size_t latency =
+      static_cast<std::size_t>(StallCause::kDramLatency);
+
+  obs.begin_run("first");
+  obs.spatial_begin(64, kLanes);
+  feed(0, 0, 0, {});
+  feed(64, 0, 0, {});  // every value repeats
+  obs.on_pe_mac(kLanes);
+  feed(128, 5, 2, {{64}});
+  obs.on_pe_merge(1);  // only lane 00 moves
+  feed(192, 5, 2, {{128}});
+  feed(256, 0, 2, {{192}});  // occupancy returns to an earlier value
+  // The single aggregated sample fast_forward_to takes for a skipped
+  // span: only the charged stall bucket moved, by the whole span.
+  std::vector<Cycle> skipped(kStallCauseCount, 0);
+  skipped[compute] = 192;
+  skipped[latency] = 1000;
+  feed(320, 0, 2, skipped);
+  feed(1344, 0, 2, skipped);  // first sample after the span: repeats
+
+  obs.begin_run("second");  // same values must still open every track
+  obs.spatial_begin(64, kLanes);
+  feed(0, 0, 2, skipped);
+  feed(64, 0, 2, skipped);
+  obs.on_pe_mac(2);
+  feed(128, 1, 2, skipped);
+
+  std::ostringstream out;
+  obs.trace().write(out);
+  const StepFunctions written = parse_counter_steps(out.str());
+  ASSERT_EQ(written.size(), fed.size());
+  std::size_t written_samples = 0;
+  for (const auto& [key, points] : fed) {
+    const auto it = written.find(key);
+    ASSERT_NE(it, written.end()) << std::get<1>(key) << "/"
+                                 << std::get<2>(key);
+    for (const auto& [ts, value] : points) {
+      EXPECT_EQ(value_at(it->second, ts), value)
+          << "pid " << std::get<0>(key) << " " << std::get<1>(key) << "/"
+          << std::get<2>(key) << " at " << ts;
+    }
+    // Each group opens the track at its first sample, and a
+    // single-series track never repeats a value (a PE lane repeats
+    // when another lane moved).
+    EXPECT_EQ(it->second.front().first, 0.0);
+    for (std::size_t i = 1;
+         i < it->second.size() && std::get<1>(key) != "PE busy"; ++i) {
+      EXPECT_NE(it->second[i].second, it->second[i - 1].second);
+    }
+    written_samples += it->second.size();
+  }
+  EXPECT_LT(written_samples, fed_samples);
+  // "PE busy" is written when any lane moves: the opening sample, the
+  // 4-lane MAC and the lane-00 merge.
+  EXPECT_EQ(written.at({0, "PE busy", "00"}).size(), 3u);
+  EXPECT_EQ(written.at({0, "PE busy", "03"}).size(), 3u);
+  EXPECT_EQ(written.at({0, "stall dram_latency", "cycles"}).size(), 2u);
+  EXPECT_EQ(written.at({1, "stall dram_latency", "cycles"}).size(), 1u);
+}
+
+// The windowed rate tracks carry the exact percentage, not a
+// truncated integer.
+TEST(CompactTracks, TimeSeriesRatesAreUnrounded) {
+  ObserverOptions oopts;
+  oopts.trace = true;
+  oopts.timeseries = true;
+  Observer obs(oopts);
+  obs.begin_run("ts");
+  TimeSeriesSample s;
+  s.dram_peak_bytes_per_cycle = 64;
+  obs.timeseries_record(s);
+  s.cycle = 300;
+  s.dmb_hits = 1;
+  s.dmb_misses = 2;
+  s.alu_busy_cycles = 100;
+  s.dram_bytes = 64 * 100;
+  obs.timeseries_record(s);
+  std::ostringstream out;
+  obs.trace().write(out);
+  const StepFunctions steps = parse_counter_steps(out.str());
+  EXPECT_EQ(value_at(steps.at({0, "TS DMB hit rate", "%"}), 300),
+            100.0 / 3.0);
+  EXPECT_EQ(value_at(steps.at({0, "TS ALU util", "%"}), 300),
+            100.0 * 100.0 / 300.0);
+  EXPECT_EQ(value_at(steps.at({0, "TS DRAM BW util", "%"}), 300),
+            100.0 * 6400.0 / (300.0 * 64.0));
+}
+
 // Golden trace: a small traced run — hybrid, then OP, in one observer
 // with time series and spatial on — must serialize byte for byte as
 // the committed fixture. The small DMB forces evictions and partial
 // spills, so the fixture holds M, X, C and i events, the "stall
-// <cause>", "PE NN busy" and "TS ..." tracks and two process groups.
+// <cause>", "PE busy" and "TS ..." tracks and two process groups.
 // On a mismatch the actual bytes are written to the working directory
 // (build/tests under ctest) for diffing.
 TEST(TraceGolden, SmallHybridThenOpRunMatchesFixture) {
@@ -447,6 +676,36 @@ TEST(TraceGolden, SmallHybridThenOpRunMatchesFixture) {
   std::ostringstream out;
   obs.trace().write(out);
   const std::string doc = out.str();
+
+  // The compact encoding: no track repeats its previous sample, and
+  // every process group opens every track.
+  std::map<int, std::set<std::string>> tracks_by_pid;
+  std::set<std::string> all_tracks;
+  std::map<std::pair<int, std::string>, std::string> last_args;
+  const auto parsed = json_parse(doc);
+  ASSERT_TRUE(parsed.has_value());
+  for (const JsonValue& e : parsed->find("traceEvents")->array_items) {
+    if (e.get_string("ph") != "C") continue;
+    const int pid = static_cast<int>(e.get_number("pid"));
+    const std::string name = e.get_string("name");
+    std::ostringstream args;
+    for (const auto& [k, v] : e.find("args")->object_members) {
+      args << k << '=' << v.number_value << ';';
+    }
+    auto [it, first] = last_args.try_emplace({pid, name}, args.str());
+    EXPECT_TRUE(first || it->second != args.str())
+        << "pid " << pid << " " << name << " repeats at ts "
+        << e.get_number("ts");
+    it->second = args.str();
+    tracks_by_pid[pid].insert(name);
+    all_tracks.insert(name);
+  }
+  ASSERT_EQ(tracks_by_pid.size(), 2u);
+  for (const auto& [pid, tracks] : tracks_by_pid) {
+    EXPECT_EQ(tracks, all_tracks) << "pid " << pid;
+  }
+  EXPECT_TRUE(all_tracks.count("PE busy"));
+  EXPECT_TRUE(all_tracks.count("TS ALU util"));
 
   const std::string path =
       std::string(HYMM_TEST_DATA_DIR) + "/trace_small.golden.json";

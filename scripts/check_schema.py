@@ -24,12 +24,6 @@ structural requirements:
                           also the per-phase breakdown; /3 runs also
                           the "sampled" label (sampled runs carry
                           sample_fraction and sample_rel_error_bound).
-  hymm-serve-report/1     serve_bench output: "config", "classes",
-                          "summary" (latency quantile blocks),
-                          "traffic" (the DRAM conservation ledger,
-                          standalone == charged + reuse + batch,
-                          re-checked here), "queue_depth" and one
-                          "requests" record per arrival.
 
 Prints one OK/FAIL line per file with every problem found. Exit
 status: 0 when all files validate, 1 when any file fails, 2 on usage
@@ -43,23 +37,11 @@ RUN_REPORT_SCHEMA = "hymm-run-report/9"
 BENCH_SCHEMAS = {"hymm-bench/1": 1, "hymm-bench/2": 2, "hymm-bench/3": 3}
 SAMPLE_PHASE_KEYS = ("bands_total", "bands_simulated", "nnz_total",
                      "nnz_simulated", "cycles_estimate", "cycles_stderr")
-SERVE_REPORT_SCHEMAS = {"hymm-serve-report/1": 1}
 
 RESULT_KEYS = ("dataset", "abbrev", "scale", "flow", "cycles", "verified")
 SPATIAL_CELL_KEYS = ("nnz", "macs", "dmb_hits", "dmb_misses",
                      "dram_bytes", "cycles")
 BENCH_RUN_KEYS = ("abbrev", "flow", "cycles")
-SERVE_CONFIG_KEYS = ("arrival_rate_rps", "requests", "queue_capacity",
-                     "max_batch", "buffer_reuse")
-SERVE_CLASS_KEYS = ("name", "weight", "nodes", "standalone_cycles",
-                    "standalone_dram_bytes", "verified", "layers")
-SERVE_SUMMARY_KEYS = ("served", "dropped", "batches", "makespan_cycles",
-                      "busy_cycles", "utilization", "throughput_rps")
-SERVE_QUANTILE_BLOCKS = ("latency_cycles", "wait_cycles", "service_cycles")
-SERVE_QUANTILE_KEYS = ("count", "mean", "p50", "p90", "p99", "max")
-SERVE_TRAFFIC_KEYS = ("standalone_bytes", "charged_bytes",
-                      "reuse_saved_bytes", "batch_saved_bytes",
-                      "standalone_cycles", "saved_cycles")
 
 
 def check_stalls(obj, where, problems):
@@ -213,84 +195,6 @@ def check_bench(doc, version, problems):
                             "number")
 
 
-def check_serve_report(doc, _version, problems):
-    config = doc.get("config")
-    if not isinstance(config, dict):
-        problems.append("missing \"config\" object")
-    else:
-        for key in SERVE_CONFIG_KEYS:
-            if key not in config:
-                problems.append(f"config: missing key {key!r}")
-
-    classes = doc.get("classes")
-    if not isinstance(classes, list) or not classes:
-        problems.append("missing or empty \"classes\" array")
-    else:
-        for i, cls in enumerate(classes):
-            where = f"classes[{i}]"
-            if not isinstance(cls, dict):
-                problems.append(f"{where}: not an object")
-                continue
-            for key in SERVE_CLASS_KEYS:
-                if key not in cls:
-                    problems.append(f"{where}: missing key {key!r}")
-            if not isinstance(cls.get("layers"), list) or not cls["layers"]:
-                problems.append(f"{where}: missing or empty \"layers\"")
-            if cls.get("verified") is not True:
-                problems.append(f"{where}: class is not verified")
-
-    summary = doc.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("missing \"summary\" object")
-    else:
-        for key in SERVE_SUMMARY_KEYS:
-            if key not in summary:
-                problems.append(f"summary: missing key {key!r}")
-        for block in SERVE_QUANTILE_BLOCKS:
-            quantiles = summary.get(block)
-            if not isinstance(quantiles, dict):
-                problems.append(f"summary: missing quantile block {block!r}")
-                continue
-            for key in SERVE_QUANTILE_KEYS:
-                if not isinstance(quantiles.get(key), (int, float)):
-                    problems.append(
-                        f"summary.{block}: {key!r} is not a number")
-
-    traffic = doc.get("traffic")
-    if not isinstance(traffic, dict):
-        problems.append("missing \"traffic\" object")
-    else:
-        for key in SERVE_TRAFFIC_KEYS:
-            if not isinstance(traffic.get(key), int):
-                problems.append(f"traffic: {key!r} is not an integer")
-        if all(isinstance(traffic.get(k), int) for k in SERVE_TRAFFIC_KEYS):
-            charged = (traffic["charged_bytes"] +
-                       traffic["reuse_saved_bytes"] +
-                       traffic["batch_saved_bytes"])
-            if charged != traffic["standalone_bytes"]:
-                problems.append(
-                    "traffic: conservation violated: charged + reuse + "
-                    f"batch = {charged} != standalone "
-                    f"{traffic['standalone_bytes']}")
-            if traffic["saved_cycles"] > traffic["standalone_cycles"]:
-                problems.append(
-                    "traffic: saved_cycles exceeds standalone_cycles")
-
-    if not isinstance(doc.get("queue_depth"), list):
-        problems.append("missing \"queue_depth\" array")
-    requests = doc.get("requests")
-    if not isinstance(requests, list) or not requests:
-        problems.append("missing or empty \"requests\" array")
-    elif isinstance(summary, dict) and \
-            isinstance(summary.get("served"), int) and \
-            isinstance(summary.get("dropped"), int):
-        if summary["served"] + summary["dropped"] != len(requests):
-            problems.append(
-                "summary: served + dropped != len(requests): "
-                f"{summary['served']} + {summary['dropped']} != "
-                f"{len(requests)}")
-
-
 def check_file(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -307,8 +211,6 @@ def check_file(path):
         check_run_report(doc, problems)
     elif schema in BENCH_SCHEMAS:
         check_bench(doc, BENCH_SCHEMAS[schema], problems)
-    elif schema in SERVE_REPORT_SCHEMAS:
-        check_serve_report(doc, SERVE_REPORT_SCHEMAS[schema], problems)
     else:
         problems.append(f"unsupported schema {schema!r}")
     if problems:

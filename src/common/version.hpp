@@ -10,8 +10,5 @@ namespace hymm {
 inline constexpr const char* kRunReportSchema = "hymm-run-report/9";
 // Perf snapshots written by bench/perf_regression.
 inline constexpr const char* kBenchSchema = "hymm-bench/3";
-// Serving reports written by write_serve_json (serve/report.cpp) for
-// bench/serve_bench.
-inline constexpr const char* kServeReportSchema = "hymm-serve-report/1";
 
 }  // namespace hymm

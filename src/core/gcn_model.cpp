@@ -1,7 +1,6 @@
 #include "core/gcn_model.hpp"
 
 #include "common/check.hpp"
-#include "common/timer.hpp"
 #include "linalg/gcn.hpp"
 
 namespace hymm {
@@ -37,18 +36,10 @@ GcnModel::InferenceResult GcnModel::run(const InferenceRequest& request) const {
   const CsrMatrix& features = *request.features;
   HYMM_CHECK(features.rows() == a_hat_.rows());
   HYMM_CHECK(features.cols() == weights_.front().rows());
-  const bool pass_sort =
-      request.flow == Dataflow::kHybrid && request.sort != nullptr;
-  if (pass_sort) {
-    HYMM_CHECK_MSG(request.sorted_features != nullptr,
-                   "InferenceRequest.sort without sorted_features");
-    HYMM_CHECK(request.sort->perm.size() == a_hat_.rows());
-  }
   const Accelerator accelerator(request.config);
 
   InferenceResult result;
-  CsrMatrix x = features;        // original node order
-  CsrMatrix x_sorted;            // x under request.sort (hybrid passthrough)
+  CsrMatrix x = features;
   for (std::size_t l = 0; l < weights_.size(); ++l) {
     LayerRunRequest layer_request;
     layer_request.flow = request.flow;
@@ -56,28 +47,10 @@ GcnModel::InferenceResult GcnModel::run(const InferenceRequest& request) const {
     layer_request.x = &x;
     layer_request.w = &weights_[l];
     layer_request.observer = request.observer;
-    if (pass_sort) {
-      // The degree sort is computed once for the whole network (the
-      // adjacency never changes between layers) — only the inner
-      // layers' re-sparsified activations need a row permutation.
-      layer_request.sort = request.sort;
-      if (l == 0) {
-        layer_request.sorted_features = request.sorted_features;
-      } else {
-        Timer permute_timer;
-        x_sorted = permute_feature_rows(x, request.sort->perm);
-        result.total_preprocess_ms += permute_timer.elapsed_ms();
-        layer_request.sorted_features = &x_sorted;
-      }
-    }
     LayerRunResult layer = accelerator.run_layer(layer_request);
     result.total_cycles += layer.stats.cycles;
     result.total_dram_bytes += layer.stats.dram_total_bytes();
-    // With a precomputed sort every layer reports the same shared
-    // sort cost; charge it once instead of per layer.
-    if (!pass_sort || l == 0) {
-      result.total_preprocess_ms += layer.preprocess_ms;
-    }
+    result.total_preprocess_ms += layer.preprocess_ms;
     const bool last = l + 1 == weights_.size();
     if (last) {
       result.output = layer.output;

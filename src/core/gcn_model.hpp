@@ -12,7 +12,6 @@
 
 #include "core/accelerator.hpp"
 #include "graph/csr.hpp"
-#include "graph/degree_sort.hpp"
 #include "linalg/dense.hpp"
 
 namespace hymm {
@@ -66,22 +65,14 @@ class GcnModel {
   /// mirrors ExperimentRequest (core/runner.hpp) and LayerRunRequest
   /// (core/accelerator.hpp). `features` is required. `observer`
   /// (optional) collects metrics/trace events for every layer; it
-  /// never affects timing. `sort` + `sorted_features` optionally hand
-  /// the hybrid its degree-sorting preprocessing precomputed (e.g. the
-  /// sweep executor's PreparedWorkload::sort()): when set, the sort is
-  /// applied once and shared by every layer instead of re-sorting
-  /// a_hat per layer, so total_preprocess_ms drops to the host-side
-  /// row-permutation cost. sorted_features must be `features` under
-  /// sort->perm; ignored for the homogeneous dataflows. Simulated
-  /// cycles are identical either way — sorting is host preprocessing.
+  /// never affects timing. The hybrid degree-sorts a_hat in every
+  /// layer; that host-side cost is summed into total_preprocess_ms.
   struct InferenceRequest {
     Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow to simulate
     const CsrMatrix* features = nullptr;        ///< required: input features
     AcceleratorConfig config;                   ///< hardware parameters
     bool verify = true;          ///< compare output against reference()
-    Observer* observer = nullptr;            ///< optional; never affects timing
-    const DegreeSortResult* sort = nullptr;  ///< optional precomputed sort
-    const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
+    Observer* observer = nullptr;  ///< optional; never affects timing
   };
 
   /// Simulates the whole network under the request's dataflow. When

@@ -76,8 +76,14 @@ class JsonValidator {
   bool value() {
     if (eof()) return false;
     switch (peek()) {
-      case '{': return object();
-      case '[': return array();
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth) return false;
+        ++depth_;
+        const bool ok = peek() == '{' ? object() : array();
+        --depth_;
+        return ok;
+      }
       case '"': return string();
       case 't': return literal("true");
       case 'f': return literal("false");
@@ -170,6 +176,7 @@ class JsonValidator {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // containers open around the current value
 };
 
 }  // namespace
@@ -223,8 +230,14 @@ class JsonParser {
   bool value(JsonValue& out) {
     if (eof()) return false;
     switch (peek()) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth) return false;
+        ++depth_;
+        const bool ok = peek() == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"':
         out.kind = JsonValue::Kind::kString;
         return string(out.string_value);
@@ -369,6 +382,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // containers open around the current value
 };
 
 }  // namespace

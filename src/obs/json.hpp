@@ -2,10 +2,11 @@
 /// Minimal JSON utilities for the observability layer: a streaming
 /// writer (used by the trace emitter and the run-report writer), a
 /// strict well-formedness checker (used by tests to validate emitted
-/// documents) and a small value parser (used by the tuning cache to
-/// read its own persisted files back). No external dependencies.
+/// documents) and a small value parser (used by hymm_diff to read run
+/// reports and bench snapshots back). No external dependencies.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
@@ -21,8 +22,15 @@ namespace hymm {
 /// surrounding quotes are not included).
 std::string json_escape(std::string_view s);
 
+/// Deepest array/object nesting json_is_valid and json_parse accept
+/// (the root container is depth 1). Both readers recurse once per
+/// level, so a deeper document is rejected instead of exhausting the
+/// stack; every document this repo writes nests a few levels.
+inline constexpr std::size_t kJsonMaxDepth = 256;
+
 /// Strict recursive-descent well-formedness check of a complete JSON
-/// document (RFC 8259 values; no trailing garbage).
+/// document (RFC 8259 values; no trailing garbage; at most
+/// kJsonMaxDepth nested containers).
 bool json_is_valid(std::string_view text);
 
 /// Parsed JSON value tree. Numbers are kept as doubles (every value
@@ -59,9 +67,10 @@ struct JsonValue {
   double get_number(std::string_view key, double fallback = 0.0) const;
 };
 
-/// Parses a complete JSON document (same strict grammar json_is_valid
-/// accepts; \uXXXX escapes are decoded to UTF-8). nullopt on any
-/// syntax error or trailing garbage.
+/// Parses a complete JSON document (same strict grammar and nesting
+/// cap json_is_valid accepts; \uXXXX escapes are decoded to UTF-8).
+/// nullopt on any syntax error, trailing garbage or nesting deeper
+/// than kJsonMaxDepth.
 std::optional<JsonValue> json_parse(std::string_view text);
 
 /// Streaming writer for nested JSON documents. The caller drives

@@ -69,18 +69,6 @@ std::uint64_t parse_spatial(const std::string& source,
   return parse_u64_value(source, value, 0);
 }
 
-// Strictly positive arrival rate (requests per second of modeled
-// time); an open-loop generator with rate 0 would never arrive.
-double parse_arrival_rate(const std::string& source,
-                          const std::string& value) {
-  const double rate = parse_double_value(source, value, 0.0, 1e12);
-  if (rate <= 0.0) {
-    throw UsageError("invalid value '" + value + "' for " + source +
-                     " (must be > 0)");
-  }
-  return rate;
-}
-
 // "0" = exact mode, otherwise a fraction in (0, 1] of tile bands to
 // simulate per phase. No clamping: 1.5 or -0.2 are errors.
 double parse_sample(const std::string& source, const std::string& value) {
@@ -125,22 +113,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
   }
   if (const char* v = env("HYMM_AUTOTUNE")) {
     options.autotune = parse_autotune("HYMM_AUTOTUNE", v);
-  }
-  if (const char* v = env("HYMM_ARRIVAL_RATE")) {
-    options.arrival_rate = parse_arrival_rate("HYMM_ARRIVAL_RATE", v);
-  }
-  if (const char* v = env("HYMM_REQUESTS")) {
-    options.requests = parse_u64_value("HYMM_REQUESTS", v, 1, 100'000'000);
-  }
-  if (const char* v = env("HYMM_BATCH")) {
-    options.batch = parse_u64_value("HYMM_BATCH", v, 1, 4096);
-  }
-  if (const char* v = env("HYMM_QUEUE_CAP")) {
-    options.queue_capacity =
-        parse_u64_value("HYMM_QUEUE_CAP", v, 1, 1u << 20);
-  }
-  if (const char* v = env("HYMM_REUSE")) {
-    options.serve_reuse = parse_u64_value("HYMM_REUSE", v, 0, 1) != 0;
   }
   if (const char* v = env("HYMM_SAMPLE")) {
     options.sample = parse_sample("HYMM_SAMPLE", v);
@@ -192,18 +164,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // search (never consumes the following argument).
       options.autotune = parse_autotune(
           "--autotune", inline_value ? *inline_value : "measured");
-    } else if (arg == "--arrival-rate") {
-      options.arrival_rate = parse_arrival_rate("--arrival-rate", next());
-    } else if (arg == "--requests") {
-      options.requests =
-          parse_u64_value("--requests", next(), 1, 100'000'000);
-    } else if (arg == "--batch") {
-      options.batch = parse_u64_value("--batch", next(), 1, 4096);
-    } else if (arg == "--queue-cap") {
-      options.queue_capacity =
-          parse_u64_value("--queue-cap", next(), 1, 1u << 20);
-    } else if (arg == "--reuse") {
-      options.serve_reuse = parse_u64_value("--reuse", next(), 0, 1) != 0;
     } else if (arg == "--sample") {
       // Value optional: bare --sample means the default 0.25 fraction
       // (never consumes the following argument).

@@ -22,17 +22,6 @@
 ///   HYMM_AUTOTUNE       --autotune[=MODE]  measured threshold search:
 ///                                          off|measured (bare
 ///                                          --autotune = measured)
-///   HYMM_ARRIVAL_RATE   --arrival-rate=R   serving: open-loop Poisson
-///                                          arrival rate in requests per
-///                                          second of modeled time
-///   HYMM_REQUESTS       --requests=N       serving: arrivals to generate
-///   HYMM_BATCH          --batch=B          serving: max requests batched
-///                                          behind one weight fetch
-///   HYMM_QUEUE_CAP      --queue-cap=N      serving: bounded queue
-///                                          capacity (excess arrivals
-///                                          are dropped)
-///   HYMM_REUSE          --reuse=0|1        serving: inter-layer XW
-///                                          buffer reuse on/off
 ///   HYMM_SAMPLE         --sample[=F]       sampled simulation: simulate
 ///                                          a seeded fraction F of tile
 ///                                          bands per phase and
@@ -83,24 +72,6 @@ struct BenchOptions {
   /// Measured threshold search (src/tune/): how hybrid cells pick
   /// their tiling threshold. kOff keeps the config's fixed value.
   AutotuneMode autotune = AutotuneMode::kOff;
-
-  // --- Serving knobs (src/serve/; consumed by serve_bench) ---
-  /// Open-loop Poisson arrival rate in requests per second of modeled
-  /// time at the config's clock; 0 = the binary's default. Strictly
-  /// positive when given.
-  double arrival_rate = 0.0;
-  /// Number of arrivals the request generator produces; 0 = the
-  /// binary's default.
-  std::uint64_t requests = 0;
-  /// Maximum requests batched behind one weight fetch; 0 = the
-  /// binary's default.
-  std::uint64_t batch = 0;
-  /// Bounded request-queue capacity (waiting requests; arrivals
-  /// beyond it are dropped); 0 = the binary's default.
-  std::uint64_t queue_capacity = 0;
-  /// Inter-layer XW buffer reuse in the serving model; nullopt = the
-  /// binary's default (on).
-  std::optional<bool> serve_reuse;
 
   /// Sampled-simulation fraction (core/sampling.hpp): 0 = exact mode,
   /// otherwise the fraction of tile bands simulated per phase

@@ -141,9 +141,9 @@ unsigned resolve_thread_count(unsigned requested);
 /// Indices are claimed in increasing order from an atomic counter, so
 /// the set of calls — and therefore the result — is independent of
 /// the schedule as long as body(i) writes only to its own index-i
-/// slot (the same discipline SweepRunner follows; the serving cost
-/// library builds its per-class simulations through this). Worker
-/// exceptions are rethrown on the calling thread (the first one wins).
+/// slot (the discipline SweepRunner follows when it runs its cells
+/// through this). Worker exceptions are rethrown on the calling
+/// thread (the first one wins).
 void parallel_for(std::size_t count, unsigned threads,
                   const std::function<void(std::size_t)>& body);
 

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "sweep/bench_options.hpp"
@@ -184,60 +185,56 @@ TEST(BenchOptionsTest, MissingValueIsError) {
   EXPECT_NE(error_of({"--scale="}), "");
 }
 
+// The open-loop request pipeline is gone: each of its five flags, in
+// every spelling, fails fast naming the flag, and its HYMM_* variables
+// are no longer read, so a leftover one can neither fail nor change
+// the options.
+const std::vector<std::pair<std::string, std::string>> kRemovedServeKnobs = {
+    {"--arrival-rate", "HYMM_ARRIVAL_RATE"}, {"--requests", "HYMM_REQUESTS"},
+    {"--batch", "HYMM_BATCH"},               {"--queue-cap", "HYMM_QUEUE_CAP"},
+    {"--reuse", "HYMM_REUSE"}};
+
 TEST(BenchOptionsTest, ServeKnobDefaultsAreUnset) {
-  const BenchOptions opts = parse({});
-  EXPECT_EQ(opts.arrival_rate, 0.0);
-  EXPECT_EQ(opts.requests, 0u);
-  EXPECT_EQ(opts.batch, 0u);
-  EXPECT_EQ(opts.queue_capacity, 0u);
-  EXPECT_FALSE(opts.serve_reuse.has_value());
+  std::map<std::string, std::string> env;
+  for (const auto& [flag, var] : kRemovedServeKnobs) env[var] = "8";
+  const BenchOptions opts = parse({}, env);
+  const BenchOptions defaults = parse({});
+  EXPECT_EQ(opts.seed, defaults.seed);
+  EXPECT_EQ(opts.threads, defaults.threads);
+  EXPECT_EQ(opts.datasets.size(), defaults.datasets.size());
+  EXPECT_FALSE(opts.datasets_explicit);
 }
 
 TEST(BenchOptionsTest, ServeKnobsParseFromFlags) {
-  const BenchOptions opts =
-      parse({"--arrival-rate=2500.5", "--requests", "96", "--batch=8",
-             "--queue-cap=32", "--reuse=0"});
-  EXPECT_DOUBLE_EQ(opts.arrival_rate, 2500.5);
-  EXPECT_EQ(opts.requests, 96u);
-  EXPECT_EQ(opts.batch, 8u);
-  EXPECT_EQ(opts.queue_capacity, 32u);
-  ASSERT_TRUE(opts.serve_reuse.has_value());
-  EXPECT_FALSE(*opts.serve_reuse);
+  for (const auto& [flag, var] : kRemovedServeKnobs) {
+    for (const std::string& arg : {flag + "=8", flag}) {
+      const std::string err = error_of({arg});
+      EXPECT_NE(err.find(flag), std::string::npos) << arg << ": " << err;
+    }
+    const std::string err = error_of({flag, "8"});
+    EXPECT_NE(err.find(flag), std::string::npos) << flag << ": " << err;
+  }
 }
 
 TEST(BenchOptionsTest, ServeKnobsParseFromEnvAndFlagsWin) {
-  const std::map<std::string, std::string> env = {
-      {"HYMM_ARRIVAL_RATE", "1000"}, {"HYMM_REQUESTS", "10"},
-      {"HYMM_BATCH", "2"},           {"HYMM_QUEUE_CAP", "4"},
-      {"HYMM_REUSE", "1"}};
-  const BenchOptions from_env = parse({}, env);
-  EXPECT_DOUBLE_EQ(from_env.arrival_rate, 1000.0);
-  EXPECT_EQ(from_env.requests, 10u);
-  EXPECT_EQ(from_env.batch, 2u);
-  EXPECT_EQ(from_env.queue_capacity, 4u);
-  ASSERT_TRUE(from_env.serve_reuse.has_value());
-  EXPECT_TRUE(*from_env.serve_reuse);
-
-  const BenchOptions overridden =
-      parse({"--arrival-rate=2000", "--requests=20"}, env);
-  EXPECT_DOUBLE_EQ(overridden.arrival_rate, 2000.0);
-  EXPECT_EQ(overridden.requests, 20u);
-  EXPECT_EQ(overridden.batch, 2u);  // env survives where no flag given
+  for (const auto& [flag, var] : kRemovedServeKnobs) {
+    // The variable is ignored, and the flag still fails next to it.
+    const BenchOptions opts = parse({"--seed=9"}, {{var, "4"}});
+    EXPECT_EQ(opts.seed, 9u) << var;
+    const std::string err = error_of({flag + "=4"}, {{var, "4"}});
+    EXPECT_NE(err.find(flag), std::string::npos) << flag << ": " << err;
+  }
 }
 
 TEST(BenchOptionsTest, ServeKnobsFailFastOnBadValues) {
-  const std::string rate_err = error_of({}, {{"HYMM_ARRIVAL_RATE", "0"}});
-  EXPECT_NE(rate_err.find("HYMM_ARRIVAL_RATE"), std::string::npos)
-      << rate_err;
-  EXPECT_NE(error_of({"--arrival-rate=-5"}), "");
-  EXPECT_NE(error_of({"--arrival-rate=banana"}), "");
-  EXPECT_NE(error_of({"--requests=0"}), "");
-  EXPECT_NE(error_of({"--batch=0"}), "");
-  EXPECT_NE(error_of({"--batch=100000"}), "");
-  EXPECT_NE(error_of({"--queue-cap=0"}), "");
-  EXPECT_NE(error_of({"--reuse=2"}), "");
-  const std::string reuse_err = error_of({}, {{"HYMM_REUSE", "maybe"}});
-  EXPECT_NE(reuse_err.find("HYMM_REUSE"), std::string::npos) << reuse_err;
+  // Values the old parser rejected no longer reach a parser: a junk
+  // variable is ignored, and the flag fails on its name, not its value.
+  for (const auto& [flag, var] : kRemovedServeKnobs) {
+    EXPECT_NO_THROW(parse({}, {{var, "banana"}})) << var;
+    const std::string err = error_of({flag + "=banana"});
+    EXPECT_NE(err.find(flag), std::string::npos) << flag << ": " << err;
+    EXPECT_EQ(err.find(var), std::string::npos) << flag << ": " << err;
+  }
 }
 
 // Sampled-simulation knob: off by default, bare --sample means the

@@ -107,35 +107,6 @@ TEST(GcnModel, HybridPaysPreprocessingPerLayer) {
   EXPECT_EQ(baseline.total_preprocess_ms, 0.0);
 }
 
-// A precomputed degree sort handed through the request changes only
-// the host-side preprocessing cost, never the simulated cycles.
-TEST(GcnModel, HybridSortPassthroughKeepsCyclesIdentical) {
-  const CsrMatrix a_hat = small_a_hat();
-  const GcnModel model =
-      GcnModel::with_random_weights(a_hat, 24, {16, 8}, 23);
-  const CsrMatrix x = small_features(a_hat.rows(), 24, 24);
-
-  GcnModel::InferenceRequest plain;
-  plain.flow = Dataflow::kHybrid;
-  plain.features = &x;
-  const auto baseline = model.run(plain);
-
-  const DegreeSortResult sort = degree_sort(a_hat);
-  const CsrMatrix x_sorted = permute_feature_rows(x, sort.perm);
-  GcnModel::InferenceRequest presorted = plain;
-  presorted.sort = &sort;
-  presorted.sorted_features = &x_sorted;
-  const auto result = model.run(presorted);
-
-  EXPECT_EQ(result.total_cycles, baseline.total_cycles);
-  EXPECT_EQ(result.total_dram_bytes, baseline.total_dram_bytes);
-  EXPECT_TRUE(result.verified) << "max err " << result.max_abs_err;
-  // sorted_features is required whenever a sort is passed.
-  GcnModel::InferenceRequest missing = presorted;
-  missing.sorted_features = nullptr;
-  EXPECT_THROW(model.run(missing), CheckError);
-}
-
 // Pins the runtime_ms convention shared with ExperimentResult:
 // cycles / (clock_ghz * 1e6) milliseconds.
 TEST(GcnModel, RuntimeMsConventionPinned) {

@@ -58,6 +58,44 @@ TEST(Json, ValidatorRejectsMalformedDocuments) {
   EXPECT_FALSE(json_is_valid("nan"));
 }
 
+// Both readers recurse once per container, so nesting is capped at
+// kJsonMaxDepth: a document exactly at the cap still reads, one level
+// more and a 100,000-deep run of openers are rejected, never a crash.
+TEST(Json, NestingBeyondTheCapIsRejectedCleanly) {
+  const auto nested = [](std::size_t depth, const std::string& open,
+                         const std::string& close) {
+    std::string doc;
+    for (std::size_t i = 0; i < depth; ++i) doc += open;
+    doc += "0";
+    for (std::size_t i = 0; i < depth; ++i) doc += close;
+    return doc;
+  };
+  const std::vector<std::pair<std::string, std::string>> shapes = {
+      {"[", "]"}, {"{\"a\":", "}"}};
+  for (const auto& [open, close] : shapes) {
+    const std::string at_cap = nested(kJsonMaxDepth, open, close);
+    EXPECT_TRUE(json_is_valid(at_cap)) << open;
+    const std::optional<JsonValue> parsed = json_parse(at_cap);
+    ASSERT_TRUE(parsed.has_value()) << open;
+    std::size_t depth = 0;
+    for (const JsonValue* v = &*parsed; v->is_array() || v->is_object();
+         ++depth) {
+      v = v->is_array() ? &v->array_items.front()
+                        : &v->object_members.front().second;
+    }
+    EXPECT_EQ(depth, kJsonMaxDepth) << open;
+
+    const std::string over = nested(kJsonMaxDepth + 1, open, close);
+    EXPECT_FALSE(json_is_valid(over)) << open;
+    EXPECT_FALSE(json_parse(over).has_value()) << open;
+
+    std::string deep;
+    for (int i = 0; i < 100'000; ++i) deep += open;
+    EXPECT_FALSE(json_is_valid(deep)) << open;
+    EXPECT_FALSE(json_parse(deep).has_value()) << open;
+  }
+}
+
 TEST(Json, WriterProducesValidNestedDocument) {
   std::ostringstream out;
   JsonWriter w(out);

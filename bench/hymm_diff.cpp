@@ -1,19 +1,23 @@
-// Run-diff root-cause tool: diffs two run reports (hymm-run-report/4,
-// /5 or /6) or two perf snapshots (hymm-bench/1 or /2) and attributes
-// each paired run's cycle delta to (phase-or-region x stall bucket),
-// printing a ranked attribution table. The per-phase stall vectors
-// sum exactly to the per-phase cycles, so the rows sum exactly to the
-// delta. When both reports carry the /6 "spatial" tile grid at the
-// same geometry, the tiles with the largest cycle deltas are ranked
-// too.
+// Run-diff gate and root-cause tool: compares two hymm-run-report/9
+// documents (bench/perf_regression snapshots or hymm_sim --json
+// reports) and attributes each paired run's cycle delta to
+// (phase-or-region x stall bucket), printing a ranked attribution
+// table. The per-phase stall vectors sum exactly to the per-phase
+// cycles, so the rows sum exactly to the delta. When both reports
+// carry the "spatial" tile grid at the same geometry, the tiles with
+// the largest cycle deltas are ranked too.
 //
 //   hymm_diff BASELINE CURRENT [--max-rows N]
 //
-// Exit status: 0 when the reports were diffed (whatever the deltas),
-// 1 when no (abbrev, flow) pair exists in both reports, 2 on usage
-// errors, 3 on unreadable/unsupported reports or when the two files
-// are different report kinds (a run report vs a bench snapshot).
-#include <cstdlib>
+// Exit status, like diff(1): 0 when every baseline run has a partner
+// in CURRENT and the two are equal in every (phase or region, stall)
+// cell, in cycles and in DRAM bytes; 1 on any such delta, a baseline
+// run missing from CURRENT, or an exact current run that failed
+// verification; 2 on usage errors; 3 on an unreadable file, a schema
+// other than hymm-run-report/9, a baseline without runs, or a sampled
+// run paired with an exact one.
+#include <algorithm>
+#include <charconv>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -24,30 +28,34 @@
 int main(int argc, char** argv) {
   using namespace hymm;
 
+  const auto usage = [] {
+    std::cerr << "usage: hymm_diff BASELINE CURRENT [--max-rows N]\n";
+    return 2;
+  };
   std::size_t max_rows = 10;
   std::vector<std::string> positional;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--max-rows" && i + 1 < argc) {
-      max_rows = static_cast<std::size_t>(std::atoll(argv[++i]));
+      const std::string value = argv[++i];
+      const char* end = value.data() + value.size();
+      const auto [ptr, ec] = std::from_chars(value.data(), end, max_rows);
+      if (ec != std::errc() || ptr != end) {
+        std::cerr << "hymm_diff: invalid value '" << value
+                  << "' for --max-rows (want a non-negative integer)\n";
+        return 2;
+      }
     } else if (arg == "--version") {
       std::cout << "hymm_diff\n"
-                << "  run-report schema: " << kRunReportSchema
-                << " (reads /4 and /5 too)\n"
-                << "  bench schema:      " << kBenchSchema
-                << " (reads /1 too)\n";
+                << "  run-report schema: " << kRunReportSchema << '\n';
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
-      std::cerr << "usage: hymm_diff BASELINE CURRENT [--max-rows N]\n";
-      return 2;
+      return usage();
     } else {
       positional.push_back(arg);
     }
   }
-  if (positional.size() != 2) {
-    std::cerr << "usage: hymm_diff BASELINE CURRENT [--max-rows N]\n";
-    return 2;
-  }
+  if (positional.size() != 2) return usage();
 
   std::string error;
   const auto base = load_report(positional[0], &error);
@@ -55,27 +63,35 @@ int main(int argc, char** argv) {
     std::cerr << "hymm_diff: " << error << "\n";
     return 3;
   }
+  if (base->runs.empty()) {
+    std::cerr << "hymm_diff: " << positional[0] << " has no runs\n";
+    return 3;
+  }
   const auto current = load_report(positional[1], &error);
   if (!current.has_value()) {
     std::cerr << "hymm_diff: " << error << "\n";
     return 3;
   }
-  if (base->kind != current->kind) {
-    std::cerr << "hymm_diff: cannot diff a " << base->kind << " ("
-              << base->schema << ") against a " << current->kind << " ("
-              << current->schema << ")\n";
-    return 3;
+
+  const std::vector<RunDiff> diffs = diff_reports(*base, *current);
+  for (const RunDiff& diff : diffs) {
+    if (diff.sampled_mismatch) {
+      std::cerr << "hymm_diff: " << diff.abbrev << '/' << diff.flow
+                << " is sampled in one report and exact in the other\n";
+      return 3;
+    }
   }
 
-  std::cout << "hymm_diff: " << positional[0] << " (" << base->schema
-            << ") -> " << positional[1] << " (" << current->schema
-            << ")\n";
-  const std::vector<RunDiff> diffs = diff_reports(*base, *current);
-  if (diffs.empty()) {
-    std::cerr << "hymm_diff: no (dataset, flow) pair present in both "
-                 "reports\n";
+  std::cout << "hymm_diff: " << positional[0] << " -> " << positional[1]
+            << "\n";
+  print_diff(diffs, std::cout, max_rows);
+  const auto failed = std::count_if(
+      diffs.begin(), diffs.end(),
+      [](const RunDiff& diff) { return !diff.passes(); });
+  if (failed > 0) {
+    std::cerr << "hymm_diff: " << failed << " of " << diffs.size()
+              << " baseline runs differ\n";
     return 1;
   }
-  print_diff(diffs, std::cout, max_rows);
   return 0;
 }

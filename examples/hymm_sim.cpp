@@ -67,13 +67,12 @@ void usage() {
       "                       (bare = 256; also HYMM_TIMESERIES)\n"
       "  --spatial[=TILE]     per-PE / per-tile spatial attribution\n"
       "                       (bare = auto tile size; also HYMM_SPATIAL)\n"
-      "  --version            print the supported schema versions\n";
+      "  --version            print the run-report schema version\n";
 }
 
 void print_version() {
   std::cout << "hymm_sim\n"
-            << "  run-report schema: " << kRunReportSchema << '\n'
-            << "  bench schema:      " << kBenchSchema << '\n';
+            << "  run-report schema: " << kRunReportSchema << '\n';
 }
 
 std::optional<Dataflow> parse_flow(const std::string& s) {

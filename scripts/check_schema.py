@@ -4,7 +4,7 @@
 Usage:
     check_schema.py FILE [FILE ...]
 
-Each file must declare a supported schema and satisfy that schema's
+Each file must declare the run-report schema and satisfy its
 structural requirements:
 
   hymm-run-report/9       "results" array; every result carries the
@@ -19,11 +19,6 @@ structural requirements:
                           measured search's threshold, simulation
                           count, config hash and per-candidate
                           measured cycles.
-  hymm-bench/1|2|3        "runs" array; every run carries abbrev,
-                          flow, cycles and a stall breakdown; /2 runs
-                          also the per-phase breakdown; /3 runs also
-                          the "sampled" label (sampled runs carry
-                          sample_fraction and sample_rel_error_bound).
 
 Prints one OK/FAIL line per file with every problem found. Exit
 status: 0 when all files validate, 1 when any file fails, 2 on usage
@@ -34,14 +29,12 @@ import json
 import sys
 
 RUN_REPORT_SCHEMA = "hymm-run-report/9"
-BENCH_SCHEMAS = {"hymm-bench/1": 1, "hymm-bench/2": 2, "hymm-bench/3": 3}
 SAMPLE_PHASE_KEYS = ("bands_total", "bands_simulated", "nnz_total",
                      "nnz_simulated", "cycles_estimate", "cycles_stderr")
 
 RESULT_KEYS = ("dataset", "abbrev", "scale", "flow", "cycles", "verified")
 SPATIAL_CELL_KEYS = ("nnz", "macs", "dmb_hits", "dmb_misses",
                      "dram_bytes", "cycles")
-BENCH_RUN_KEYS = ("abbrev", "flow", "cycles")
 
 
 def check_stalls(obj, where, problems):
@@ -158,43 +151,6 @@ def check_run_report(doc, problems):
             check_tune(tune, f"{where}.tune", problems)
 
 
-def check_bench(doc, version, problems):
-    runs = doc.get("runs")
-    if not isinstance(runs, list) or not runs:
-        problems.append("missing or empty \"runs\" array")
-        return
-    for i, run in enumerate(runs):
-        where = f"runs[{i}]"
-        if not isinstance(run, dict):
-            problems.append(f"{where}: not an object")
-            continue
-        for key in BENCH_RUN_KEYS:
-            if key not in run:
-                problems.append(f"{where}: missing key {key!r}")
-        check_stalls(run, where, problems)
-        if version >= 2:
-            for phase in ("combination", "aggregation"):
-                obj = run.get(phase)
-                if not isinstance(obj, dict):
-                    problems.append(
-                        f"{where}: missing per-phase object {phase!r} "
-                        f"(required by hymm-bench/2)")
-                else:
-                    check_stalls(obj, f"{where}.{phase}", problems)
-        if version >= 3:
-            sampled = run.get("sampled")
-            if not isinstance(sampled, bool):
-                problems.append(
-                    f"{where}: missing boolean \"sampled\" label "
-                    f"(required by hymm-bench/3)")
-            elif sampled:
-                for key in ("sample_fraction", "sample_rel_error_bound"):
-                    if not isinstance(run.get(key), (int, float)):
-                        problems.append(
-                            f"{where}: sampled run: {key!r} is not a "
-                            "number")
-
-
 def check_file(path):
     try:
         with open(path, encoding="utf-8") as f:
@@ -209,8 +165,6 @@ def check_file(path):
     problems = []
     if schema == RUN_REPORT_SCHEMA:
         check_run_report(doc, problems)
-    elif schema in BENCH_SCHEMAS:
-        check_bench(doc, BENCH_SCHEMAS[schema], problems)
     else:
         problems.append(f"unsupported schema {schema!r}")
     if problems:
@@ -224,7 +178,8 @@ def check_file(path):
 
 def main(argv):
     if len(argv) < 2:
-        sys.exit(__doc__)
+        print(__doc__, file=sys.stderr)
+        return 2
     status = 0
     for path in argv[1:]:
         status = max(status, check_file(path))

@@ -22,7 +22,7 @@
 # Defaults to the perf-gate configuration — serial, CR+CS, the same
 # cells the wall-clock criterion is measured on:
 #     HYMM_DATASETS=CR,CS HYMM_THREADS=1 build/bench/perf_regression \
-#         --rev profile --out /tmp/hymm_profile
+#         --out /tmp/hymm_profile
 #
 # Knobs:
 #     HYMM_PROFILER      force one backend: perf | gprofng | gprof
@@ -48,7 +48,7 @@ elif [ -x build/bench/perf_regression ]; then
     HYMM_DATASETS="${HYMM_DATASETS:-CR,CS}"
     HYMM_THREADS="${HYMM_THREADS:-1}"
     export HYMM_DATASETS HYMM_THREADS
-    set -- build/bench/perf_regression --rev profile --out /tmp/hymm_profile
+    set -- build/bench/perf_regression --out /tmp/hymm_profile
 else
     echo "profile_hotloop.sh: build/bench/perf_regression missing;" \
          "build first (cmake --build build) or pass a binary" >&2

@@ -37,7 +37,7 @@
 /// tests/test_sampling.cpp) covers the residual bias plus noise;
 /// sampled results are labeled `sampled: true`, are never
 /// functionally verified, and are never gated against exact
-/// snapshots (scripts/perf_compare refuses mixed pairs).
+/// snapshots (hymm_diff refuses mixed pairs).
 #pragma once
 
 #include <cstdint>

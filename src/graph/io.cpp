@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -50,6 +51,13 @@ CsrMatrix load_edge_list(std::istream& in, const EdgeListOptions& options) {
     ls >> weight;  // optional third column
     HYMM_CHECK_MSG(src >= 0 && dst >= 0,
                    "edge list line " << line_no << " has negative ids");
+    // The largest NodeId stays reserved so `max_id + 1` cannot wrap.
+    constexpr auto kIdLimit =
+        static_cast<long long>(std::numeric_limits<NodeId>::max());
+    HYMM_CHECK_MSG(src < kIdLimit && dst < kIdLimit,
+                   "edge list line " << line_no << " has node id "
+                                     << std::max(src, dst)
+                                     << ", ids must be below " << kIdLimit);
     const auto u = static_cast<NodeId>(src);
     const auto v = static_cast<NodeId>(dst);
     if (options.drop_self_loops && u == v) continue;

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "common/table.hpp"
+#include "common/version.hpp"
 #include "obs/json.hpp"
 
 namespace hymm {
@@ -27,8 +28,7 @@ double read_stalls(const JsonValue* stalls,
   return total;
 }
 
-// One phase from an object carrying a "stalls" member (a bench/2
-// phase object or a run-report SimStats object). The phase's cycles
+// One phase from a run-report SimStats object. The phase's cycles
 // are the stall-bucket sum — exactly the phase's simulated cycles by
 // the accounting invariant, which is what makes the attribution rows
 // sum exactly to the cycle delta.
@@ -39,11 +39,9 @@ PhaseBreakdown read_phase(const std::string& name, const JsonValue& obj) {
   return phase;
 }
 
-void read_region_phases(const JsonValue* regions, RunSnapshot* run) {
-  for (std::size_t i = 0; i < regions->array_items.size(); ++i) {
-    run->phases.push_back(read_phase("region" + std::to_string(i + 1),
-                                     regions->array_items[i]));
-  }
+bool read_bool(const JsonValue& obj, std::string_view key) {
+  const JsonValue* v = obj.find(key);
+  return v != nullptr && v->kind == JsonValue::Kind::kBool && v->bool_value;
 }
 
 // Accumulates one region's per-cell array into `out` (resized to
@@ -86,26 +84,47 @@ TileGrid read_tile_grid(const JsonValue* spatial) {
   return grid;
 }
 
-std::optional<ReportSnapshot> normalize_run_report(const JsonValue& doc,
-                                                   std::string* error) {
-  ReportSnapshot report;
-  report.schema = doc.get_string("schema");
-  report.kind = "run-report";
+bool any_cell_moved(const std::vector<DiffRow>& rows) {
+  return std::any_of(rows.begin(), rows.end(),
+                     [](const DiffRow& row) { return row.delta != 0.0; });
+}
+
+}  // namespace
+
+std::optional<ReportSnapshot> normalize_report(const JsonValue& doc,
+                                               std::string* error) {
+  const std::string schema = doc.get_string("schema");
+  if (schema != kRunReportSchema) {
+    if (error != nullptr) {
+      *error = "unsupported schema \"" + schema + "\" (expected " +
+               kRunReportSchema + ")";
+    }
+    return std::nullopt;
+  }
   const JsonValue* results = doc.find("results");
   if (results == nullptr || !results->is_array()) {
     if (error != nullptr) *error = "run report has no \"results\" array";
     return std::nullopt;
   }
+  ReportSnapshot report;
   for (const JsonValue& r : results->array_items) {
     RunSnapshot run;
     run.abbrev = r.get_string("abbrev");
     run.flow = r.get_string("flow");
     run.cycles = r.get_number("cycles");
-    run.sim_wall_ms = r.get_number("sim_wall_ms");
-    if (const JsonValue* stats = r.find("stats")) {
+    run.verified = read_bool(r, "verified");
+    run.sampled = read_bool(r, "sampled");
+    const JsonValue* stats = r.find("stats");
+    if (stats != nullptr) {
       run.skipped_cycles = stats->get_number("skipped_cycles");
+      run.dram_total_bytes = stats->get_number("dram_total_bytes");
     }
-    if (const JsonValue* combination = r.find("combination")) {
+    const JsonValue* combination = r.find("combination");
+    const JsonValue* aggregation = r.find("aggregation");
+    if (combination == nullptr && aggregation == nullptr) {
+      // No per-phase objects: the whole-run stall vector still gates.
+      if (stats != nullptr) run.phases.push_back(read_phase("total", *stats));
+    } else if (combination != nullptr) {
       run.phases.push_back(read_phase("combination", *combination));
     }
     const JsonValue* regions = r.find("regions");
@@ -114,72 +133,17 @@ std::optional<ReportSnapshot> normalize_run_report(const JsonValue& doc,
       // The hybrid's regions sum exactly to its aggregation phase;
       // the split is strictly more informative, so it replaces the
       // whole-phase row.
-      read_region_phases(regions, &run);
-    } else if (const JsonValue* aggregation = r.find("aggregation")) {
+      for (std::size_t i = 0; i < regions->array_items.size(); ++i) {
+        run.phases.push_back(read_phase("region" + std::to_string(i + 1),
+                                        regions->array_items[i]));
+      }
+    } else if (aggregation != nullptr) {
       run.phases.push_back(read_phase("aggregation", *aggregation));
     }
     run.tiles = read_tile_grid(r.find("spatial"));
     report.runs.push_back(std::move(run));
   }
   return report;
-}
-
-std::optional<ReportSnapshot> normalize_bench(const JsonValue& doc,
-                                              std::string* error) {
-  ReportSnapshot report;
-  report.schema = doc.get_string("schema");
-  report.kind = "bench";
-  const JsonValue* runs = doc.find("runs");
-  if (runs == nullptr || !runs->is_array()) {
-    if (error != nullptr) *error = "bench snapshot has no \"runs\" array";
-    return std::nullopt;
-  }
-  for (const JsonValue& r : runs->array_items) {
-    RunSnapshot run;
-    run.abbrev = r.get_string("abbrev");
-    run.flow = r.get_string("flow");
-    run.cycles = r.get_number("cycles");
-    run.sim_wall_ms = r.get_number("sim_wall_ms");
-    run.skipped_cycles = r.get_number("skipped_cycles");
-    const JsonValue* combination = r.find("combination");
-    const JsonValue* aggregation = r.find("aggregation");
-    if (combination != nullptr || aggregation != nullptr) {
-      // hymm-bench/2: per-phase breakdown.
-      if (combination != nullptr) {
-        run.phases.push_back(read_phase("combination", *combination));
-      }
-      const JsonValue* regions = r.find("regions");
-      if (regions != nullptr && regions->is_array() &&
-          !regions->array_items.empty()) {
-        read_region_phases(regions, &run);
-      } else if (aggregation != nullptr) {
-        run.phases.push_back(read_phase("aggregation", *aggregation));
-      }
-    } else {
-      // hymm-bench/1: only the whole-run stall vector exists.
-      run.phases.push_back(read_phase("total", r));
-    }
-    report.runs.push_back(std::move(run));
-  }
-  return report;
-}
-
-}  // namespace
-
-std::optional<ReportSnapshot> normalize_report(const JsonValue& doc,
-                                               std::string* error) {
-  const std::string schema = doc.get_string("schema");
-  if (schema == "hymm-run-report/9") {
-    return normalize_run_report(doc, error);
-  }
-  if (schema == "hymm-bench/1" || schema == "hymm-bench/2" ||
-      schema == "hymm-bench/3") {
-    return normalize_bench(doc, error);
-  }
-  if (error != nullptr) {
-    *error = "unsupported schema \"" + schema + "\"";
-  }
-  return std::nullopt;
 }
 
 std::optional<ReportSnapshot> load_report(const std::string& path,
@@ -204,6 +168,11 @@ std::optional<ReportSnapshot> load_report(const std::string& path,
   return report;
 }
 
+bool RunDiff::changed() const {
+  return cycle_delta() != 0.0 || dram_bytes_delta != 0.0 ||
+         any_cell_moved(rows);
+}
+
 std::vector<RunDiff> diff_reports(const ReportSnapshot& base,
                                   const ReportSnapshot& current) {
   std::vector<RunDiff> diffs;
@@ -213,16 +182,21 @@ std::vector<RunDiff> diff_reports(const ReportSnapshot& base,
                      [&](const RunSnapshot& c) {
                        return c.abbrev == b.abbrev && c.flow == b.flow;
                      });
-    if (match == current.runs.end()) continue;
-    const RunSnapshot& c = *match;
-
     RunDiff diff;
     diff.abbrev = b.abbrev;
     diff.flow = b.flow;
     diff.base_cycles = b.cycles;
+    if (match == current.runs.end()) {
+      diff.missing = true;
+      diffs.push_back(std::move(diff));
+      continue;
+    }
+    const RunSnapshot& c = *match;
+    diff.sampled_mismatch = b.sampled != c.sampled;
+    diff.unverified = !c.sampled && !c.verified;
     diff.current_cycles = c.cycles;
-    diff.sim_wall_ms_delta = c.sim_wall_ms - b.sim_wall_ms;
     diff.skipped_cycles_delta = c.skipped_cycles - b.skipped_cycles;
+    diff.dram_bytes_delta = c.dram_total_bytes - b.dram_total_bytes;
 
     // Union of (phase, cause) cells across both sides; a phase or
     // cause missing from one side contributes zero there, so the rows
@@ -288,19 +262,31 @@ std::vector<RunDiff> diff_reports(const ReportSnapshot& base,
 void print_diff(const std::vector<RunDiff>& diffs, std::ostream& out,
                 std::size_t max_rows) {
   for (const RunDiff& diff : diffs) {
+    out << diff.abbrev << '/' << diff.flow;
+    if (diff.missing) {
+      out << ": missing from the current report\n";
+      continue;
+    }
     const double delta = diff.cycle_delta();
-    out << diff.abbrev << '/' << diff.flow << ": cycles "
-        << static_cast<std::int64_t>(diff.base_cycles) << " -> "
-        << static_cast<std::int64_t>(diff.current_cycles);
+    out << ": cycles " << static_cast<std::int64_t>(diff.base_cycles)
+        << " -> " << static_cast<std::int64_t>(diff.current_cycles);
     if (diff.base_cycles > 0) {
       out << " (" << Table::fmt_percent(delta / diff.base_cycles, 2)
           << ')';
     }
-    out << ", sim_wall_ms " << Table::fmt(diff.sim_wall_ms_delta, 1)
+    out << ", dram_total_bytes "
+        << static_cast<std::int64_t>(diff.dram_bytes_delta)
         << ", skipped_cycles "
         << static_cast<std::int64_t>(diff.skipped_cycles_delta) << '\n';
+    if (diff.unverified) out << "  current run failed verification\n";
+    // A share of a zero total (stalls moved between cells, the cycle
+    // count did not) has no meaning.
+    const auto share = [delta](double part) {
+      return delta == 0.0 ? std::string("-")
+                          : Table::fmt_percent(part / delta, 1);
+    };
     std::string line;
-    if (delta == 0.0) {
+    if (!any_cell_moved(diff.rows)) {
       out << "  no cycle delta\n";
     } else {
       Table table({"phase", "stall", "base", "current", "delta", "share"});
@@ -319,12 +305,12 @@ void print_diff(const std::vector<RunDiff>& diffs, std::ostream& out,
                        std::to_string(static_cast<std::int64_t>(row.base)),
                        std::to_string(static_cast<std::int64_t>(row.current)),
                        std::to_string(static_cast<std::int64_t>(row.delta)),
-                       Table::fmt_percent(row.delta / delta, 1)});
+                       share(row.delta)});
       }
       if (omitted_rows > 0) {
         table.add_row({"(other)", "-", "-", "-",
                        std::to_string(static_cast<std::int64_t>(omitted)),
-                       Table::fmt_percent(omitted / delta, 1)});
+                       share(omitted)});
       }
       std::ostringstream rendered;
       table.print(rendered);

@@ -1,14 +1,16 @@
 /// @file
-/// Run-diff root-cause analysis (the hymm_diff tool, bench/hymm_diff):
-/// loads two run reports — hymm-run-report/9 or hymm-bench/1..3
-/// snapshots — pairs their runs by (abbrev, flow) and attributes
-/// each pair's cycle delta to (phase-or-region x stall bucket). The
-/// per-phase stall vectors sum exactly to the per-phase cycle counts
-/// (the simulator's cycle-accounting invariant), so the attribution
-/// rows sum exactly to the cycle delta: no residual bucket, no
-/// estimate. When both reports carry a "spatial" tile grid of the
-/// same geometry, the per-tile cycle deltas are ranked as a second
-/// table (where in the adjacency did the cycles move).
+/// Run-diff root-cause analysis and exact gate (the hymm_diff tool,
+/// bench/hymm_diff): loads two hymm-run-report/9 documents, pairs
+/// their runs by (abbrev, flow) and attributes each pair's cycle
+/// delta to (phase-or-region x stall bucket). The per-phase stall
+/// vectors sum exactly to the per-phase cycle counts (the simulator's
+/// cycle-accounting invariant), so the attribution rows sum exactly
+/// to the cycle delta: no residual bucket, no estimate. The simulator
+/// is deterministic, so a pair passes only when every cell, the cycle
+/// count and the DRAM bytes are equal. When both reports carry a
+/// "spatial" tile grid of the same geometry, the per-tile cycle
+/// deltas are ranked as a second table (where in the adjacency did
+/// the cycles move).
 #pragma once
 
 #include <cstdint>
@@ -45,31 +47,29 @@ struct TileGrid {
   bool empty() const { return rows == 0; }  ///< no spatial data
 };
 
-/// One (dataset, dataflow) run normalized out of either report kind.
+/// One (dataset, dataflow) run of a run report.
 struct RunSnapshot {
   std::string abbrev;  ///< dataset abbreviation
   std::string flow;    ///< dataflow name
-  double cycles = 0.0;       ///< total simulated cycles
-  double sim_wall_ms = 0.0;  ///< host wall-clock of the simulation
+  double cycles = 0.0;          ///< total simulated cycles
   double skipped_cycles = 0.0;  ///< fast-forwarded cycles
+  double dram_total_bytes = 0.0;  ///< whole-run DRAM traffic
+  bool verified = false;  ///< matched the golden model
+  bool sampled = false;   ///< sampled-mode estimate, not an exact run
   std::vector<PhaseBreakdown> phases;  ///< per-phase stall breakdowns
-  TileGrid tiles;  ///< spatial grid (since /6); empty otherwise
+  TileGrid tiles;  ///< spatial grid; empty when not collected
 };
 
-/// A parsed + normalized report. `kind` is "run-report" or "bench";
-/// diffing requires the same kind on both sides (any supported
-/// version).
+/// A parsed + normalized run report.
 struct ReportSnapshot {
-  std::string schema;  ///< schema string of the source document
-  std::string kind;    ///< "run-report" or "bench"
   std::vector<RunSnapshot> runs;  ///< normalized runs
 };
 
-/// Normalizes a parsed JSON document. For run reports, a hybrid run's
+/// Normalizes a parsed hymm-run-report/9 document. A hybrid run's
 /// aggregation phase is replaced by its per-region split when regions
-/// are present (the regions sum exactly to the aggregation phase); a
-/// bench/1 snapshot becomes a single "total" phase. Returns nullopt
-/// and fills *error on an unsupported schema or malformed document.
+/// are present (the regions sum exactly to the aggregation phase).
+/// Returns nullopt and fills *error on any other schema or a
+/// malformed document.
 std::optional<ReportSnapshot> normalize_report(const JsonValue& doc,
                                                std::string* error);
 
@@ -96,14 +96,19 @@ struct TileDiffRow {
   double dram_bytes_delta = 0.0;  ///< current - base
 };
 
-/// The diff of one (abbrev, flow) pair present in both reports.
+/// The diff of one baseline run against its partner in the current
+/// report (if any).
 struct RunDiff {
   std::string abbrev;  ///< dataset abbreviation
   std::string flow;    ///< dataflow name
+  bool missing = false;  ///< no (abbrev, flow) partner in the current report
+  /// One side is sampled and the other exact: not comparable.
+  bool sampled_mismatch = false;
+  bool unverified = false;  ///< the current run is exact but unverified
   double base_cycles = 0.0;     ///< total cycles, base side
   double current_cycles = 0.0;  ///< total cycles, current side
-  double sim_wall_ms_delta = 0.0;     ///< wall-clock delta
   double skipped_cycles_delta = 0.0;  ///< fast-forward coverage delta
+  double dram_bytes_delta = 0.0;      ///< DRAM traffic delta
   std::vector<DiffRow> rows;  ///< ranked by |delta|, largest first
   /// Per-tile cycle deltas, ranked by |delta| largest first. Only
   /// filled when both sides carry a spatial grid of identical
@@ -111,18 +116,24 @@ struct RunDiff {
   std::vector<TileDiffRow> tile_rows;
 
   double cycle_delta() const { return current_cycles - base_cycles; }  ///< current - base
+  /// Any (phase, stall) cell, the cycle count or the DRAM bytes moved.
+  bool changed() const;
+  /// The gate: paired, verified (when exact) and unchanged.
+  bool passes() const { return !missing && !unverified && !changed(); }
 };
 
-/// Pairs runs by (abbrev, flow) and builds the ranked attribution rows
-/// for each pair. Runs present in only one report are skipped (the
-/// printer reports them).
+/// One RunDiff per baseline run, in baseline order: pairs runs by
+/// (abbrev, flow) and builds the ranked attribution rows for each
+/// pair. A baseline run without a partner comes back `missing`; runs
+/// only the current report has are ignored.
 std::vector<RunDiff> diff_reports(const ReportSnapshot& base,
                                   const ReportSnapshot& current);
 
 /// Prints the ranked root-cause table for every diffed run: one row
 /// per (phase, stall cause) with base/current cycles, the delta and
-/// its share of the total cycle delta. `max_rows` caps the rows shown
-/// per run (0 = all).
+/// its share of the total cycle delta ("-" when the total did not
+/// move). Missing partners and failed verification get one line
+/// each. `max_rows` caps the rows shown per run (0 = all).
 void print_diff(const std::vector<RunDiff>& diffs, std::ostream& out,
                 std::size_t max_rows = 10);
 

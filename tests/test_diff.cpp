@@ -1,11 +1,14 @@
-// hymm_diff root-cause engine acceptance suite (obs/diff.hpp): report
-// normalization across the supported schemas, the exact-attribution
-// guarantee (rows sum to the cycle delta with no residual), and the
-// headline acceptance criterion — an injected single-bucket stall
-// delta is attributed to the right (phase, bucket) with >= 90% share.
+// hymm_diff root-cause engine and gate suite (obs/diff.hpp): run-report
+// normalization, the exact-attribution guarantee (rows sum to the
+// cycle delta with no residual), the headline acceptance criterion —
+// an injected single-bucket stall delta is attributed to the right
+// (phase, bucket) with >= 90% share — and the exact gate (any cell,
+// cycle or DRAM-byte delta, a missing partner or an unverified exact
+// run fails).
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <sstream>
 #include <string>
 
@@ -15,40 +18,44 @@
 namespace hymm {
 namespace {
 
-// A minimal hymm-bench/2 snapshot: one CR/HyMM run whose phase stall
-// vectors are fully spelled out so tests can inject precise deltas.
-std::string bench2_snapshot(double agg_dram_latency,
-                            double comb_compute = 90000.0,
-                            double skipped = 120000.0,
-                            double wall_ms = 10.0) {
+// A minimal hymm-run-report/9 snapshot: one CR/HyMM run whose phase
+// stall vectors are fully spelled out so tests can inject precise
+// deltas.
+struct RunFields {
+  double agg_dram_latency = 30000.0;
+  double comb_compute = 90000.0;
+  double skipped = 120000.0;
+  double dram_bytes = 4096.0;
+  bool verified = true;
+  bool sampled = false;
+};
+
+std::string report9(const RunFields& f) {
   std::ostringstream oss;
-  oss << R"({
-  "schema": "hymm-bench/2",
-  "rev": "test",
-  "runs": [
+  oss << std::boolalpha << R"({
+  "schema": "hymm-run-report/9",
+  "results": [
     {
       "abbrev": "CR",
       "flow": "HyMM",
       "cycles": )"
-      << (comb_compute + 10000.0 + agg_dram_latency + 42000.0 + 8000.0)
+      << (f.comb_compute + 10000.0 + f.agg_dram_latency + 42000.0 + 8000.0)
       << R"(,
-      "sim_wall_ms": )"
-      << wall_ms << R"(,
-      "skipped_cycles": )"
-      << skipped << R"(,
+      "verified": )"
+      << f.verified << R"(,
+      "sampled": )"
+      << f.sampled << R"(,
+      "stats": { "skipped_cycles": )"
+      << f.skipped << R"(, "dram_total_bytes": )" << f.dram_bytes << R"( },
       "combination": {
-        "cycles": )"
-      << (comb_compute + 10000.0) << R"(,
         "stalls": { "compute": )"
-      << comb_compute << R"(, "smq_backlog": 10000 }
+      << f.comb_compute << R"(, "smq_backlog": 10000 }
       },
       "aggregation": {
-        "cycles": )"
-      << (agg_dram_latency + 42000.0 + 8000.0) << R"(,
         "stalls": {
           "compute": 42000,
           "dram_latency": )"
-      << agg_dram_latency << R"(,
+      << f.agg_dram_latency << R"(,
           "merge_rmw": 8000
         }
       }
@@ -56,6 +63,12 @@ std::string bench2_snapshot(double agg_dram_latency,
   ]
 })";
   return oss.str();
+}
+
+std::string report9(double agg_dram_latency) {
+  RunFields f;
+  f.agg_dram_latency = agg_dram_latency;
+  return report9(f);
 }
 
 ReportSnapshot parse_snapshot(const std::string& text) {
@@ -68,15 +81,18 @@ ReportSnapshot parse_snapshot(const std::string& text) {
   return *report;
 }
 
+// perf_regression's snapshot is a run report: its phases carry the
+// stall vectors the attribution is built from.
 TEST(DiffNormalize, Bench2PhasesCarryStallVectors) {
-  const ReportSnapshot report = parse_snapshot(bench2_snapshot(30000.0));
-  EXPECT_EQ(report.kind, "bench");
-  EXPECT_EQ(report.schema, "hymm-bench/2");
+  const ReportSnapshot report = parse_snapshot(report9(30000.0));
   ASSERT_EQ(report.runs.size(), 1u);
   const RunSnapshot& run = report.runs[0];
   EXPECT_EQ(run.abbrev, "CR");
   EXPECT_EQ(run.flow, "HyMM");
   EXPECT_DOUBLE_EQ(run.skipped_cycles, 120000.0);
+  EXPECT_DOUBLE_EQ(run.dram_total_bytes, 4096.0);
+  EXPECT_TRUE(run.verified);
+  EXPECT_FALSE(run.sampled);
   ASSERT_EQ(run.phases.size(), 2u);
   EXPECT_EQ(run.phases[0].name, "combination");
   // Phase cycles are the stall-bucket sum (the accounting invariant).
@@ -85,12 +101,14 @@ TEST(DiffNormalize, Bench2PhasesCarryStallVectors) {
   EXPECT_DOUBLE_EQ(run.phases[1].stalls.at("dram_latency"), 30000.0);
 }
 
+// A result without per-phase objects still gates: its whole-run stall
+// vector becomes a single "total" phase.
 TEST(DiffNormalize, Bench1FallsBackToTotalPhase) {
   const ReportSnapshot report = parse_snapshot(R"({
-    "schema": "hymm-bench/1",
-    "runs": [
+    "schema": "hymm-run-report/9",
+    "results": [
       { "abbrev": "CR", "flow": "RWP", "cycles": 500,
-        "stalls": { "compute": 300, "dram_latency": 200 } }
+        "stats": { "stalls": { "compute": 300, "dram_latency": 200 } } }
     ]
   })");
   ASSERT_EQ(report.runs.size(), 1u);
@@ -115,7 +133,6 @@ TEST(DiffNormalize, RunReportHybridRegionsReplaceAggregation) {
       }
     ]
   })");
-  EXPECT_EQ(report.kind, "run-report");
   ASSERT_EQ(report.runs.size(), 1u);
   const RunSnapshot& run = report.runs[0];
   EXPECT_DOUBLE_EQ(run.skipped_cycles, 640.0);
@@ -226,31 +243,33 @@ TEST(DiffPrint, RendersTileDeltaTable) {
 }
 
 TEST(DiffNormalize, RejectsUnsupportedSchema) {
-  const std::optional<JsonValue> doc =
-      json_parse(R"({ "schema": "hymm-bench/99", "runs": [] })");
-  ASSERT_TRUE(doc.has_value());
-  std::string error;
-  EXPECT_FALSE(normalize_report(*doc, &error).has_value());
-  EXPECT_NE(error.find("hymm-bench/99"), std::string::npos);
+  for (const char* schema : {"hymm-run-report/8", "hymm-run-report/10"}) {
+    const std::optional<JsonValue> doc = json_parse(
+        std::string(R"({ "schema": ")") + schema + R"(", "results": [] })");
+    ASSERT_TRUE(doc.has_value());
+    std::string error;
+    EXPECT_FALSE(normalize_report(*doc, &error).has_value()) << schema;
+    EXPECT_NE(error.find(schema), std::string::npos) << error;
+  }
 }
 
 // The acceptance criterion: inject a 30000-cycle regression into one
 // (phase, bucket) cell and require the diff to rank that cell first
 // with >= 90% of the delta attributed to it.
 TEST(DiffReports, AttributesInjectedStallDeltaToTheRightCell) {
-  const ReportSnapshot base = parse_snapshot(
-      bench2_snapshot(/*agg_dram_latency=*/30000.0));
+  const ReportSnapshot base = parse_snapshot(report9(30000.0));
   // Candidate: dram_latency regresses by 30000, compute drifts by a
   // comparatively tiny 500, fast-forward skipped less.
-  const ReportSnapshot current = parse_snapshot(bench2_snapshot(
-      /*agg_dram_latency=*/60000.0, /*comb_compute=*/90500.0,
-      /*skipped=*/110000.0, /*wall_ms=*/14.0));
+  RunFields slow;
+  slow.agg_dram_latency = 60000.0;
+  slow.comb_compute = 90500.0;
+  slow.skipped = 110000.0;
+  const ReportSnapshot current = parse_snapshot(report9(slow));
 
   const std::vector<RunDiff> diffs = diff_reports(base, current);
   ASSERT_EQ(diffs.size(), 1u);
   const RunDiff& diff = diffs[0];
   EXPECT_DOUBLE_EQ(diff.cycle_delta(), 30500.0);
-  EXPECT_DOUBLE_EQ(diff.sim_wall_ms_delta, 4.0);
   EXPECT_DOUBLE_EQ(diff.skipped_cycles_delta, -10000.0);
 
   // Rows sum exactly to the cycle delta: no residual bucket.
@@ -267,17 +286,90 @@ TEST(DiffReports, AttributesInjectedStallDeltaToTheRightCell) {
   EXPECT_GE(top.delta / diff.cycle_delta(), 0.9);
 }
 
+// Runs only the current report has are skipped; a baseline run the
+// current report lacks comes back `missing` and fails the gate.
 TEST(DiffReports, SkipsRunsMissingFromOneSide) {
-  const ReportSnapshot base = parse_snapshot(bench2_snapshot(30000.0));
+  const ReportSnapshot base = parse_snapshot(report9(30000.0));
   const ReportSnapshot empty = parse_snapshot(
-      R"({ "schema": "hymm-bench/2", "runs": [] })");
-  EXPECT_TRUE(diff_reports(base, empty).empty());
+      R"({ "schema": "hymm-run-report/9", "results": [] })");
   EXPECT_TRUE(diff_reports(empty, base).empty());
+  const std::vector<RunDiff> diffs = diff_reports(base, empty);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_TRUE(diffs[0].missing);
+  EXPECT_FALSE(diffs[0].passes());
+  std::ostringstream out;
+  print_diff(diffs, out);
+  EXPECT_NE(out.str().find("CR/HyMM: missing"), std::string::npos)
+      << out.str();
+}
+
+TEST(DiffGate, IdenticalReportsPass) {
+  const ReportSnapshot report = parse_snapshot(report9(30000.0));
+  const std::vector<RunDiff> diffs = diff_reports(report, report);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_TRUE(diffs[0].passes());
+}
+
+// Cycles moved between two cells of one phase: the total is unchanged,
+// but the behaviour is not.
+TEST(DiffGate, StallShiftWithUnchangedTotalFails) {
+  const ReportSnapshot base = parse_snapshot(report9(30000.0));
+  ReportSnapshot current = base;
+  std::map<std::string, double>& stalls = current.runs[0].phases[1].stalls;
+  stalls["dram_latency"] -= 1000.0;
+  stalls["compute"] += 1000.0;
+  const std::vector<RunDiff> diffs = diff_reports(base, current);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_DOUBLE_EQ(diffs[0].cycle_delta(), 0.0);
+  EXPECT_TRUE(diffs[0].changed());
+  EXPECT_FALSE(diffs[0].passes());
+  std::ostringstream out;
+  print_diff(diffs, out);
+  EXPECT_EQ(out.str().find("no cycle delta"), std::string::npos) << out.str();
+  EXPECT_NE(out.str().find("dram_latency"), std::string::npos) << out.str();
+}
+
+TEST(DiffGate, DramByteDeltaFails) {
+  RunFields more_traffic;
+  more_traffic.dram_bytes = 4160.0;
+  const std::vector<RunDiff> diffs = diff_reports(
+      parse_snapshot(report9(30000.0)), parse_snapshot(report9(more_traffic)));
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_DOUBLE_EQ(diffs[0].dram_bytes_delta, 64.0);
+  EXPECT_FALSE(diffs[0].passes());
+}
+
+TEST(DiffGate, UnverifiedExactRunFails) {
+  RunFields unverified;
+  unverified.verified = false;
+  const ReportSnapshot base = parse_snapshot(report9(30000.0));
+  const std::vector<RunDiff> diffs =
+      diff_reports(base, parse_snapshot(report9(unverified)));
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_TRUE(diffs[0].unverified);
+  EXPECT_FALSE(diffs[0].changed());
+  EXPECT_FALSE(diffs[0].passes());
+}
+
+// Sampled runs are never verified by design, so only an exact current
+// run is held to its verdict; pairing sampled with exact is flagged.
+TEST(DiffGate, SampledRunsAreExemptFromVerificationButNotFromPairing) {
+  RunFields sampled;
+  sampled.sampled = true;
+  sampled.verified = false;
+  const ReportSnapshot sampled_report = parse_snapshot(report9(sampled));
+  const RunDiff same = diff_reports(sampled_report, sampled_report)[0];
+  EXPECT_FALSE(same.unverified);
+  EXPECT_FALSE(same.sampled_mismatch);
+  EXPECT_TRUE(same.passes());
+  const RunDiff mixed =
+      diff_reports(parse_snapshot(report9(30000.0)), sampled_report)[0];
+  EXPECT_TRUE(mixed.sampled_mismatch);
 }
 
 TEST(DiffPrint, RendersRankedTableAndShares) {
-  const ReportSnapshot base = parse_snapshot(bench2_snapshot(30000.0));
-  const ReportSnapshot current = parse_snapshot(bench2_snapshot(60000.0));
+  const ReportSnapshot base = parse_snapshot(report9(30000.0));
+  const ReportSnapshot current = parse_snapshot(report9(60000.0));
   std::ostringstream out;
   print_diff(diff_reports(base, current), out);
   const std::string text = out.str();
@@ -289,7 +381,7 @@ TEST(DiffPrint, RendersRankedTableAndShares) {
 }
 
 TEST(DiffPrint, ReportsNoCycleDelta) {
-  const ReportSnapshot report = parse_snapshot(bench2_snapshot(30000.0));
+  const ReportSnapshot report = parse_snapshot(report9(30000.0));
   std::ostringstream out;
   print_diff(diff_reports(report, report), out);
   EXPECT_NE(out.str().find("no cycle delta"), std::string::npos);
@@ -298,10 +390,11 @@ TEST(DiffPrint, ReportsNoCycleDelta) {
 TEST(DiffPrint, CapsRowsAndAggregatesTheRest) {
   // Base/current differ in every bucket; max_rows=1 folds the rest
   // into an "(other)" row so the shares still total 100%.
-  const ReportSnapshot base = parse_snapshot(bench2_snapshot(
-      30000.0, /*comb_compute=*/90000.0));
-  const ReportSnapshot current = parse_snapshot(bench2_snapshot(
-      60000.0, /*comb_compute=*/95000.0));
+  RunFields slow;
+  slow.agg_dram_latency = 60000.0;
+  slow.comb_compute = 95000.0;
+  const ReportSnapshot base = parse_snapshot(report9(30000.0));
+  const ReportSnapshot current = parse_snapshot(report9(slow));
   std::ostringstream out;
   print_diff(diff_reports(base, current), out, /*max_rows=*/1);
   const std::string text = out.str();

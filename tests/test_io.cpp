@@ -63,6 +63,21 @@ TEST(EdgeList, NegativeIdsRejected) {
   EXPECT_THROW(load_edge_list(in), CheckError);
 }
 
+// Ids are cast to the 32-bit NodeId: 4294967296 would wrap to node 0,
+// and 4294967295 would make the node count max_id + 1 wrap to 0.
+TEST(EdgeList, OutOfRangeIdsRejectedWithLineNumber) {
+  for (const char* text : {"0 1\n2 4294967296\n", "0 1\n4294967295 2\n"}) {
+    std::istringstream in(text);
+    try {
+      load_edge_list(in);
+      FAIL() << "expected CheckError for " << text;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(EdgeList, DuplicateEdgesMergeWeights) {
   std::istringstream in("0 1 1.0\n0 1 2.0\n");
   const CsrMatrix m = load_edge_list(in);

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/flags.hpp"
 #include "common/version.hpp"
 #include "core/report.hpp"
@@ -148,48 +149,55 @@ int main(int argc, char** argv) {
   }
 
   // --- Build the workload (adjacency, features, weights, golden) ---
+  // Malformed input files raise CheckError naming the offending line.
   std::shared_ptr<const PreparedWorkload> prepared;
-  if (!dataset.empty()) {
-    const auto spec = find_dataset(dataset);
-    if (!spec) {
-      std::cerr << "unknown dataset '" << dataset << "'\n";
-      return 2;
-    }
-    const double effective =
-        opts.scale ? *opts.scale
-                   : (opts.full_datasets ? 1.0 : default_scale(*spec));
-    prepared = std::make_shared<PreparedWorkload>(*spec, effective, opts.seed);
-  } else if (!edge_list.empty()) {
-    GcnWorkload workload;
-    EdgeListOptions options;
-    options.symmetrize = true;
-    options.drop_self_loops = true;
-    workload.adjacency = load_edge_list_file(edge_list, options);
-    workload.spec.name = edge_list;
-    workload.spec.abbrev = "custom";
-    workload.spec.nodes = workload.adjacency.rows();
-    workload.spec.edges = workload.adjacency.nnz();
-    workload.spec.layer_dim = 16;
-    if (!features_path.empty()) {
-      workload.features = load_sparse_matrix_file(features_path);
-      if (workload.features.rows() != workload.adjacency.rows()) {
-        std::cerr << "feature rows != graph nodes\n";
+  try {
+    if (!dataset.empty()) {
+      const auto spec = find_dataset(dataset);
+      if (!spec) {
+        std::cerr << "unknown dataset '" << dataset << "'\n";
         return 2;
       }
+      const double effective =
+          opts.scale ? *opts.scale
+                     : (opts.full_datasets ? 1.0 : default_scale(*spec));
+      prepared =
+          std::make_shared<PreparedWorkload>(*spec, effective, opts.seed);
+    } else if (!edge_list.empty()) {
+      GcnWorkload workload;
+      EdgeListOptions options;
+      options.symmetrize = true;
+      options.drop_self_loops = true;
+      workload.adjacency = load_edge_list_file(edge_list, options);
+      workload.spec.name = edge_list;
+      workload.spec.abbrev = "custom";
+      workload.spec.nodes = workload.adjacency.rows();
+      workload.spec.edges = workload.adjacency.nnz();
+      workload.spec.layer_dim = 16;
+      if (!features_path.empty()) {
+        workload.features = load_sparse_matrix_file(features_path);
+        if (workload.features.rows() != workload.adjacency.rows()) {
+          std::cerr << "feature rows != graph nodes\n";
+          return 2;
+        }
+      } else {
+        FeatureSpec fspec;
+        fspec.nodes = workload.spec.nodes;
+        fspec.feature_length = 128;
+        fspec.density = 0.2;
+        fspec.seed = opts.seed + 1;
+        workload.features = generate_features(fspec);
+      }
+      workload.spec.feature_length = workload.features.cols();
+      prepared = std::make_shared<PreparedWorkload>(std::move(workload),
+                                                    opts.seed);
     } else {
-      FeatureSpec fspec;
-      fspec.nodes = workload.spec.nodes;
-      fspec.feature_length = 128;
-      fspec.density = 0.2;
-      fspec.seed = opts.seed + 1;
-      workload.features = generate_features(fspec);
+      usage();
+      return 2;
     }
-    workload.spec.feature_length = workload.features.cols();
-    prepared = std::make_shared<PreparedWorkload>(std::move(workload),
-                                                  opts.seed);
-  } else {
-    usage();
-    return 2;
+  } catch (const CheckError& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
   }
 
   std::cout << "Workload: " << prepared->workload().spec.name << " — "

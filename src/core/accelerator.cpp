@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cstddef>
+#include <cstdio>
 #include <utility>
 #include <vector>
 
@@ -15,45 +16,13 @@
 
 namespace hymm {
 
-namespace {
-
-// The combination phase's warm state: the memory system at the
-// phase boundary plus the host-side XW values the phase produced.
-std::vector<std::byte> serialize_warm_state(const CheckpointKey& key,
-                                            const MemorySystem& ms,
-                                            const DenseMatrix& xw) {
-  StateWriter w;
-  ms.save_state(w);
-  w.put_u64(static_cast<std::uint64_t>(xw.rows()));
-  w.put_u64(static_cast<std::uint64_t>(xw.cols()));
-  for (NodeId r = 0; r < xw.rows(); ++r) {
-    for (NodeId c = 0; c < xw.cols(); ++c) w.put_f32(xw.at(r, c));
-  }
-  return seal_checkpoint(key, w.take());
+std::string checkpoint_key_hex(const CheckpointKey& key) {
+  char buf[2 * 18 + 2];
+  std::snprintf(buf, sizeof(buf), "0x%016llx_0x%016llx",
+                static_cast<unsigned long long>(key.workload),
+                static_cast<unsigned long long>(key.config));
+  return buf;
 }
-
-// Restores into a freshly built MemorySystem (same config, regions
-// allocated in the canonical order) and the zeroed XW matrix. False
-// when the blob fails validation — the caller falls back to a cold
-// combination run.
-bool restore_warm_state(const std::vector<std::byte>& blob,
-                        const CheckpointKey& key, MemorySystem& ms,
-                        DenseMatrix& xw) {
-  const std::byte* payload = nullptr;
-  std::size_t payload_size = 0;
-  if (!open_checkpoint(blob, key, &payload, &payload_size)) return false;
-  StateReader r(payload, payload_size);
-  ms.load_state(r);
-  HYMM_CHECK(r.get_u64() == static_cast<std::uint64_t>(xw.rows()));
-  HYMM_CHECK(r.get_u64() == static_cast<std::uint64_t>(xw.cols()));
-  for (NodeId row = 0; row < xw.rows(); ++row) {
-    for (NodeId c = 0; c < xw.cols(); ++c) xw.at(row, c) = r.get_f32();
-  }
-  HYMM_CHECK_MSG(r.exhausted(), "trailing bytes in checkpoint payload");
-  return true;
-}
-
-}  // namespace
 
 CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
                                          const DenseMatrix& w,
@@ -194,8 +163,15 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
     key = combination_checkpoint_key(*x_used, w, config_, flow);
     result.checkpoint.enabled = true;
     result.checkpoint.key = checkpoint_key_hex(key);
-    restored = share.restore != nullptr &&
-               restore_warm_state(*share.restore, key, ms, xw);
+    if (share.restore != nullptr) {
+      HYMM_CHECK_MSG(share.restore->key == key,
+                     "warm state " << checkpoint_key_hex(share.restore->key)
+                                   << " restored into run "
+                                   << result.checkpoint.key);
+      ms = share.restore->ms;
+      xw = share.restore->xw;
+      restored = true;
+    }
     result.checkpoint.restored = restored;
   }
   if (!restored) {
@@ -233,17 +209,7 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
     }
   }
   if (sharing && share.publish) {
-    std::vector<std::byte> sealed = serialize_warm_state(key, ms, xw);
-#ifndef NDEBUG
-    // Round-trip soundness: restoring the blob and re-serializing must
-    // reproduce it byte for byte.
-    MemorySystem check(config_);
-    DenseMatrix check_xw = DenseMatrix::zeros(n, w.cols());
-    HYMM_DCHECK(restore_warm_state(sealed, key, check, check_xw));
-    HYMM_DCHECK(serialize_warm_state(key, check, check_xw) == sealed);
-#endif
-    share.publish(
-        std::make_shared<const std::vector<std::byte>>(std::move(sealed)));
+    share.publish(std::make_shared<const WarmState>(WarmState{ms, xw, key}));
     result.checkpoint.built = true;
   }
   result.combination_stats = ms.stats();

@@ -9,7 +9,10 @@
 ///   HyMM         | RWP         | OP (R1) + RWP     | degree sorting
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <string>
 
 #include "common/config.hpp"
 #include "core/engine.hpp"
@@ -18,16 +21,40 @@
 #include "graph/degree_sort.hpp"
 #include "graph/partition.hpp"
 #include "linalg/dense.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace hymm {
 
+/// Identifies one combination-phase warm state: `workload` digests the
+/// streamed inputs and engine kind, `config` the timing model (see
+/// combination_checkpoint_key).
+struct CheckpointKey {
+  std::uint64_t workload = 0;
+  std::uint64_t config = 0;
+
+  friend bool operator==(const CheckpointKey&, const CheckpointKey&) = default;
+};
+
+/// "0x<workload>_0x<config>" — used in run reports.
+std::string checkpoint_key_hex(const CheckpointKey& key);
+
+/// The combination phase's warm state: the memory system at the
+/// phase boundary (unified buffer, LSQ forwarding window, DRAM
+/// channel, clock and counters) plus the host-side XW values the
+/// phase produced. Shared read-only between the run that built it and
+/// the runs that restore it.
+struct WarmState {
+  MemorySystem ms;
+  DenseMatrix xw;
+  CheckpointKey key;
+};
+using WarmStatePtr = std::shared_ptr<const WarmState>;
+
 /// How the combination phase of one run was shared with other runs of
-/// its sweep (sim/checkpoint.hpp). All-false when the run shared
-/// nothing (no CombinationShare, or an observer attached).
+/// its sweep. All-false when the run shared nothing (no
+/// CombinationShare, or an observer attached).
 struct LayerCheckpointInfo {
   bool enabled = false;   ///< the run took part in a shared combination
-  bool restored = false;  ///< combination state restored from the blob
+  bool restored = false;  ///< combination state restored from a snapshot
   bool built = false;     ///< this run simulated and published the phase
   std::string key;        ///< checkpoint_key_hex, empty when disabled
 };
@@ -39,12 +66,13 @@ struct LayerCheckpointInfo {
 /// because a restored phase would drop its trace events and counter
 /// samples.
 struct CombinationShare {
-  /// Leader: receives the sealed warm state right after the run's
+  /// Leader: receives a copy of the warm state right after the run's
   /// own combination phase, before aggregation starts.
-  std::function<void(CheckpointBlob)> publish;
-  /// Follower: the leader's sealed warm state, restored instead of
-  /// simulating the phase (a blob that fails validation runs cold).
-  CheckpointBlob restore;
+  std::function<void(WarmStatePtr)> publish;
+  /// Follower: the leader's warm state, restored instead of simulating
+  /// the phase. Its key must equal the follower's own (a mismatch is a
+  /// sweep-planning bug and throws CheckError).
+  WarmStatePtr restore;
 };
 
 /// Outcome of one simulated GCN layer (`Accelerator::run_layer`).

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "obs/hooks.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace hymm {
 
@@ -50,6 +49,36 @@ MemorySystem::MemorySystem(const AcceleratorConfig& config)
       smq_(config_, dram_, stats_),
       pe_(config_, stats_) {
   config_.validate();
+}
+
+MemorySystem::MemorySystem(const MemorySystem& other)
+    : MemorySystem(other.config_) {
+  *this = other;
+}
+
+MemorySystem& MemorySystem::operator=(const MemorySystem& other) {
+  HYMM_CHECK_MSG(obs_ == nullptr && other.obs_ == nullptr,
+                 "MemorySystem copy with an observer attached");
+  if (this == &other) return *this;
+  stats_ = other.stats_;
+  address_map_ = other.address_map_;
+  dram_ = other.dram_;
+  dmb_ = other.dmb_;
+  lsq_ = other.lsq_;
+  smq_ = other.smq_;
+  pe_ = other.pe_;
+  now_ = other.now_;
+  obs_next_sample_ = now_;
+  rebind_components();
+  return *this;
+}
+
+void MemorySystem::rebind_components() {
+  dram_.rebind(stats_);
+  dmb_.rebind(dram_, stats_);
+  lsq_.rebind(dmb_, stats_);
+  smq_.rebind(dram_, stats_);
+  pe_.rebind(stats_);
 }
 
 void MemorySystem::attach_observer(Observer* obs) {
@@ -98,93 +127,6 @@ TimeSeriesSample MemorySystem::timeseries_sample() const {
   s.stall_cycles = stats_.stall_cycles;
   s.dram_peak_bytes_per_cycle = config_.dram_bytes_per_cycle;
   return s;
-}
-
-namespace {
-
-void save_stats(StateWriter& w, const SimStats& s) {
-  w.put_u64(s.cycles);
-  for (const Cycle c : s.stall_cycles) w.put_u64(c);
-  w.put_u64(s.skipped_cycles);
-  w.put_u64(s.mac_ops);
-  w.put_u64(s.alu_busy_cycles);
-  w.put_u64(s.merge_adds);
-  w.put_u64(s.dmb_read_hits);
-  w.put_u64(s.dmb_read_misses);
-  w.put_u64(s.dmb_accumulate_hits);
-  w.put_u64(s.dmb_accumulate_misses);
-  w.put_u64(s.dmb_evictions);
-  w.put_u64(s.dmb_partial_spills);
-  w.put_u64(s.lsq_loads);
-  w.put_u64(s.lsq_stores);
-  w.put_u64(s.lsq_forwards);
-  for (const std::uint64_t b : s.dram_read_bytes) w.put_u64(b);
-  for (const std::uint64_t b : s.dram_write_bytes) w.put_u64(b);
-  w.put_u64(s.partial_bytes_now);
-  w.put_u64(s.partial_bytes_peak);
-  w.put_u64(s.partial_timeline.size());
-  for (const auto& [cycle, bytes] : s.partial_timeline) {
-    w.put_u64(cycle);
-    w.put_u64(bytes);
-  }
-  w.put_u64(s.timeline_interval);
-  w.put_u64(s.timeline_next_sample);
-}
-
-void load_stats(StateReader& r, SimStats& s) {
-  s.cycles = r.get_u64();
-  for (Cycle& c : s.stall_cycles) c = r.get_u64();
-  s.skipped_cycles = r.get_u64();
-  s.mac_ops = r.get_u64();
-  s.alu_busy_cycles = r.get_u64();
-  s.merge_adds = r.get_u64();
-  s.dmb_read_hits = r.get_u64();
-  s.dmb_read_misses = r.get_u64();
-  s.dmb_accumulate_hits = r.get_u64();
-  s.dmb_accumulate_misses = r.get_u64();
-  s.dmb_evictions = r.get_u64();
-  s.dmb_partial_spills = r.get_u64();
-  s.lsq_loads = r.get_u64();
-  s.lsq_stores = r.get_u64();
-  s.lsq_forwards = r.get_u64();
-  for (std::uint64_t& b : s.dram_read_bytes) b = r.get_u64();
-  for (std::uint64_t& b : s.dram_write_bytes) b = r.get_u64();
-  s.partial_bytes_now = r.get_u64();
-  s.partial_bytes_peak = r.get_u64();
-  s.partial_timeline.clear();
-  const std::uint64_t timeline_count = r.get_u64();
-  for (std::uint64_t i = 0; i < timeline_count; ++i) {
-    const Cycle cycle = r.get_u64();
-    const std::uint64_t bytes = r.get_u64();
-    s.partial_timeline.emplace_back(cycle, bytes);
-  }
-  s.timeline_interval = r.get_u64();
-  s.timeline_next_sample = r.get_u64();
-}
-
-}  // namespace
-
-void MemorySystem::save_state(StateWriter& w) const {
-  w.put_u64(now_);
-  save_stats(w, stats_);
-  dram_.save_state(w);
-  dmb_.save_state(w);
-  lsq_.save_state(w);
-  smq_.save_state(w);
-  pe_.save_state(w);
-}
-
-void MemorySystem::load_state(StateReader& r) {
-  HYMM_CHECK_MSG(obs_ == nullptr,
-                 "checkpoint restore with an observer attached");
-  now_ = r.get_u64();
-  load_stats(r, stats_);
-  dram_.load_state(r);
-  dmb_.load_state(r);
-  lsq_.load_state(r);
-  smq_.load_state(r);
-  pe_.load_state(r);
-  obs_next_sample_ = now_;
 }
 
 void MemorySystem::sample_observer() {

@@ -18,9 +18,6 @@
 
 namespace hymm {
 
-class StateReader;
-class StateWriter;
-
 /// Event-driven fast-forward (see DESIGN.md section 5f). kOn skips
 /// provably dead stall spans in run_phase; kOff keeps the legacy
 /// cycle-by-cycle loop; kCheck runs the legacy loop but DCHECKs every
@@ -44,6 +41,21 @@ class MemorySystem {
  public:
   /// Builds every component from the hardware parameters in `config`.
   explicit MemorySystem(const AcceleratorConfig& config);
+
+  /// A copy of the whole simulator state — clock, stats, address map
+  /// and every component — wired to its own members, so the copy and
+  /// the original run on independently and identically. This is how
+  /// sweep reuse hands the combination phase's warm state from the
+  /// run that simulated it to the runs that skip it (see
+  /// Accelerator::run_layer). Neither side may have an observer
+  /// attached.
+  MemorySystem(const MemorySystem& other);
+  /// Restores `other`'s state into this system, keeping this system's
+  /// own config(): the tiling threshold and the observability fields
+  /// may differ between the two, the timing model may not (the
+  /// combination checkpoint key guarantees it). Same observer rule as
+  /// the copy constructor.
+  MemorySystem& operator=(const MemorySystem& other);
 
   /// The hardware parameters this instance was built from.
   const AcceleratorConfig& config() const { return config_; }
@@ -123,19 +135,10 @@ class MemorySystem {
   /// Advances to the next cycle.
   void advance() { ++now_; }
 
-  /// Warm-state checkpointing (sim/checkpoint.hpp): serializes the
-  /// clock, the stats counters and every component's dynamic state.
-  /// The address map is NOT serialized — restore requires a
-  /// MemorySystem built from the same config whose regions were
-  /// allocated in the same order with the same sizes, which the
-  /// checkpoint key guarantees for the combination phase. Restoring
-  /// must happen before an observer is attached (checkpointed runs are
-  /// observer-free by construction; see Accelerator::run_layer).
-  void save_state(StateWriter& w) const;
-  /// Restores state saved by save_state; see its contract.
-  void load_state(StateReader& r);
-
  private:
+  /// Points every component at this system's own siblings and stats.
+  void rebind_components();
+
   AcceleratorConfig config_;
   SimStats stats_;
   AddressMap address_map_;

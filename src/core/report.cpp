@@ -387,7 +387,7 @@ void write_sample_json(JsonWriter& w, const SampleInfo& s) {
   w.end_object();
 }
 
-// Schema /7: warm-state checkpoint interaction (sim/checkpoint.hpp).
+// Schema /7: warm-state checkpoint interaction (core/accelerator.hpp).
 // Only emitted when the cell's combination phase was shared within its
 // sweep.
 void write_checkpoint_json(JsonWriter& w, const LayerCheckpointInfo& c) {

@@ -100,7 +100,7 @@ struct ExperimentResult {
   TuneInfo tune;
 
   /// Combination-phase sharing within the cell's sweep
-  /// (sim/checkpoint.hpp); all-false unless the request carried a
+  /// (core/accelerator.hpp); all-false unless the request carried a
   /// CombinationShare. Serialized as the "checkpoint" object of
   /// hymm-run-report/9.
   LayerCheckpointInfo checkpoint;

@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "obs/hooks.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/tags.hpp"
 
 namespace hymm {
@@ -16,8 +15,8 @@ DenseMatrixBuffer::DenseMatrixBuffer(const AcceleratorConfig& config,
       dram_latency_(config.dram_latency),
       mshr_capacity_(config.dmb_mshr_entries),
       policy_(config.eviction_policy),
-      dram_(dram),
-      stats_(stats) {
+      dram_(&dram),
+      stats_(&stats) {
   HYMM_CHECK(capacity_lines_ > 0);
   lines_.reserve(capacity_lines_ * 2);
   ready_waiters_.reserve(mshr_capacity_ * 2);
@@ -49,7 +48,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
                                                       std::uint64_t waiter_tag,
                                                       Cycle now) {
   if (LineState* state = lines_.find(line)) {
-    ++stats_.dmb_read_hits;
+    ++stats_->dmb_read_hits;
     HYMM_OBS(obs_, on_dmb_hit());
     touch(line, *state);
     pending_hits_.push_back(PendingHit{waiter_tag, now + hit_latency_});
@@ -59,7 +58,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
   // An in-flight prefetch covers this line: the waiter gets the data
   // on arrival without consuming an MSHR.
   if (const Cycle* arrival = prefetch_inflight_.find(line)) {
-    ++stats_.dmb_read_hits;
+    ++stats_->dmb_read_hits;
     HYMM_OBS(obs_, on_dmb_hit());
     pending_hits_.push_back(
         PendingHit{waiter_tag, std::max(now + hit_latency_, *arrival)});
@@ -68,7 +67,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
 
   if (Mshr* mshr = mshrs_.find(line)) {
     // Secondary miss: piggyback on the outstanding fill.
-    ++stats_.dmb_read_misses;
+    ++stats_->dmb_read_misses;
     HYMM_OBS(obs_, on_dmb_miss());
     mshr->waiters.push_back(waiter_tag);
     return ReadResult::kMiss;
@@ -81,11 +80,11 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
     Addr line, TrafficClass cls, std::uint64_t waiter_tag, Cycle now) {
   HYMM_DCHECK(!lines_.contains(line) && !prefetch_inflight_.contains(line) &&
               !mshrs_.contains(line));
-  if (mshrs_.size() >= mshr_capacity_ || !dram_.can_accept_read()) {
+  if (mshrs_.size() >= mshr_capacity_ || !dram_->can_accept_read()) {
     return ReadResult::kReject;
   }
 
-  ++stats_.dmb_read_misses;
+  ++stats_->dmb_read_misses;
   HYMM_OBS(obs_, on_dmb_miss());
   Mshr mshr;
   mshr.cls = cls;
@@ -93,7 +92,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
   mshr.waiters.push_back(waiter_tag);
   mshrs_.emplace(line, std::move(mshr));
   joined_lines_.push_back(line);
-  dram_.issue_read(line, cls, dram_tag_for(line), now);
+  dram_->issue_read(line, cls, dram_tag_for(line), now);
   return ReadResult::kMiss;
 }
 
@@ -135,18 +134,18 @@ bool DenseMatrixBuffer::evict_one(Cycle now, bool ignore_write_bp) {
         // A dirty victim needs a writeback slot; stall the allocation
         // under write back-pressure instead of booking unbounded
         // bandwidth.
-        if (!ignore_write_bp && !dram_.can_accept_write(now)) return false;
-        dram_.issue_write(victim, state->cls, now);
+        if (!ignore_write_bp && !dram_->can_accept_write(now)) return false;
+        dram_->issue_write(victim, state->cls, now);
         if (state->cls == TrafficClass::kPartial) {
           // Spilled partial stays live (unmerged) in DRAM; footprint
           // is unchanged, but the spill itself is counted.
-          ++stats_.dmb_partial_spills;
+          ++stats_->dmb_partial_spills;
           HYMM_OBS(obs_, on_partial_spill(now));
         }
       }
       list->erase(h);
       lines_.erase(victim);
-      ++stats_.dmb_evictions;
+      ++stats_->dmb_evictions;
       HYMM_OBS(obs_, on_dmb_eviction(now));
       return true;
     }
@@ -162,8 +161,8 @@ bool DenseMatrixBuffer::write_allocate(Addr line, TrafficClass cls,
 
 bool DenseMatrixBuffer::write_through(Addr line, TrafficClass cls,
                                       Cycle now) {
-  if (!dram_.can_accept_write(now)) return false;
-  dram_.issue_write(line, cls, now);
+  if (!dram_->can_accept_write(now)) return false;
+  dram_->issue_write(line, cls, now);
   return true;
 }
 
@@ -171,9 +170,9 @@ bool DenseMatrixBuffer::accumulate(Addr line, Cycle now) {
   joined_lines_.push_back(line);
   if (LineState* state = lines_.find(line)) {
     HYMM_DCHECK(state->cls == TrafficClass::kPartial);
-    ++stats_.dmb_accumulate_hits;
+    ++stats_->dmb_accumulate_hits;
     HYMM_OBS(obs_, on_dmb_hit());
-    ++stats_.merge_adds;
+    ++stats_->merge_adds;
     state->dirty = true;
     touch(line, *state);
     return true;
@@ -181,9 +180,9 @@ bool DenseMatrixBuffer::accumulate(Addr line, Cycle now) {
   if (!install(line, TrafficClass::kPartial, /*dirty=*/true, now)) {
     return false;
   }
-  ++stats_.dmb_accumulate_misses;
+  ++stats_->dmb_accumulate_misses;
   HYMM_OBS(obs_, on_dmb_miss());
-  stats_.note_partial_bytes(static_cast<std::int64_t>(kLineBytes));
+  stats_->note_partial_bytes(static_cast<std::int64_t>(kLineBytes));
   return true;
 }
 
@@ -198,9 +197,9 @@ bool DenseMatrixBuffer::prefetch(Addr line, TrafficClass cls, Cycle now) {
   }
   // Prefetches ride the same headroom window as writes so a saturated
   // channel throttles them before they starve demand traffic.
-  if (!dram_.can_accept_write(now)) return false;
+  if (!dram_->can_accept_write(now)) return false;
   joined_lines_.push_back(line);
-  dram_.issue_streaming_read(cls, now);
+  dram_->issue_streaming_read(cls, now);
   HYMM_OBS(obs_, on_dmb_prefetch());
   const Cycle ready = now + dram_latency_;
   pending_prefetches_.push_back(PendingPrefetch{line, cls, ready});
@@ -242,7 +241,7 @@ bool DenseMatrixBuffer::pin_partial(Addr line, Cycle now) {
   if (!state.pinned) {
     state.pinned = true;
     ++pinned_count_;
-    stats_.note_partial_bytes(static_cast<std::int64_t>(kLineBytes));
+    stats_->note_partial_bytes(static_cast<std::int64_t>(kLineBytes));
   }
   return true;
 }
@@ -254,8 +253,8 @@ void DenseMatrixBuffer::unpin_and_writeback_outputs(Cycle now) {
   });
   for (const Addr line : pinned_scratch_) {
     LineState& state = lines_.at(line);
-    dram_.issue_write(line, TrafficClass::kOutput, now);
-    stats_.note_partial_bytes(-static_cast<std::int64_t>(kLineBytes));
+    dram_->issue_write(line, TrafficClass::kOutput, now);
+    stats_->note_partial_bytes(-static_cast<std::int64_t>(kLineBytes));
     --pinned_count_;
     list_for(state.cls).erase(state.lru_it);
     lines_.erase(line);
@@ -271,8 +270,8 @@ bool DenseMatrixBuffer::writeback_one_partial(TrafficClass final_cls,
     LineState* state = lines_.find(line);
     HYMM_DCHECK(state != nullptr);
     if (state->pinned) continue;
-    dram_.issue_write(line, final_cls, now);
-    stats_.note_partial_bytes(-static_cast<std::int64_t>(kLineBytes));
+    dram_->issue_write(line, final_cls, now);
+    stats_->note_partial_bytes(-static_cast<std::int64_t>(kLineBytes));
     partial_lru_.erase(h);
     lines_.erase(line);
     return true;
@@ -285,9 +284,9 @@ void DenseMatrixBuffer::flush_dirty(Cycle now) {
   // one write and the per-class byte counters are order-independent.
   lines_.for_each([&](Addr line, LineState& state) {
     if (!state.dirty) return;
-    dram_.issue_write(line, state.cls, now);
+    dram_->issue_write(line, state.cls, now);
     if (state.cls == TrafficClass::kPartial) {
-      stats_.note_partial_bytes(-static_cast<std::int64_t>(kLineBytes));
+      stats_->note_partial_bytes(-static_cast<std::int64_t>(kLineBytes));
     }
     state.dirty = false;
   });
@@ -327,7 +326,7 @@ void DenseMatrixBuffer::tick(Cycle now) {
     tick_active_ = true;
   }
   // DRAM fills addressed to us.
-  for (const std::uint64_t tag : dram_.completions()) {
+  for (const std::uint64_t tag : dram_->completions()) {
     if (tag_source(tag) != kDmbTagSource) continue;
     tick_active_ = true;
     const Addr line = tag_payload(tag);
@@ -343,122 +342,6 @@ void DenseMatrixBuffer::tick(Cycle now) {
       ready_waiters_.push_back(waiter);
     }
     mshrs_.erase(line);
-  }
-}
-
-void DenseMatrixBuffer::save_state(StateWriter& w) const {
-  w.put_u64(joined_lines_.size());
-  for (const Addr line : joined_lines_) w.put_u64(line);
-  // Each resident line lives in exactly one recency tier; serializing
-  // both tiers cold-to-hot captures the directory and the exact
-  // eviction order in one pass.
-  for (const LruList<Addr>* list : {&data_lru_, &partial_lru_}) {
-    w.put_u64(list->size());
-    list->for_each([&](Addr line) {
-      const LineState* state = lines_.find(line);
-      HYMM_DCHECK(state != nullptr);
-      w.put_u64(line);
-      w.put_u8(static_cast<std::uint8_t>(state->cls));
-      w.put_bool(state->dirty);
-      w.put_bool(state->pinned);
-    });
-  }
-  // FlatMap iteration order is unspecified; sort by line address so
-  // identical logical states produce identical bytes.
-  std::vector<Addr> mshr_lines;
-  mshr_lines.reserve(mshrs_.size());
-  mshrs_.for_each([&](Addr line, const Mshr&) { mshr_lines.push_back(line); });
-  std::sort(mshr_lines.begin(), mshr_lines.end());
-  w.put_u64(mshr_lines.size());
-  for (const Addr line : mshr_lines) {
-    const Mshr& mshr = *mshrs_.find(line);
-    w.put_u64(line);
-    w.put_u8(static_cast<std::uint8_t>(mshr.cls));
-    w.put_u64(mshr.alloc_cycle);
-    w.put_u64(mshr.waiters.size());
-    for (const std::uint64_t waiter : mshr.waiters) w.put_u64(waiter);
-  }
-  w.put_u64(pending_hits_.size());
-  for (const PendingHit& hit : pending_hits_) {
-    w.put_u64(hit.tag);
-    w.put_u64(hit.ready_cycle);
-  }
-  // prefetch_inflight_ mirrors pending_prefetches_ (one map entry per
-  // queued install); it is rebuilt from the queue on restore.
-  w.put_u64(pending_prefetches_.size());
-  for (const PendingPrefetch& pf : pending_prefetches_) {
-    w.put_u64(pf.line);
-    w.put_u8(static_cast<std::uint8_t>(pf.cls));
-    w.put_u64(pf.ready_cycle);
-  }
-  w.put_u64(ready_waiters_.size());
-  for (const std::uint64_t tag : ready_waiters_) w.put_u64(tag);
-}
-
-void DenseMatrixBuffer::load_state(StateReader& r) {
-  lines_.clear();
-  data_lru_.clear();
-  partial_lru_.clear();
-  mshrs_.clear();
-  pending_hits_.clear();
-  pending_prefetches_.clear();
-  prefetch_inflight_.clear();
-  ready_waiters_.clear();
-  joined_lines_.clear();
-  pinned_count_ = 0;
-  tick_active_ = false;
-
-  const std::uint64_t joined_count = r.get_u64();
-  for (std::uint64_t i = 0; i < joined_count; ++i) {
-    joined_lines_.push_back(r.get_u64());
-  }
-  for (LruList<Addr>* list : {&data_lru_, &partial_lru_}) {
-    const std::uint64_t count = r.get_u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      const Addr line = r.get_u64();
-      LineState state;
-      state.cls = static_cast<TrafficClass>(r.get_u8());
-      state.dirty = r.get_bool();
-      state.pinned = r.get_bool();
-      HYMM_DCHECK(&list_for(state.cls) == list);
-      state.lru_it = list->push_back(line);
-      if (state.pinned) ++pinned_count_;
-      lines_.emplace(line, state);
-    }
-  }
-  HYMM_CHECK_MSG(lines_.size() <= capacity_lines_,
-                 "checkpoint holds more lines than this DMB's capacity");
-  const std::uint64_t mshr_count = r.get_u64();
-  for (std::uint64_t i = 0; i < mshr_count; ++i) {
-    const Addr line = r.get_u64();
-    Mshr mshr;
-    mshr.cls = static_cast<TrafficClass>(r.get_u8());
-    mshr.alloc_cycle = r.get_u64();
-    const std::uint64_t waiter_count = r.get_u64();
-    for (std::uint64_t k = 0; k < waiter_count; ++k) {
-      mshr.waiters.push_back(r.get_u64());
-    }
-    mshrs_.emplace(line, std::move(mshr));
-  }
-  const std::uint64_t hit_count = r.get_u64();
-  for (std::uint64_t i = 0; i < hit_count; ++i) {
-    PendingHit hit;
-    hit.tag = r.get_u64();
-    hit.ready_cycle = r.get_u64();
-    pending_hits_.push_back(hit);
-  }
-  const std::uint64_t prefetch_count = r.get_u64();
-  for (std::uint64_t i = 0; i < prefetch_count; ++i) {
-    PendingPrefetch pf;
-    pf.line = r.get_u64();
-    pf.cls = static_cast<TrafficClass>(r.get_u8());
-    pf.ready_cycle = r.get_u64();
-    pending_prefetches_.push_back(pf);
-    prefetch_inflight_.emplace(pf.line, pf.ready_cycle);
-  }
-  const std::uint64_t ready_count = r.get_u64();
-  for (std::uint64_t i = 0; i < ready_count; ++i) {
-    ready_waiters_.push_back(r.get_u64());
   }
 }
 

@@ -23,23 +23,20 @@
 namespace hymm {
 
 class Observer;
-class StateReader;
-class StateWriter;
 
 class DenseMatrixBuffer {
  public:
   DenseMatrixBuffer(const AcceleratorConfig& config, Dram& dram,
                     SimStats& stats);
 
-  // Warm-state checkpointing (sim/checkpoint.hpp): serializes /
-  // restores the full directory — resident lines in exact recency
-  // order per tier, MSHRs with their waiter lists, pending hits,
-  // prefetches, ready waiters and the unread join list. Restore
-  // requires a buffer built from the same config; the rebuilt state is
-  // bit-identical for all future timing (recency order, not node
-  // identity, is what evicts).
-  void save_state(StateWriter& w) const;
-  void load_state(StateReader& r);
+  // Copyable: a copy carries the full directory (resident lines in
+  // recency order, MSHRs with their waiters, pending hits and
+  // prefetches, ready waiters, the unread join list); rebind()
+  // re-points its DRAM and counters, see Dram::rebind.
+  void rebind(Dram& dram, SimStats& stats) {
+    dram_ = &dram;
+    stats_ = &stats;
+  }
 
   // Attaches the observability context (obs/observer.hpp); hooks are
   // read-only and never change timing. nullptr detaches.
@@ -234,8 +231,8 @@ class DenseMatrixBuffer {
   // line -> arrival cycle of an in-flight prefetch
   FlatMap<Cycle> prefetch_inflight_;
 
-  Dram& dram_;
-  SimStats& stats_;
+  Dram* dram_;
+  SimStats* stats_;
   Observer* obs_ = nullptr;
 };
 

@@ -4,14 +4,13 @@
 
 #include "common/check.hpp"
 #include "obs/hooks.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace hymm {
 
 Dram::Dram(const AcceleratorConfig& config, SimStats& stats)
     : latency_(config.dram_latency),
       queue_entries_(config.dram_queue_entries),
-      stats_(stats) {
+      stats_(&stats) {
   // One line per cycle is the native rate of the model; other
   // bandwidths scale the slot width below.
   HYMM_CHECK(config.dram_bytes_per_cycle > 0);
@@ -57,20 +56,20 @@ void Dram::issue_read(Addr line_addr, TrafficClass cls, std::uint64_t tag,
   (void)line_addr;
   const Cycle slot = reserve_slot(now);
   inflight_.push_back(Inflight{tag, slot + latency_, now});
-  stats_.dram_read_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
+  stats_->dram_read_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
   HYMM_OBS(obs_, on_dram_read());
 }
 
 void Dram::issue_write(Addr line_addr, TrafficClass cls, Cycle now) {
   (void)line_addr;
   reserve_slot(now);
-  stats_.dram_write_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
+  stats_->dram_write_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
   HYMM_OBS(obs_, on_dram_write());
 }
 
 void Dram::issue_streaming_read(TrafficClass cls, Cycle now) {
   reserve_slot(now);
-  stats_.dram_read_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
+  stats_->dram_read_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
   HYMM_OBS(obs_, on_dram_read());
 }
 
@@ -85,36 +84,6 @@ void Dram::tick(Cycle now) {
              observe_dram_read_latency(now - inflight_.front().issue_cycle));
     completions_.push_back(inflight_.front().tag);
     inflight_.pop_front();
-  }
-}
-
-void Dram::save_state(StateWriter& w) const {
-  w.put_u64(next_slot_);
-  w.put_u64(inflight_.size());
-  for (const Inflight& f : inflight_) {
-    w.put_u64(f.tag);
-    w.put_u64(f.ready_cycle);
-    w.put_u64(f.issue_cycle);
-  }
-  w.put_u64(completions_.size());
-  for (const std::uint64_t tag : completions_) w.put_u64(tag);
-}
-
-void Dram::load_state(StateReader& r) {
-  next_slot_ = r.get_u64();
-  inflight_.clear();
-  const std::uint64_t inflight_count = r.get_u64();
-  for (std::uint64_t i = 0; i < inflight_count; ++i) {
-    Inflight f;
-    f.tag = r.get_u64();
-    f.ready_cycle = r.get_u64();
-    f.issue_cycle = r.get_u64();
-    inflight_.push_back(f);
-  }
-  completions_.clear();
-  const std::uint64_t completion_count = r.get_u64();
-  for (std::uint64_t i = 0; i < completion_count; ++i) {
-    completions_.push_back(r.get_u64());
   }
 }
 

@@ -15,19 +15,16 @@
 namespace hymm {
 
 class Observer;
-class StateReader;
-class StateWriter;
 
 class Dram {
  public:
   Dram(const AcceleratorConfig& config, SimStats& stats);
 
-  // Warm-state checkpointing (sim/checkpoint.hpp): serializes /
-  // restores the channel's dynamic state (booked bandwidth, in-flight
-  // reads, undelivered completions). Restore requires a Dram built
-  // from the same config.
-  void save_state(StateWriter& w) const;
-  void load_state(StateReader& r);
+  // Copyable: a copy carries the channel's whole dynamic state (booked
+  // bandwidth, in-flight reads, undelivered completions) but still
+  // counts into the original's stats until rebind() re-points it;
+  // MemorySystem's copy does both.
+  void rebind(SimStats& stats) { stats_ = &stats; }
 
   // Attaches the observability context (read-only hooks; nullptr
   // detaches).
@@ -96,7 +93,7 @@ class Dram {
   Cycle next_slot_ = 0;            // next cycle the channel is free
   std::deque<Inflight> inflight_;  // FIFO: fixed latency keeps order
   std::vector<std::uint64_t> completions_;
-  SimStats& stats_;
+  SimStats* stats_;
   Observer* obs_ = nullptr;
 };
 

@@ -1,10 +1,7 @@
 #include "sim/lsq.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 #include "obs/hooks.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace hymm {
 
@@ -12,8 +9,8 @@ LoadStoreQueue::LoadStoreQueue(const AcceleratorConfig& config,
                                DenseMatrixBuffer& dmb, SimStats& stats)
     : capacity_(config.lsq_entries),
       forwarding_(config.lsq_store_to_load_forwarding),
-      dmb_(dmb),
-      stats_(stats) {
+      dmb_(&dmb),
+      stats_(&stats) {
   load_entries_.reserve(capacity_ * 2);
   arrivals_.reserve(capacity_);
   parked_.reserve(capacity_);
@@ -29,7 +26,7 @@ std::optional<LoadStoreQueue::EntryId> LoadStoreQueue::load(Addr line,
                                                             TrafficClass cls,
                                                             Cycle now) {
   if (free_entries() == 0) return std::nullopt;
-  ++stats_.lsq_loads;
+  ++stats_->lsq_loads;
   const EntryId id = next_id_++;
   LoadEntry entry;
   entry.line = line;
@@ -39,7 +36,7 @@ std::optional<LoadStoreQueue::EntryId> LoadStoreQueue::load(Addr line,
     // A store entry for this line exists (pending or already
     // drained): forward its data without touching the memory system
     // (Section IV-B).
-    ++stats_.lsq_forwards;
+    ++stats_->lsq_forwards;
     HYMM_OBS(obs_, on_lsq_forward());
     entry.issued = true;
     entry.ready = true;
@@ -61,7 +58,7 @@ LoadStoreQueue::LoadWait LoadStoreQueue::load_wait_state(EntryId id) const {
   HYMM_DCHECK(entry != nullptr);
   if (entry == nullptr || entry->ready) return LoadWait::kReady;
   if (!entry->issued) return LoadWait::kUnissued;
-  if (dmb_.has_pending_miss_for(entry->line)) return LoadWait::kDramFill;
+  if (dmb_->has_pending_miss_for(entry->line)) return LoadWait::kDramFill;
   return LoadWait::kDmbPending;
 }
 
@@ -76,7 +73,7 @@ bool LoadStoreQueue::store(Addr line, TrafficClass cls, StoreKind kind,
                            Cycle now) {
   (void)now;
   if (free_entries() == 0) return false;
-  ++stats_.lsq_stores;
+  ++stats_->lsq_stores;
   store_queue_.push_back(StoreEntry{line, cls, kind});
   ++forward_lines_[line];
   forward_fifo_.push_back(line);
@@ -108,7 +105,7 @@ void LoadStoreQueue::issue_loads(Cycle now) {
   // secondary miss; only then do parked loads need the full probe.
   bool probe_all = false;
   if (!parked_.empty()) {
-    for (const Addr line : dmb_.joined_lines()) {
+    for (const Addr line : dmb_->joined_lines()) {
       if (parked_lines_.contains(line)) {
         probe_all = true;
         break;
@@ -117,7 +114,7 @@ void LoadStoreQueue::issue_loads(Cycle now) {
   }
   // Joins from here on (this tick's grants and store drain, the
   // engines' next step) are read by the next tick.
-  dmb_.clear_joined_lines();
+  dmb_->clear_joined_lines();
 
   // Otherwise every parked line is still absent: the oldest parked
   // loads take MSHRs while miss capacity lasts, and the rest are
@@ -128,7 +125,7 @@ void LoadStoreQueue::issue_loads(Cycle now) {
   std::size_t granted = 0;
   while (!probe_all && granted < parked_.size()) {
     const UnissuedLoad& u = parked_[granted];
-    if (dmb_.read_absent(u.line, u.cls, u.id, now) ==
+    if (dmb_->read_absent(u.line, u.cls, u.id, now) ==
         DenseMatrixBuffer::ReadResult::kReject) {
       break;
     }
@@ -140,7 +137,7 @@ void LoadStoreQueue::issue_loads(Cycle now) {
     std::size_t kept = 0;
     for (std::size_t i = granted; i < parked_.size(); ++i) {
       const UnissuedLoad u = parked_[i];
-      if (dmb_.read(u.line, u.cls, u.id, now) ==
+      if (dmb_->read(u.line, u.cls, u.id, now) ==
           DenseMatrixBuffer::ReadResult::kReject) {
         parked_[kept++] = u;
       } else {
@@ -158,7 +155,7 @@ void LoadStoreQueue::issue_loads(Cycle now) {
 
   // New loads queue behind every parked one.
   for (const UnissuedLoad& u : arrivals_) {
-    if (dmb_.read(u.line, u.cls, u.id, now) ==
+    if (dmb_->read(u.line, u.cls, u.id, now) ==
         DenseMatrixBuffer::ReadResult::kReject) {
       ++rejects;
       parked_.push_back(u);
@@ -175,7 +172,7 @@ void LoadStoreQueue::tick(Cycle now) {
   tick_active_ = false;
   // 1. Data arriving from the DMB. Ids are never reused and an entry
   // is released only once ready, so every waiter's entry must exist.
-  for (const std::uint64_t tag : dmb_.ready_waiters()) {
+  for (const std::uint64_t tag : dmb_->ready_waiters()) {
     LoadEntry* entry = load_entries_.find(tag);
     HYMM_DCHECK(entry != nullptr);
     entry->ready = true;
@@ -194,13 +191,13 @@ void LoadStoreQueue::tick(Cycle now) {
     bool done = true;
     switch (s.kind) {
       case StoreKind::kThrough:
-        done = dmb_.write_through(s.line, s.cls, now);
+        done = dmb_->write_through(s.line, s.cls, now);
         break;
       case StoreKind::kAllocate:
-        done = dmb_.write_allocate(s.line, s.cls, now);
+        done = dmb_->write_allocate(s.line, s.cls, now);
         break;
       case StoreKind::kAccumulate:
-        done = dmb_.accumulate(s.line, now);
+        done = dmb_->accumulate(s.line, now);
         break;
     }
     if (done) {
@@ -208,97 +205,6 @@ void LoadStoreQueue::tick(Cycle now) {
       tick_active_ = true;
     }
   }
-}
-
-void LoadStoreQueue::save_state(StateWriter& w) const {
-  w.put_u64(next_id_);
-  // FlatMap iteration order is unspecified; serialize entries sorted
-  // by id so identical logical states produce identical bytes.
-  std::vector<std::pair<EntryId, LoadEntry>> loads;
-  loads.reserve(load_entries_.size());
-  load_entries_.for_each([&loads](std::uint64_t id, const LoadEntry& e) {
-    loads.emplace_back(id, e);
-  });
-  std::sort(loads.begin(), loads.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  w.put_u64(loads.size());
-  for (const auto& [id, e] : loads) {
-    w.put_u64(id);
-    w.put_u64(e.line);
-    w.put_u8(static_cast<std::uint8_t>(e.cls));
-    w.put_u64(e.issue_cycle);
-    w.put_bool(e.issued);
-    w.put_bool(e.ready);
-  }
-  // parked_lines_ is derived state: it is rebuilt from parked_ on
-  // restore.
-  for (const auto* loads : {&arrivals_, &parked_}) {
-    w.put_u64(loads->size());
-    for (const UnissuedLoad& u : *loads) {
-      w.put_u64(u.id);
-      w.put_u64(u.line);
-      w.put_u8(static_cast<std::uint8_t>(u.cls));
-    }
-  }
-  w.put_u64(store_queue_.size());
-  for (const StoreEntry& s : store_queue_) {
-    w.put_u64(s.line);
-    w.put_u8(static_cast<std::uint8_t>(s.cls));
-    w.put_u8(static_cast<std::uint8_t>(s.kind));
-  }
-  // The forwarding window's line-count map is derived state: it is
-  // rebuilt from the FIFO on restore.
-  w.put_u64(forward_fifo_.size());
-  for (const Addr line : forward_fifo_) w.put_u64(line);
-}
-
-void LoadStoreQueue::load_state(StateReader& r) {
-  next_id_ = r.get_u64();
-  load_entries_.clear();
-  const std::uint64_t load_count = r.get_u64();
-  load_entries_.reserve(load_count);
-  for (std::uint64_t i = 0; i < load_count; ++i) {
-    const EntryId id = r.get_u64();
-    LoadEntry e;
-    e.line = r.get_u64();
-    e.cls = static_cast<TrafficClass>(r.get_u8());
-    e.issue_cycle = r.get_u64();
-    e.issued = r.get_bool();
-    e.ready = r.get_bool();
-    load_entries_.emplace(id, e);
-  }
-  arrivals_.clear();
-  parked_.clear();
-  parked_lines_.clear();
-  for (auto* loads : {&arrivals_, &parked_}) {
-    const std::uint64_t count = r.get_u64();
-    for (std::uint64_t i = 0; i < count; ++i) {
-      UnissuedLoad u;
-      u.id = r.get_u64();
-      u.line = r.get_u64();
-      u.cls = static_cast<TrafficClass>(r.get_u8());
-      loads->push_back(u);
-    }
-  }
-  for (const UnissuedLoad& u : parked_) ++parked_lines_[u.line];
-  store_queue_.clear();
-  const std::uint64_t store_count = r.get_u64();
-  for (std::uint64_t i = 0; i < store_count; ++i) {
-    StoreEntry s;
-    s.line = r.get_u64();
-    s.cls = static_cast<TrafficClass>(r.get_u8());
-    s.kind = static_cast<StoreKind>(r.get_u8());
-    store_queue_.push_back(s);
-  }
-  forward_fifo_.clear();
-  forward_lines_.clear();
-  const std::uint64_t fifo_count = r.get_u64();
-  for (std::uint64_t i = 0; i < fifo_count; ++i) {
-    const Addr line = r.get_u64();
-    forward_fifo_.push_back(line);
-    ++forward_lines_[line];
-  }
-  tick_active_ = false;
 }
 
 }  // namespace hymm

@@ -25,8 +25,6 @@ enum class StoreKind {
 };
 
 class Observer;
-class StateReader;
-class StateWriter;
 
 class LoadStoreQueue {
  public:
@@ -35,13 +33,14 @@ class LoadStoreQueue {
   LoadStoreQueue(const AcceleratorConfig& config, DenseMatrixBuffer& dmb,
                  SimStats& stats);
 
-  // Warm-state checkpointing (sim/checkpoint.hpp): serializes /
-  // restores entries, new and parked loads, the store queue and the
-  // store-to-load forwarding window (which persists across phases and
-  // feeds aggregation-phase forwards). Restore requires a queue built
-  // from the same config and the already-restored companion DMB.
-  void save_state(StateWriter& w) const;
-  void load_state(StateReader& r);
+  // Copyable: a copy carries the entries, new and parked loads, the
+  // store queue and the store-to-load forwarding window (which
+  // persists across phases and feeds aggregation-phase forwards);
+  // rebind() re-points its DMB and counters, see Dram::rebind.
+  void rebind(DenseMatrixBuffer& dmb, SimStats& stats) {
+    dmb_ = &dmb;
+    stats_ = &stats;
+  }
 
   // Attaches the observability context (read-only hooks; nullptr
   // detaches).
@@ -145,7 +144,7 @@ class LoadStoreQueue {
   std::vector<UnissuedLoad> arrivals_;
   // Rejected loads, oldest first. Each one's line was absent from every
   // DMB directory when it was rejected, and any join of that line since
-  // is still in dmb_.joined_lines().
+  // is still in dmb_->joined_lines().
   std::vector<UnissuedLoad> parked_;
   // line -> parked loads waiting on it; derived from parked_.
   FlatMap<std::uint32_t> parked_lines_;
@@ -158,8 +157,8 @@ class LoadStoreQueue {
   std::deque<Addr> forward_fifo_;
   FlatMap<std::uint32_t> forward_lines_;
 
-  DenseMatrixBuffer& dmb_;
-  SimStats& stats_;
+  DenseMatrixBuffer* dmb_;
+  SimStats* stats_;
   Observer* obs_ = nullptr;
 };
 

@@ -17,17 +17,14 @@
 namespace hymm {
 
 class Observer;
-class StateReader;
-class StateWriter;
 
 class PeArray {
  public:
   PeArray(const AcceleratorConfig& config, SimStats& stats);
 
-  // Warm-state checkpointing (sim/checkpoint.hpp): the array's only
-  // dynamic state is the last issue cycle.
-  void save_state(StateWriter& w) const;
-  void load_state(StateReader& r);
+  // Copyable (the only dynamic state is the last issue cycle);
+  // rebind() re-points a copy's counters, see Dram::rebind.
+  void rebind(SimStats& stats) { stats_ = &stats; }
 
   // Attaches the observability context (read-only hooks; nullptr
   // detaches).
@@ -59,7 +56,7 @@ class PeArray {
 
   std::size_t pe_count_;
   Cycle last_issue_cycle_ = ~Cycle{0};
-  SimStats& stats_;
+  SimStats* stats_;
   Observer* obs_ = nullptr;
 };
 

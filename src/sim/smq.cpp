@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "obs/hooks.hpp"
-#include "sim/checkpoint.hpp"
 #include "sim/tags.hpp"
 
 namespace hymm {
@@ -19,7 +18,7 @@ constexpr std::size_t kPointerBytes = 4;
 
 SparseMatrixQueue::SparseMatrixQueue(const AcceleratorConfig& config,
                                      Dram& dram, SimStats& stats)
-    : dram_(dram), stats_(stats) {
+    : dram_(&dram), stats_(&stats) {
   entry_capacity_ = config.smq_index_bytes / kEntryBytes;
   entries_per_line_ = kLineBytes / kEntryBytes;
   HYMM_CHECK(entry_capacity_ >= entries_per_line_);
@@ -111,7 +110,7 @@ void SparseMatrixQueue::decode_entries(std::size_t count) {
 void SparseMatrixQueue::tick(Cycle now) {
   tick_active_ = false;
   // 1. Arrived refills become decodable entries.
-  for (const std::uint64_t tag : dram_.completions()) {
+  for (const std::uint64_t tag : dram_->completions()) {
     if (tag_source(tag) != kSmqTagSource) continue;
     HYMM_DCHECK(!inflight_refills_.empty());
     HYMM_DCHECK(inflight_refills_.front().first == tag_payload(tag));
@@ -126,11 +125,11 @@ void SparseMatrixQueue::tick(Cycle now) {
     const std::size_t outstanding =
         ready_.size() + static_cast<std::size_t>(requested_ - decoded_);
     if (outstanding + entries_per_line_ > entry_capacity_) break;
-    if (!dram_.can_accept_read()) break;
+    if (!dram_->can_accept_read()) break;
     const std::size_t chunk = static_cast<std::size_t>(std::min<EdgeCount>(
         entries_per_line_, total_entries_ - requested_));
     const std::uint64_t payload = next_refill_tag_++;
-    dram_.issue_read(/*line_addr=*/0, cls_, make_tag(kSmqTagSource, payload),
+    dram_->issue_read(/*line_addr=*/0, cls_, make_tag(kSmqTagSource, payload),
                      now);
     HYMM_OBS(obs_, on_smq_refill());
     inflight_refills_.emplace_back(payload, chunk);
@@ -146,24 +145,10 @@ void SparseMatrixQueue::tick(Cycle now) {
         (static_cast<std::size_t>(outer_seen) * kPointerBytes) / kLineBytes +
         1);
     while (pointer_lines_issued_ < pointer_lines_needed) {
-      dram_.issue_streaming_read(cls_, now);
+      dram_->issue_streaming_read(cls_, now);
       ++pointer_lines_issued_;
     }
   }
-}
-
-void SparseMatrixQueue::save_state(StateWriter& w) const {
-  // Phase-boundary contract: the stream is fully decoded, consumed
-  // and landed; only the tag counter carries forward.
-  HYMM_CHECK_MSG(finished() && inflight_refills_.empty(),
-                 "SMQ checkpoint requires a drained stream");
-  w.put_u64(next_refill_tag_);
-}
-
-void SparseMatrixQueue::load_state(StateReader& r) {
-  HYMM_CHECK_MSG(finished() && inflight_refills_.empty(),
-                 "SMQ restore requires a drained stream");
-  next_refill_tag_ = r.get_u64();
 }
 
 }  // namespace hymm

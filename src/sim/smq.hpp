@@ -26,21 +26,24 @@ struct SmqEntry {
 };
 
 class Observer;
-class StateReader;
-class StateWriter;
 
 class SparseMatrixQueue {
  public:
   SparseMatrixQueue(const AcceleratorConfig& config, Dram& dram,
                     SimStats& stats);
 
-  // Warm-state checkpointing (sim/checkpoint.hpp). Checkpoints are
-  // taken at phase boundaries where the stream is finished and
-  // drained, so the only state that survives is the monotone refill
-  // tag counter (attach_common deliberately does not reset it: DRAM
-  // read tags must stay unique across phases).
-  void save_state(StateWriter& w) const;
-  void load_state(StateReader& r);
+  // Copyable: a copy carries the stream cursor, decoded entries and
+  // in-flight refills; rebind() re-points its DRAM and counters, see
+  // Dram::rebind. It reads the same attached matrix, which must
+  // outlive both while entries remain to decode (a drained stream
+  // never reads it again, so a copy taken at a phase boundary may
+  // outlive it). At a phase boundary only the monotone refill tag
+  // counter matters (attach_common deliberately does not reset it:
+  // DRAM read tags must stay unique across phases).
+  void rebind(Dram& dram, SimStats& stats) {
+    dram_ = &dram;
+    stats_ = &stats;
+  }
 
   // Attaches the observability context (read-only hooks; nullptr
   // detaches).
@@ -115,8 +118,8 @@ class SparseMatrixQueue {
   std::deque<std::pair<std::uint64_t, std::size_t>> inflight_refills_;
   bool tick_active_ = false;
 
-  Dram& dram_;
-  SimStats& stats_;
+  Dram* dram_;
+  SimStats* stats_;
   Observer* obs_ = nullptr;
 };
 

@@ -121,6 +121,8 @@ struct SimStats {
 
   // Adds counters of another phase; cycles add up, peaks take max.
   void merge_phase(const SimStats& other);
+
+  friend bool operator==(const SimStats&, const SimStats&) = default;
 };
 
 // Additive counter difference `after - before` (cycles included);

@@ -16,7 +16,6 @@
 #include "common/check.hpp"
 #include "common/flags.hpp"
 #include "graph/fingerprint.hpp"
-#include "sim/checkpoint.hpp"
 
 namespace hymm {
 
@@ -110,15 +109,16 @@ enum class Role {
 };
 
 // One combination phase shared by two or more simulated cells: the
-// leader publishes its sealed warm state here, followers wait for it.
+// leader publishes a copy of its warm state here, followers wait for
+// it.
 // Pinned in place: the leader's publish callback holds its address.
 struct SharedCombination {
   SharedCombination() = default;
   SharedCombination(const SharedCombination&) = delete;
   SharedCombination& operator=(const SharedCombination&) = delete;
 
-  std::promise<CheckpointBlob> promise;
-  std::shared_future<CheckpointBlob> blob = promise.get_future().share();
+  std::promise<WarmStatePtr> promise;
+  std::shared_future<WarmStatePtr> warm = promise.get_future().share();
   bool published = false;  // touched only by the leader's thread
 };
 
@@ -267,16 +267,16 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
     slot.scaled_spec = prepared->workload().spec;
     if (plan[index].role == Role::kFollower) {
       // Blocks until the leader publishes; rethrows the leader's error.
-      request.share.restore = shares[plan[index].share].blob.get();
+      request.share.restore = shares[plan[index].share].warm.get();
     }
     if (plan[index].role != Role::kLeader) {
       slot.result = run_experiment(request);
       return;
     }
     SharedCombination& share = shares[plan[index].share];
-    request.share.publish = [&share](CheckpointBlob blob) {
+    request.share.publish = [&share](WarmStatePtr warm) {
       share.published = true;
-      share.promise.set_value(std::move(blob));
+      share.promise.set_value(std::move(warm));
     };
     try {
       slot.result = run_experiment(request);
@@ -286,7 +286,7 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
       }
       throw;
     }
-    // Never leave followers waiting: without a blob they run cold.
+    // Never leave followers waiting: without a snapshot they run cold.
     if (!share.published) share.promise.set_value(nullptr);
   };
 

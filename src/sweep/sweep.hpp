@@ -16,11 +16,11 @@
 /// SweepCellResult::reused_from. Among the remaining cells, those
 /// sharing a combination phase (workload, flow, tuning_config_hash)
 /// simulate it once: the first in grid order (the leader) publishes
-/// its phase-boundary state (sim/checkpoint.hpp) and the others
-/// restore it, bit-identically. The plan depends only on the grid, so
-/// which cell builds and which restores does not depend on the thread
-/// count. The snapshots live only for one run(). Sampled runs reuse
-/// nothing.
+/// a copy of its phase-boundary MemorySystem (WarmState,
+/// core/accelerator.hpp) and the others restore it, bit-identically.
+/// The plan depends only on the grid, so which cell builds and which
+/// restores does not depend on the thread count. The snapshots live
+/// only for one run(). Sampled runs reuse nothing.
 ///
 /// Observability: observers are never shared across threads. Cells
 /// mapping to the same group key share one Observer and run serially

@@ -1,13 +1,14 @@
-// Warm-state checkpoint/restore (sim/checkpoint.hpp): blob framing
-// rejects corruption, keys ignore aggregation-only knobs, restored
-// runs are bit-identical to cold ones, a corrupted blob degrades to a
-// cold run — never an error — and concurrent sweep cells sharing a
-// combination phase build it exactly once.
+// Warm-state sharing (WarmState, core/accelerator.hpp): keys ignore
+// aggregation-only knobs, restored runs are bit-identical to cold
+// ones, a snapshot keyed for another combination is refused loudly,
+// a copied MemorySystem runs on independently of its source, and
+// concurrent sweep cells sharing a combination phase build it exactly
+// once.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <vector>
 
 #include "core/accelerator.hpp"
@@ -15,7 +16,6 @@
 #include "graph/datasets.hpp"
 #include "graph/generator.hpp"
 #include "linalg/gcn.hpp"
-#include "sim/checkpoint.hpp"
 #include "sweep/sweep.hpp"
 
 namespace hymm {
@@ -46,58 +46,6 @@ Problem make_problem(NodeId nodes = 200, EdgeCount edges = 2400,
   return p;
 }
 
-std::vector<std::byte> payload_of(std::initializer_list<int> values) {
-  StateWriter w;
-  for (int v : values) w.put_u32(static_cast<std::uint32_t>(v));
-  return w.take();
-}
-
-TEST(CheckpointBlob, SealOpenRoundTrip) {
-  const CheckpointKey key{0x1234, 0xabcd};
-  const std::vector<std::byte> payload = payload_of({1, 2, 3, 4});
-  const std::vector<std::byte> blob = seal_checkpoint(key, payload);
-
-  const std::byte* view = nullptr;
-  std::size_t size = 0;
-  ASSERT_TRUE(open_checkpoint(blob, key, &view, &size));
-  ASSERT_EQ(size, payload.size());
-  EXPECT_EQ(std::vector<std::byte>(view, view + size), payload);
-}
-
-TEST(CheckpointBlob, RejectsWrongKey) {
-  const CheckpointKey key{1, 2};
-  const std::vector<std::byte> blob = seal_checkpoint(key, payload_of({7}));
-  const std::byte* view = nullptr;
-  std::size_t size = 0;
-  EXPECT_FALSE(open_checkpoint(blob, CheckpointKey{1, 3}, &view, &size));
-  EXPECT_FALSE(open_checkpoint(blob, CheckpointKey{9, 2}, &view, &size));
-}
-
-TEST(CheckpointBlob, RejectsEveryFlippedByte) {
-  const CheckpointKey key{42, 43};
-  const std::vector<std::byte> good = seal_checkpoint(key, payload_of({5, 6}));
-  const std::byte* view = nullptr;
-  std::size_t size = 0;
-  for (std::size_t i = 0; i < good.size(); ++i) {
-    std::vector<std::byte> bad = good;
-    bad[i] ^= std::byte{0x01};
-    EXPECT_FALSE(open_checkpoint(bad, key, &view, &size))
-        << "flip at byte " << i << " accepted";
-  }
-}
-
-TEST(CheckpointBlob, RejectsTruncation) {
-  const CheckpointKey key{42, 43};
-  const std::vector<std::byte> good = seal_checkpoint(key, payload_of({5, 6}));
-  const std::byte* view = nullptr;
-  std::size_t size = 0;
-  for (std::size_t keep : {std::size_t{0}, std::size_t{4}, good.size() - 1}) {
-    std::vector<std::byte> bad(good.begin(), good.begin() + keep);
-    EXPECT_FALSE(open_checkpoint(bad, key, &view, &size))
-        << "truncated to " << keep << " bytes accepted";
-  }
-}
-
 // The config half deliberately excludes the tiling threshold (it only
 // affects aggregation), so all tuner candidates share one checkpoint;
 // any timing-relevant knob — or the streamed inputs — must split it.
@@ -123,12 +71,33 @@ TEST(CheckpointKeying, ThresholdInvariantButTimingSensitive) {
             key);
 }
 
+// A follower handed a warm state keyed for another combination phase
+// is a sweep-planning bug: it must fail loudly, not run cold.
+TEST(CheckpointKeying, MismatchedWarmStateThrows) {
+  const Problem p = make_problem();
+  Accelerator acc{AcceleratorConfig{}};
+  LayerRunRequest leader;
+  leader.flow = Dataflow::kOuterProduct;
+  leader.a_hat = &p.a_hat;
+  leader.x = &p.x;
+  leader.w = &p.w;
+  WarmStatePtr warm;
+  leader.share.publish = [&](WarmStatePtr w) { warm = std::move(w); };
+  acc.run_layer(leader);
+  ASSERT_NE(warm, nullptr);
+
+  LayerRunRequest follower = leader;
+  follower.share = CombinationShare{};
+  follower.share.restore = warm;
+  follower.flow = Dataflow::kRowWiseProduct;
+  EXPECT_THROW(acc.run_layer(follower), CheckError);
+}
+
 class CheckpointFlows : public ::testing::TestWithParam<Dataflow> {};
 
 // The headline guarantee: a run that restores the combination phase
-// from a published checkpoint is bit-identical to the cold run —
-// functional outputs, cycles, every stall bucket and DRAM byte. A
-// blob that fails validation falls back to a cold run.
+// from a published warm state is bit-identical to the cold run —
+// functional outputs, cycles, every stall bucket and DRAM byte.
 TEST_P(CheckpointFlows, RestoredRunIsBitIdenticalToCold) {
   const Problem p = make_problem();
   Accelerator acc{AcceleratorConfig{}};
@@ -141,39 +110,31 @@ TEST_P(CheckpointFlows, RestoredRunIsBitIdenticalToCold) {
   const LayerRunResult cold = acc.run_layer(request);
   EXPECT_FALSE(cold.checkpoint.enabled);
 
-  CheckpointBlob blob;
+  WarmStatePtr warm;
   LayerRunRequest leader = request;
-  leader.share.publish = [&](CheckpointBlob b) { blob = std::move(b); };
+  leader.share.publish = [&](WarmStatePtr w) { warm = std::move(w); };
   const LayerRunResult built = acc.run_layer(leader);
-  ASSERT_NE(blob, nullptr);
+  ASSERT_NE(warm, nullptr);
   EXPECT_TRUE(built.checkpoint.enabled);
   EXPECT_TRUE(built.checkpoint.built);
   EXPECT_FALSE(built.checkpoint.restored);
   EXPECT_FALSE(built.checkpoint.key.empty());
 
   LayerRunRequest follower = request;
-  follower.share.restore = blob;
+  follower.share.restore = warm;
   const LayerRunResult restored = acc.run_layer(follower);
   EXPECT_TRUE(restored.checkpoint.restored);
   EXPECT_FALSE(restored.checkpoint.built);
   EXPECT_EQ(restored.checkpoint.key, built.checkpoint.key);
 
-  std::vector<std::byte> flipped = *blob;
-  flipped[flipped.size() / 2] ^= std::byte{0x01};
-  follower.share.restore =
-      std::make_shared<const std::vector<std::byte>>(std::move(flipped));
-  const LayerRunResult fallback = acc.run_layer(follower);
-  EXPECT_TRUE(fallback.checkpoint.enabled);
-  EXPECT_FALSE(fallback.checkpoint.restored);
-
-  for (const LayerRunResult* warm : {&built, &restored, &fallback}) {
-    EXPECT_EQ(warm->stats.cycles, cold.stats.cycles);
-    EXPECT_EQ(warm->stats.stall_cycles, cold.stats.stall_cycles);
-    EXPECT_EQ(warm->stats.dram_total_bytes(), cold.stats.dram_total_bytes());
-    EXPECT_EQ(warm->combination_stats.cycles, cold.combination_stats.cycles);
-    EXPECT_EQ(warm->aggregation_stats.cycles, cold.aggregation_stats.cycles);
-    EXPECT_EQ(warm->combination, cold.combination);
-    EXPECT_EQ(warm->output, cold.output);
+  for (const LayerRunResult* r : {&built, &restored}) {
+    EXPECT_EQ(r->stats.cycles, cold.stats.cycles);
+    EXPECT_EQ(r->stats.stall_cycles, cold.stats.stall_cycles);
+    EXPECT_EQ(r->stats.dram_total_bytes(), cold.stats.dram_total_bytes());
+    EXPECT_EQ(r->combination_stats.cycles, cold.combination_stats.cycles);
+    EXPECT_EQ(r->aggregation_stats.cycles, cold.aggregation_stats.cycles);
+    EXPECT_EQ(r->combination, cold.combination);
+    EXPECT_EQ(r->output, cold.output);
   }
 }
 
@@ -184,6 +145,100 @@ INSTANTIATE_TEST_SUITE_P(AllDataflows, CheckpointFlows,
                          [](const auto& info) {
                            return to_string(info.param);
                          });
+
+constexpr Addr line_at(std::uint64_t i) { return 0x1000 + i * kLineBytes; }
+
+// The MemorySystem state two systems must agree on cycle by cycle.
+void expect_same_state(const MemorySystem& a, const MemorySystem& b) {
+  EXPECT_EQ(a.now(), b.now());
+  EXPECT_EQ(a.stats(), b.stats()) << "cycle " << a.now();
+  EXPECT_EQ(a.dram().busy_until(), b.dram().busy_until());
+  EXPECT_EQ(a.dram().has_inflight_reads(), b.dram().has_inflight_reads());
+  EXPECT_EQ(a.dmb().resident_lines(), b.dmb().resident_lines());
+  EXPECT_EQ(a.dmb().has_pending_misses(), b.dmb().has_pending_misses());
+  EXPECT_EQ(a.lsq().pending_loads(), b.lsq().pending_loads());
+  EXPECT_EQ(a.lsq().ticked_active(), b.lsq().ticked_active());
+  EXPECT_EQ(a.smq().backlog(), b.smq().backlog());
+}
+
+// A copy taken mid-phase — DRAM reads in flight, both MSHRs busy,
+// loads parked behind it, an SMQ stream refilling — carries the whole
+// state and is wired to its own members: it runs on exactly like the
+// original, and ticking it never touches the original.
+TEST(MemorySystemCopy, CopyRunsIndependentlyAndIdentically) {
+  const Problem p = make_problem();
+  AcceleratorConfig config;
+  config.dmb_mshr_entries = 2;
+  config.dram_latency = 10;
+  config.smq_index_bytes = 1024;  // a short refill burst
+  MemorySystem original(config);
+  original.smq().attach_csr(p.x, TrafficClass::kFeatures);
+  std::vector<LoadStoreQueue::EntryId> ids;
+  for (std::uint64_t i = 0; i < 6; ++i) {
+    ids.push_back(
+        original.lsq().load(line_at(i), TrafficClass::kCombined, 0).value());
+  }
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    original.tick_components();
+    original.advance();
+  }
+  ASSERT_TRUE(original.dram().has_inflight_reads());
+  ASSERT_TRUE(original.dmb().has_pending_misses());
+  ASSERT_EQ(original.lsq().load_wait_state(ids.back()),
+            LoadStoreQueue::LoadWait::kUnissued);
+
+  // Drive every component of the copy alone, counters included, and
+  // drain its SMQ so refills keep arriving and issuing; the original
+  // must not move.
+  const SimStats stats_before = original.stats();
+  const Cycle now_before = original.now();
+  const Cycle busy_before = original.dram().busy_until();
+  const std::size_t backlog_before = original.smq().backlog();
+  {
+    MemorySystem probe(original);
+    ASSERT_TRUE(probe.lsq().load(line_at(9), TrafficClass::kCombined,
+                                 probe.now()));
+    probe.pe().merge_op(probe.now());
+    std::size_t popped = 0;
+    for (int cycle = 0; cycle < 100; ++cycle) {
+      probe.tick_components();
+      for (; probe.smq().has_ready(); ++popped) probe.smq().pop();
+      probe.advance();
+    }
+    EXPECT_NE(probe.stats(), stats_before);
+    EXPECT_GT(popped, backlog_before);
+  }
+  EXPECT_EQ(original.now(), now_before);
+  EXPECT_EQ(original.stats(), stats_before);
+  EXPECT_EQ(original.dram().busy_until(), busy_before);
+  EXPECT_EQ(original.smq().backlog(), backlog_before);
+
+  // Tick the original and a copy in lockstep, releasing loads as they
+  // become ready.
+  MemorySystem copy(original);
+  expect_same_state(copy, original);
+  std::vector<bool> released(ids.size(), false);
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    for (MemorySystem* ms : {&original, &copy}) ms->tick_components();
+    expect_same_state(copy, original);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (released[k]) continue;
+      const LoadStoreQueue::LoadWait wait =
+          original.lsq().load_wait_state(ids[k]);
+      ASSERT_EQ(copy.lsq().load_wait_state(ids[k]), wait)
+          << "load " << k << " at cycle " << original.now();
+      if (wait == LoadStoreQueue::LoadWait::kReady) {
+        for (MemorySystem* ms : {&original, &copy}) {
+          ms->lsq().release_load(ids[k]);
+        }
+        released[k] = true;
+      }
+    }
+    for (MemorySystem* ms : {&original, &copy}) ms->advance();
+  }
+  EXPECT_EQ(std::count(released.begin(), released.end(), true),
+            static_cast<std::ptrdiff_t>(ids.size()));
+}
 
 // Sweep integration under a real thread race: four configs differing
 // only in the tiling threshold share one workload, so eight workers

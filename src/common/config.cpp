@@ -40,8 +40,6 @@ void AcceleratorConfig::validate() const {
   HYMM_CHECK_MSG(clock_ghz > 0.0, "clock must be positive");
   HYMM_CHECK_MSG(dmb_bytes >= kLineBytes, "DMB smaller than one line");
   HYMM_CHECK_MSG(dmb_mshr_entries > 0, "need at least one MSHR");
-  HYMM_CHECK_MSG(dmb_read_queue_entries > 0, "empty DMB read queue");
-  HYMM_CHECK_MSG(dmb_write_queue_entries > 0, "empty DMB write queue");
   HYMM_CHECK_MSG(smq_pointer_bytes >= kLineBytes, "SMQ pointer buffer tiny");
   HYMM_CHECK_MSG(smq_index_bytes >= kLineBytes, "SMQ index buffer tiny");
   HYMM_CHECK_MSG(lsq_entries > 0, "empty LSQ");

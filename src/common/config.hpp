@@ -47,7 +47,6 @@ std::optional<AutotuneMode> parse_autotune_mode(std::string_view text);
 struct AcceleratorConfig {
   // --- Compute ---
   std::size_t pe_count = 16;          // MAC units (Table III)
-  std::size_t lanes_per_pe = 1;       // each PE owns one f32 lane
   double clock_ghz = 1.0;             // 16 MACs * 2 ops * 1 GHz = 32 GFLOPS
 
   // --- Dense matrix buffer (DMB) ---
@@ -58,8 +57,6 @@ struct AcceleratorConfig {
   // ids, making the OP input stream sequential — Section III). 0
   // disables prefetching (ablation).
   std::size_t op_prefetch_columns = 128;
-  std::size_t dmb_read_queue_entries = 16;
-  std::size_t dmb_write_queue_entries = 16;
   Cycle dmb_hit_latency = 2;
   EvictionPolicy eviction_policy = EvictionPolicy::kLru;
   // Near-memory accumulator that merges partial-output lines in place

@@ -46,7 +46,7 @@ MemorySystem::MemorySystem(const AcceleratorConfig& config)
       dram_(config_, stats_),
       dmb_(config_, dram_, stats_),
       lsq_(config_, dmb_, stats_),
-      smq_(config_, dram_, stats_),
+      smq_(config_, dram_),
       pe_(config_, stats_) {
   config_.validate();
 }
@@ -77,7 +77,7 @@ void MemorySystem::rebind_components() {
   dram_.rebind(stats_);
   dmb_.rebind(dram_, stats_);
   lsq_.rebind(dmb_, stats_);
-  smq_.rebind(dram_, stats_);
+  smq_.rebind(dram_);
   pe_.rebind(stats_);
 }
 

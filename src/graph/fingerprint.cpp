@@ -49,13 +49,10 @@ std::uint64_t graph_fingerprint(const CsrMatrix& matrix) {
 std::uint64_t tuning_config_hash(const AcceleratorConfig& c) {
   Digest d;
   d.add(static_cast<std::uint64_t>(c.pe_count));
-  d.add(static_cast<std::uint64_t>(c.lanes_per_pe));
   d.add(c.clock_ghz);
   d.add(static_cast<std::uint64_t>(c.dmb_bytes));
   d.add(static_cast<std::uint64_t>(c.dmb_mshr_entries));
   d.add(static_cast<std::uint64_t>(c.op_prefetch_columns));
-  d.add(static_cast<std::uint64_t>(c.dmb_read_queue_entries));
-  d.add(static_cast<std::uint64_t>(c.dmb_write_queue_entries));
   d.add(static_cast<std::uint64_t>(c.dmb_hit_latency));
   d.add(static_cast<std::uint64_t>(c.eviction_policy));
   d.add(c.near_memory_accumulator);

@@ -163,10 +163,4 @@ void save_sparse_matrix(const CsrMatrix& matrix, std::ostream& out) {
   }
 }
 
-void save_sparse_matrix_file(const CsrMatrix& matrix,
-                             const std::string& path) {
-  auto out = open_output(path);
-  save_sparse_matrix(matrix, out);
-}
-
 }  // namespace hymm

@@ -42,7 +42,5 @@ void save_edge_list_file(const CsrMatrix& matrix, const std::string& path);
 CsrMatrix load_sparse_matrix(std::istream& in);
 CsrMatrix load_sparse_matrix_file(const std::string& path);
 void save_sparse_matrix(const CsrMatrix& matrix, std::ostream& out);
-void save_sparse_matrix_file(const CsrMatrix& matrix,
-                             const std::string& path);
 
 }  // namespace hymm

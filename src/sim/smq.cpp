@@ -17,8 +17,8 @@ constexpr std::size_t kPointerBytes = 4;
 }  // namespace
 
 SparseMatrixQueue::SparseMatrixQueue(const AcceleratorConfig& config,
-                                     Dram& dram, SimStats& stats)
-    : dram_(&dram), stats_(&stats) {
+                                     Dram& dram)
+    : dram_(&dram) {
   entry_capacity_ = config.smq_index_bytes / kEntryBytes;
   entries_per_line_ = kLineBytes / kEntryBytes;
   HYMM_CHECK(entry_capacity_ >= entries_per_line_);

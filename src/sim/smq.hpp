@@ -29,21 +29,17 @@ class Observer;
 
 class SparseMatrixQueue {
  public:
-  SparseMatrixQueue(const AcceleratorConfig& config, Dram& dram,
-                    SimStats& stats);
+  SparseMatrixQueue(const AcceleratorConfig& config, Dram& dram);
 
   // Copyable: a copy carries the stream cursor, decoded entries and
-  // in-flight refills; rebind() re-points its DRAM and counters, see
-  // Dram::rebind. It reads the same attached matrix, which must
-  // outlive both while entries remain to decode (a drained stream
-  // never reads it again, so a copy taken at a phase boundary may
-  // outlive it). At a phase boundary only the monotone refill tag
-  // counter matters (attach_common deliberately does not reset it:
-  // DRAM read tags must stay unique across phases).
-  void rebind(Dram& dram, SimStats& stats) {
-    dram_ = &dram;
-    stats_ = &stats;
-  }
+  // in-flight refills; rebind() re-points its DRAM, see Dram::rebind.
+  // It reads the same attached matrix, which must outlive both while
+  // entries remain to decode (a drained stream never reads it again,
+  // so a copy taken at a phase boundary may outlive it). At a phase
+  // boundary only the monotone refill tag counter matters
+  // (attach_common deliberately does not reset it: DRAM read tags
+  // must stay unique across phases).
+  void rebind(Dram& dram) { dram_ = &dram; }
 
   // Attaches the observability context (read-only hooks; nullptr
   // detaches).
@@ -119,7 +115,6 @@ class SparseMatrixQueue {
   bool tick_active_ = false;
 
   Dram* dram_;
-  SimStats* stats_;
   Observer* obs_ = nullptr;
 };
 

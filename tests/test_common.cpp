@@ -228,7 +228,9 @@ TEST(FlatMap, MatchesReferenceModelUnderChurn) {
       const std::uint64_t* found = map.find(key);
       const auto it = model.find(key);
       ASSERT_EQ(found != nullptr, it != model.end());
-      if (found != nullptr) EXPECT_EQ(*found, it->second);
+      if (found != nullptr) {
+        EXPECT_EQ(*found, it->second);
+      }
     }
     ASSERT_EQ(map.size(), model.size());
   }

@@ -1,5 +1,6 @@
 // Tests for the degree-sorting preprocessor (HyMM's Table I "Graph
-// preprocessing" row).
+// preprocessing" row) and the BFS and random orderings it is compared
+// against.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -139,6 +140,56 @@ TEST(DegreeSort, SortedGraphConcentratesTopLeft) {
   EXPECT_GT(static_cast<double>(top_edges) /
                 static_cast<double>(a.nnz()),
             0.70);
+}
+
+CsrMatrix ordering_graph() {
+  GraphSpec spec;
+  spec.nodes = 400;
+  spec.edges = 3200;
+  spec.seed = 77;
+  return generate_power_law_graph(spec);
+}
+
+TEST(Orderings, BfsPermutationIsBijective) {
+  const CsrMatrix a = ordering_graph();
+  const auto perm = bfs_permutation(a);
+  EXPECT_NO_THROW(invert_permutation(perm));
+  EXPECT_EQ(perm.size(), a.rows());
+}
+
+TEST(Orderings, BfsCoversIsolatedNodes) {
+  CooMatrix coo(6, 6);
+  coo.add(0, 1, 1.0f);
+  coo.add(1, 0, 1.0f);
+  // Nodes 2..5 are isolated; BFS must still number them.
+  const CsrMatrix a = CsrMatrix::from_coo(std::move(coo));
+  const auto perm = bfs_permutation(a);
+  EXPECT_NO_THROW(invert_permutation(perm));
+}
+
+TEST(Orderings, BfsImprovesNeighbourIdLocality) {
+  // Average |perm[u] - perm[v]| over edges should shrink vs random.
+  const CsrMatrix a = ordering_graph();
+  auto mean_span = [&](const std::vector<NodeId>& perm) {
+    double total = 0.0;
+    for (NodeId r = 0; r < a.rows(); ++r) {
+      for (const NodeId c : a.row_cols(r)) {
+        const double d = static_cast<double>(perm[r]) - perm[c];
+        total += d < 0 ? -d : d;
+      }
+    }
+    return total / static_cast<double>(a.nnz());
+  };
+  const double bfs_span = mean_span(bfs_permutation(a));
+  const double random_span =
+      mean_span(random_permutation_of(a.rows(), 5));
+  EXPECT_LT(bfs_span, random_span * 0.8);
+}
+
+TEST(Orderings, RandomPermutationDeterministicPerSeed) {
+  EXPECT_EQ(random_permutation_of(100, 1), random_permutation_of(100, 1));
+  EXPECT_NE(random_permutation_of(100, 1), random_permutation_of(100, 2));
+  EXPECT_NO_THROW(invert_permutation(random_permutation_of(100, 1)));
 }
 
 }  // namespace

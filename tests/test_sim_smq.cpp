@@ -16,7 +16,7 @@ struct Fixture {
   Fixture() {
     config.dram_latency = 5;
     dram = std::make_unique<Dram>(config, stats);
-    smq = std::make_unique<SparseMatrixQueue>(config, *dram, stats);
+    smq = std::make_unique<SparseMatrixQueue>(config, *dram);
   }
 
   // Runs the stream to completion, returning all entries in pop order.

@@ -1,18 +1,19 @@
 #include "core/accelerator.hpp"
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdio>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
-#include "obs/hooks.hpp"
-#include "core/op_engine.hpp"
-#include "core/rwp_engine.hpp"
+#include "core/stage.hpp"
 #include "graph/degree_sort.hpp"
 #include "graph/fingerprint.hpp"
+#include "obs/hooks.hpp"
 
 namespace hymm {
 
@@ -65,40 +66,54 @@ LayerRunResult Accelerator::run_layer(Dataflow flow, const CsrMatrix& a_hat,
   return run_layer(request);
 }
 
-LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
-  HYMM_CHECK(request.a_hat != nullptr && request.x != nullptr &&
-             request.w != nullptr);
+namespace {
+
+// Everything one layer streams, laid out once for the exact and the
+// sampled run: HyMM's degree sort (the request's precomputed one, or
+// its own) and region tiling, the W/XW/AXW/spill address layout on
+// `ms`, and the Table I stages over those operands — combination,
+// then one aggregation stage (RWP, OP) or two (HyMM's region-1 OP and
+// region-2/3 RWP). Stage parameters point into the plan, so it never
+// moves.
+struct LayerPlan {
+  LayerPlan(const AcceleratorConfig& config, const LayerRunRequest& request,
+            MemorySystem& ms);
+  LayerPlan(const LayerPlan&) = delete;
+  LayerPlan& operator=(const LayerPlan&) = delete;
+
+  DegreeSortResult own_sort;  // hybrid without a precomputed sort
+  CsrMatrix own_sorted_x;     // features under own_sort
+  std::span<const NodeId> perm;  // hybrid: original id -> sorted id
+  const CsrMatrix* a_used;       // the adjacency the stages stream
+  const CsrMatrix* x_used;       // the features the stages stream
+  TiledAdjacency tiled;          // hybrid only
+  double preprocess_ms = 0.0;    // sort + tiling wall-clock (Table II)
+
+  CscMatrix x_csc;  // OP combination operand
+  CscMatrix a_csc;  // OP aggregation operand
+  DenseMatrix xw;
+  DenseMatrix axw;
+  HybridAggregationParams hybrid;  // hybrid aggregation inputs
+
+  LayerStage combination;
+  std::vector<LayerStage> aggregation;
+};
+
+LayerPlan::LayerPlan(const AcceleratorConfig& config,
+                     const LayerRunRequest& request, MemorySystem& ms)
+    : a_used(request.a_hat), x_used(request.x) {
   const Dataflow flow = request.flow;
   const CsrMatrix& a_hat = *request.a_hat;
   const CsrMatrix& x = *request.x;
   const DenseMatrix& w = *request.w;
-  Observer* obs = request.observer;
-  HYMM_CHECK(a_hat.rows() == a_hat.cols());
-  HYMM_CHECK(a_hat.cols() == x.rows());
-  HYMM_CHECK(x.cols() == w.rows());
-
   const NodeId n = a_hat.rows();
   // 64-byte lines per dense row; 1 for the paper's layer dimension 16.
   const std::size_t chunks =
       (static_cast<std::size_t>(w.cols()) + kLaneCount - 1) / kLaneCount;
-  LayerRunResult result;
-  result.flow = flow;
 
   // --- HyMM preprocessing: degree sorting + tiling ---
-  const bool hybrid = flow == Dataflow::kHybrid;
-  CsrMatrix sorted_a;
-  CsrMatrix sorted_x;
-  std::vector<NodeId> perm_local;
-  std::span<const NodeId> perm;
-  const CsrMatrix* a_used = &a_hat;
-  const CsrMatrix* x_used = &x;
-  TiledAdjacency tiled;
-  // Splits the sorted adjacency by the global 3-region partition.
-  const auto build_split = [&](const CsrMatrix& sorted) {
-    result.partition = partition_regions(sorted, config_, chunks);
-    tiled = TiledAdjacency::build(sorted, result.partition);
-  };
-  if (hybrid) {
+  if (flow == Dataflow::kHybrid) {
+    const Timer timer;
     if (request.sort != nullptr) {
       // Precomputed degree sort (shared immutably by the caller, e.g.
       // the sweep executor's WorkloadCache); only the region
@@ -110,29 +125,21 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
       perm = request.sort->perm;
       a_used = &request.sort->sorted;
       x_used = request.sorted_features;
-      build_split(*a_used);
-      result.preprocess_ms = request.sort->sort_cost_ms;
     } else {
-      Timer timer;
-      DegreeSortResult sort = degree_sort(a_hat);
-      perm_local = std::move(sort.perm);
-      perm = perm_local;
-      sorted_a = std::move(sort.sorted);
-      sorted_x = permute_feature_rows(x, perm);
-      a_used = &sorted_a;
-      x_used = &sorted_x;
-      build_split(*a_used);
-      result.preprocess_ms = timer.elapsed_ms();
+      own_sort = degree_sort(a_hat);
+      own_sorted_x = permute_feature_rows(x, own_sort.perm);
+      perm = own_sort.perm;
+      a_used = &own_sort.sorted;
+      x_used = &own_sorted_x;
     }
+    // Splits the sorted adjacency by the global 3-region partition.
+    tiled = TiledAdjacency::build(
+        *a_used, partition_regions(*a_used, config, chunks));
+    preprocess_ms = request.sort != nullptr ? request.sort->sort_cost_ms
+                                            : timer.elapsed_ms();
   }
 
-  // --- Memory system and address space ---
-  MemorySystem ms(config_);
-  if (obs != nullptr) ms.attach_observer(obs);
-  // Spatial heatmap grid over the adjacency this layer streams — the
-  // degree-sorted order for hybrid runs (tile coordinates then live
-  // in sorted space; docs/schemas.md documents the caveat).
-  HYMM_OBS(obs, spatial_begin(n, config_.pe_count));
+  // --- Address space ---
   const AddressRegion w_region = ms.address_map().allocate(
       "W", static_cast<std::size_t>(w.rows()) * chunks * kLineBytes,
       TrafficClass::kWeights);
@@ -147,81 +154,44 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
       static_cast<std::size_t>((x.nnz() + a_hat.nnz() + 1024) * 128 *
                                chunks),
       TrafficClass::kPartial);
+  xw = DenseMatrix::zeros(n, w.cols());
+  axw = DenseMatrix::zeros(n, w.cols());
 
-  DenseMatrix xw = DenseMatrix::zeros(n, w.cols());
-  DenseMatrix axw = DenseMatrix::zeros(n, w.cols());
+  // --- Combination stage: XW = X * W ---
+  combination.sample_tag = 0x636f6d62ULL;  // "comb"
+  if (flow == Dataflow::kOuterProduct) {
+    // OP architecture streams X column-wise.
+    x_csc = CscMatrix::from_csr(*x_used);
+    OpEngineParams op;
+    op.sparse = &x_csc;
+    op.sparse_class = TrafficClass::kFeatures;
+    op.b = &w;
+    op.b_region = w_region;
+    op.b_class = TrafficClass::kWeights;
+    op.c = &xw;
+    op.c_region = xw_region;
+    op.c_final_class = TrafficClass::kCombined;
+    op.spill_region = spill_region;
+    op.accumulate_in_buffer = config.op_baseline_accumulator;
+    op.window = config.engine_window;
+    combination.params = op;
+  } else {
+    RwpEngineParams rwp;
+    rwp.sparse = x_used;
+    rwp.sparse_class = TrafficClass::kFeatures;
+    rwp.b = &w;
+    rwp.b_region = w_region;
+    rwp.b_class = TrafficClass::kWeights;
+    rwp.c = &xw;
+    rwp.c_region = xw_region;
+    rwp.c_class = TrafficClass::kCombined;
+    rwp.c_store_kind = StoreKind::kAllocate;
+    rwp.window = config.engine_window;
+    combination.params = rwp;
+  }
 
-  // --- Combination phase: XW = X * W ---
-  // Observer runs never share: a restored combination would skip the
-  // phase's trace events and counter samples.
-  const CombinationShare& share = request.share;
-  const bool sharing =
-      obs == nullptr && (share.publish || share.restore != nullptr);
-  CheckpointKey key;
-  bool restored = false;
-  if (sharing) {
-    key = combination_checkpoint_key(*x_used, w, config_, flow);
-    result.checkpoint.enabled = true;
-    result.checkpoint.key = checkpoint_key_hex(key);
-    if (share.restore != nullptr) {
-      HYMM_CHECK_MSG(share.restore->key == key,
-                     "warm state " << checkpoint_key_hex(share.restore->key)
-                                   << " restored into run "
-                                   << result.checkpoint.key);
-      ms = share.restore->ms;
-      xw = share.restore->xw;
-      restored = true;
-    }
-    result.checkpoint.restored = restored;
-  }
-  if (!restored) {
-    if (flow == Dataflow::kOuterProduct) {
-      // OP architecture streams X column-wise.
-      const CscMatrix x_csc = CscMatrix::from_csr(*x_used);
-      OpEngineParams op;
-      op.sparse = &x_csc;
-      op.sparse_class = TrafficClass::kFeatures;
-      op.b = &w;
-      op.b_region = w_region;
-      op.b_class = TrafficClass::kWeights;
-      op.c = &xw;
-      op.c_region = xw_region;
-      op.c_final_class = TrafficClass::kCombined;
-      op.spill_region = spill_region;
-      op.accumulate_in_buffer = config_.op_baseline_accumulator;
-      op.window = config_.engine_window;
-      OpEngine engine(ms, op);
-      run_phase(ms, engine);
-    } else {
-      RwpEngineParams rwp;
-      rwp.sparse = x_used;
-      rwp.sparse_class = TrafficClass::kFeatures;
-      rwp.b = &w;
-      rwp.b_region = w_region;
-      rwp.b_class = TrafficClass::kWeights;
-      rwp.c = &xw;
-      rwp.c_region = xw_region;
-      rwp.c_class = TrafficClass::kCombined;
-      rwp.c_store_kind = StoreKind::kAllocate;
-      rwp.window = config_.engine_window;
-      RwpEngine engine(ms, rwp);
-      run_phase(ms, engine);
-    }
-  }
-  if (sharing && share.publish) {
-    share.publish(std::make_shared<const WarmState>(WarmState{ms, xw, key}));
-    result.checkpoint.built = true;
-  }
-  result.combination_stats = ms.stats();
-  result.combination_stats.cycles = ms.now();
-  HYMM_OBS(obs, phase_span("combination", 0, ms.now()));
-  const Cycle aggregation_start = ms.now();
-
-  // --- Aggregation phase: AXW = A_hat * XW ---
-  // W is dead from here on: Section IV-D evicts W before XW, so the
-  // combination results survive in the unified buffer instead.
-  ms.dmb().demote_class(TrafficClass::kWeights);
-  CscMatrix a_csc;
+  // --- Aggregation stages: AXW = A_hat * XW ---
+  constexpr std::uint64_t kAggregationTag = 0x61676772ULL;  // "aggr"
   switch (flow) {
     case Dataflow::kRowWiseProduct: {
       RwpEngineParams rwp;
@@ -234,13 +204,13 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
       rwp.c_region = axw_region;
       rwp.c_class = TrafficClass::kOutput;
       rwp.c_store_kind = StoreKind::kThrough;
-      rwp.window = config_.engine_window;
+      rwp.window = config.engine_window;
       // Pure RWP aggregation: every tile is an RWP tile.
       rwp.spatial_in_grid = true;
       rwp.spatial_region2 = SpatialRegion::kRwp;
       rwp.spatial_region3 = SpatialRegion::kRwp;
-      RwpEngine engine(ms, rwp);
-      run_phase(ms, engine);
+      aggregation.push_back(
+          LayerStage{.params = rwp, .sample_tag = kAggregationTag});
       break;
     }
     case Dataflow::kOuterProduct: {
@@ -255,29 +225,120 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
       op.c_region = axw_region;
       op.c_final_class = TrafficClass::kOutput;
       op.spill_region = spill_region;
-      op.accumulate_in_buffer = config_.op_baseline_accumulator;
-      op.window = config_.engine_window;
+      op.accumulate_in_buffer = config.op_baseline_accumulator;
+      op.window = config.engine_window;
       // Pure OP aggregation: every tile is an OP tile.
       op.spatial_in_grid = true;
       op.spatial_region = SpatialRegion::kOp;
-      OpEngine engine(ms, op);
-      run_phase(ms, engine);
+      aggregation.push_back(
+          LayerStage{.params = op, .sample_tag = kAggregationTag});
       break;
     }
     case Dataflow::kHybrid: {
-      HybridAggregationParams params;
-      params.tiled = &tiled;
-      params.b = &xw;
-      params.b_region = xw_region;
-      params.b_class = TrafficClass::kCombined;
-      params.c = &axw;
-      params.c_region = axw_region;
-      params.spill_region = spill_region;
-      result.hybrid_info = run_hybrid_aggregation(ms, params);
+      hybrid.tiled = &tiled;
+      hybrid.b = &xw;
+      hybrid.b_region = xw_region;
+      hybrid.b_class = TrafficClass::kCombined;
+      hybrid.c = &axw;
+      hybrid.c_region = axw_region;
+      hybrid.spill_region = spill_region;
+      const std::array<LayerStage, 2> stages =
+          hybrid_aggregation_stages(hybrid, config);
+      aggregation.assign(stages.begin(), stages.end());
       break;
     }
   }
+}
 
+}  // namespace
+
+LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
+  HYMM_CHECK(request.a_hat != nullptr && request.x != nullptr &&
+             request.w != nullptr);
+  const Dataflow flow = request.flow;
+  const CsrMatrix& a_hat = *request.a_hat;
+  const DenseMatrix& w = *request.w;
+  HYMM_CHECK(a_hat.rows() == a_hat.cols());
+  HYMM_CHECK(a_hat.cols() == request.x->rows());
+  HYMM_CHECK(request.x->cols() == w.rows());
+  const NodeId n = a_hat.rows();
+  const std::optional<SampleOptions>& sample = request.sample;
+  // Sampled runs attach no observer: band restarts have no trace.
+  Observer* obs = sample ? nullptr : request.observer;
+  LayerRunResult result;
+  result.flow = flow;
+
+  MemorySystem ms(config_);
+  if (obs != nullptr) ms.attach_observer(obs);
+  // Spatial heatmap grid over the adjacency this layer streams — the
+  // degree-sorted order for hybrid runs (tile coordinates then live
+  // in sorted space; docs/schemas.md documents the caveat).
+  HYMM_OBS(obs, spatial_begin(n, config_.pe_count));
+  LayerPlan plan(config_, request, ms);
+  const bool hybrid = flow == Dataflow::kHybrid;
+  if (hybrid) result.partition = plan.tiled.partition();
+  result.preprocess_ms = plan.preprocess_ms;
+
+  // --- Combination phase: XW = X * W ---
+  if (sample) {
+    result.sample.enabled = true;
+    result.sample.fraction = sample->fraction;
+    result.sample.seed = sample->seed;
+    result.sample.combination =
+        sample_phase(ms, {&plan.combination, 1}, *sample);
+  } else {
+    // Observer runs never share: a restored combination would skip
+    // the phase's trace events and counter samples.
+    const CombinationShare& share = request.share;
+    const bool sharing =
+        obs == nullptr && (share.publish || share.restore != nullptr);
+    CheckpointKey key;
+    bool restored = false;
+    if (sharing) {
+      key = combination_checkpoint_key(*plan.x_used, w, config_, flow);
+      result.checkpoint.enabled = true;
+      result.checkpoint.key = checkpoint_key_hex(key);
+      if (share.restore != nullptr) {
+        HYMM_CHECK_MSG(share.restore->key == key,
+                       "warm state "
+                           << checkpoint_key_hex(share.restore->key)
+                           << " restored into run " << result.checkpoint.key);
+        ms = share.restore->ms;
+        plan.xw = share.restore->xw;
+        restored = true;
+      }
+      result.checkpoint.restored = restored;
+    }
+    if (!restored) run_stage(ms, plan.combination);
+    if (sharing && share.publish) {
+      share.publish(
+          std::make_shared<const WarmState>(WarmState{ms, plan.xw, key}));
+      result.checkpoint.built = true;
+    }
+  }
+  result.combination_stats = ms.stats();
+  result.combination_stats.cycles = ms.now();
+  HYMM_OBS(obs, phase_span("combination", 0, ms.now()));
+  const Cycle aggregation_start = ms.now();
+
+  // --- Aggregation phase: AXW = A_hat * XW ---
+  // W is dead from here on: Section IV-D evicts W before XW, so the
+  // combination results survive in the unified buffer instead.
+  ms.dmb().demote_class(TrafficClass::kWeights);
+  if (sample) {
+    result.sample.aggregation = sample_phase(ms, plan.aggregation, *sample);
+    // Extrapolated counters only; there is no functional output.
+    result.combination_stats = result.sample.combination.stats;
+    result.aggregation_stats = result.sample.aggregation.stats;
+    result.stats = result.combination_stats;
+    result.stats.merge_phase(result.aggregation_stats);
+    return result;
+  }
+  if (hybrid) {
+    result.hybrid_info = run_hybrid_aggregation(ms, plan.hybrid);
+  } else {
+    run_stage(ms, plan.aggregation.front());
+  }
   result.stats = ms.stats();
   result.stats.cycles = ms.now();
   result.aggregation_stats =
@@ -289,17 +350,17 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
     DenseMatrix xw_orig(n, w.cols());
     DenseMatrix axw_orig(n, w.cols());
     for (NodeId old_id = 0; old_id < n; ++old_id) {
-      const NodeId new_id = perm[old_id];
+      const NodeId new_id = plan.perm[old_id];
       for (NodeId c = 0; c < w.cols(); ++c) {
-        xw_orig.at(old_id, c) = xw.at(new_id, c);
-        axw_orig.at(old_id, c) = axw.at(new_id, c);
+        xw_orig.at(old_id, c) = plan.xw.at(new_id, c);
+        axw_orig.at(old_id, c) = plan.axw.at(new_id, c);
       }
     }
     result.combination = std::move(xw_orig);
     result.output = std::move(axw_orig);
   } else {
-    result.combination = std::move(xw);
-    result.output = std::move(axw);
+    result.combination = std::move(plan.xw);
+    result.output = std::move(plan.axw);
   }
   return result;
 }

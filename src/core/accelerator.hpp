@@ -12,11 +12,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "common/config.hpp"
 #include "core/engine.hpp"
 #include "core/hybrid_engine.hpp"
+#include "core/sampling.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree_sort.hpp"
 #include "graph/partition.hpp"
@@ -76,14 +78,18 @@ struct CombinationShare {
 };
 
 /// Outcome of one simulated GCN layer (`Accelerator::run_layer`).
+/// A sampled run (sample.enabled) carries extrapolated counters only:
+/// its band MACs retire against scratch values, so `combination` and
+/// `output` stay empty and the result can never be verified.
 struct LayerRunResult {
   Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow that ran
 
   /// Functional combination output XW in the ORIGINAL node order
   /// (HyMM's internal degree-sorted order is un-permuted before
-  /// returning).
+  /// returning). Empty on sampled runs.
   DenseMatrix combination;
-  DenseMatrix output;  ///< A_hat * XW, pre-activation, original order
+  /// A_hat * XW, pre-activation, original order. Empty on sampled runs.
+  DenseMatrix output;
 
   SimStats stats;              ///< whole-layer counters
   SimStats combination_stats;  ///< combination-phase deltas
@@ -91,12 +97,17 @@ struct LayerRunResult {
 
   /// Hybrid-only region split (zeroed otherwise).
   RegionPartition partition;
-  /// Hybrid-only per-phase/per-region breakdown (zeroed otherwise).
+  /// Hybrid-only per-phase/per-region breakdown of exact runs (zeroed
+  /// otherwise).
   HybridAggregationInfo hybrid_info;
   double preprocess_ms = 0.0;  ///< degree-sorting cost (Table II)
 
   /// Warm-state checkpoint interaction of this run.
   LayerCheckpointInfo checkpoint;
+
+  /// Estimator detail and error bars of a sampled run (enabled=false
+  /// on exact runs).
+  SampleInfo sample;
 
   /// Wall-clock the modeled hardware would take at clock_ghz (1e6
   /// cycles = 1 ms at 1 GHz; convention shared repo-wide).
@@ -119,6 +130,10 @@ struct LayerRunResult {
 /// homogeneous dataflows; when absent the hybrid sorts internally.
 /// Simulated cycles are identical either way — sorting is host-side
 /// preprocessing, only its wall-clock cost (preprocess_ms) differs.
+///
+/// `sample` selects sampled simulation (core/sampling.hpp): each phase
+/// simulates seeded bands of the same stages an exact run streams and
+/// extrapolates. Sampled runs ignore `observer` and `share`.
 struct LayerRunRequest {
   Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow to simulate
   const CsrMatrix* a_hat = nullptr;           ///< required: adjacency
@@ -130,6 +145,9 @@ struct LayerRunRequest {
 
   /// Optional combination-phase sharing; see CombinationShare.
   CombinationShare share;
+
+  /// Sampled simulation when set; exact when empty.
+  std::optional<SampleOptions> sample;
 };
 
 /// Key identifying the combination phase's warm state: the streamed
@@ -152,7 +170,8 @@ class Accelerator {
   /// The hardware parameters this instance was built with.
   const AcceleratorConfig& config() const { return config_; }
 
-  /// Simulates one GCN layer H = a_hat * x * w (no activation).
+  /// Simulates one GCN layer H = a_hat * x * w (no activation),
+  /// exactly or sampled (LayerRunRequest::sample).
   LayerRunResult run_layer(const LayerRunRequest& request) const;
 
   /// Convenience overload for callers without precomputed

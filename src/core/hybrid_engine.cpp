@@ -5,59 +5,73 @@
 
 namespace hymm {
 
-HybridAggregationInfo run_hybrid_aggregation(
-    MemorySystem& ms, const HybridAggregationParams& params) {
+std::array<LayerStage, 2> hybrid_aggregation_stages(
+    const HybridAggregationParams& params, const AcceleratorConfig& config) {
   HYMM_CHECK(params.tiled != nullptr);
   HYMM_CHECK(params.b != nullptr && params.c != nullptr);
   const RegionPartition& partition = params.tiled->partition();
-  const CscMatrix& op_csc = params.tiled->region1_csc();
-  const CsrMatrix& rwp_csr = params.tiled->region23_csr();
+  const bool accumulate = config.near_memory_accumulator;
+
+  OpEngineParams op;
+  op.sparse = &params.tiled->region1_csc();
+  op.sparse_class = TrafficClass::kAdjacency;
+  op.b = params.b;
+  op.b_region = params.b_region;
+  op.b_class = params.b_class;
+  op.c = params.c;
+  op.c_region = params.c_region;
+  op.c_final_class = TrafficClass::kOutput;
+  op.spill_region = params.spill_region;
+  op.accumulate_in_buffer = accumulate;
+  op.outputs_pinned = accumulate;
+  op.window = config.engine_window;
+  op.spatial_in_grid = true;
+  op.spatial_region = SpatialRegion::kOp;
+
+  RwpEngineParams rwp;
+  rwp.sparse = &params.tiled->region23_csr();
+  rwp.sparse_class = TrafficClass::kAdjacency;
+  rwp.b = params.b;
+  rwp.b_region = params.b_region;
+  rwp.b_class = params.b_class;
+  rwp.c = params.c;
+  rwp.c_region = params.c_region;
+  rwp.c_class = TrafficClass::kOutput;
+  rwp.c_store_kind = StoreKind::kThrough;
+  rwp.row_offset = partition.region1_rows;
+  rwp.region2_col_boundary = partition.region2_cols;
+  rwp.window = config.engine_window;
+  // Spatial attribution follows the exact per-MAC region decision,
+  // not the proportional region_stats split of run_hybrid_aggregation.
+  rwp.spatial_in_grid = true;
+  rwp.spatial_region2 = SpatialRegion::kRwp;
+  rwp.spatial_region3 = SpatialRegion::kRegion3;
+
+  return {LayerStage{.params = op,
+                     .sample_tag = 0x72316f70ULL,  // "r1op"
+                     .pinned_rows = accumulate ? partition.region1_rows : 0,
+                     .skip_if_empty = true},
+          LayerStage{.params = rwp,
+                     .sample_tag = 0x72323372ULL,  // "r23r"
+                     .skip_if_empty = true}};
+}
+
+HybridAggregationInfo run_hybrid_aggregation(
+    MemorySystem& ms, const HybridAggregationParams& params) {
+  const std::array<LayerStage, 2> stages =
+      hybrid_aggregation_stages(params, ms.config());
+  const RegionPartition& partition = params.tiled->partition();
   HYMM_CHECK(params.c->rows() == partition.nodes);
 
   HybridAggregationInfo info;
   info.pinned_rows = partition.region1_rows;
-  const std::size_t chunks =
-      (static_cast<std::size_t>(params.b->cols()) + kLaneCount - 1) /
-      kLaneCount;
 
   // --- Phase 1: OP over region 1 with pinned outputs ---
-  const bool accumulate = ms.config().near_memory_accumulator;
+  // Finished region-1 rows stream out exactly once, at the stage's end.
   const Cycle op_start = ms.now();
   SimStats before_op = ms.stats();
   before_op.cycles = ms.now();
-  if (partition.region1_rows > 0 && op_csc.nnz() > 0) {
-    if (accumulate) {
-      for (NodeId r = 0; r < partition.region1_rows; ++r) {
-        const Addr base = params.c_region.line_of(r, chunks);
-        for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-          const bool pinned =
-              ms.dmb().pin_partial(base + chunk * kLineBytes, ms.now());
-          HYMM_CHECK_MSG(pinned,
-                         "partition chose more region-1 rows than the DMB "
-                         "can pin — partition_regions() must clamp this");
-        }
-      }
-    }
-    OpEngineParams op;
-    op.sparse = &op_csc;
-    op.sparse_class = TrafficClass::kAdjacency;
-    op.b = params.b;
-    op.b_region = params.b_region;
-    op.b_class = params.b_class;
-    op.c = params.c;
-    op.c_region = params.c_region;
-    op.c_final_class = TrafficClass::kOutput;
-    op.spill_region = params.spill_region;
-    op.accumulate_in_buffer = accumulate;
-    op.outputs_pinned = accumulate;
-    op.window = ms.config().engine_window;
-    op.spatial_in_grid = true;
-    op.spatial_region = SpatialRegion::kOp;
-    OpEngine engine(ms, op);
-    info.op_phase_cycles = run_phase(ms, engine);
-    // Finished region-1 rows stream out exactly once.
-    if (accumulate) ms.dmb().unpin_and_writeback_outputs(ms.now());
-  }
+  info.op_phase_cycles = run_stage(ms, stages[0]).cycles;
   SimStats after_op = ms.stats();
   after_op.cycles = ms.now();
   info.op_phase_stats = stats_delta(after_op, before_op);
@@ -65,30 +79,10 @@ HybridAggregationInfo run_hybrid_aggregation(
 
   // --- Phase 2: RWP over regions 2 and 3 ---
   const Cycle rwp_start = ms.now();
-  if (rwp_csr.nnz() > 0) {
-    RwpEngineParams rwp;
-    rwp.sparse = &rwp_csr;
-    rwp.sparse_class = TrafficClass::kAdjacency;
-    rwp.b = params.b;
-    rwp.b_region = params.b_region;
-    rwp.b_class = params.b_class;
-    rwp.c = params.c;
-    rwp.c_region = params.c_region;
-    rwp.c_class = TrafficClass::kOutput;
-    rwp.c_store_kind = StoreKind::kThrough;
-    rwp.row_offset = partition.region1_rows;
-    rwp.region2_col_boundary = partition.region2_cols;
-    rwp.window = ms.config().engine_window;
-    // Spatial attribution follows the exact per-MAC region decision,
-    // not the proportional region_stats split below.
-    rwp.spatial_in_grid = true;
-    rwp.spatial_region2 = SpatialRegion::kRwp;
-    rwp.spatial_region3 = SpatialRegion::kRegion3;
-    RwpEngine engine(ms, rwp);
-    info.rwp_phase_cycles = run_phase(ms, engine);
-    info.region2_macs = engine.region2_macs();
-    info.region3_macs = engine.region3_macs();
-  }
+  const StageRun rwp = run_stage(ms, stages[1]);
+  info.rwp_phase_cycles = rwp.cycles;
+  info.region2_macs = rwp.region2_macs;
+  info.region3_macs = rwp.region3_macs;
   SimStats after_rwp = ms.stats();
   after_rwp.cycles = ms.now();
   info.rwp_phase_stats = stats_delta(after_rwp, after_op);

@@ -5,16 +5,32 @@
 
 namespace hymm {
 
-namespace {
-
-// The fields every result distills from its layer run, exact or
-// sampled (LayerRunResult and SampledLayerResult share these names).
-template <typename Layer>
-ExperimentResult distill(const ExperimentRequest& request, const Layer& layer,
-                         double sim_wall_ms) {
+ExperimentResult run_experiment(const ExperimentRequest& request) {
+  HYMM_CHECK(request.workload != nullptr && request.a_hat != nullptr &&
+             request.weights != nullptr && request.reference != nullptr);
   const GcnWorkload& workload = *request.workload;
+
+  LayerRunRequest layer_request;
+  layer_request.flow = request.flow;
+  layer_request.a_hat = request.a_hat;
+  layer_request.x = &workload.features;
+  layer_request.w = request.weights;
+  layer_request.observer = request.observer;
+  layer_request.sort = request.sort;
+  layer_request.sorted_features = request.sorted_features;
+  layer_request.share = request.share;
+  if (request.sample > 0.0) {
+    SampleOptions options;
+    options.fraction = request.sample;
+    options.seed = request.sample_seed;
+    layer_request.sample = options;
+  }
+  const Accelerator accelerator(request.config);
+  const Timer sim_timer;
+  const LayerRunResult layer = accelerator.run_layer(layer_request);
+
   ExperimentResult r;
-  r.sim_wall_ms = sim_wall_ms;
+  r.sim_wall_ms = sim_timer.elapsed_ms();
   r.dataset = workload.spec.name;
   r.abbrev = workload.spec.abbrev;
   r.scale = workload.scale;
@@ -35,52 +51,12 @@ ExperimentResult distill(const ExperimentRequest& request, const Layer& layer,
   r.stats = layer.stats;
   r.combination_stats = layer.combination_stats;
   r.aggregation_stats = layer.aggregation_stats;
-  return r;
-}
-
-}  // namespace
-
-ExperimentResult run_experiment(const ExperimentRequest& request) {
-  HYMM_CHECK(request.workload != nullptr && request.a_hat != nullptr &&
-             request.weights != nullptr && request.reference != nullptr);
-  const GcnWorkload& workload = *request.workload;
-
-  if (request.sample > 0.0) {
-    // Sampled mode: seeded band subset + extrapolation instead of the
-    // full cycle-accurate run. No functional output, so the result is
-    // never verified; observer and share do not apply.
-    SampledLayerRequest sampled_request;
-    sampled_request.flow = request.flow;
-    sampled_request.a_hat = request.a_hat;
-    sampled_request.x = &workload.features;
-    sampled_request.w = request.weights;
-    sampled_request.sort = request.sort;
-    sampled_request.sorted_features = request.sorted_features;
-    sampled_request.options.fraction = request.sample;
-    sampled_request.options.seed = request.sample_seed;
-    const Timer sim_timer;
-    const SampledLayerResult layer =
-        run_layer_sampled(request.config, sampled_request);
-    ExperimentResult r = distill(request, layer, sim_timer.elapsed_ms());
-    r.sample = layer.sample;
-    return r;
-  }
-
-  LayerRunRequest layer_request;
-  layer_request.flow = request.flow;
-  layer_request.a_hat = request.a_hat;
-  layer_request.x = &workload.features;
-  layer_request.w = request.weights;
-  layer_request.observer = request.observer;
-  layer_request.sort = request.sort;
-  layer_request.sorted_features = request.sorted_features;
-  layer_request.share = request.share;
-  const Accelerator accelerator(request.config);
-  const Timer sim_timer;
-  const LayerRunResult layer = accelerator.run_layer(layer_request);
-  ExperimentResult r = distill(request, layer, sim_timer.elapsed_ms());
   r.hybrid_info = layer.hybrid_info;
   r.checkpoint = layer.checkpoint;
+  r.sample = layer.sample;
+  // A sampled run has no functional output to verify and attaches no
+  // observer.
+  if (layer.sample.enabled) return r;
   const DenseMatrix& reference_output = *request.reference;
   r.max_abs_err =
       DenseMatrix::max_abs_diff(layer.output, reference_output);

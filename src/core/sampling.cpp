@@ -4,10 +4,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/timer.hpp"
-#include "core/engine.hpp"
-#include "core/op_engine.hpp"
-#include "core/rwp_engine.hpp"
 
 namespace hymm {
 
@@ -115,6 +111,57 @@ PhaseSampleEstimate combine(const PhaseSampleEstimate& a,
   return out;
 }
 
+// One stage's band selection, back-to-back band simulation and
+// extrapolation (see sampling.hpp file comment).
+PhaseSampleEstimate sample_stage(MemorySystem& ms, const LayerStage& stage,
+                                 const SampleOptions& options) {
+  const std::uint64_t nnz_total = stage.nnz();
+  // Adaptive floor (SampleOptions::min_nnz): small stages raise their
+  // effective fraction toward 1 — a full simulation — since
+  // extrapolating them saves nothing and biases most.
+  double fraction = options.fraction;
+  if (nnz_total > 0 && options.min_nnz > 0) {
+    const double floor_fraction = static_cast<double>(options.min_nnz) /
+                                  static_cast<double>(nnz_total);
+    fraction = std::min(1.0, std::max(fraction, floor_fraction));
+  }
+  // Bands must amortize their engine restart (min_band_nnz).
+  NodeId band_target = options.band_target;
+  if (options.min_band_nnz > 0) {
+    band_target = static_cast<NodeId>(std::clamp<std::uint64_t>(
+        nnz_total / options.min_band_nnz, 1, band_target));
+  }
+  const BandSelection sel =
+      select_sample_bands(stage.extent(), band_target, fraction,
+                          splitmix64(options.seed ^ stage.sample_tag));
+  const auto snapshot = [&ms] {
+    SimStats s = ms.stats();
+    s.cycles = ms.now();
+    return s;
+  };
+  begin_stage(ms, stage);
+  std::vector<BandRun> runs;
+  runs.reserve(sel.selected.size());
+  for (const auto& [begin, end] : sel.selected) {
+    const SimStats before = snapshot();
+    BandRun run;
+    run.nnz = stage.band_nnz(begin, end);
+    if (run.nnz > 0) run_stage_band(ms, stage, begin, end);
+    run.stats = stats_delta(snapshot(), before);
+    runs.push_back(std::move(run));
+  }
+  // The pinned-output writeback is a one-time cost: it enters the
+  // estimate once, unscaled, like in an exact run.
+  const SimStats before_end = snapshot();
+  end_stage(ms, stage);
+  const SimStats one_time = stats_delta(snapshot(), before_end);
+
+  PhaseSampleEstimate est = extrapolate(runs, sel.bands_total, nnz_total);
+  est.stats.merge_phase(one_time);
+  est.cycles_estimate += static_cast<double>(one_time.cycles);
+  return est;
+}
+
 }  // namespace
 
 double SampleInfo::cycles_stderr() const {
@@ -153,347 +200,21 @@ BandSelection select_sample_bands(NodeId extent, NodeId band_target,
   return sel;
 }
 
-SampledLayerResult run_layer_sampled(const AcceleratorConfig& config,
-                                     const SampledLayerRequest& request) {
-  HYMM_CHECK(request.a_hat != nullptr && request.x != nullptr &&
-             request.w != nullptr);
-  HYMM_CHECK_MSG(
-      request.options.fraction > 0.0 && request.options.fraction <= 1.0,
-      "sample fraction must be in (0, 1]");
-  const Dataflow flow = request.flow;
-  const CsrMatrix& a_hat = *request.a_hat;
-  const CsrMatrix& x = *request.x;
-  const DenseMatrix& w = *request.w;
-  HYMM_CHECK(a_hat.rows() == a_hat.cols());
-  HYMM_CHECK(a_hat.cols() == x.rows());
-  HYMM_CHECK(x.cols() == w.rows());
-
-  const NodeId n = a_hat.rows();
-  const std::size_t chunks =
-      (static_cast<std::size_t>(w.cols()) + kLaneCount - 1) / kLaneCount;
-  SampledLayerResult result;
-  result.flow = flow;
-  result.sample.enabled = true;
-  result.sample.fraction = request.options.fraction;
-  result.sample.seed = request.options.seed;
-
-  // --- Preprocessing (mirrors Accelerator::run_layer) ---
-  const bool hybrid = flow == Dataflow::kHybrid;
-  CsrMatrix sorted_a;
-  CsrMatrix sorted_x;
-  const CsrMatrix* a_used = &a_hat;
-  const CsrMatrix* x_used = &x;
-  TiledAdjacency tiled;
-  if (hybrid) {
-    if (request.sort != nullptr) {
-      HYMM_CHECK_MSG(request.sorted_features != nullptr,
-                     "SampledLayerRequest.sort without sorted_features");
-      a_used = &request.sort->sorted;
-      x_used = request.sorted_features;
-      result.partition = partition_regions(*a_used, config, chunks);
-      tiled = TiledAdjacency::build(*a_used, result.partition);
-      result.preprocess_ms = request.sort->sort_cost_ms;
-    } else {
-      Timer timer;
-      DegreeSortResult sort = degree_sort(a_hat);
-      sorted_a = std::move(sort.sorted);
-      sorted_x = permute_feature_rows(x, sort.perm);
-      a_used = &sorted_a;
-      x_used = &sorted_x;
-      result.partition = partition_regions(*a_used, config, chunks);
-      tiled = TiledAdjacency::build(*a_used, result.partition);
-      result.preprocess_ms = timer.elapsed_ms();
-    }
+PhaseSampleEstimate sample_phase(MemorySystem& ms,
+                                 std::span<const LayerStage> stages,
+                                 const SampleOptions& options) {
+  HYMM_CHECK_MSG(options.fraction > 0.0 && options.fraction <= 1.0,
+                 "sample fraction must be in (0, 1]");
+  PhaseSampleEstimate phase;
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    const LayerStage& stage = stages[i];
+    const PhaseSampleEstimate est =
+        stage.skip_if_empty && stage.nnz() == 0
+            ? PhaseSampleEstimate{}
+            : sample_stage(ms, stage, options);
+    phase = i == 0 ? est : combine(phase, est);
   }
-
-  // --- Canonical address layout (identical to an exact run) ---
-  const std::size_t w_bytes =
-      static_cast<std::size_t>(w.rows()) * chunks * kLineBytes;
-  const std::size_t xw_bytes =
-      static_cast<std::size_t>(n) * chunks * kLineBytes;
-  const std::size_t spill_bytes =
-      static_cast<std::size_t>((x.nnz() + a_hat.nnz() + 1024) * 128 * chunks);
-  struct Regions {
-    AddressRegion w, xw, axw, spill;
-  };
-  const auto alloc_regions = [&](MemorySystem& ms) {
-    Regions r;
-    r.w = ms.address_map().allocate("W", w_bytes, TrafficClass::kWeights);
-    r.xw = ms.address_map().allocate("XW", xw_bytes, TrafficClass::kCombined);
-    r.axw = ms.address_map().allocate("AXW", xw_bytes, TrafficClass::kOutput);
-    r.spill = ms.address_map().allocate("partial-spill", spill_bytes,
-                                        TrafficClass::kPartial);
-    return r;
-  };
-
-  // Scratch operands: band MACs retire against these, but only the
-  // sparsity pattern affects timing, so the values never matter and
-  // nothing is reset between bands.
-  DenseMatrix xw_scratch = DenseMatrix::zeros(n, w.cols());
-  DenseMatrix axw_scratch = DenseMatrix::zeros(n, w.cols());
-
-  const auto no_op = [](MemorySystem&, const Regions&) {};
-
-  // One MemorySystem spans the whole sampled layer, like an exact
-  // run: the combination bands leave their XW lines (and the W
-  // working set) resident, so the aggregation bands start against the
-  // same warm state the exact aggregation phase sees.
-  MemorySystem ms(config);
-  const Regions reg = alloc_regions(ms);
-
-  // Runs one phase: band selection, back-to-back band simulation on
-  // the shared MemorySystem (so warm-state reuse carries across bands
-  // and phases), warm-start-corrected extrapolation. The epilogue's
-  // one-time costs (the hybrid's pinned-output writeback) enter the
-  // estimate once, unscaled, like in an exact run.
-  const auto sample_phase = [&](NodeId extent, std::uint64_t nnz_total,
-                                std::uint64_t phase_tag,
-                                const auto& prologue, const auto& band,
-                                const auto& epilogue) {
-    // Adaptive floor (SampleOptions::min_nnz): small phases raise
-    // their effective fraction toward 1 — a full simulation — since
-    // extrapolating them saves nothing and biases most.
-    double fraction = request.options.fraction;
-    if (nnz_total > 0 && request.options.min_nnz > 0) {
-      const double floor_fraction =
-          static_cast<double>(request.options.min_nnz) /
-          static_cast<double>(nnz_total);
-      fraction = std::min(1.0, std::max(fraction, floor_fraction));
-    }
-    // Bands must amortize their engine restart (min_band_nnz).
-    NodeId band_target = request.options.band_target;
-    if (request.options.min_band_nnz > 0) {
-      band_target = static_cast<NodeId>(std::clamp<std::uint64_t>(
-          nnz_total / request.options.min_band_nnz, 1, band_target));
-    }
-    const BandSelection sel = select_sample_bands(
-        extent, band_target, fraction,
-        splitmix64(request.options.seed ^ phase_tag));
-    prologue(ms, reg);
-    std::vector<BandRun> runs;
-    runs.reserve(sel.selected.size());
-    for (const auto& [begin, end] : sel.selected) {
-      SimStats before = ms.stats();
-      before.cycles = ms.now();
-      BandRun run;
-      run.nnz = band(ms, reg, begin, end);
-      SimStats after = ms.stats();
-      after.cycles = ms.now();
-      run.stats = stats_delta(after, before);
-      runs.push_back(std::move(run));
-    }
-    SimStats before_epilogue = ms.stats();
-    before_epilogue.cycles = ms.now();
-    epilogue(ms, reg);
-    SimStats after_epilogue = ms.stats();
-    after_epilogue.cycles = ms.now();
-
-    PhaseSampleEstimate est = extrapolate(runs, sel.bands_total, nnz_total);
-    const SimStats one_time = stats_delta(after_epilogue, before_epilogue);
-    est.stats.merge_phase(one_time);
-    est.cycles_estimate += static_cast<double>(one_time.cycles);
-    return est;
-  };
-
-  // --- Combination phase: XW = X * W ---
-  CscMatrix x_csc;
-  if (flow == Dataflow::kOuterProduct) x_csc = CscMatrix::from_csr(*x_used);
-  const auto combination_band = [&](MemorySystem& ms, const Regions& reg,
-                                    NodeId begin,
-                                    NodeId end) -> std::uint64_t {
-    if (flow == Dataflow::kOuterProduct) {
-      const CscMatrix sub = x_csc.submatrix_cols(begin, end);
-      if (sub.nnz() == 0) return 0;
-      OpEngineParams op;
-      op.sparse = &sub;
-      op.sparse_class = TrafficClass::kFeatures;
-      op.b = &w;
-      op.b_region = reg.w;
-      op.b_class = TrafficClass::kWeights;
-      op.c = &xw_scratch;
-      op.c_region = reg.xw;
-      op.c_final_class = TrafficClass::kCombined;
-      op.spill_region = reg.spill;
-      op.accumulate_in_buffer = config.op_baseline_accumulator;
-      op.col_offset = begin;
-      op.window = config.engine_window;
-      OpEngine engine(ms, op);
-      run_phase(ms, engine);
-      return sub.nnz();
-    }
-    const CsrMatrix sub = x_used->submatrix(begin, end, 0, x_used->cols());
-    if (sub.nnz() == 0) return 0;
-    RwpEngineParams rwp;
-    rwp.sparse = &sub;
-    rwp.sparse_class = TrafficClass::kFeatures;
-    rwp.b = &w;
-    rwp.b_region = reg.w;
-    rwp.b_class = TrafficClass::kWeights;
-    rwp.c = &xw_scratch;
-    rwp.c_region = reg.xw;
-    rwp.c_class = TrafficClass::kCombined;
-    rwp.c_store_kind = StoreKind::kAllocate;
-    rwp.row_offset = begin;
-    rwp.window = config.engine_window;
-    RwpEngine engine(ms, rwp);
-    run_phase(ms, engine);
-    return sub.nnz();
-  };
-  const NodeId comb_extent =
-      flow == Dataflow::kOuterProduct ? x_csc.cols() : x_used->rows();
-  result.sample.combination =
-      sample_phase(comb_extent, x_used->nnz(), 0x636f6d62ULL /*"comb"*/,
-                   no_op, combination_band, no_op);
-
-  // --- Aggregation phase: AXW = A_hat * XW ---
-  // Weights are dead after combination; demote them like an exact run
-  // so aggregation's XW working set wins DMB capacity.
-  ms.dmb().demote_class(TrafficClass::kWeights);
-  switch (flow) {
-    case Dataflow::kRowWiseProduct: {
-      const auto band = [&](MemorySystem& ms, const Regions& reg,
-                            NodeId begin, NodeId end) -> std::uint64_t {
-        const CsrMatrix sub =
-            a_used->submatrix(begin, end, 0, a_used->cols());
-        if (sub.nnz() == 0) return 0;
-        RwpEngineParams rwp;
-        rwp.sparse = &sub;
-        rwp.sparse_class = TrafficClass::kAdjacency;
-        rwp.b = &xw_scratch;
-        rwp.b_region = reg.xw;
-        rwp.b_class = TrafficClass::kCombined;
-        rwp.c = &axw_scratch;
-        rwp.c_region = reg.axw;
-        rwp.c_class = TrafficClass::kOutput;
-        rwp.c_store_kind = StoreKind::kThrough;
-        rwp.row_offset = begin;
-        rwp.window = config.engine_window;
-        RwpEngine engine(ms, rwp);
-        run_phase(ms, engine);
-        return sub.nnz();
-      };
-      result.sample.aggregation =
-          sample_phase(n, a_used->nnz(), 0x61676772ULL /*"aggr"*/, no_op,
-                       band, no_op);
-      break;
-    }
-    case Dataflow::kOuterProduct: {
-      const CscMatrix a_csc = CscMatrix::from_csr(*a_used);
-      const auto band = [&](MemorySystem& ms, const Regions& reg,
-                            NodeId begin, NodeId end) -> std::uint64_t {
-        const CscMatrix sub = a_csc.submatrix_cols(begin, end);
-        if (sub.nnz() == 0) return 0;
-        OpEngineParams op;
-        op.sparse = &sub;
-        op.sparse_class = TrafficClass::kAdjacency;
-        op.b = &xw_scratch;
-        op.b_region = reg.xw;
-        op.b_class = TrafficClass::kCombined;
-        op.c = &axw_scratch;
-        op.c_region = reg.axw;
-        op.c_final_class = TrafficClass::kOutput;
-        op.spill_region = reg.spill;
-        op.accumulate_in_buffer = config.op_baseline_accumulator;
-        op.col_offset = begin;
-        op.window = config.engine_window;
-        OpEngine engine(ms, op);
-        run_phase(ms, engine);
-        return sub.nnz();
-      };
-      result.sample.aggregation =
-          sample_phase(n, a_used->nnz(), 0x61676772ULL, no_op, band, no_op);
-      break;
-    }
-    case Dataflow::kHybrid: {
-      const RegionPartition& partition = result.partition;
-      const bool accumulate = config.near_memory_accumulator;
-      // Region 1 (OP with pinned outputs): column bands of the CSC.
-      // Pinning spans the whole band loop; the final writeback of the
-      // pinned lines is the epilogue's one-time cost.
-      const auto r1_prologue = [&](MemorySystem& ms, const Regions& reg) {
-        if (!accumulate) return;
-        for (NodeId r = 0; r < partition.region1_rows; ++r) {
-          const Addr base = reg.axw.line_of(r, chunks);
-          for (std::size_t chunk = 0; chunk < chunks; ++chunk) {
-            const bool pinned =
-                ms.dmb().pin_partial(base + chunk * kLineBytes, ms.now());
-            HYMM_CHECK_MSG(pinned, "region-1 rows exceed DMB pin capacity");
-          }
-        }
-      };
-      const auto r1_epilogue = [&](MemorySystem& ms, const Regions&) {
-        if (accumulate) ms.dmb().unpin_and_writeback_outputs(ms.now());
-      };
-      const auto r1_band = [&](MemorySystem& ms, const Regions& reg,
-                               NodeId begin, NodeId end) -> std::uint64_t {
-        const CscMatrix sub =
-            tiled.region1_csc().submatrix_cols(begin, end);
-        if (sub.nnz() == 0) return 0;
-        OpEngineParams op;
-        op.sparse = &sub;
-        op.sparse_class = TrafficClass::kAdjacency;
-        op.b = &xw_scratch;
-        op.b_region = reg.xw;
-        op.b_class = TrafficClass::kCombined;
-        op.c = &axw_scratch;
-        op.c_region = reg.axw;
-        op.c_final_class = TrafficClass::kOutput;
-        op.spill_region = reg.spill;
-        op.accumulate_in_buffer = accumulate;
-        op.outputs_pinned = accumulate;
-        op.col_offset = begin;
-        op.window = config.engine_window;
-        OpEngine engine(ms, op);
-        run_phase(ms, engine);
-        return sub.nnz();
-      };
-      const PhaseSampleEstimate r1 =
-          partition.region1_rows > 0 && tiled.region1_csc().nnz() > 0
-              ? sample_phase(n, tiled.region1_csc().nnz(),
-                             0x72316f70ULL /*"r1op"*/, r1_prologue, r1_band,
-                             r1_epilogue)
-              : PhaseSampleEstimate{};
-
-      // Regions 2/3 (RWP): row bands of the rebased CSR.
-      const auto r23_band = [&](MemorySystem& ms, const Regions& reg,
-                                NodeId begin, NodeId end) -> std::uint64_t {
-        const CsrMatrix sub = tiled.region23_csr().submatrix(
-            begin, end, 0, tiled.region23_csr().cols());
-        if (sub.nnz() == 0) return 0;
-        RwpEngineParams rwp;
-        rwp.sparse = &sub;
-        rwp.sparse_class = TrafficClass::kAdjacency;
-        rwp.b = &xw_scratch;
-        rwp.b_region = reg.xw;
-        rwp.b_class = TrafficClass::kCombined;
-        rwp.c = &axw_scratch;
-        rwp.c_region = reg.axw;
-        rwp.c_class = TrafficClass::kOutput;
-        rwp.c_store_kind = StoreKind::kThrough;
-        rwp.row_offset = partition.region1_rows + begin;
-        rwp.region2_col_boundary = partition.region2_cols;
-        rwp.window = config.engine_window;
-        RwpEngine engine(ms, rwp);
-        run_phase(ms, engine);
-        return sub.nnz();
-      };
-      const PhaseSampleEstimate r23 =
-          tiled.region23_csr().nnz() > 0
-              ? sample_phase(tiled.region23_csr().rows(),
-                             tiled.region23_csr().nnz(),
-                             0x72323372ULL /*"r23r"*/, no_op, r23_band,
-                             no_op)
-              : PhaseSampleEstimate{};
-      result.sample.aggregation = combine(r1, r23);
-      break;
-    }
-  }
-
-  result.combination_stats = result.sample.combination.stats;
-  result.aggregation_stats = result.sample.aggregation.stats;
-  result.stats = result.combination_stats;
-  result.stats.merge_phase(result.aggregation_stats);
-  return result;
+  return phase;
 }
 
 }  // namespace hymm

@@ -1,26 +1,29 @@
 /// @file
 /// Sampled simulation mode (--sample / HYMM_SAMPLE): instead of
-/// simulating every non-zero of a layer, each phase simulates a
-/// deterministic, seeded subset of contiguous tile bands in full
-/// cycle-accurate detail — row bands of the streamed CSR for
-/// RWP-family phases, column bands of the streamed CSC for OP-family
-/// phases — and extrapolates cycles, stall vectors and DRAM bytes to
-/// the whole phase with a non-zero-weighted ratio estimator.
+/// simulating every non-zero of a layer, each stage of each phase
+/// simulates a deterministic, seeded subset of contiguous tile bands
+/// in full cycle-accurate detail — row bands of the streamed CSR for
+/// RWP stages, column bands of the streamed CSC for OP stages — and
+/// extrapolates cycles, stall vectors and DRAM bytes to the whole
+/// stage with a non-zero-weighted ratio estimator. The stages are the
+/// exact run's own (core/stage.hpp): Accelerator::run_layer builds one
+/// layer plan and, when LayerRunRequest::sample is set, hands its
+/// stages to sample_phase instead of streaming them whole.
 ///
 /// Estimator. Bands are near-equal spans of the streamed dimension;
 /// with fraction f and B bands, k = max(1, round(f*B)) bands are
 /// chosen by seeded stratified selection (one uniform draw per
 /// contiguous stratum of bands, so every part of the degree
 /// distribution is represented). All bands of the whole layer run
-/// back-to-back on ONE shared MemorySystem with the canonical
-/// W/XW/AXW/spill address layout of an exact run, so warm state (the
-/// W working set in combination, the XW lines the aggregation phase
-/// inherits) carries across bands and phases exactly as it does in a
-/// full run. With per-band cycles y_i and non-zeros x_i, the phase
-/// estimate is warm-start-corrected: the first band pays the phase's
-/// compulsory misses and enters the estimate once, unscaled, while
-/// only the warm bands' rate R_warm = sum_{i>=2} y_i / sum_{i>=2} x_i
-/// is extrapolated — t = y_1 + R_warm * (X - x_1) for phase total X.
+/// back-to-back on the one MemorySystem and address layout of the
+/// layer, so warm state (the W working set in combination, the XW
+/// lines the aggregation phase inherits) carries across bands and
+/// phases exactly as it does in a full run. With per-band cycles y_i
+/// and non-zeros x_i, the stage estimate is warm-start-corrected: the
+/// first band pays the stage's compulsory misses and enters the
+/// estimate once, unscaled, while only the warm bands' rate
+/// R_warm = sum_{i>=2} y_i / sum_{i>=2} x_i is extrapolated —
+/// t = y_1 + R_warm * (X - x_1) for stage total X.
 /// Every other additive counter scales the same way (scale_stats,
 /// which keeps the stall-bucket invariant exact). The reported
 /// 1-sigma error bar is the ratio-estimator standard error with
@@ -41,14 +44,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "common/config.hpp"
-#include "graph/csr.hpp"
-#include "graph/degree_sort.hpp"
-#include "graph/partition.hpp"
-#include "linalg/dense.hpp"
+#include "core/stage.hpp"
 #include "sim/stats.hpp"
 
 namespace hymm {
@@ -57,8 +58,8 @@ namespace hymm {
 struct SampleOptions {
   /// Fraction of bands simulated per phase, in (0, 1].
   double fraction = 0.25;
-  /// Seed of the stratified band selection (combined per phase with a
-  /// phase tag, so phases draw independent bands).
+  /// Seed of the stratified band selection (combined per stage with
+  /// the stage's sample_tag, so stages draw independent bands).
   std::uint64_t seed = 42;
   /// Target band count per phase before the fraction is applied; the
   /// effective count is capped by the streamed dimension's extent and
@@ -113,35 +114,16 @@ struct SampleInfo {
   double rel_error_bound() const;
 };
 
-/// Everything one sampled layer run needs (mirrors LayerRunRequest;
-/// observers and checkpoints do not apply to sampled runs).
-struct SampledLayerRequest {
-  Dataflow flow = Dataflow::kRowWiseProduct;
-  const CsrMatrix* a_hat = nullptr;  ///< required: normalized adjacency
-  const CsrMatrix* x = nullptr;      ///< required: feature matrix
-  const DenseMatrix* w = nullptr;    ///< required: layer weights
-  const DegreeSortResult* sort = nullptr;      ///< optional precomputed sort
-  const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
-  SampleOptions options;
-};
-
-/// What a sampled layer run produces: extrapolated counters only — no
-/// functional output (band runs retire MACs against scratch values),
-/// so sampled results can never be verified against the golden model.
-struct SampledLayerResult {
-  Dataflow flow = Dataflow::kRowWiseProduct;
-  SimStats stats;              ///< whole-layer extrapolated counters
-  SimStats combination_stats;  ///< XW-phase extrapolation
-  SimStats aggregation_stats;  ///< aggregation-phase extrapolation
-  RegionPartition partition;   ///< hybrid only
-  double preprocess_ms = 0.0;  ///< host preprocessing (hybrid sort)
-  SampleInfo sample;           ///< estimator detail + error bars
-};
-
-/// Simulates a seeded subset of tile bands per phase and extrapolates
-/// (see file comment). Deterministic for fixed (request, config).
-SampledLayerResult run_layer_sampled(const AcceleratorConfig& config,
-                                     const SampledLayerRequest& request);
+/// Samples one phase: each stage in order on `ms`, with its own seeded
+/// band selection and warm-start-corrected extrapolation, the stage
+/// estimates summed (variances add). Bands run back-to-back on `ms`,
+/// so warm state carries across bands, stages and phases as in an
+/// exact run. A stage's pinned rows are pinned once around its bands,
+/// and their writeback enters the estimate once, unscaled.
+/// Deterministic for fixed (stages, options, machine state).
+PhaseSampleEstimate sample_phase(MemorySystem& ms,
+                                 std::span<const LayerStage> stages,
+                                 const SampleOptions& options);
 
 /// The deterministic band selection, exposed for tests: splits
 /// [0, extent) into near-equal bands of at most band_target count and

@@ -12,6 +12,11 @@ namespace hymm {
 
 namespace {
 
+// Ids and dimensions are parsed as long long and must fit NodeId. The
+// largest NodeId stays reserved so `max_id + 1` cannot wrap.
+constexpr auto kIdLimit =
+    static_cast<long long>(std::numeric_limits<NodeId>::max());
+
 bool is_comment_or_blank(const std::string& line) {
   for (const char c : line) {
     if (c == ' ' || c == '\t' || c == '\r') continue;
@@ -51,9 +56,6 @@ CsrMatrix load_edge_list(std::istream& in, const EdgeListOptions& options) {
     ls >> weight;  // optional third column
     HYMM_CHECK_MSG(src >= 0 && dst >= 0,
                    "edge list line " << line_no << " has negative ids");
-    // The largest NodeId stays reserved so `max_id + 1` cannot wrap.
-    constexpr auto kIdLimit =
-        static_cast<long long>(std::numeric_limits<NodeId>::max());
     HYMM_CHECK_MSG(src < kIdLimit && dst < kIdLimit,
                    "edge list line " << line_no << " has node id "
                                      << std::max(src, dst)
@@ -106,8 +108,7 @@ void save_edge_list_file(const CsrMatrix& matrix, const std::string& path) {
 CsrMatrix load_sparse_matrix(std::istream& in) {
   std::string line;
   // Header (skipping leading comments).
-  NodeId rows = 0, cols = 0;
-  EdgeCount nnz = 0;
+  long long rows = 0, cols = 0, nnz = 0;
   bool have_header = false;
   std::size_t line_no = 0;
   while (std::getline(in, line)) {
@@ -115,7 +116,19 @@ CsrMatrix load_sparse_matrix(std::istream& in) {
     if (line.rfind("%%HyMMSparse", 0) == 0) {
       std::istringstream hs(line.substr(12));
       HYMM_CHECK_MSG(static_cast<bool>(hs >> rows >> cols >> nnz),
-                     "bad %%HyMMSparse header: '" << line << "'");
+                     "sparse matrix line " << line_no
+                                           << " is a bad %%HyMMSparse header: '"
+                                           << line << "'");
+      HYMM_CHECK_MSG(rows >= 0 && cols >= 0 && nnz >= 0,
+                     "sparse matrix line "
+                         << line_no
+                         << " has a negative %%HyMMSparse dimension or count: '"
+                         << line << "'");
+      HYMM_CHECK_MSG(rows < kIdLimit && cols < kIdLimit,
+                     "sparse matrix line " << line_no << " has dimension "
+                                           << std::max(rows, cols)
+                                           << ", dimensions must be below "
+                                           << kIdLimit);
       have_header = true;
       break;
     }
@@ -124,8 +137,8 @@ CsrMatrix load_sparse_matrix(std::istream& in) {
   }
   HYMM_CHECK_MSG(have_header, "missing %%HyMMSparse header");
 
-  CooMatrix coo(rows, cols);
-  EdgeCount seen = 0;
+  CooMatrix coo(static_cast<NodeId>(rows), static_cast<NodeId>(cols));
+  long long seen = 0;
   while (seen < nnz && std::getline(in, line)) {
     ++line_no;
     if (is_comment_or_blank(line)) continue;
@@ -135,7 +148,12 @@ CsrMatrix load_sparse_matrix(std::istream& in) {
     HYMM_CHECK_MSG(static_cast<bool>(ls >> r >> c >> v),
                    "sparse matrix line " << line_no << " is malformed: '"
                                          << line << "'");
-    HYMM_CHECK_MSG(r >= 0 && c >= 0, "negative index at line " << line_no);
+    HYMM_CHECK_MSG(r >= 0 && c >= 0,
+                   "sparse matrix line " << line_no << " has a negative index");
+    HYMM_CHECK_MSG(r < rows && c < cols,
+                   "sparse matrix line " << line_no << " has entry (" << r
+                                         << ", " << c << ") outside the "
+                                         << rows << "x" << cols << " header");
     coo.add(static_cast<NodeId>(r), static_cast<NodeId>(c),
             static_cast<Value>(v));
     ++seen;

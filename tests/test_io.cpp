@@ -143,6 +143,37 @@ TEST(SparseMatrix, TruncatedBodyRejected) {
   EXPECT_THROW(load_sparse_matrix(in), CheckError);
 }
 
+// Expects load_sparse_matrix(text) to raise a CheckError naming `line`.
+void expect_sparse_error_at(const char* text, const std::string& line) {
+  std::istringstream in(text);
+  try {
+    load_sparse_matrix(in);
+    FAIL() << "expected CheckError for " << text;
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+        << e.what();
+  }
+}
+
+// Entry indices are parsed as long long: 4294967297 would wrap to
+// column 1 of the 32-bit NodeId and load as a valid entry.
+TEST(SparseMatrix, OutOfRangeEntryRejectedWithLineNumber) {
+  expect_sparse_error_at("%%HyMMSparse 3 2 3\n1 4294967297 2.0\n",
+                         "line 2");
+  expect_sparse_error_at("%%HyMMSparse 3 2 1\n3 0 1.0\n", "line 2");
+  expect_sparse_error_at("%%HyMMSparse 3 2 1\n% c\n0 -1 1.0\n", "line 3");
+}
+
+// Header fields are parsed as long long: -1 would wrap to 4294967295
+// columns (and a bad_alloc further on).
+TEST(SparseMatrix, BadHeaderRejectedWithLineNumber) {
+  expect_sparse_error_at("%%HyMMSparse 3 -1 1\n0 0 1.0\n", "line 1");
+  expect_sparse_error_at("% c\n%%HyMMSparse -3 2 1\n0 0 1.0\n", "line 2");
+  expect_sparse_error_at("%%HyMMSparse 3 2 -1\n", "line 1");
+  expect_sparse_error_at("%%HyMMSparse 4294967295 2 0\n", "line 1");
+  expect_sparse_error_at("%%HyMMSparse 3 x 1\n", "line 1");
+}
+
 TEST(IoFiles, MissingFileThrows) {
   EXPECT_THROW(load_edge_list_file("/nonexistent/path.txt"), CheckError);
   EXPECT_THROW(load_sparse_matrix_file("/nonexistent/path.txt"),

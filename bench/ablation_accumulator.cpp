@@ -26,10 +26,10 @@ int main(int argc, char** argv) {
       const auto& hymm = cmp.by_flow(Dataflow::kHybrid);
       table.add_row(
           {bench::scale_note(cmp), c == 0 ? "on" : "off",
-           std::to_string(hymm.cycles),
-           Table::fmt_bytes(static_cast<double>(hymm.dram_total_bytes)),
-           Table::fmt_bytes(static_cast<double>(hymm.partial_bytes_peak)),
-           Table::fmt_percent(hymm.alu_utilization, 1)});
+           std::to_string(hymm.stats.cycles),
+           Table::fmt_bytes(static_cast<double>(hymm.stats.dram_total_bytes())),
+           Table::fmt_bytes(static_cast<double>(hymm.stats.partial_bytes_peak)),
+           Table::fmt_percent(hymm.stats.alu_utilization(), 1)});
     }
   }
   table.print(std::cout);

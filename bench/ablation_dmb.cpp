@@ -36,12 +36,12 @@ int main(int argc, char** argv) {
           {bench::scale_note(cmp),
            std::to_string(sizes_kb[c / policies.size()]) + "KB",
            to_string(policies[c % policies.size()]),
-           std::to_string(cmp.by_flow(Dataflow::kOuterProduct).cycles),
+           std::to_string(cmp.by_flow(Dataflow::kOuterProduct).stats.cycles),
            std::to_string(
-               cmp.by_flow(Dataflow::kRowWiseProduct).cycles),
-           std::to_string(cmp.by_flow(Dataflow::kHybrid).cycles),
+               cmp.by_flow(Dataflow::kRowWiseProduct).stats.cycles),
+           std::to_string(cmp.by_flow(Dataflow::kHybrid).stats.cycles),
            Table::fmt_percent(
-               cmp.by_flow(Dataflow::kHybrid).dmb_hit_rate, 1)});
+               cmp.by_flow(Dataflow::kHybrid).stats.dmb_hit_rate(), 1)});
     }
   }
   table.print(std::cout);

@@ -30,9 +30,9 @@ int main(int argc, char** argv) {
     const DataflowComparison& cmp = mshr_sweep[c][0];
     mshr_table.add_row(
         {std::to_string(mshr_counts[c]),
-         std::to_string(cmp.by_flow(Dataflow::kOuterProduct).cycles),
-         std::to_string(cmp.by_flow(Dataflow::kRowWiseProduct).cycles),
-         std::to_string(cmp.by_flow(Dataflow::kHybrid).cycles)});
+         std::to_string(cmp.by_flow(Dataflow::kOuterProduct).stats.cycles),
+         std::to_string(cmp.by_flow(Dataflow::kRowWiseProduct).stats.cycles),
+         std::to_string(cmp.by_flow(Dataflow::kHybrid).stats.cycles)});
   }
   mshr_table.print(std::cout);
 
@@ -49,8 +49,8 @@ int main(int argc, char** argv) {
     const DataflowComparison& cmp = pf_sweep[c][0];
     pf_table.add_row(
         {std::to_string(depths[c]),
-         std::to_string(cmp.by_flow(Dataflow::kOuterProduct).cycles),
-         std::to_string(cmp.by_flow(Dataflow::kHybrid).cycles)});
+         std::to_string(cmp.by_flow(Dataflow::kOuterProduct).stats.cycles),
+         std::to_string(cmp.by_flow(Dataflow::kHybrid).stats.cycles)});
   }
   pf_table.print(std::cout);
 
@@ -65,10 +65,11 @@ int main(int argc, char** argv) {
   Table wb_table({"Lines", "OP cycles", "OP util", "HyMM cycles"});
   for (std::size_t c = 0; c < wb_lines.size(); ++c) {
     const DataflowComparison& cmp = wb_sweep[c][0];
-    const auto& op = cmp.by_flow(Dataflow::kOuterProduct);
-    wb_table.add_row({std::to_string(wb_lines[c]), std::to_string(op.cycles),
-                      Table::fmt_percent(op.alu_utilization, 1),
-                      std::to_string(cmp.by_flow(Dataflow::kHybrid).cycles)});
+    const SimStats& op = cmp.by_flow(Dataflow::kOuterProduct).stats;
+    wb_table.add_row(
+        {std::to_string(wb_lines[c]), std::to_string(op.cycles),
+         Table::fmt_percent(op.alu_utilization(), 1),
+         std::to_string(cmp.by_flow(Dataflow::kHybrid).stats.cycles)});
   }
   wb_table.print(std::cout);
 

@@ -37,12 +37,12 @@ int main(int argc, char** argv) {
       table.add_row({bench::scale_note(cmp),
                      Table::fmt_percent(thresholds[c], 0),
                      std::to_string(hymm.partition.region1_rows),
-                     std::to_string(hymm.cycles),
+                     std::to_string(hymm.stats.cycles),
                      Table::fmt_bytes(static_cast<double>(
-                         hymm.dram_total_bytes)),
+                         hymm.stats.dram_total_bytes())),
                      Table::fmt_bytes(static_cast<double>(
-                         hymm.partial_bytes_peak)),
-                     Table::fmt_percent(hymm.dmb_hit_rate, 1)});
+                         hymm.stats.partial_bytes_peak)),
+                     Table::fmt_percent(hymm.stats.dmb_hit_rate(), 1)});
     }
   }
   table.print(std::cout);

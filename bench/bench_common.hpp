@@ -97,26 +97,6 @@ inline void write_group_artifacts(const BenchOptions& opts,
   }
 }
 
-// The sweep settings every bench driver takes from its options:
-// workers, sampling and the observers the trace/json dirs and
-// time-series/spatial knobs ask for. Callers add their own group_key.
-inline SweepOptions sweep_options_for(const BenchOptions& opts) {
-  SweepOptions sweep_options;
-  sweep_options.threads = opts.threads;
-  sweep_options.sample = opts.sample;
-  sweep_options.observe = opts.observing();
-  sweep_options.observer_options.trace = !opts.trace_dir.empty();
-  sweep_options.observer_options.timeseries = opts.timeseries_interval > 0;
-  if (opts.timeseries_interval > 0) {
-    sweep_options.observer_options.timeseries_interval =
-        opts.timeseries_interval;
-  }
-  sweep_options.observer_options.spatial = opts.spatial_tile > 0;
-  sweep_options.observer_options.spatial_tile =
-      opts.spatial_tile >= 2 ? static_cast<NodeId>(opts.spatial_tile) : 0;
-  return sweep_options;
-}
-
 // Runs `flows` on every selected dataset for each config, scheduling
 // the (dataset, config) grid across opts.threads sweep workers with
 // one shared workload build per dataset. Results come back in stable
@@ -138,7 +118,7 @@ inline std::vector<std::vector<DataflowComparison>> run_config_sweep(
   if (!opts.scale && opts.full_datasets) spec.scale = 1.0;
   spec.seed = opts.seed;
 
-  SweepOptions sweep_options = sweep_options_for(opts);
+  SweepOptions sweep_options = opts.sweep_options();
   // One group per (dataset, config): its flows share one observer and
   // run serially, so each trace/report file covers one comparison.
   sweep_options.group_key = [](const SweepCell& cell) {
@@ -224,7 +204,7 @@ inline std::vector<DataflowComparison> run_autotuned_datasets(
     spec.flows = flows;
     spec.seed = opts.seed;
 
-    SweepOptions sweep_options = sweep_options_for(opts);
+    SweepOptions sweep_options = opts.sweep_options();
     sweep_options.group_key = [](const SweepCell&) {
       return std::string("all");
     };

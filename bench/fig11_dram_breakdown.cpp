@@ -20,13 +20,13 @@ int main(int argc, char** argv) {
                                       to_string(r.flow)};
       for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
         row.push_back(Table::fmt_bytes(static_cast<double>(
-            r.dram_read_bytes[c] + r.dram_write_bytes[c])));
+            r.stats.dram_read_bytes[c] + r.stats.dram_write_bytes[c])));
       }
       row.push_back(
-          Table::fmt_bytes(static_cast<double>(r.dram_total_bytes)));
+          Table::fmt_bytes(static_cast<double>(r.stats.dram_total_bytes())));
       row.push_back(Table::fmt_percent(
-          1.0 - static_cast<double>(r.dram_total_bytes) /
-                    static_cast<double>(op.dram_total_bytes),
+          1.0 - static_cast<double>(r.stats.dram_total_bytes()) /
+                    static_cast<double>(op.stats.dram_total_bytes()),
           1));
       table.add_row(std::move(row));
     }

@@ -21,10 +21,11 @@ int main(int argc, char** argv) {
     const auto& op = cmp.by_flow(Dataflow::kOuterProduct);
     const auto& rwp = cmp.by_flow(Dataflow::kRowWiseProduct);
     const auto& hymm = cmp.by_flow(Dataflow::kHybrid);
+    const auto op_cycles = static_cast<double>(op.stats.cycles);
     const double rwp_speedup =
-        static_cast<double>(op.cycles) / static_cast<double>(rwp.cycles);
+        op_cycles / static_cast<double>(rwp.stats.cycles);
     const double hymm_speedup =
-        static_cast<double>(op.cycles) / static_cast<double>(hymm.cycles);
+        op_cycles / static_cast<double>(hymm.stats.cycles);
     rwp_speedup_sum += rwp_speedup;
     ++count;
     if (hymm_speedup > best_hymm) {
@@ -32,8 +33,9 @@ int main(int argc, char** argv) {
       best_dataset = cmp.spec.abbrev;
     }
     const bool verified = op.verified && rwp.verified && hymm.verified;
-    table.add_row({bench::scale_note(cmp), std::to_string(op.cycles),
-                   std::to_string(rwp.cycles), std::to_string(hymm.cycles),
+    table.add_row({bench::scale_note(cmp), std::to_string(op.stats.cycles),
+                   std::to_string(rwp.stats.cycles),
+                   std::to_string(hymm.stats.cycles),
                    "1.00x", Table::fmt(rwp_speedup, 2) + "x",
                    Table::fmt(hymm_speedup, 2) + "x",
                    verified ? "yes" : "NO"});

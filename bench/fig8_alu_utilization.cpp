@@ -19,15 +19,16 @@ int main(int argc, char** argv) {
     const auto& op = cmp.by_flow(Dataflow::kOuterProduct);
     const auto& rwp = cmp.by_flow(Dataflow::kRowWiseProduct);
     const auto& hymm = cmp.by_flow(Dataflow::kHybrid);
-    const double gain = hymm.alu_utilization - rwp.alu_utilization;
+    const double gain =
+        hymm.stats.alu_utilization() - rwp.stats.alu_utilization();
     if (gain > best_gain) {
       best_gain = gain;
       best_dataset = cmp.spec.abbrev;
     }
     table.add_row({bench::scale_note(cmp),
-                   Table::fmt_percent(op.alu_utilization, 1),
-                   Table::fmt_percent(rwp.alu_utilization, 1),
-                   Table::fmt_percent(hymm.alu_utilization, 1),
+                   Table::fmt_percent(op.stats.alu_utilization(), 1),
+                   Table::fmt_percent(rwp.stats.alu_utilization(), 1),
+                   Table::fmt_percent(hymm.stats.alu_utilization(), 1),
                    (gain >= 0 ? "+" : "") + Table::fmt(gain * 100, 1) +
                        "pp"});
   }

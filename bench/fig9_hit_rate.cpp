@@ -13,14 +13,13 @@ int main(int argc, char** argv) {
 
   Table table({"Dataset", "OP", "RWP", "HyMM"});
   for (const DataflowComparison& cmp : bench::run_datasets(opts)) {
+    const auto hit_rate = [&cmp](Dataflow flow) {
+      return Table::fmt_percent(cmp.by_flow(flow).stats.dmb_hit_rate(), 1);
+    };
     table.add_row({bench::scale_note(cmp),
-                   Table::fmt_percent(
-                       cmp.by_flow(Dataflow::kOuterProduct).dmb_hit_rate, 1),
-                   Table::fmt_percent(
-                       cmp.by_flow(Dataflow::kRowWiseProduct).dmb_hit_rate,
-                       1),
-                   Table::fmt_percent(
-                       cmp.by_flow(Dataflow::kHybrid).dmb_hit_rate, 1)});
+                   hit_rate(Dataflow::kOuterProduct),
+                   hit_rate(Dataflow::kRowWiseProduct),
+                   hit_rate(Dataflow::kHybrid)});
   }
   table.print(std::cout);
   std::cout << "\nPaper shape: HyMM's hit rate exceeds both baselines on "

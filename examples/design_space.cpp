@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
         dmb_kbs[cell.cell.config_index % dmb_kbs.size()];
     const ExperimentResult& r = cell.result;
     const AreaReport area = estimate_area(cell.cell.config);
-    points.push_back({pes, dmb_kb, r.cycles, r.dram_total_bytes,
+    points.push_back({pes, dmb_kb, r.stats.cycles, r.stats.dram_total_bytes(),
                       area.total_40nm_mm2,
-                      1.0 / (static_cast<double>(r.cycles) *
+                      1.0 / (static_cast<double>(r.stats.cycles) *
                              area.total_40nm_mm2)});
   }
 

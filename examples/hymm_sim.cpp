@@ -62,6 +62,7 @@ void usage() {
       "                       HYMM_SAMPLE; results labeled, not verified)\n"
       "Observability (see DESIGN.md \"Observability\"):\n"
       "  --trace <file>       Chrome/Perfetto trace of the run(s)\n"
+      "                       (not with --sample)\n"
       "  --json <file>        JSON run report (full counter set)\n"
       "  --sample-interval <cycles>  counter-track sampling period\n"
       "  --timeseries[=N]     windowed telemetry every N cycles\n"
@@ -94,6 +95,7 @@ int main(int argc, char** argv) {
   const BenchOptions opts = BenchOptions::from_env_and_args(argc, argv, &rest);
 
   std::string dataset, edge_list, features_path, flow_arg = "all", csv_path;
+  std::string trace_path, json_path;
   AcceleratorConfig config;
   try {
     for (std::size_t i = 0; i < rest.size(); ++i) {
@@ -121,8 +123,8 @@ int main(int argc, char** argv) {
       else if (arg == "--fifo") config.eviction_policy = EvictionPolicy::kFifo;
       else if (arg == "--no-accumulator") config.near_memory_accumulator = false;
       else if (arg == "--csv") csv_path = next();
-      else if (arg == "--trace") config.trace_path = next();
-      else if (arg == "--json") config.json_path = next();
+      else if (arg == "--trace") trace_path = next();
+      else if (arg == "--json") json_path = next();
       else if (arg == "--sample-interval") config.obs_sample_interval = parse_u64_value("--sample-interval", next(), 1);
       else if (arg == "--version") { print_version(); return 0; }
       else if (arg == "--help" || arg == "-h") { usage(); return 0; }
@@ -134,6 +136,11 @@ int main(int argc, char** argv) {
     }
   } catch (const UsageError& e) {
     std::cerr << e.what() << "\n";
+    return 2;
+  }
+  if (!trace_path.empty() && opts.sample > 0.0) {
+    std::cerr << "--trace cannot be combined with --sample / HYMM_SAMPLE: "
+                 "a sampled run records no observer output\n";
     return 2;
   }
 
@@ -224,24 +231,15 @@ int main(int argc, char** argv) {
   sweep_spec.flows = flows;
   sweep_spec.seed = opts.seed;
 
-  const bool observing = !config.trace_path.empty() ||
-                         !config.json_path.empty() ||
+  // The driver writes its own --trace/--json files, not the bench
+  // per-dataset dirs.
+  const bool observing = !trace_path.empty() || !json_path.empty() ||
                          opts.timeseries_interval > 0 ||
                          opts.spatial_tile > 0;
-  SweepOptions sweep_options;
-  sweep_options.threads = opts.threads;
-  sweep_options.sample = opts.sample;
+  SweepOptions sweep_options = opts.sweep_options();
   sweep_options.observe = observing;
-  sweep_options.observer_options.trace = !config.trace_path.empty();
+  sweep_options.observer_options.trace = !trace_path.empty();
   sweep_options.observer_options.sample_interval = config.obs_sample_interval;
-  sweep_options.observer_options.timeseries = opts.timeseries_interval > 0;
-  if (opts.timeseries_interval > 0) {
-    sweep_options.observer_options.timeseries_interval =
-        opts.timeseries_interval;
-  }
-  sweep_options.observer_options.spatial = opts.spatial_tile > 0;
-  sweep_options.observer_options.spatial_tile =
-      opts.spatial_tile >= 2 ? static_cast<NodeId>(opts.spatial_tile) : 0;
   if (observing) {
     // One observer for every flow: each run becomes its own trace
     // process group and the metrics registry aggregates across runs.
@@ -323,10 +321,10 @@ int main(int argc, char** argv) {
     write_results_csv(results, csv);
     report_written(csv, csv_path);
   }
-  if (!config.trace_path.empty()) {
-    std::ofstream trace(config.trace_path);
+  if (!trace_path.empty()) {
+    std::ofstream trace(trace_path);
     observer->trace().write(trace);
-    report_written(trace, config.trace_path,
+    report_written(trace, trace_path,
                    " (open in ui.perfetto.dev or chrome://tracing)");
     std::cerr << "trace: " << observer->trace().event_count() << " events";
     if (observer->trace().dropped_instants() > 0) {
@@ -335,11 +333,11 @@ int main(int argc, char** argv) {
     }
     std::cerr << "\n";
   }
-  if (!config.json_path.empty()) {
-    std::ofstream json(config.json_path);
+  if (!json_path.empty()) {
+    std::ofstream json(json_path);
     write_results_json(results, json, observer ? &observer->metrics() : nullptr,
                        observer ? &observer->trace() : nullptr);
-    report_written(json, config.json_path);
+    report_written(json, json_path);
   }
   return write_failed ? 1 : 0;
 }

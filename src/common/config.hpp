@@ -105,11 +105,6 @@ struct AcceleratorConfig {
   double dmb_pin_fraction = 0.75;
 
   // --- Observability (never affects timing) ---
-  // When non-empty, the driver writes a Chrome-trace-event /
-  // Perfetto-compatible trace of the run here (1 cycle = 1 us).
-  std::string trace_path;
-  // When non-empty, the driver writes the JSON run report here.
-  std::string json_path;
   // Cycles between counter-track samples (DMB occupancy, partial
   // bytes, LSQ depth, SMQ backlog).
   Cycle obs_sample_interval = 64;

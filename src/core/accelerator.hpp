@@ -108,12 +108,6 @@ struct LayerRunResult {
   /// Estimator detail and error bars of a sampled run (enabled=false
   /// on exact runs).
   SampleInfo sample;
-
-  /// Wall-clock the modeled hardware would take at clock_ghz (1e6
-  /// cycles = 1 ms at 1 GHz; convention shared repo-wide).
-  double runtime_ms(double clock_ghz) const {
-    return static_cast<double>(stats.cycles) / (clock_ghz * 1e6);
-  }
 };
 
 /// Everything one layer run needs. The required inputs are a_hat

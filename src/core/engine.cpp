@@ -96,7 +96,6 @@ void MemorySystem::tick_components() {
   dmb_.tick(now_);
   lsq_.tick(now_);
   smq_.tick(now_);
-  stats_.maybe_sample_timeline(now_);
 #ifndef HYMM_OBS_DISABLED
   if (obs_ != nullptr && now_ >= obs_next_sample_) {
     obs_->sample_tracks(now_, dmb_.resident_lines(),
@@ -155,15 +154,6 @@ void MemorySystem::fast_forward_to(Cycle target, StallCause cause) {
   // charging the span to the current focus is exactly what the
   // per-cycle loop would have attributed.
   HYMM_OBS(obs_, spatial_cycles(span));
-  // Replay the footprint samples cycles now_+1 .. target-1 would have
-  // taken. Under per-cycle ticking a sample lands exactly at
-  // timeline_next_sample (which is > now_ here: tick_components
-  // already sampled the current cycle if it was due), so replaying at
-  // those cycles with the constant footprint is bit-identical —
-  // including the capacity thinning / interval doubling inside.
-  while (stats_.timeline_next_sample <= target - 1) {
-    stats_.maybe_sample_timeline(stats_.timeline_next_sample);
-  }
 #ifndef HYMM_OBS_DISABLED
   // One aggregated counter sample stands in for the per-cycle ones
   // the span would have emitted; the schedule then realigns to where

@@ -51,9 +51,8 @@ class GcnModel {
     bool verified = false;                ///< output matched reference()
     double max_abs_err = 0.0;             ///< worst element error
 
-    /// Wall-clock the modeled hardware would take at clock_ghz.
-    /// Convention (shared with ExperimentResult::runtime_ms and pinned
-    /// by tests): cycles / (clock_ghz * 1e9) seconds, i.e.
+    /// Wall-clock the modeled hardware would take at clock_ghz
+    /// (pinned by tests): cycles / (clock_ghz * 1e9) seconds, i.e.
     /// cycles / (clock_ghz * 1e6) milliseconds — at 1 GHz, 1e6 cycles
     /// is exactly 1 ms.
     double runtime_ms(double clock_ghz = 1.0) const {

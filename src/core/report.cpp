@@ -58,13 +58,10 @@ void print_stats_summary(const SimStats& stats, std::ostream& out,
         << '\n'
         << indent << "bottleneck:      " << to_string(stats.bottleneck());
     if (peak_bytes_per_cycle > 0 && stats.cycles > 0) {
-      const double bw_util =
-          static_cast<double>(stats.dram_total_bytes()) /
-          (static_cast<double>(peak_bytes_per_cycle) *
-           static_cast<double>(stats.cycles));
       out << " (DRAM bandwidth roofline: "
-          << Table::fmt_percent(bw_util, 1) << " of "
-          << peak_bytes_per_cycle << "B/cycle)";
+          << Table::fmt_percent(
+                 stats.dram_bandwidth_utilization(peak_bytes_per_cycle), 1)
+          << " of " << peak_bytes_per_cycle << "B/cycle)";
     }
     out << '\n';
   }
@@ -119,21 +116,23 @@ void write_results_csv(std::span<const ExperimentResult> results,
   out << ",pe_max_over_mean,pe_cov,pe_gini"
          ",rowband_max_over_mean,rowband_cov,rowband_gini\n";
   for (const ExperimentResult& r : results) {
+    const SimStats& s = r.stats;
     out << csv_quote(r.abbrev) << ',' << r.scale << ','
-        << csv_quote(to_string(r.flow)) << ',' << r.cycles << ','
-        << r.combination_cycles << ',' << r.aggregation_cycles << ','
-        << r.mac_ops << ',' << r.alu_utilization << ',' << r.dmb_hit_rate
-        << ',' << r.partial_bytes_peak << ',' << r.preprocess_ms;
+        << csv_quote(to_string(r.flow)) << ',' << s.cycles << ','
+        << r.combination_stats.cycles << ',' << r.aggregation_stats.cycles
+        << ',' << s.mac_ops << ',' << s.alu_utilization() << ','
+        << s.dmb_hit_rate() << ',' << s.partial_bytes_peak << ','
+        << r.preprocess_ms;
     for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
-      out << ',' << r.dram_read_bytes[c] << ',' << r.dram_write_bytes[c];
+      out << ',' << s.dram_read_bytes[c] << ',' << s.dram_write_bytes[c];
     }
-    out << ',' << r.dram_total_bytes << ',' << (r.verified ? 1 : 0) << ','
+    out << ',' << s.dram_total_bytes() << ',' << (r.verified ? 1 : 0) << ','
         << r.max_abs_err;
     for (std::size_t i = 0; i < kStallCauseCount; ++i) {
-      out << ',' << r.stats.stall_cycles[i];
+      out << ',' << s.stall_cycles[i];
     }
-    out << ',' << csv_quote(to_string(r.stats.bottleneck())) << ','
-        << r.dram_bw_utilization();
+    out << ',' << csv_quote(to_string(s.bottleneck())) << ','
+        << s.dram_bandwidth_utilization(r.dram_peak_bytes_per_cycle);
     const LogHistogram& lsq = r.histograms.lsq_load_latency;
     const LogHistogram& dram = r.histograms.dram_read_latency;
     out << ',' << lsq.quantile(0.5) << ',' << lsq.quantile(0.99) << ','
@@ -426,15 +425,16 @@ void write_results_json(std::span<const ExperimentResult> results,
     w.field("abbrev", r.abbrev);
     w.field("scale", r.scale);
     w.field("flow", to_string(r.flow));
-    w.field("cycles", std::uint64_t{r.cycles});
-    w.field("combination_cycles", std::uint64_t{r.combination_cycles});
-    w.field("aggregation_cycles", std::uint64_t{r.aggregation_cycles});
+    w.field("cycles", std::uint64_t{r.stats.cycles});
+    w.field("combination_cycles", std::uint64_t{r.combination_stats.cycles});
+    w.field("aggregation_cycles", std::uint64_t{r.aggregation_stats.cycles});
     w.field("preprocess_ms", r.preprocess_ms);
     w.field("sim_wall_ms", r.sim_wall_ms);
     w.field("verified", r.verified);
     w.field("max_abs_err", r.max_abs_err);
     w.field("dram_peak_bytes_per_cycle", r.dram_peak_bytes_per_cycle);
-    w.field("dram_bw_utilization", r.dram_bw_utilization());
+    w.field("dram_bw_utilization", r.stats.dram_bandwidth_utilization(
+                                        r.dram_peak_bytes_per_cycle));
     w.field("sampled", r.sample.enabled);
     if (r.sample.enabled) {
       w.key("sample");

@@ -35,17 +35,7 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   r.abbrev = workload.spec.abbrev;
   r.scale = workload.scale;
   r.flow = request.flow;
-  r.cycles = layer.stats.cycles;
-  r.alu_utilization = layer.stats.alu_utilization();
-  r.dmb_hit_rate = layer.stats.dmb_hit_rate();
-  r.dram_total_bytes = layer.stats.dram_total_bytes();
-  r.dram_read_bytes = layer.stats.dram_read_bytes;
-  r.dram_write_bytes = layer.stats.dram_write_bytes;
-  r.partial_bytes_peak = layer.stats.partial_bytes_peak;
-  r.mac_ops = layer.stats.mac_ops;
   r.dram_peak_bytes_per_cycle = request.config.dram_bytes_per_cycle;
-  r.combination_cycles = layer.combination_stats.cycles;
-  r.aggregation_cycles = layer.aggregation_stats.cycles;
   r.preprocess_ms = layer.preprocess_ms;
   r.partition = layer.partition;
   r.stats = layer.stats;

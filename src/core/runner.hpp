@@ -41,38 +41,19 @@ struct TuneInfo {
   std::vector<TuneCandidateInfo> candidates;  ///< search detail
 };
 
-/// Distilled metrics of one simulated (dataset, dataflow, config)
-/// cell: the paper-figure numbers up front, full counter sets and
-/// per-phase/per-region breakdowns behind them.
+/// One simulated (dataset, dataflow, config) cell: the whole-layer
+/// counter set, its per-phase/per-region breakdowns and the
+/// verification verdict.
 struct ExperimentResult {
   std::string dataset;  ///< full dataset name ("Cora")
   std::string abbrev;   ///< Table II abbreviation ("CR")
   double scale = 1.0;   ///< simulation scale factor (1 = full size)
   Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow simulated
 
-  Cycle cycles = 0;              ///< total layer cycles (Fig 7)
-  double alu_utilization = 0.0;  ///< Fig 8
-  double dmb_hit_rate = 0.0;     ///< Fig 9
-  std::uint64_t dram_total_bytes = 0;  ///< Fig 11 (total)
-  std::array<std::uint64_t, kTrafficClassCount> dram_read_bytes{};   ///< Fig 11 per class
-  std::array<std::uint64_t, kTrafficClassCount> dram_write_bytes{};  ///< Fig 11 per class
-  std::uint64_t partial_bytes_peak = 0;  ///< Fig 10
-  std::uint64_t mac_ops = 0;             ///< retired multiply-accumulates
-
-  /// Configured DRAM peak (bytes per cycle); with cycles and
-  /// dram_total_bytes this yields the bandwidth-roofline utilization
-  /// reported alongside the bottleneck verdict.
+  /// Configured DRAM peak (bytes per cycle): the bandwidth roofline
+  /// of stats.dram_bandwidth_utilization() in the reports.
   std::uint64_t dram_peak_bytes_per_cycle = 0;
-  /// Fraction of the DRAM bandwidth roofline this run consumed.
-  double dram_bw_utilization() const {
-    const double peak =
-        static_cast<double>(dram_peak_bytes_per_cycle) *
-        static_cast<double>(cycles);
-    return peak > 0.0 ? static_cast<double>(dram_total_bytes) / peak : 0.0;
-  }
 
-  Cycle combination_cycles = 0;  ///< XW phase share of `cycles`
-  Cycle aggregation_cycles = 0;  ///< A_hat*XW phase share of `cycles`
   double preprocess_ms = 0.0;  ///< Table II sorting cost (hybrid only)
   /// Host wall-clock of the simulation itself (run_layer, excluding
   /// workload build and verification) — the perf-gate artifact's
@@ -83,15 +64,16 @@ struct ExperimentResult {
   bool verified = false;     ///< matches the golden model
   double max_abs_err = 0.0;  ///< worst element error vs. the golden model
 
-  /// Full whole-layer counter set (the fields above are the distilled
-  /// figure metrics; this keeps everything for reports).
+  /// Whole-layer counters: cycles (Fig 7), ALU utilization (Fig 8),
+  /// DMB hit rate (Fig 9), partial-output peak (Fig 10) and DRAM
+  /// bytes per class (Fig 11).
   SimStats stats;
 
   /// Per-phase counter deltas and the hybrid's per-region breakdown
   /// (hybrid_info.region_stats; zeroed for RWP/OP runs). The JSON run
   /// report serializes all of these.
-  SimStats combination_stats;        ///< XW-phase counter delta
-  SimStats aggregation_stats;        ///< aggregation-phase counter delta
+  SimStats combination_stats;        ///< XW-phase share of `stats`
+  SimStats aggregation_stats;        ///< A_hat*XW-phase share of `stats`
   HybridAggregationInfo hybrid_info; ///< per-region stats (hybrid only)
 
   /// How the tiling threshold was picked (tune.enabled=false means the
@@ -106,8 +88,8 @@ struct ExperimentResult {
   LayerCheckpointInfo checkpoint;
 
   /// Sampled-mode annotation (core/sampling.hpp): enabled=false on
-  /// exact runs. On sampled runs `cycles` and every counter above are
-  /// ratio-estimator extrapolations with the error bars recorded
+  /// exact runs. On sampled runs every counter in the stats is a
+  /// ratio-estimator extrapolation with the error bars recorded
   /// here, `verified` is always false (band runs produce no
   /// functional output), and the run report labels the result
   /// `"sampled": true`. Serialized as the "sample" object of
@@ -132,11 +114,6 @@ struct ExperimentResult {
   /// object of hymm-run-report/9; conservation against `stats` is
   /// DCHECKed when taken.
   SpatialData spatial;
-
-  /// Wall-clock the modeled hardware would take at `clock_ghz`.
-  double runtime_ms(double clock_ghz = 1.0) const {
-    return static_cast<double>(cycles) / (clock_ghz * 1e6);
-  }
 };
 
 /// Everything one experiment needs, named instead of positional.

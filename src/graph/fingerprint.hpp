@@ -27,9 +27,8 @@ std::uint64_t graph_fingerprint(const CsrMatrix& matrix);
 /// Digest of every AcceleratorConfig field that can change simulated
 /// cycle counts, EXCEPT `tiling_threshold` — the threshold only splits
 /// the aggregation phase, so cells that differ in it alone still share
-/// their combination phase. Observability knobs
-/// (trace_path/json_path/obs_sample_interval) are excluded too: they
-/// never affect timing.
+/// their combination phase. The observability knob
+/// (obs_sample_interval) is excluded too: it never affects timing.
 std::uint64_t tuning_config_hash(const AcceleratorConfig& config);
 
 /// Combines two digests (e.g. a graph fingerprint with a weights-shape

@@ -35,162 +35,12 @@ std::string json_escape(std::string_view s) {
   return out;
 }
 
-// --- Validator -----------------------------------------------------
-
-namespace {
-
-class JsonValidator {
- public:
-  explicit JsonValidator(std::string_view text) : text_(text) {}
-
-  bool run() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  bool eof() const { return pos_ >= text_.size(); }
-  char peek() const { return text_[pos_]; }
-
-  void skip_ws() {
-    while (!eof() && (peek() == ' ' || peek() == '\t' || peek() == '\n' ||
-                      peek() == '\r')) {
-      ++pos_;
-    }
-  }
-
-  bool consume(char c) {
-    if (eof() || peek() != c) return false;
-    ++pos_;
-    return true;
-  }
-
-  bool literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  bool value() {
-    if (eof()) return false;
-    switch (peek()) {
-      case '{':
-      case '[': {
-        if (depth_ == kJsonMaxDepth) return false;
-        ++depth_;
-        const bool ok = peek() == '{' ? object() : array();
-        --depth_;
-        return ok;
-      }
-      case '"': return string();
-      case 't': return literal("true");
-      case 'f': return literal("false");
-      case 'n': return literal("null");
-      default: return number();
-    }
-  }
-
-  bool object() {
-    if (!consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return true;
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (!consume(':')) return false;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (consume('}')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool array() {
-    if (!consume('[')) return false;
-    skip_ws();
-    if (consume(']')) return true;
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (consume(']')) return true;
-      if (!consume(',')) return false;
-    }
-  }
-
-  bool string() {
-    if (!consume('"')) return false;
-    while (!eof()) {
-      const char c = text_[pos_++];
-      if (c == '"') return true;
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (eof()) return false;
-        const char e = text_[pos_++];
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            if (eof() || !std::isxdigit(static_cast<unsigned char>(
-                             text_[pos_]))) {
-              return false;
-            }
-            ++pos_;
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' &&
-                   e != 'f' && e != 'n' && e != 'r' && e != 't') {
-          return false;
-        }
-      }
-    }
-    return false;  // unterminated
-  }
-
-  bool digits() {
-    if (eof() || !std::isdigit(static_cast<unsigned char>(peek()))) {
-      return false;
-    }
-    while (!eof() && std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
-    return true;
-  }
-
-  bool number() {
-    consume('-');
-    if (consume('0')) {
-      // no leading zeros
-    } else if (!digits()) {
-      return false;
-    }
-    if (consume('.')) {
-      if (!digits()) return false;
-    }
-    if (!eof() && (peek() == 'e' || peek() == 'E')) {
-      ++pos_;
-      if (!eof() && (peek() == '+' || peek() == '-')) ++pos_;
-      if (!digits()) return false;
-    }
-    return true;
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-  std::size_t depth_ = 0;  // containers open around the current value
-};
-
-}  // namespace
-
-bool json_is_valid(std::string_view text) {
-  return JsonValidator(text).run();
-}
-
 // --- Parser --------------------------------------------------------
 
 namespace {
 
-// Recursive-descent parser over the same grammar as JsonValidator,
-// building a JsonValue tree instead of only checking shape.
+// Recursive-descent parser building a JsonValue tree; json_is_valid
+// is this parser with the tree thrown away.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -410,6 +260,10 @@ double JsonValue::get_number(std::string_view key, double fallback) const {
 
 std::optional<JsonValue> json_parse(std::string_view text) {
   return JsonParser(text).run();
+}
+
+bool json_is_valid(std::string_view text) {
+  return json_parse(text).has_value();
 }
 
 // --- Writer --------------------------------------------------------

@@ -22,16 +22,12 @@ namespace hymm {
 /// surrounding quotes are not included).
 std::string json_escape(std::string_view s);
 
-/// Deepest array/object nesting json_is_valid and json_parse accept
-/// (the root container is depth 1). Both readers recurse once per
-/// level, so a deeper document is rejected instead of exhausting the
-/// stack; every document this repo writes nests a few levels.
+/// Deepest array/object nesting json_parse (and so json_is_valid)
+/// accepts (the root container is depth 1). The parser recurses once
+/// per level, so a deeper document is rejected instead of exhausting
+/// the stack; every document this repo writes nests a few levels.
 inline constexpr std::size_t kJsonMaxDepth = 256;
 
-/// Strict recursive-descent well-formedness check of a complete JSON
-/// document (RFC 8259 values; no trailing garbage; at most
-/// kJsonMaxDepth nested containers).
-bool json_is_valid(std::string_view text);
 
 /// Parsed JSON value tree. Numbers are kept as doubles (every value
 /// this repo persists — cycle counts included — fits a double's 53-bit
@@ -67,11 +63,13 @@ struct JsonValue {
   double get_number(std::string_view key, double fallback = 0.0) const;
 };
 
-/// Parses a complete JSON document (same strict grammar and nesting
-/// cap json_is_valid accepts; \uXXXX escapes are decoded to UTF-8).
-/// nullopt on any syntax error, trailing garbage or nesting deeper
-/// than kJsonMaxDepth.
+/// Parses a complete, strictly well-formed JSON document (RFC 8259
+/// values; \uXXXX escapes are decoded to UTF-8). nullopt on any syntax
+/// error, trailing garbage or nesting deeper than kJsonMaxDepth.
 std::optional<JsonValue> json_parse(std::string_view text);
+
+/// Whether json_parse accepts `text`: one grammar, one depth cap.
+bool json_is_valid(std::string_view text);
 
 /// Streaming writer for nested JSON documents. The caller drives
 /// structure explicitly:

@@ -30,9 +30,9 @@ void TimeSeries::append(const TimeSeriesSample& s) {
   last_cycle_ = s.cycle;
   next_due_ = s.cycle + interval_;
   if (samples_.size() >= capacity_) {
-    // Thin to every other sample and halve the rate (the decimation
-    // SimStats::partial_timeline uses) — deterministic in the record
-    // sequence, so fast-forward replay stays bit-identical.
+    // Thin to every other sample and halve the rate — deterministic
+    // in the record sequence, so fast-forward replay stays
+    // bit-identical.
     std::size_t out = 0;
     for (std::size_t i = 0; i < samples_.size(); i += 2) {
       samples_[out++] = samples_[i];

@@ -3,9 +3,10 @@
 /// fixed-schedule sampler that snapshots per-component gauges and
 /// cumulative counters every `interval` simulated cycles into a
 /// capacity-bounded series. When the capacity is reached the series
-/// thins to every other sample and doubles the interval (the same
-/// decimation SimStats::partial_timeline uses), so memory stays
-/// bounded for arbitrarily long runs.
+/// thins to every other sample and doubles the interval, so memory
+/// stays bounded for arbitrarily long runs. Its `partial_bytes`
+/// column is the Fig 10 footprint over time
+/// (bench/fig10_partial_outputs).
 ///
 /// Determinism contract: the sampling schedule is driven purely by the
 /// simulated clock — MemorySystem records a sample whenever a tick

@@ -73,31 +73,6 @@ double SimStats::dram_bandwidth_utilization(
           static_cast<double>(bytes_per_cycle));
 }
 
-void SimStats::maybe_sample_timeline(Cycle now) {
-  if (now < timeline_next_sample) return;
-  partial_timeline.emplace_back(now, partial_bytes_now);
-  timeline_next_sample = now + timeline_interval;
-  if (partial_timeline.size() >= kTimelineCapacity) {
-    // Thin to every other sample and halve the rate.
-    std::size_t out = 0;
-    for (std::size_t i = 0; i < partial_timeline.size(); i += 2) {
-      partial_timeline[out++] = partial_timeline[i];
-    }
-    partial_timeline.resize(out);
-    timeline_interval *= 2;
-  }
-}
-
-double SimStats::timeline_fraction_above(std::uint64_t bytes) const {
-  if (partial_timeline.empty()) return 0.0;
-  std::size_t above = 0;
-  for (const auto& [cycle, value] : partial_timeline) {
-    if (value > bytes) ++above;
-  }
-  return static_cast<double>(above) /
-         static_cast<double>(partial_timeline.size());
-}
-
 void SimStats::merge_phase(const SimStats& other) {
   cycles += other.cycles;
   skipped_cycles += other.skipped_cycles;

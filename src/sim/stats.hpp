@@ -6,8 +6,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
+#include <type_traits>
 
 #include "common/stall.hpp"
 #include "common/types.hpp"
@@ -70,21 +69,6 @@ struct SimStats {
   std::uint64_t partial_bytes_now = 0;
   std::uint64_t partial_bytes_peak = 0;
 
-  // Decimated time series of the footprint (Fig 10 plots usage over
-  // time): one sample per `timeline_interval` cycles, interval
-  // doubling (and samples thinning) whenever kTimelineCapacity is
-  // reached, so memory stays bounded for arbitrarily long runs.
-  static constexpr std::size_t kTimelineCapacity = 512;
-  std::vector<std::pair<Cycle, std::uint64_t>> partial_timeline;
-  Cycle timeline_interval = 256;
-  Cycle timeline_next_sample = 0;
-
-  // Records the current footprint if the sampling point was reached.
-  void maybe_sample_timeline(Cycle now);
-
-  // Fraction of sampled time the footprint exceeded `bytes`.
-  double timeline_fraction_above(std::uint64_t bytes) const;
-
   // Attributes `n` cycles to `cause`.
   void account(StallCause cause, Cycle n = 1) {
     stall_cycles[static_cast<std::size_t>(cause)] += n;
@@ -125,12 +109,18 @@ struct SimStats {
   friend bool operator==(const SimStats&, const SimStats&) = default;
 };
 
+// Plain data: copied, compared and scaled member by member. The
+// partial-footprint time series (Fig 10) lives in the observer
+// (obs/timeseries.hpp), not here.
+static_assert(std::is_trivially_copyable_v<SimStats>);
+
 // Additive counter difference `after - before` (cycles included);
-// non-additive fields (partial peaks, timeline) keep `after`'s values.
+// non-additive fields (partial footprint and peak) keep `after`'s
+// values.
 SimStats stats_delta(const SimStats& after, const SimStats& before);
 
 // Scales every additive counter by `fraction` >= 0 (rounded to
-// nearest); non-additive fields (partial peaks, timeline) are copied
+// nearest); non-additive fields (partial footprint and peak) are copied
 // unchanged. Used with fractions in [0, 1] for the hybrid's
 // per-region attribution of the shared region-2/3 RWP phase, where
 // exact cycle-level attribution is ill-defined (region-2 and region-3

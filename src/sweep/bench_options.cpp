@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
+#include <utility>
 
 namespace hymm {
 
@@ -90,6 +91,12 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
                                  const EnvGetter& env,
                                  std::vector<std::string>* unrecognized) {
   BenchOptions options;
+  // Where the sampling fraction and each observer output came from,
+  // for the usage error that pairs them.
+  std::string sample_source = "HYMM_SAMPLE";
+  std::string trace_source = "HYMM_TRACE_DIR";
+  std::string timeseries_source = "HYMM_TIMESERIES";
+  std::string spatial_source = "HYMM_SPATIAL";
 
   // --- Environment first (flags override below) ---
   if (const char* v = env("HYMM_DATASETS")) {
@@ -142,6 +149,7 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       options.full_datasets = true;
     } else if (arg == "--trace-dir") {
       options.trace_dir = next();
+      trace_source = arg;
     } else if (arg == "--json-dir") {
       options.json_dir = next();
     } else if (arg == "--threads") {
@@ -154,11 +162,13 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // (never consumes the following argument).
       options.timeseries_interval = parse_timeseries(
           "--timeseries", inline_value ? *inline_value : "1");
+      timeseries_source = arg;
     } else if (arg == "--spatial") {
       // Value optional: bare --spatial means auto tile sizing (never
       // consumes the following argument).
       options.spatial_tile =
           parse_spatial("--spatial", inline_value ? *inline_value : "1");
+      spatial_source = arg;
     } else if (arg == "--autotune") {
       // Value optional: bare --autotune means the full measured
       // search (never consumes the following argument).
@@ -169,6 +179,7 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // (never consumes the following argument).
       options.sample = parse_sample(
           "--sample", inline_value ? *inline_value : "0.25");
+      sample_source = arg;
     } else if (unrecognized != nullptr) {
       // Pass the flag through untouched (original spelling), plus any
       // following non-flag tokens that may be its values.
@@ -181,9 +192,41 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
     }
   }
 
+  // A sampled run attaches no observer, so it cannot fill a trace, a
+  // time series or a spatial map (the JSON report carries "sample").
+  if (options.sample > 0.0) {
+    const std::pair<bool, const std::string*> outputs[] = {
+        {!options.trace_dir.empty(), &trace_source},
+        {options.timeseries_interval > 0, &timeseries_source},
+        {options.spatial_tile > 0, &spatial_source}};
+    for (const auto& [requested, source] : outputs) {
+      if (requested) {
+        throw UsageError(*source + " cannot be combined with " +
+                         sample_source +
+                         ": a sampled run records no observer output");
+      }
+    }
+  }
+
   options.datasets_explicit = !options.datasets.empty();
   if (options.datasets.empty()) options.datasets = paper_datasets();
   return options;
+}
+
+SweepOptions BenchOptions::sweep_options() const {
+  SweepOptions sweep_options;
+  sweep_options.threads = threads;
+  sweep_options.sample = sample;
+  sweep_options.observe = observing();
+  sweep_options.observer_options.trace = !trace_dir.empty();
+  sweep_options.observer_options.timeseries = timeseries_interval > 0;
+  if (timeseries_interval > 0) {
+    sweep_options.observer_options.timeseries_interval = timeseries_interval;
+  }
+  sweep_options.observer_options.spatial = spatial_tile > 0;
+  sweep_options.observer_options.spatial_tile =
+      spatial_tile >= 2 ? static_cast<NodeId>(spatial_tile) : 0;
+  return sweep_options;
 }
 
 BenchOptions BenchOptions::from_env_and_args(

@@ -32,6 +32,9 @@
 /// Flags accept "--flag value" and "--flag=value" and win over the
 /// environment. Unknown dataset tokens and malformed numbers fail
 /// fast with a UsageError naming the bad value — no silent fallback.
+/// A sampled run records no observer output, so a trace dir, a time
+/// series or spatial attribution together with a sampling fraction
+/// is a UsageError naming both knobs.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +46,7 @@
 #include "common/config.hpp"
 #include "common/flags.hpp"
 #include "graph/datasets.hpp"
+#include "sweep/sweep.hpp"
 
 namespace hymm {
 
@@ -88,6 +92,11 @@ struct BenchOptions {
     return !trace_dir.empty() || !json_dir.empty() ||
            timeseries_interval > 0 || spatial_tile > 0;
   }
+
+  /// The sweep settings these options ask for: workers, sampling and
+  /// the observers the trace/json dirs and time-series/spatial knobs
+  /// need. Callers add their own group_key.
+  SweepOptions sweep_options() const;
 
   /// getenv-shaped hook so tests can inject an environment.
   using EnvGetter = std::function<const char*(const char*)>;

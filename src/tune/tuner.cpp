@@ -69,7 +69,7 @@ TuneDecision tune_threshold(std::shared_ptr<const PreparedWorkload> workload,
   for (const SweepCellResult& cell : run.cells) {
     const std::size_t i = cell.cell.config_index;
     decision.candidates[i] = {thresholds[i],
-                              static_cast<double>(cell.result.cycles)};
+                              static_cast<double>(cell.result.stats.cycles)};
   }
 
   // Start from the fixed baseline and only move on strictly fewer

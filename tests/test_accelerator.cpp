@@ -191,12 +191,12 @@ TEST(Runner, ExperimentVerifiesAndFillsMetrics) {
   ASSERT_EQ(comparison.results.size(), 3u);
   for (const ExperimentResult& r : comparison.results) {
     EXPECT_TRUE(r.verified) << to_string(r.flow) << " err " << r.max_abs_err;
-    EXPECT_GT(r.cycles, 0u);
-    EXPECT_GT(r.dram_total_bytes, 0u);
-    EXPECT_GT(r.alu_utilization, 0.0);
-    EXPECT_LE(r.alu_utilization, 1.0);
-    EXPECT_GE(r.dmb_hit_rate, 0.0);
-    EXPECT_LE(r.dmb_hit_rate, 1.0);
+    EXPECT_GT(r.stats.cycles, 0u);
+    EXPECT_GT(r.stats.dram_total_bytes(), 0u);
+    EXPECT_GT(r.stats.alu_utilization(), 0.0);
+    EXPECT_LE(r.stats.alu_utilization(), 1.0);
+    EXPECT_GE(r.stats.dmb_hit_rate(), 0.0);
+    EXPECT_LE(r.stats.dmb_hit_rate(), 1.0);
   }
   EXPECT_EQ(&comparison.by_flow(Dataflow::kHybrid),
             &comparison.results[2]);
@@ -219,9 +219,9 @@ TEST(Runner, HybridNeverSlowerThanBothBaselinesOnSkewedGraph) {
   const auto& op = comparison.by_flow(Dataflow::kOuterProduct);
   const auto& rwp = comparison.by_flow(Dataflow::kRowWiseProduct);
   const auto& hymm = comparison.by_flow(Dataflow::kHybrid);
-  EXPECT_LT(hymm.cycles, op.cycles);
-  EXPECT_LE(hymm.cycles, static_cast<Cycle>(rwp.cycles * 1.05));
-  EXPECT_LT(hymm.dram_total_bytes, op.dram_total_bytes);
+  EXPECT_LT(hymm.stats.cycles, op.stats.cycles);
+  EXPECT_LE(hymm.stats.cycles, static_cast<Cycle>(rwp.stats.cycles * 1.05));
+  EXPECT_LT(hymm.stats.dram_total_bytes(), op.stats.dram_total_bytes());
 }
 
 }  // namespace

@@ -81,13 +81,13 @@ TEST_P(BaselinePin, CellsMatchCommittedSnapshot) {
     EXPECT_EQ(r.scale, want->get_number("scale"));
     EXPECT_TRUE(r.verified);
 
-    EXPECT_EQ(r.cycles, as_u64(*want, "cycles"));
+    EXPECT_EQ(r.stats.cycles, as_u64(*want, "cycles"));
     const JsonValue* stats = want->find("stats");
     ASSERT_NE(stats, nullptr);
-    expect_phase(*stats, r.cycles, r.stats);
-    expect_phase(*want->find("combination"), r.combination_cycles,
+    expect_phase(*stats, r.stats.cycles, r.stats);
+    expect_phase(*want->find("combination"), r.combination_stats.cycles,
                  r.combination_stats);
-    expect_phase(*want->find("aggregation"), r.aggregation_cycles,
+    expect_phase(*want->find("aggregation"), r.aggregation_stats.cycles,
                  r.aggregation_stats);
     if (r.flow == Dataflow::kHybrid) {
       const auto& regions = want->find("regions")->array_items;
@@ -99,7 +99,7 @@ TEST_P(BaselinePin, CellsMatchCommittedSnapshot) {
     }
     EXPECT_EQ(r.stats.skipped_cycles,
               skipping ? as_u64(*stats, "skipped_cycles") : 0u);
-    EXPECT_EQ(r.dram_total_bytes, as_u64(*stats, "dram_total_bytes"));
+    EXPECT_EQ(r.stats.dram_total_bytes(), as_u64(*stats, "dram_total_bytes"));
   }
 }
 

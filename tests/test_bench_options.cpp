@@ -272,6 +272,55 @@ TEST(BenchOptionsTest, SampleKnob) {
   EXPECT_NE(env_err.find("lots"), std::string::npos) << env_err;
 }
 
+// A sampled run attaches no observer, so asking for a trace, a time
+// series or spatial attribution with it is a usage error naming both
+// knobs, in whichever spelling set them. The JSON report stays legal.
+TEST(BenchOptionsTest, SampleRejectsObserverOutputs) {
+  const auto expect_conflict = [](const std::string& err,
+                                  const std::string& output,
+                                  const std::string& sample) {
+    EXPECT_NE(err.find(output), std::string::npos) << err;
+    EXPECT_NE(err.find(sample), std::string::npos) << err;
+  };
+  expect_conflict(error_of({"--sample", "--trace-dir=out"}), "--trace-dir",
+                  "--sample");
+  expect_conflict(
+      error_of({}, {{"HYMM_SAMPLE", "0.25"}, {"HYMM_TRACE_DIR", "out"}}),
+      "HYMM_TRACE_DIR", "HYMM_SAMPLE");
+  expect_conflict(error_of({"--timeseries=64", "--sample=0.5"}),
+                  "--timeseries", "--sample");
+  expect_conflict(error_of({"--spatial"}, {{"HYMM_SAMPLE", "0.5"}}),
+                  "--spatial", "HYMM_SAMPLE");
+
+  EXPECT_EQ(parse({"--sample", "--json-dir=out"}).json_dir, "out");
+  EXPECT_EQ(parse({"--sample=0", "--trace-dir=out"}).trace_dir, "out");
+  EXPECT_DOUBLE_EQ(parse({"--sample", "--timeseries=0", "--spatial=0"}).sample,
+                   0.25);
+}
+
+// sweep_options() carries the workers, the sampling fraction and the
+// observers the output knobs ask for.
+TEST(BenchOptionsTest, SweepOptionsFollowTheKnobs) {
+  const SweepOptions plain = parse({"--threads=3"}).sweep_options();
+  EXPECT_EQ(plain.threads, 3u);
+  EXPECT_FALSE(plain.observe);
+  EXPECT_EQ(parse({"--sample=0.5"}).sweep_options().sample, 0.5);
+
+  const SweepOptions observed =
+      parse({"--trace-dir=t", "--timeseries=64", "--spatial=8"})
+          .sweep_options();
+  EXPECT_TRUE(observed.observe);
+  EXPECT_TRUE(observed.observer_options.trace);
+  EXPECT_TRUE(observed.observer_options.timeseries);
+  EXPECT_EQ(observed.observer_options.timeseries_interval, 64u);
+  EXPECT_TRUE(observed.observer_options.spatial);
+  EXPECT_EQ(observed.observer_options.spatial_tile, 8u);
+
+  const SweepOptions report = parse({"--json-dir=j"}).sweep_options();
+  EXPECT_TRUE(report.observe);
+  EXPECT_FALSE(report.observer_options.trace);
+}
+
 // The per-tile router is gone: --route in every spelling fails fast
 // naming the flag, and a stale HYMM_ROUTE in the environment is not
 // read at all, so it can neither fail nor change the options.

@@ -278,9 +278,9 @@ TEST(CheckpointSweep, ConcurrentCellsShareOneBuild) {
     request.config = cell.cell.config;
     const ExperimentResult cold = run_experiment(request);
     const ExperimentResult& b = cell.result;
-    EXPECT_EQ(cold.cycles, b.cycles);
+    EXPECT_EQ(cold.stats.cycles, b.stats.cycles);
     EXPECT_EQ(cold.stats.stall_cycles, b.stats.stall_cycles);
-    EXPECT_EQ(cold.dram_total_bytes, b.dram_total_bytes);
+    EXPECT_EQ(cold.stats.dram_total_bytes(), b.stats.dram_total_bytes());
     EXPECT_TRUE(b.verified);
     EXPECT_TRUE(b.checkpoint.enabled);
     EXPECT_FALSE(cell.reused_from.has_value());

@@ -67,9 +67,9 @@ struct TimingFingerprint {
 
 TimingFingerprint fingerprint(const ExperimentResult& r) {
   TimingFingerprint f;
-  f.cycles = r.cycles;
-  f.combination_cycles = r.combination_cycles;
-  f.aggregation_cycles = r.aggregation_cycles;
+  f.cycles = r.stats.cycles;
+  f.combination_cycles = r.combination_stats.cycles;
+  f.aggregation_cycles = r.aggregation_stats.cycles;
   f.stalls = r.stats.stall_cycles;
   f.read_bytes = r.stats.dram_read_bytes;
   f.write_bytes = r.stats.dram_write_bytes;

@@ -107,8 +107,8 @@ TEST(GcnModel, HybridPaysPreprocessingPerLayer) {
   EXPECT_EQ(baseline.total_preprocess_ms, 0.0);
 }
 
-// Pins the runtime_ms convention shared with ExperimentResult:
-// cycles / (clock_ghz * 1e6) milliseconds.
+// Pins the runtime_ms convention: cycles / (clock_ghz * 1e6)
+// milliseconds.
 TEST(GcnModel, RuntimeMsConventionPinned) {
   GcnModel::InferenceResult result;
   result.total_cycles = 2'000'000;
@@ -161,7 +161,7 @@ TEST(Report, CsvHasHeaderAndOneRowPerResult) {
   ExperimentResult r;
   r.abbrev = "CR";
   r.flow = Dataflow::kHybrid;
-  r.cycles = 42;
+  r.stats.cycles = 42;
   r.verified = true;
   std::ostringstream out;
   write_results_csv(std::vector<ExperimentResult>{r, r}, out);

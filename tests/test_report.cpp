@@ -34,25 +34,25 @@ ExperimentResult make_result() {
   r.abbrev = "CR";
   r.scale = 0.5;
   r.flow = Dataflow::kHybrid;
-  r.cycles = 1000;
-  r.combination_cycles = 400;
-  r.aggregation_cycles = 600;
-  r.mac_ops = 2048;
-  r.alu_utilization = 0.25;
-  r.dmb_hit_rate = 0.75;
-  r.partial_bytes_peak = 4096;
+  r.stats.cycles = 1000;
+  r.combination_stats.cycles = 400;
+  r.aggregation_stats.cycles = 600;
+  r.stats.mac_ops = 2048;
+  r.stats.alu_busy_cycles = 250;  // ALU utilization 0.25
+  r.stats.dmb_read_hits = 3;      // DMB hit rate 0.75
+  r.stats.dmb_read_misses = 1;
+  r.stats.partial_bytes_peak = 4096;
   r.preprocess_ms = 1.5;
+  // DRAM total 2016 = 64*21 + 32*21.
   for (std::size_t c = 0; c < kTrafficClassCount; ++c) {
-    r.dram_read_bytes[c] = 64 * (c + 1);
-    r.dram_write_bytes[c] = 32 * (c + 1);
+    r.stats.dram_read_bytes[c] = 64 * (c + 1);
+    r.stats.dram_write_bytes[c] = 32 * (c + 1);
   }
-  r.dram_total_bytes = 2016;  // 64*21 + 32*21
   r.dram_peak_bytes_per_cycle = 64;
   r.verified = true;
   r.max_abs_err = 0;
   // Stall vector summing to cycles: 700 compute, 100 merge, 200 DRAM
   // latency — a compute-bound verdict.
-  r.stats.cycles = 1000;
   r.stats.account(StallCause::kCompute, 700);
   r.stats.account(StallCause::kMergeRmw, 100);
   r.stats.account(StallCause::kDramLatency, 200);

@@ -373,9 +373,9 @@ TEST(SampledExperiment, RunnerLabelsSampledResults) {
   EXPECT_DOUBLE_EQ(r.sample.fraction, 0.5);
   EXPECT_EQ(r.sample.seed, 11u);
   EXPECT_FALSE(r.verified);
-  EXPECT_GT(r.cycles, 0u);
-  EXPECT_EQ(r.cycles, r.stats.cycles);
-  EXPECT_EQ(r.combination_cycles + r.aggregation_cycles, r.cycles);
+  EXPECT_GT(r.stats.cycles, 0u);
+  EXPECT_EQ(r.combination_stats.cycles + r.aggregation_stats.cycles,
+            r.stats.cycles);
   EXPECT_EQ(r.stats.stall_total(), r.stats.cycles);
 }
 
@@ -405,9 +405,9 @@ TEST(SampledSweep, ThreadCountDoesNotChangeSampledResults) {
     EXPECT_TRUE(a.sample.enabled);
     EXPECT_TRUE(b.sample.enabled);
     EXPECT_FALSE(a.verified);
-    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.stats.cycles, b.stats.cycles);
     EXPECT_EQ(a.stats.stall_cycles, b.stats.stall_cycles);
-    EXPECT_EQ(a.dram_total_bytes, b.dram_total_bytes);
+    EXPECT_EQ(a.stats.dram_total_bytes(), b.stats.dram_total_bytes());
   }
 }
 

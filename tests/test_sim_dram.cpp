@@ -182,40 +182,6 @@ TEST(AddressMap, ZeroByteAllocationStillGetsALine) {
   EXPECT_EQ(r.bytes, kLineBytes);
 }
 
-TEST(Stats, TimelineSamplesAtIntervalAndDecimates) {
-  SimStats stats;
-  stats.timeline_interval = 1;
-  // Feed far more samples than the capacity; the sampler must thin
-  // itself and stay bounded.
-  for (Cycle t = 0; t < 10000; ++t) {
-    stats.partial_bytes_now = t;
-    stats.maybe_sample_timeline(t);
-  }
-  EXPECT_LE(stats.partial_timeline.size(), SimStats::kTimelineCapacity);
-  EXPECT_GE(stats.partial_timeline.size(),
-            SimStats::kTimelineCapacity / 4);
-  EXPECT_GT(stats.timeline_interval, 1u);
-  // Samples stay in cycle order and track the footprint.
-  for (std::size_t i = 1; i < stats.partial_timeline.size(); ++i) {
-    EXPECT_LT(stats.partial_timeline[i - 1].first,
-              stats.partial_timeline[i].first);
-    EXPECT_EQ(stats.partial_timeline[i].second,
-              stats.partial_timeline[i].first);
-  }
-}
-
-TEST(Stats, TimelineFractionAbove) {
-  SimStats stats;
-  stats.timeline_interval = 1;
-  for (Cycle t = 0; t < 100; ++t) {
-    stats.partial_bytes_now = t < 25 ? 1000 : 10;
-    stats.maybe_sample_timeline(t);
-  }
-  EXPECT_NEAR(stats.timeline_fraction_above(100), 0.25, 0.02);
-  EXPECT_DOUBLE_EQ(stats.timeline_fraction_above(2000), 0.0);
-  EXPECT_DOUBLE_EQ(SimStats{}.timeline_fraction_above(0), 0.0);
-}
-
 TEST(Stats, BandwidthUtilization) {
   SimStats stats;
   stats.cycles = 100;

@@ -1,6 +1,6 @@
 // SimStats unit tests: divide-by-zero guards on the derived metrics,
-// the decimating partial-output timeline, phase merging semantics and
-// the scale/delta helpers used by the hybrid's per-region attribution.
+// phase merging semantics and the scale/delta helpers used by the
+// hybrid's per-region attribution.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -38,58 +38,6 @@ TEST(SimStatsGuards, NonEmptyRunComputesRatios) {
   s.dram_write_bytes[2] = 6400;
   EXPECT_DOUBLE_EQ(s.alu_utilization(), 0.25);
   EXPECT_DOUBLE_EQ(s.dram_bandwidth_utilization(64), 1.0);
-}
-
-TEST(SimStatsTimeline, SamplesAtIntervalBoundaries) {
-  SimStats s;
-  s.timeline_interval = 256;
-  s.partial_bytes_now = 7;
-  s.maybe_sample_timeline(0);
-  s.maybe_sample_timeline(100);  // before next boundary: skipped
-  s.maybe_sample_timeline(256);
-  ASSERT_EQ(s.partial_timeline.size(), 2u);
-  EXPECT_EQ(s.partial_timeline[0].first, 0u);
-  EXPECT_EQ(s.partial_timeline[1].first, 256u);
-  EXPECT_EQ(s.partial_timeline[1].second, 7u);
-}
-
-// Filling the buffer to kTimelineCapacity must thin it to every other
-// sample and double the interval, keeping memory bounded forever.
-TEST(SimStatsTimeline, ThinsAndDoublesIntervalAtCapacity) {
-  SimStats s;
-  const Cycle initial_interval = s.timeline_interval;
-  for (std::size_t i = 0; i < SimStats::kTimelineCapacity; ++i) {
-    s.partial_bytes_now = i;
-    s.maybe_sample_timeline(static_cast<Cycle>(i) * initial_interval);
-  }
-  // The capacity-th sample triggered the decimation.
-  EXPECT_EQ(s.partial_timeline.size(), SimStats::kTimelineCapacity / 2);
-  EXPECT_EQ(s.timeline_interval, initial_interval * 2);
-  // Survivors are the even-indexed originals, still sorted by cycle.
-  for (std::size_t i = 0; i < s.partial_timeline.size(); ++i) {
-    EXPECT_EQ(s.partial_timeline[i].first,
-              static_cast<Cycle>(2 * i) * initial_interval);
-    EXPECT_EQ(s.partial_timeline[i].second, 2 * i);
-  }
-}
-
-TEST(SimStatsTimeline, RepeatedDecimationKeepsBufferBounded) {
-  SimStats s;
-  const Cycle step = s.timeline_interval;
-  for (std::size_t i = 0; i < 20 * SimStats::kTimelineCapacity; ++i) {
-    s.maybe_sample_timeline(static_cast<Cycle>(i) * step);
-  }
-  EXPECT_LT(s.partial_timeline.size(), SimStats::kTimelineCapacity);
-  EXPECT_GT(s.timeline_interval, step);
-}
-
-TEST(SimStatsTimeline, FractionAbove) {
-  SimStats s;
-  EXPECT_EQ(s.timeline_fraction_above(0), 0.0);  // empty: no samples
-  s.partial_timeline = {{0, 10}, {256, 20}, {512, 30}, {768, 40}};
-  EXPECT_DOUBLE_EQ(s.timeline_fraction_above(25), 0.5);
-  EXPECT_DOUBLE_EQ(s.timeline_fraction_above(40), 0.0);  // strict >
-  EXPECT_DOUBLE_EQ(s.timeline_fraction_above(0), 1.0);
 }
 
 // merge_phase adds counters but takes the MAX of the partial-output

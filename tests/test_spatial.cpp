@@ -255,9 +255,10 @@ TEST(SpatialSim, TrackerNeverAffectsTiming) {
     SCOPED_TRACE(to_string(flow));
     const ExperimentResult bare = run_with_observer(f, flow, nullptr);
     const ExperimentResult sampled = run_with_spatial(f, flow);
-    EXPECT_EQ(bare.cycles, sampled.cycles);
+    EXPECT_EQ(bare.stats.cycles, sampled.stats.cycles);
     EXPECT_EQ(bare.stats.stall_cycles, sampled.stats.stall_cycles);
-    EXPECT_EQ(bare.dram_total_bytes, sampled.dram_total_bytes);
+    EXPECT_EQ(bare.stats.dram_total_bytes(),
+              sampled.stats.dram_total_bytes());
     EXPECT_TRUE(bare.spatial.empty());
     ASSERT_FALSE(sampled.spatial.empty());
   }
@@ -294,7 +295,7 @@ TEST(SpatialSim, CountersConserveRunTotals) {
     // The aggregation phase retires one MAC stream per adjacency
     // nonzero, so the grid's MAC count never exceeds the run's.
     EXPECT_GT(r.spatial.grid_macs(), 0u);
-    EXPECT_LE(r.spatial.grid_macs(), r.mac_ops);
+    EXPECT_LE(r.spatial.grid_macs(), r.stats.mac_ops);
   }
 }
 
@@ -374,7 +375,7 @@ TEST(SpatialSim, SweepSpatialIndependentOfThreadCount) {
     const ExperimentResult& a = serial.cells[i].result;
     const ExperimentResult& b = parallel.cells[i].result;
     SCOPED_TRACE(a.abbrev + "/" + to_string(a.flow));
-    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.stats.cycles, b.stats.cycles);
     ASSERT_FALSE(a.spatial.empty());
     EXPECT_EQ(a.spatial, b.spatial);
   }

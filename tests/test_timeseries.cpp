@@ -140,9 +140,10 @@ TEST(TimeSeriesSim, SamplerNeverAffectsTiming) {
     obs.begin_run("ts");
     const ExperimentResult sampled = run_with_observer(f, flow, &obs);
 
-    EXPECT_EQ(bare.cycles, sampled.cycles);
+    EXPECT_EQ(bare.stats.cycles, sampled.stats.cycles);
     EXPECT_EQ(bare.stats.stall_cycles, sampled.stats.stall_cycles);
-    EXPECT_EQ(bare.dram_total_bytes, sampled.dram_total_bytes);
+    EXPECT_EQ(bare.stats.dram_total_bytes(),
+              sampled.stats.dram_total_bytes());
     EXPECT_TRUE(bare.timeseries.empty());
     EXPECT_FALSE(sampled.timeseries.empty());
   }
@@ -235,7 +236,7 @@ TEST(TimeSeriesSim, SweepSeriesIndependentOfThreadCount) {
     const ExperimentResult& a = serial.cells[i].result;
     const ExperimentResult& b = parallel.cells[i].result;
     SCOPED_TRACE(a.abbrev + "/" + to_string(a.flow));
-    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.stats.cycles, b.stats.cycles);
     ASSERT_FALSE(a.timeseries.empty());
     EXPECT_EQ(a.timeseries.interval, b.timeseries.interval);
     EXPECT_EQ(a.timeseries.samples, b.timeseries.samples);

@@ -110,8 +110,6 @@ TEST(Fingerprint, ConfigHashIgnoresThresholdAndObservability) {
   EXPECT_EQ(h, tuning_config_hash(threshold));
 
   AcceleratorConfig observed = base;
-  observed.trace_path = "/tmp/trace.json";
-  observed.json_path = "/tmp/report.json";
   observed.obs_sample_interval = 1;
   EXPECT_EQ(h, tuning_config_hash(observed));
 
@@ -189,7 +187,8 @@ TEST(Tuner, MeasuredNeverWorseThanFixedAndConsistent) {
   request.sorted_features = &w->sorted_features();
   const ExperimentResult rerun = run_experiment(request);
   EXPECT_TRUE(rerun.verified);
-  EXPECT_DOUBLE_EQ(static_cast<double>(rerun.cycles), decision.best_cycles);
+  EXPECT_DOUBLE_EQ(static_cast<double>(rerun.stats.cycles),
+                   decision.best_cycles);
 }
 
 TEST(Tuner, DecisionIsThreadCountInvariant) {
@@ -224,7 +223,7 @@ TEST(Tuner, DecisionIsThreadCountInvariant) {
   ASSERT_EQ(run4.cells.size(), 1u);
   const ExperimentResult& r1 = run1.cells.front().result;
   const ExperimentResult& r4 = run4.cells.front().result;
-  EXPECT_EQ(r1.cycles, r4.cycles);
+  EXPECT_EQ(r1.stats.cycles, r4.stats.cycles);
   EXPECT_EQ(r1.stats.mac_ops, r4.stats.mac_ops);
   for (std::size_t i = 0; i < kStallCauseCount; ++i) {
     EXPECT_EQ(r1.stats.stall_cycles[i], r4.stats.stall_cycles[i]);

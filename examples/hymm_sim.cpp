@@ -12,12 +12,15 @@
 // parsed by BenchOptions; the flows run as sweep cells, in parallel
 // when more than one worker is available and no trace/JSON observer
 // forces them onto one serial group.
+#include <algorithm>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "common/check.hpp"
@@ -64,6 +67,8 @@ void usage() {
       "  --trace <file>       Chrome/Perfetto trace of the run(s)\n"
       "                       (not with --sample)\n"
       "  --json <file>        JSON run report (full counter set)\n"
+      "                       (--trace-dir, --json-dir, HYMM_TRACE_DIR and\n"
+      "                       HYMM_JSON_DIR are bench knobs: exit 2 here)\n"
       "  --sample-interval <cycles>  counter-track sampling period\n"
       "  --timeseries[=N]     windowed telemetry every N cycles\n"
       "                       (bare = 256; also HYMM_TIMESERIES)\n"
@@ -93,6 +98,21 @@ int main(int argc, char** argv) {
   // driver-specific flags pass through in `rest`.
   std::vector<std::string> rest;
   const BenchOptions opts = BenchOptions::from_env_and_args(argc, argv, &rest);
+  // The bench per-dataset output directories mean nothing here: the
+  // driver writes only the files --trace and --json name. The message
+  // names the flag if the command line has it (flags win), else the
+  // environment variable.
+  for (const auto& [dir, flag, env] :
+       {std::tuple{opts.trace_dir, "--trace-dir", "HYMM_TRACE_DIR"},
+        std::tuple{opts.json_dir, "--json-dir", "HYMM_JSON_DIR"}}) {
+    if (dir.empty()) continue;
+    const bool flagged = std::any_of(argv + 1, argv + argc, [&](auto a) {
+      return std::string_view(a).starts_with(flag);
+    });
+    std::cerr << (flagged ? flag : env) << " is not supported by hymm_sim: "
+              << "use --trace <file> and --json <file>\n";
+    return 2;
+  }
 
   std::string dataset, edge_list, features_path, flow_arg = "all", csv_path;
   std::string trace_path, json_path;

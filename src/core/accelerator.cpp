@@ -270,10 +270,11 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
 
   MemorySystem ms(config_);
   if (obs != nullptr) ms.attach_observer(obs);
-  // Spatial heatmap grid over the adjacency this layer streams — the
-  // degree-sorted order for hybrid runs (tile coordinates then live
-  // in sorted space; docs/schemas.md documents the caveat).
-  HYMM_OBS(obs, spatial_begin(n, config_.pe_count));
+  // The layer's clock starts at 0, and the spatial heatmap grid spans
+  // the adjacency this layer streams — the degree-sorted order for
+  // hybrid runs (tile coordinates then live in sorted space;
+  // docs/schemas.md documents the caveat).
+  HYMM_OBS(obs, begin_layer(n, config_.pe_count));
   LayerPlan plan(config_, request, ms);
   const bool hybrid = flow == Dataflow::kHybrid;
   if (hybrid) result.partition = plan.tiled.partition();
@@ -344,6 +345,18 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   result.aggregation_stats =
       stats_delta(result.stats, result.combination_stats);
   HYMM_OBS(obs, phase_span("aggregation", aggregation_start, ms.now()));
+  if (obs != nullptr) {
+    // The registry counters that repeat a SimStats field take the
+    // layer's totals here instead of counting every event again.
+    MetricsRegistry& m = obs->metrics();
+    const SimStats& s = result.stats;
+    m.counter("dmb.evictions").add(s.dmb_evictions);
+    m.counter("dmb.partial_spills").add(s.dmb_partial_spills);
+    m.counter("lsq.forwards").add(s.lsq_forwards);
+    m.counter("pe.mac_ops").add(s.mac_ops);
+    m.counter("dram.reads").add(s.dram_total_read_bytes() / kLineBytes);
+    m.counter("dram.writes").add(s.dram_total_write_bytes() / kLineBytes);
+  }
 
   // --- Return results in the original node order ---
   if (hybrid) {

@@ -68,7 +68,6 @@ MemorySystem& MemorySystem::operator=(const MemorySystem& other) {
   smq_ = other.smq_;
   pe_ = other.pe_;
   now_ = other.now_;
-  obs_next_sample_ = now_;
   rebind_components();
   return *this;
 }
@@ -88,7 +87,6 @@ void MemorySystem::attach_observer(Observer* obs) {
   lsq_.set_observer(obs);
   smq_.set_observer(obs);
   pe_.set_observer(obs);
-  obs_next_sample_ = now_;
 }
 
 void MemorySystem::tick_components() {
@@ -97,16 +95,8 @@ void MemorySystem::tick_components() {
   lsq_.tick(now_);
   smq_.tick(now_);
 #ifndef HYMM_OBS_DISABLED
-  if (obs_ != nullptr && now_ >= obs_next_sample_) {
-    obs_->sample_tracks(now_, dmb_.resident_lines(),
-                        stats_.partial_bytes_now,
-                        lsq_.pending_loads() + lsq_.pending_stores(),
-                        smq_.backlog(), stats_.stall_cycles);
-    obs_next_sample_ = now_ + obs_->sample_interval();
-  }
-  if (obs_ != nullptr && obs_->timeseries_enabled() &&
-      now_ >= obs_->timeseries().next_due()) {
-    obs_->timeseries_record(timeseries_sample());
+  if (obs_ != nullptr && now_ >= obs_->next_sample()) {
+    obs_->sample(timeseries_sample());
   }
 #endif
 }
@@ -129,19 +119,9 @@ TimeSeriesSample MemorySystem::timeseries_sample() const {
 }
 
 void MemorySystem::sample_observer() {
-#ifndef HYMM_OBS_DISABLED
-  if (obs_ == nullptr) return;
-  obs_->sample_tracks(now_, dmb_.resident_lines(), stats_.partial_bytes_now,
-                      lsq_.pending_loads() + lsq_.pending_stores(),
-                      smq_.backlog(), stats_.stall_cycles);
-  obs_next_sample_ = now_ + obs_->sample_interval();
-  // End-of-phase time-series sample: run_phase calls this at the same
-  // cycle under every fast-forward mode, so forcing here preserves
-  // bit-identity.
-  if (obs_->timeseries_enabled()) {
-    obs_->timeseries_force(timeseries_sample());
-  }
-#endif
+  // run_phase calls this at the same cycle under every fast-forward
+  // mode, so forcing a sample here preserves bit-identity.
+  HYMM_OBS(obs_, sample_phase_end(timeseries_sample()));
 }
 
 void MemorySystem::fast_forward_to(Cycle target, StallCause cause) {
@@ -153,36 +133,26 @@ void MemorySystem::fast_forward_to(Cycle target, StallCause cause) {
   // events, which a quiescent span by definition lacks, so bulk-
   // charging the span to the current focus is exactly what the
   // per-cycle loop would have attributed.
-  HYMM_OBS(obs_, spatial_cycles(span));
+  HYMM_OBS(obs_, spatial().account_cycles(span));
+  // A quiescent LSQ tick rejects every parked load and does nothing
+  // else, so each skipped cycle would have rejected them all once.
+  HYMM_OBS(obs_, on_lsq_rejects(lsq_.parked_loads() * span));
 #ifndef HYMM_OBS_DISABLED
-  // One aggregated counter sample stands in for the per-cycle ones
-  // the span would have emitted; the schedule then realigns to where
-  // the per-cycle loop would have left it.
-  if (obs_ != nullptr && obs_next_sample_ <= target - 1) {
-    obs_->sample_tracks(obs_next_sample_, dmb_.resident_lines(),
-                        stats_.partial_bytes_now,
-                        lsq_.pending_loads() + lsq_.pending_stores(),
-                        smq_.backlog(), stats_.stall_cycles);
-    const Cycle interval = obs_->sample_interval();
-    obs_next_sample_ +=
-        interval * ((target - 1 - obs_next_sample_) / interval + 1);
-  }
-  // Replay every due time-series sample inside the skipped span with
-  // the exact values the legacy loop would have seen. Across a
-  // quiescent span only the charged stall bucket moves (one cycle per
-  // cycle); a legacy sample at cycle c reads accounting through c-1,
-  // and the post-bulk vector holds accounting through target-1, so the
-  // charged bucket at c is the current value minus (target - c).
-  if (obs_ != nullptr && obs_->timeseries_enabled() &&
-      obs_->timeseries().next_due() <= target - 1) {
+  // Replay every observer sample due inside the skipped span with the
+  // exact values the legacy loop would have seen. Across a quiescent
+  // span only the charged stall bucket moves (one cycle per cycle);
+  // a legacy sample at cycle c reads accounting through c-1, and the
+  // post-bulk vector holds accounting through target-1, so the charged
+  // bucket at c is the current value minus (target - c).
+  if (obs_ != nullptr && obs_->next_sample() <= target - 1) {
     TimeSeriesSample s = timeseries_sample();
     const auto ci = static_cast<std::size_t>(cause);
     const Cycle charged = stats_.stall_cycles[ci];
-    while (obs_->timeseries().next_due() <= target - 1) {
-      const Cycle c = obs_->timeseries().next_due();
+    while (obs_->next_sample() <= target - 1) {
+      const Cycle c = obs_->next_sample();
       s.cycle = c;
       s.stall_cycles[ci] = charged - (target - c);
-      obs_->timeseries_record(s);
+      obs_->sample(s);
     }
   }
 #endif
@@ -206,7 +176,7 @@ Cycle run_phase(MemorySystem& ms, Engine& engine, Cycle max_cycles) {
     ms.stats().account(engine.cycle_cause());
     // Spatial attribution mirrors the stall accounting: one cycle to
     // the currently focused tile (or the residual bucket).
-    HYMM_OBS(ms.observer(), spatial_cycles(1));
+    HYMM_OBS(ms.observer(), spatial().account_cycles(1));
     if (mode == FastForwardMode::kOn) {
       if (engine.quiescent() && ms.components_quiescent()) {
         // Nothing changed this cycle and nothing can change before
@@ -249,8 +219,8 @@ Cycle run_phase(MemorySystem& ms, Engine& engine, Cycle max_cycles) {
     // Drain cycles flush traffic from many tiles; they land in the
     // spatial residual bucket (identical under every fast-forward
     // mode — this block never fast-forwards).
-    HYMM_OBS(ms.observer(), spatial_unfocus());
-    HYMM_OBS(ms.observer(), spatial_cycles(drain));
+    HYMM_OBS(ms.observer(), spatial().unfocus());
+    HYMM_OBS(ms.observer(), spatial().account_cycles(drain));
     while (ms.now() < ms.dram().busy_until()) ms.advance();
   }
   ms.stats().cycles = ms.now();

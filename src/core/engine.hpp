@@ -87,8 +87,9 @@ class MemorySystem {
   /// Current simulated cycle.
   Cycle now() const { return now_; }
 
-  /// Wires the observability context into every component model and
-  /// starts counter-track sampling. nullptr detaches. Attaching never
+  /// Wires the observability context into every component model;
+  /// from then on each tick hands the observer a snapshot whenever
+  /// Observer::next_sample() is due. nullptr detaches. Attaching never
   /// changes timing: hooks only read simulator state.
   void attach_observer(Observer* obs);
   /// The attached observer, or nullptr.
@@ -115,21 +116,22 @@ class MemorySystem {
 
   /// Jumps the clock from just after the current (already accounted)
   /// cycle straight to `target`, bulk-charging the skipped span to
-  /// `cause`, replaying the periodic footprint samples the span would
-  /// have taken (the footprint is constant across a quiescent span)
-  /// and emitting one aggregated observer sample in place of the
-  /// per-cycle ones. Preserves sum(stall buckets) == cycles.
+  /// `cause` and back-filling what the per-cycle loop would have
+  /// observed: every observer sample due inside the span, its tile
+  /// cycles and its parked-load rejects. Preserves sum(stall buckets)
+  /// == cycles, and observer output is the same in every mode.
   void fast_forward_to(Cycle target, StallCause cause);
 
-  /// Forces a counter-track sample right now (end of a phase, so the
-  /// final cumulative stall buckets reach the gauges and the trace).
-  /// Reads state only; never advances or mutates the simulation.
+  /// Forces an observer sample right now (end of a phase, so the final
+  /// cumulative stall buckets reach the gauges, the trace and the time
+  /// series). Reads state only; never advances or mutates the
+  /// simulation.
   void sample_observer();
 
-  /// Snapshot of the current component state for the windowed
-  /// time-series (obs/timeseries.hpp). Pure read; the sampler calls it
-  /// at due cycles and the fast-forward replay derives skipped-span
-  /// samples from it.
+  /// Snapshot of the current component state for the observer's
+  /// sampler (obs/timeseries.hpp). Pure read; the tick takes it at due
+  /// cycles and the fast-forward replay derives skipped-span samples
+  /// from it.
   TimeSeriesSample timeseries_sample() const;
 
   /// Advances to the next cycle.
@@ -149,7 +151,6 @@ class MemorySystem {
   PeArray pe_;
   Cycle now_ = 0;
   Observer* obs_ = nullptr;
-  Cycle obs_next_sample_ = 0;
 };
 
 /// A dataflow engine: one phase of SpDeMM work expressed as a

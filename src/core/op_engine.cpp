@@ -169,8 +169,8 @@ void OpEngine::tick_stream(MemorySystem& ms) {
         // Adjacency coordinate of the retiring non-zero: focus its
         // tile so subsequent cycles/DRAM/DMB traffic attribute there.
         HYMM_OBS(ms.observer(),
-                 spatial_mac(out_row, head.col, params_.spatial_region,
-                             head.chunk == 0));
+                 spatial().on_mac(out_row, head.col, params_.spatial_region,
+                                  head.chunk == 0));
       }
       ms.pe().mac(head.value, b_lanes(head.col, head.chunk),
                   c_lanes(out_row, head.chunk), ms.now());
@@ -272,7 +272,7 @@ void OpEngine::tick_stream(MemorySystem& ms) {
     progressed_ = true;
     // Merge/flush/writeback traffic is not attributable to a single
     // adjacency tile; it lands in the spatial residual bucket.
-    HYMM_OBS(ms.observer(), spatial_unfocus());
+    HYMM_OBS(ms.observer(), spatial().unfocus());
   }
 
   // --- Resolve the cycle's cause ---

@@ -129,11 +129,11 @@ void RwpEngine::try_retire(MemorySystem& ms) {
     // Adjacency coordinate of the retiring non-zero; the region split
     // reuses the exact region2_col_boundary comparison below.
     HYMM_OBS(ms.observer(),
-             spatial_mac(out_row, head.col,
-                         head.col < params_.region2_col_boundary
-                             ? params_.spatial_region2
-                             : params_.spatial_region3,
-                         head.chunk == 0));
+             spatial().on_mac(out_row, head.col,
+                              head.col < params_.region2_col_boundary
+                                  ? params_.spatial_region2
+                                  : params_.spatial_region3,
+                              head.chunk == 0));
   }
   ms.pe().mac(head.value, b_lanes(head.col, head.chunk),
               c_lanes(out_row, head.chunk), ms.now());

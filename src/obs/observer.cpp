@@ -6,6 +6,8 @@
 #include <string_view>
 #include <utility>
 
+#include "common/check.hpp"
+
 namespace hymm {
 
 namespace {
@@ -24,16 +26,19 @@ Observer::Observer(ObserverOptions options)
                       ? options.timeseries_interval
                       : Cycle{1}),
       spatial_(options.spatial, options.spatial_tile) {
-  dmb_evictions_ = &metrics_.counter("dmb.evictions");
-  dmb_partial_spills_ = &metrics_.counter("dmb.partial_spills");
+  HYMM_CHECK_MSG(options.sample_interval > 0,
+                 "zero counter-track sample interval");
+  // Filled from SimStats once per layer (Accelerator::run_layer);
+  // registered here so the report always carries the keys.
+  for (const char* name : {"dmb.evictions", "dmb.partial_spills",
+                           "lsq.forwards", "pe.mac_ops", "dram.reads",
+                           "dram.writes"}) {
+    metrics_.counter(name);
+  }
   dmb_prefetches_ = &metrics_.counter("dmb.prefetches");
-  lsq_forwards_ = &metrics_.counter("lsq.forwards");
   lsq_rejects_ = &metrics_.counter("lsq.load_rejects");
-  dram_reads_ = &metrics_.counter("dram.reads");
-  dram_writes_ = &metrics_.counter("dram.writes");
   smq_refills_ = &metrics_.counter("smq.refills");
-  pe_macs_ = &metrics_.counter("pe.mac_ops");
-  pe_merges_ = &metrics_.counter("pe.merge_adds");
+  pe_array_merges_ = &metrics_.counter("pe.array_merge_adds");
   dmb_occupancy_gauge_ = &metrics_.gauge("dmb.occupancy_lines");
   partial_bytes_gauge_ = &metrics_.gauge("partial.bytes");
   lsq_depth_gauge_ = &metrics_.gauge("lsq.depth");
@@ -72,10 +77,6 @@ Observer::Observer(ObserverOptions options)
           std::string("stall ") + stall_cause_key(static_cast<StallCause>(i)),
           cycles);
   }
-  track(kTsLsqDepth, "TS LSQ depth", entries);
-  track(kTsSmqBacklog, "TS SMQ backlog", entries);
-  track(kTsDmbLines, "TS DMB lines", lines);
-  track(kTsPartialBytes, "TS partial bytes", bytes);
   track(kTsDmbHitRate, "TS DMB hit rate", percent);
   track(kTsAluUtil, "TS ALU util", percent);
   track(kTsDramBwUtil, "TS DRAM BW util", percent);
@@ -100,47 +101,34 @@ void Observer::begin_run(const std::string& label) {
 }
 
 void Observer::on_dmb_eviction(Cycle now) {
-  dmb_evictions_->add();
   if (options_.trace) trace_.instant(pid_, eviction_id_, now);
 }
 
 void Observer::on_partial_spill(Cycle now) {
-  dmb_partial_spills_->add();
   if (options_.trace) trace_.instant(pid_, partial_spill_id_, now);
 }
 
 void Observer::on_dmb_prefetch() { dmb_prefetches_->add(); }
-void Observer::on_lsq_forward() { lsq_forwards_->add(); }
 void Observer::on_lsq_rejects(std::uint64_t count) {
   lsq_rejects_->add(count);
 }
 
-void Observer::on_dram_read() {
-  dram_reads_->add();
+void Observer::on_dram_line() {
   // Every DRAM transfer moves exactly one line; attributing here
   // keeps the tile-grid byte sum exact by construction.
-  spatial_.on_dram_bytes(kLineBytes);
-}
-
-void Observer::on_dram_write() {
-  dram_writes_->add();
   spatial_.on_dram_bytes(kLineBytes);
 }
 
 void Observer::on_smq_refill() { smq_refills_->add(); }
 
 void Observer::on_pe_mac(std::size_t lanes) {
-  pe_macs_->add();
   spatial_.on_pe_op(lanes, /*is_mac=*/true);
 }
 
 void Observer::on_pe_merge(std::size_t lanes) {
-  pe_merges_->add();
+  pe_array_merges_->add();
   spatial_.on_pe_op(lanes, /*is_mac=*/false);
 }
-
-void Observer::on_dmb_hit() { spatial_.on_dmb_hit(); }
-void Observer::on_dmb_miss() { spatial_.on_dmb_miss(); }
 
 void Observer::observe_row_degree(std::uint64_t nnz) {
   row_degree_->observe(nnz);
@@ -172,15 +160,18 @@ RunHistograms Observer::take_run_histograms() {
   return out;
 }
 
-void Observer::timeseries_record(const TimeSeriesSample& s) {
-  timeseries_.record(s);
-  trace_timeseries_sample(s);
+void Observer::sample(const TimeSeriesSample& s) {
+  if (s.cycle >= track_due_) record_tracks(s);
+  if (options_.timeseries && s.cycle >= timeseries_.next_due()) {
+    record_series(s);
+  }
 }
 
-void Observer::timeseries_force(const TimeSeriesSample& s) {
-  if (ts_has_prev_ && s.cycle == ts_prev_.cycle) return;
-  timeseries_.record_forced(s);
-  trace_timeseries_sample(s);
+void Observer::sample_phase_end(const TimeSeriesSample& s) {
+  record_tracks(s);
+  if (options_.timeseries && !(ts_has_prev_ && s.cycle == ts_prev_.cycle)) {
+    record_series(s);
+  }
 }
 
 TimeSeriesData Observer::take_timeseries() {
@@ -188,19 +179,9 @@ TimeSeriesData Observer::take_timeseries() {
   return timeseries_.take();
 }
 
-void Observer::spatial_begin(NodeId nodes, std::size_t pe_count) {
+void Observer::begin_layer(NodeId nodes, std::size_t pe_count) {
+  track_due_ = 0;
   spatial_.begin(nodes, pe_count);
-}
-
-void Observer::spatial_mac(NodeId row, NodeId col, SpatialRegion region,
-                           bool first_chunk) {
-  spatial_.on_mac(row, col, region, first_chunk);
-}
-
-void Observer::spatial_unfocus() { spatial_.unfocus(); }
-
-void Observer::spatial_cycles(std::uint64_t n) {
-  spatial_.account_cycles(n);
 }
 
 SpatialData Observer::take_spatial() { return spatial_.take(); }
@@ -240,69 +221,57 @@ void Observer::emit_pe_lanes(Cycle now,
   trace_.multi_counter(pid_, pe_busy_track_, pe_lane_set_, now, lanes);
 }
 
-void Observer::trace_timeseries_sample(const TimeSeriesSample& s) {
-  if (options_.trace) {
-    emit(kTsLsqDepth, s.cycle, s.lsq_depth);
-    emit(kTsSmqBacklog, s.cycle, s.smq_backlog);
-    emit(kTsDmbLines, s.cycle, s.dmb_lines);
-    emit(kTsPartialBytes, s.cycle, s.partial_bytes);
-    if (ts_has_prev_ && s.cycle > ts_prev_.cycle) {
-      // Windowed rates over the span since the previous sample, in
-      // percent. The trace keeps its own prev copy so storage
-      // decimation in the TimeSeries never changes what the counter
-      // tracks show.
-      const double span =
-          static_cast<double>(s.cycle - ts_prev_.cycle);
-      const std::uint64_t hits = s.dmb_hits - ts_prev_.dmb_hits;
-      const std::uint64_t misses = s.dmb_misses - ts_prev_.dmb_misses;
-      const double hit_rate =
-          (hits + misses) == 0
-              ? 0.0
-              : 100.0 * static_cast<double>(hits) /
-                    static_cast<double>(hits + misses);
-      emit_real(kTsDmbHitRate, s.cycle, hit_rate);
-      emit_real(kTsAluUtil, s.cycle,
-                100.0 *
-                    static_cast<double>(s.alu_busy_cycles -
-                                        ts_prev_.alu_busy_cycles) /
-                    span);
-      if (s.dram_peak_bytes_per_cycle > 0) {
-        emit_real(
-            kTsDramBwUtil, s.cycle,
-            100.0 * static_cast<double>(s.dram_bytes - ts_prev_.dram_bytes) /
-                (span * static_cast<double>(s.dram_peak_bytes_per_cycle)));
-      }
+void Observer::record_series(const TimeSeriesSample& s) {
+  timeseries_.record(s);
+  if (options_.trace && ts_has_prev_ && s.cycle > ts_prev_.cycle) {
+    // Windowed rates over the span since the previous sample, in
+    // percent. The trace keeps its own prev copy so storage decimation
+    // in the TimeSeries never changes what the counter tracks show.
+    const double span = static_cast<double>(s.cycle - ts_prev_.cycle);
+    const std::uint64_t hits = s.dmb_hits - ts_prev_.dmb_hits;
+    const std::uint64_t misses = s.dmb_misses - ts_prev_.dmb_misses;
+    const double hit_rate =
+        (hits + misses) == 0 ? 0.0
+                             : 100.0 * static_cast<double>(hits) /
+                                   static_cast<double>(hits + misses);
+    emit_real(kTsDmbHitRate, s.cycle, hit_rate);
+    emit_real(kTsAluUtil, s.cycle,
+              100.0 *
+                  static_cast<double>(s.alu_busy_cycles -
+                                      ts_prev_.alu_busy_cycles) /
+                  span);
+    if (s.dram_peak_bytes_per_cycle > 0) {
+      emit_real(
+          kTsDramBwUtil, s.cycle,
+          100.0 * static_cast<double>(s.dram_bytes - ts_prev_.dram_bytes) /
+              (span * static_cast<double>(s.dram_peak_bytes_per_cycle)));
     }
   }
   ts_prev_ = s;
   ts_has_prev_ = true;
 }
 
-void Observer::sample_tracks(Cycle now, std::uint64_t dmb_lines,
-                             std::uint64_t partial_bytes,
-                             std::uint64_t lsq_depth,
-                             std::uint64_t smq_backlog,
-                             std::span<const Cycle> stall_cycles) {
-  dmb_occupancy_gauge_->set(static_cast<std::int64_t>(dmb_lines));
-  partial_bytes_gauge_->set(static_cast<std::int64_t>(partial_bytes));
-  lsq_depth_gauge_->set(static_cast<std::int64_t>(lsq_depth));
-  smq_backlog_gauge_->set(static_cast<std::int64_t>(smq_backlog));
-  dmb_occupancy_hist_->observe(dmb_lines);
-  for (std::size_t i = 0;
-       i < stall_cycles.size() && i < stall_gauges_.size(); ++i) {
-    stall_gauges_[i]->set(static_cast<std::int64_t>(stall_cycles[i]));
+void Observer::record_tracks(const TimeSeriesSample& s) {
+  const Cycle now = s.cycle;
+  track_due_ = now + options_.sample_interval;
+  dmb_occupancy_gauge_->set(static_cast<std::int64_t>(s.dmb_lines));
+  partial_bytes_gauge_->set(static_cast<std::int64_t>(s.partial_bytes));
+  lsq_depth_gauge_->set(static_cast<std::int64_t>(s.lsq_depth));
+  smq_backlog_gauge_->set(static_cast<std::int64_t>(s.smq_backlog));
+  dmb_occupancy_hist_->observe(s.dmb_lines);
+  for (std::size_t i = 0; i < kStallCauseCount; ++i) {
+    stall_gauges_[i]->set(static_cast<std::int64_t>(s.stall_cycles[i]));
   }
   if (!options_.trace) return;
-  emit(kDmbOccupancy, now, dmb_lines);
-  emit(kPartialBytes, now, partial_bytes);
-  emit(kLsqDepth, now, lsq_depth);
-  emit(kSmqBacklog, now, smq_backlog);
+  emit(kDmbOccupancy, now, s.dmb_lines);
+  emit(kPartialBytes, now, s.partial_bytes);
+  emit(kLsqDepth, now, s.lsq_depth);
+  emit(kSmqBacklog, now, s.smq_backlog);
   // One cumulative counter series per stall bucket: in the Perfetto
   // UI the slope of "stall <cause>" is the fraction of cycles that
   // cause is costing right now.
-  for (std::size_t i = 0; i < stall_cycles.size() && i < kStallCauseCount;
-       ++i) {
-    emit(static_cast<Track>(kStallFirst + i), now, stall_cycles[i]);
+  for (std::size_t i = 0; i < kStallCauseCount; ++i) {
+    emit(static_cast<Track>(kStallFirst + i), now, s.stall_cycles[i]);
   }
   // One cumulative series per PE lane: in the Perfetto UI the slope of
   // "PE busy NN" is that lane's utilization right now.

@@ -15,9 +15,19 @@
 ///                "SMQ backlog", "stall <cause>" (cumulative cycles),
 ///                "PE busy" (one multi-series event, args keyed by
 ///                lane "00", "01", ...; cumulative busy cycles) and,
-///                with time series on, "TS ..." (the three windowed
-///                rates unrounded); phase spans on thread "phases",
-///                region sub-phases on thread "regions".
+///                with time series on, "TS DMB hit rate", "TS ALU
+///                util" and "TS DRAM BW util" (windowed rates,
+///                unrounded); phase spans on thread "phases", region
+///                sub-phases on thread "regions".
+///
+/// One sampler serves two schedules: the counter tracks every
+/// sample_interval cycles and the time series every
+/// timeseries_interval cycles (with its decimation). MemorySystem
+/// hands it a snapshot whenever the clock reaches next_sample(), and
+/// MemorySystem::fast_forward_to back-fills every sample due inside a
+/// skipped span with the values the per-cycle loop would have read, so
+/// the trace, the series and the gauges are bit-identical under every
+/// fast-forward mode.
 ///
 /// A counter track holds its value until its next sample, so a sample
 /// is written only when it differs from the last one written on that
@@ -26,9 +36,9 @@
 /// process group opens with one sample per track.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -74,34 +84,28 @@ class Observer {
   TraceWriter& trace() { return trace_; }  ///< trace event buffer
   const TraceWriter& trace() const { return trace_; }  ///< trace event buffer
 
-  bool tracing() const { return options_.trace; }  ///< trace collection on
-  /// Cycles between counter-track samples.
-  Cycle sample_interval() const { return options_.sample_interval; }
-
   /// Starts a new trace process group (one per simulated run, labelled
   /// e.g. "HyMM" or "RWP/cora") so several runs share one trace file.
   void begin_run(const std::string& label);
   int run_pid() const { return pid_; }  ///< current run's trace pid
 
   // --- Component hook points (cached handles; no map lookups) ---
-  void on_dmb_eviction(Cycle now);   ///< DMB line evicted
-  void on_partial_spill(Cycle now);  ///< partial-output line spilled
+  // dmb.evictions, dmb.partial_spills, lsq.forwards, pe.mac_ops,
+  // dram.reads and dram.writes repeat SimStats fields, so no hook
+  // counts them: Accelerator::run_layer adds each layer's totals.
+  void on_dmb_eviction(Cycle now);   ///< DMB line evicted (trace instant)
+  void on_partial_spill(Cycle now);  ///< partial line spilled (trace instant)
   void on_dmb_prefetch();            ///< DMB prefetch issued
-  void on_lsq_forward();             ///< store-to-load forward
-  /// `count` loads the DMB rejected (or left parked) in one LSQ tick.
+  /// `count` loads the DMB rejected (or left parked) in LSQ ticks.
   void on_lsq_rejects(std::uint64_t count);
-  void on_dram_read();               ///< DRAM read request issued
-  void on_dram_write();              ///< DRAM write request issued
+  void on_dram_line();  ///< DRAM line read or written (spatial only)
   void on_smq_refill();              ///< SMQ buffer refilled
   /// PE-array MAC retire; carries the engaged lane count so the
   /// spatial tracker can model per-lane busy/MAC occupancy.
   void on_pe_mac(std::size_t lanes);
-  /// PE-array merge-add retire with the engaged lane count.
+  /// PE-array merge-add retire with the engaged lane count
+  /// (pe.array_merge_adds; not the DMB accumulator's merges).
   void on_pe_merge(std::size_t lanes);
-  /// DMB read/accumulate hit, attributed to the focused tile.
-  void on_dmb_hit();
-  /// DMB read/accumulate miss, attributed to the focused tile.
-  void on_dmb_miss();
   void observe_row_degree(std::uint64_t nnz);  ///< smq.row_degree sample
   /// Merge-stage records outstanding (op.merge_queue_depth sample).
   void observe_merge_depth(std::uint64_t records_outstanding);
@@ -117,58 +121,46 @@ class Observer {
   /// DMB MSHR allocation -> fill install.
   void observe_dmb_fill_latency(Cycle cycles);
 
-  /// The current run's latency histograms.
-  const RunHistograms& run_histograms() const { return run_hist_; }
   /// Hands the current run's histograms over and starts fresh ones
   /// (run_experiment moves them into the ExperimentResult).
   RunHistograms take_run_histograms();
 
   // --- Windowed time-series telemetry (obs/timeseries.hpp) ---
   bool timeseries_enabled() const { return options_.timeseries; }  ///< on?
-  TimeSeries& timeseries() { return timeseries_; }  ///< live series
-  const TimeSeries& timeseries() const { return timeseries_; }  ///< live series
 
-  /// Records one scheduled sample (called by MemorySystem when a tick
-  /// reaches TimeSeries::next_due(), and by the fast-forward replay
-  /// for every due cycle inside a skipped span) and, when tracing,
-  /// emits the windowed utilization counter tracks derived from the
-  /// previous sample.
-  void timeseries_record(const TimeSeriesSample& s);
-  /// Off-schedule end-of-phase sample (deduplicated per cycle).
-  void timeseries_force(const TimeSeriesSample& s);
   /// Hands the finished series over and resets the schedule.
   TimeSeriesData take_timeseries();
 
+  // --- The sampler: counter tracks, gauges and the time series ---
+  /// Earliest cycle at which a counter-track or time-series sample is
+  /// due.
+  Cycle next_sample() const {
+    return std::min(track_due_, options_.timeseries ? timeseries_.next_due()
+                                                    : kNoEvent);
+  }
+  /// Serves every schedule due at s.cycle: first the counter tracks,
+  /// gauges and the DMB occupancy histogram, then the time series
+  /// (which, when tracing, also writes the windowed rate tracks).
+  void sample(const TimeSeriesSample& s);
+  /// The forced end-of-phase sample: the counter tracks always, the
+  /// time series unless it already holds a sample at s.cycle. Both
+  /// schedules restart from s.cycle.
+  void sample_phase_end(const TimeSeriesSample& s);
+
   // --- Spatial attribution (obs/spatial.hpp) ---
   bool spatial_enabled() const { return options_.spatial; }  ///< on?
-  SpatialTracker& spatial() { return spatial_; }  ///< live tracker
-  const SpatialTracker& spatial() const { return spatial_; }  ///< live tracker
+  /// The live tracker; engines report MACs, unfocus and cycles to it
+  /// directly.
+  SpatialTracker& spatial() { return spatial_; }
 
-  /// Sizes the tracker's grid for one layer run (called by
-  /// Accelerator::run_layer once the adjacency dimension is known).
-  void spatial_begin(NodeId nodes, std::size_t pe_count);
-  /// Engine hook: a MAC retired for adjacency nonzero (row, col) in
-  /// `region`; moves the tile focus.
-  void spatial_mac(NodeId row, NodeId col, SpatialRegion region,
-                   bool first_chunk);
-  /// Engine hook: subsequent work is not tile-attributable (merge /
-  /// flush / drain); lands in the residual bucket.
-  void spatial_unfocus();
-  /// Attributes `n` cycles to the focused tile (run_phase per cycle,
-  /// fast_forward_to per skipped span).
-  void spatial_cycles(std::uint64_t n);
+  /// Starts one layer, whose clock starts at cycle 0 (called by
+  /// Accelerator::run_layer once the adjacency dimension is known):
+  /// the counter-track schedule restarts and the spatial grid is
+  /// sized for `nodes` and `pe_count` lanes.
+  void begin_layer(NodeId nodes, std::size_t pe_count);
   /// Hands the finished spatial data over (run_experiment moves it
   /// into the ExperimentResult).
   SpatialData take_spatial();
-
-  /// Counter-track sample, called by MemorySystem every
-  /// sample_interval cycles. `stall_cycles` is the cumulative
-  /// per-cause cycle-accounting vector (kStallCauseCount entries).
-  /// Writes only the tracks whose value changed (see the file comment).
-  void sample_tracks(Cycle now, std::uint64_t dmb_lines,
-                     std::uint64_t partial_bytes, std::uint64_t lsq_depth,
-                     std::uint64_t smq_backlog,
-                     std::span<const Cycle> stall_cycles);
 
   /// Duration event for a whole phase (combination/aggregation).
   void phase_span(const std::string& name, Cycle begin, Cycle end);
@@ -185,11 +177,7 @@ class Observer {
     kLsqDepth,
     kSmqBacklog,
     kStallFirst,  // one per StallCause, in enum order
-    kTsLsqDepth = kStallFirst + kStallCauseCount,
-    kTsSmqBacklog,
-    kTsDmbLines,
-    kTsPartialBytes,
-    kTsDmbHitRate,  // real-valued
+    kTsDmbHitRate = kStallFirst + kStallCauseCount,  // real-valued
     kTsAluUtil,     // real-valued
     kTsDramBwUtil,  // real-valued
     kTrackCount
@@ -204,9 +192,12 @@ class Observer {
   // Writes `value` on `track` unless it equals the track's last value.
   void emit(Track track, Cycle now, std::uint64_t value);
   void emit_real(Track track, Cycle now, double value);
-  // Emits the derived windowed counter tracks for one recorded
-  // sample (trace builds only).
-  void trace_timeseries_sample(const TimeSeriesSample& s);
+  // The counter-track half of a sample: gauges, the occupancy
+  // histogram and, when tracing, the tracks that changed; reschedules.
+  void record_tracks(const TimeSeriesSample& s);
+  // The time-series half: records `s` and, when tracing, writes the
+  // windowed rate tracks derived from the previous sample.
+  void record_series(const TimeSeriesSample& s);
   // The "PE busy" sample: every lane, when any lane changed.
   void emit_pe_lanes(Cycle now, const std::vector<std::uint64_t>& lanes);
 
@@ -218,20 +209,15 @@ class Observer {
   RunHistograms run_hist_;
   TimeSeriesSample ts_prev_;
   bool ts_has_prev_ = false;
+  Cycle track_due_ = 0;  // next counter-track sample
   int pid_ = 0;
   bool run_started_ = false;
 
   // Cached instrument handles (stable for the registry's lifetime).
-  Counter* dmb_evictions_;
-  Counter* dmb_partial_spills_;
   Counter* dmb_prefetches_;
-  Counter* lsq_forwards_;
   Counter* lsq_rejects_;
-  Counter* dram_reads_;
-  Counter* dram_writes_;
   Counter* smq_refills_;
-  Counter* pe_macs_;
-  Counter* pe_merges_;
+  Counter* pe_array_merges_;
   Gauge* dmb_occupancy_gauge_;
   Gauge* partial_bytes_gauge_;
   Gauge* lsq_depth_gauge_;

@@ -147,7 +147,7 @@ struct SpatialData {
 
 /// Observer-owned spatial accumulator. Lifecycle mirrors TimeSeries:
 /// constructed from ObserverOptions, reset by Observer::begin_run,
-/// configured per layer by Accelerator::run_layer (spatial_begin) and
+/// configured per layer by Accelerator::run_layer (Observer::begin_layer) and
 /// drained into the ExperimentResult by run_experiment (take).
 class SpatialTracker {
  public:

@@ -14,20 +14,8 @@ TimeSeries::TimeSeries(Cycle interval, std::size_t capacity)
 }
 
 void TimeSeries::record(const TimeSeriesSample& s) {
-  HYMM_DCHECK(s.cycle >= next_due_);
-  append(s);
-}
-
-void TimeSeries::record_forced(const TimeSeriesSample& s) {
-  if (has_last_ && s.cycle == last_cycle_) return;
-  append(s);
-}
-
-void TimeSeries::append(const TimeSeriesSample& s) {
-  HYMM_DCHECK(!has_last_ || s.cycle > last_cycle_);
+  HYMM_DCHECK(samples_.empty() || s.cycle > samples_.back().cycle);
   samples_.push_back(s);
-  has_last_ = true;
-  last_cycle_ = s.cycle;
   next_due_ = s.cycle + interval_;
   if (samples_.size() >= capacity_) {
     // Thin to every other sample and halve the rate — deterministic
@@ -54,8 +42,6 @@ void TimeSeries::reset() {
   samples_.clear();
   interval_ = initial_interval_;
   next_due_ = 0;
-  has_last_ = false;
-  last_cycle_ = 0;
 }
 
 }  // namespace hymm

@@ -9,14 +9,16 @@
 /// (bench/fig10_partial_outputs).
 ///
 /// Determinism contract: the sampling schedule is driven purely by the
-/// simulated clock — MemorySystem records a sample whenever a tick
-/// reaches next_due(), and MemorySystem::fast_forward_to replays every
-/// due sample inside a skipped span with the exact per-cycle values
-/// the legacy loop would have seen (a quiescent span only advances the
-/// charged stall bucket by one per cycle; everything else is
-/// constant). Series are therefore bit-identical between fast-forward
-/// and HYMM_NO_FASTFWD runs, and across sweep thread counts (each run
-/// has its own Observer-owned TimeSeries).
+/// simulated clock. The Observer's one sampler (Observer::sample)
+/// serves this schedule next to the counter tracks': MemorySystem
+/// hands it a snapshot whenever a tick reaches
+/// Observer::next_sample(), and MemorySystem::fast_forward_to replays
+/// every sample due inside a skipped span with the exact per-cycle
+/// values the legacy loop would have seen (a quiescent span only
+/// advances the charged stall bucket by one per cycle; everything else
+/// is constant). Series are therefore bit-identical under every
+/// fast-forward mode, and across sweep thread counts (each run has its
+/// own Observer-owned TimeSeries).
 #pragma once
 
 #include <array>
@@ -65,8 +67,9 @@ struct TimeSeriesData {
 };
 
 /// The live ring-buffered series one Observer owns. The schedule is
-/// explicit (next_due / interval) so MemorySystem can drive sampling
-/// from both the per-cycle tick path and the fast-forward replay path.
+/// explicit (next_due / interval) so the Observer's sampler can serve
+/// it from both the per-cycle tick path and the fast-forward replay
+/// path.
 class TimeSeries {
  public:
   /// Default maximum sample count before decimation kicks in.
@@ -80,14 +83,11 @@ class TimeSeries {
   Cycle next_due() const { return next_due_; }
   Cycle interval() const { return interval_; }  ///< current interval
 
-  /// Appends a sample (requires s.cycle >= next_due()) and advances the
+  /// Appends a sample, due or forced (cycles strictly increase; the
+  /// Observer decides which samples to take), and advances the
   /// schedule to s.cycle + interval(). Thins to every other sample and
   /// doubles the interval when the capacity is reached.
   void record(const TimeSeriesSample& s);
-
-  /// Off-schedule sample (end of a phase): records `s` unless a sample
-  /// for the same cycle was already taken, then realigns the schedule.
-  void record_forced(const TimeSeriesSample& s);
 
   /// Samples recorded so far, increasing cycle order.
   const std::vector<TimeSeriesSample>& samples() const { return samples_; }
@@ -101,15 +101,11 @@ class TimeSeries {
   void reset();
 
  private:
-  void append(const TimeSeriesSample& s);
-
   Cycle initial_interval_;
   Cycle interval_;
   Cycle next_due_ = 0;
   std::size_t capacity_;
   std::vector<TimeSeriesSample> samples_;
-  bool has_last_ = false;
-  Cycle last_cycle_ = 0;  // last recorded cycle (survives thinning)
 };
 
 }  // namespace hymm

@@ -49,7 +49,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
                                                       Cycle now) {
   if (LineState* state = lines_.find(line)) {
     ++stats_->dmb_read_hits;
-    HYMM_OBS(obs_, on_dmb_hit());
+    HYMM_OBS(obs_, spatial().on_dmb_hit());
     touch(line, *state);
     pending_hits_.push_back(PendingHit{waiter_tag, now + hit_latency_});
     return ReadResult::kHit;
@@ -59,7 +59,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
   // on arrival without consuming an MSHR.
   if (const Cycle* arrival = prefetch_inflight_.find(line)) {
     ++stats_->dmb_read_hits;
-    HYMM_OBS(obs_, on_dmb_hit());
+    HYMM_OBS(obs_, spatial().on_dmb_hit());
     pending_hits_.push_back(
         PendingHit{waiter_tag, std::max(now + hit_latency_, *arrival)});
     return ReadResult::kHit;
@@ -68,7 +68,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
   if (Mshr* mshr = mshrs_.find(line)) {
     // Secondary miss: piggyback on the outstanding fill.
     ++stats_->dmb_read_misses;
-    HYMM_OBS(obs_, on_dmb_miss());
+    HYMM_OBS(obs_, spatial().on_dmb_miss());
     mshr->waiters.push_back(waiter_tag);
     return ReadResult::kMiss;
   }
@@ -85,7 +85,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
   }
 
   ++stats_->dmb_read_misses;
-  HYMM_OBS(obs_, on_dmb_miss());
+  HYMM_OBS(obs_, spatial().on_dmb_miss());
   Mshr mshr;
   mshr.cls = cls;
   mshr.alloc_cycle = now;
@@ -171,7 +171,7 @@ bool DenseMatrixBuffer::accumulate(Addr line, Cycle now) {
   if (LineState* state = lines_.find(line)) {
     HYMM_DCHECK(state->cls == TrafficClass::kPartial);
     ++stats_->dmb_accumulate_hits;
-    HYMM_OBS(obs_, on_dmb_hit());
+    HYMM_OBS(obs_, spatial().on_dmb_hit());
     ++stats_->merge_adds;
     state->dirty = true;
     touch(line, *state);
@@ -181,7 +181,7 @@ bool DenseMatrixBuffer::accumulate(Addr line, Cycle now) {
     return false;
   }
   ++stats_->dmb_accumulate_misses;
-  HYMM_OBS(obs_, on_dmb_miss());
+  HYMM_OBS(obs_, spatial().on_dmb_miss());
   stats_->note_partial_bytes(static_cast<std::int64_t>(kLineBytes));
   return true;
 }

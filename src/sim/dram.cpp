@@ -57,20 +57,20 @@ void Dram::issue_read(Addr line_addr, TrafficClass cls, std::uint64_t tag,
   const Cycle slot = reserve_slot(now);
   inflight_.push_back(Inflight{tag, slot + latency_, now});
   stats_->dram_read_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
-  HYMM_OBS(obs_, on_dram_read());
+  HYMM_OBS(obs_, on_dram_line());
 }
 
 void Dram::issue_write(Addr line_addr, TrafficClass cls, Cycle now) {
   (void)line_addr;
   reserve_slot(now);
   stats_->dram_write_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
-  HYMM_OBS(obs_, on_dram_write());
+  HYMM_OBS(obs_, on_dram_line());
 }
 
 void Dram::issue_streaming_read(TrafficClass cls, Cycle now) {
   reserve_slot(now);
   stats_->dram_read_bytes[static_cast<std::size_t>(cls)] += kLineBytes;
-  HYMM_OBS(obs_, on_dram_read());
+  HYMM_OBS(obs_, on_dram_line());
 }
 
 void Dram::tick(Cycle now) {

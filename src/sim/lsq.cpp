@@ -37,7 +37,6 @@ std::optional<LoadStoreQueue::EntryId> LoadStoreQueue::load(Addr line,
     // drained): forward its data without touching the memory system
     // (Section IV-B).
     ++stats_->lsq_forwards;
-    HYMM_OBS(obs_, on_lsq_forward());
     entry.issued = true;
     entry.ready = true;
   } else {

@@ -102,6 +102,8 @@ class LoadStoreQueue {
   bool all_stores_drained() const { return store_queue_.empty(); }
   std::size_t pending_loads() const { return load_entries_.size(); }
   std::size_t pending_stores() const { return store_queue_.size(); }
+  // Loads the DMB rejected and that still wait for an offer.
+  std::size_t parked_loads() const { return parked_.size(); }
 
  private:
   struct LoadEntry {

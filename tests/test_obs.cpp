@@ -577,8 +577,10 @@ TEST(CompactTracks, TraceRebuildsEveryFedStepFunction) {
   const auto feed = [&](Cycle now, std::uint64_t dmb, std::uint64_t lsq,
                         std::vector<Cycle> stalls) {
     stalls.resize(kStallCauseCount, 0);
-    obs.sample_tracks(now, dmb, /*partial_bytes=*/dmb * 64, lsq,
-                      /*smq_backlog=*/3, stalls);
+    TimeSeriesSample s{.cycle = now, .lsq_depth = lsq, .smq_backlog = 3,
+                       .dmb_lines = dmb, .partial_bytes = dmb * 64};
+    std::copy(stalls.begin(), stalls.end(), s.stall_cycles.begin());
+    obs.sample(s);
     const int pid = obs.run_pid();
     const auto put = [&](std::string track, std::string series, double v) {
       fed[{pid, std::move(track), std::move(series)}][now] = v;
@@ -604,7 +606,7 @@ TEST(CompactTracks, TraceRebuildsEveryFedStepFunction) {
       static_cast<std::size_t>(StallCause::kDramLatency);
 
   obs.begin_run("first");
-  obs.spatial_begin(64, kLanes);
+  obs.begin_layer(64, kLanes);
   feed(0, 0, 0, {});
   feed(64, 0, 0, {});  // every value repeats
   obs.on_pe_mac(kLanes);
@@ -612,8 +614,8 @@ TEST(CompactTracks, TraceRebuildsEveryFedStepFunction) {
   obs.on_pe_merge(1);  // only lane 00 moves
   feed(192, 5, 2, {{128}});
   feed(256, 0, 2, {{192}});  // occupancy returns to an earlier value
-  // The single aggregated sample fast_forward_to takes for a skipped
-  // span: only the charged stall bucket moved, by the whole span.
+  // A sample after a gap of 1000 stall cycles: only the charged stall
+  // bucket moved, by the whole gap.
   std::vector<Cycle> skipped(kStallCauseCount, 0);
   skipped[compute] = 192;
   skipped[latency] = 1000;
@@ -621,7 +623,7 @@ TEST(CompactTracks, TraceRebuildsEveryFedStepFunction) {
   feed(1344, 0, 2, skipped);  // first sample after the span: repeats
 
   obs.begin_run("second");  // same values must still open every track
-  obs.spatial_begin(64, kLanes);
+  obs.begin_layer(64, kLanes);
   feed(0, 0, 2, skipped);
   feed(64, 0, 2, skipped);
   obs.on_pe_mac(2);
@@ -670,13 +672,13 @@ TEST(CompactTracks, TimeSeriesRatesAreUnrounded) {
   obs.begin_run("ts");
   TimeSeriesSample s;
   s.dram_peak_bytes_per_cycle = 64;
-  obs.timeseries_record(s);
+  obs.sample(s);
   s.cycle = 300;
   s.dmb_hits = 1;
   s.dmb_misses = 2;
   s.alu_busy_cycles = 100;
   s.dram_bytes = 64 * 100;
-  obs.timeseries_record(s);
+  obs.sample(s);
   std::ostringstream out;
   obs.trace().write(out);
   const StepFunctions steps = parse_counter_steps(out.str());
@@ -690,9 +692,10 @@ TEST(CompactTracks, TimeSeriesRatesAreUnrounded) {
 
 // Golden trace: a small traced run — hybrid, then OP, in one observer
 // with time series and spatial on — must serialize byte for byte as
-// the committed fixture. The small DMB forces evictions and partial
-// spills, so the fixture holds M, X, C and i events, the "stall
-// <cause>", "PE busy" and "TS ..." tracks and two process groups.
+// the committed fixture under every fast-forward mode. The small DMB
+// forces evictions and partial spills, so the fixture holds M, X, C
+// and i events, the "stall <cause>", "PE busy" and "TS ..." rate
+// tracks and two process groups.
 // On a mismatch the actual bytes are written to the working directory
 // (build/tests under ctest) for diffing.
 TEST(TraceGolden, SmallHybridThenOpRunMatchesFixture) {

@@ -317,6 +317,8 @@ TEST(LsqRetry, FullMshrsWithoutJoinsAcceptNothing) {
   f.step(0);
   EXPECT_TRUE(f.lsq->ticked_active());  // L(0) took the MSHR
   EXPECT_EQ(rejects.value(), 3u);
+  // What fast_forward_to multiplies by each skipped cycle.
+  EXPECT_EQ(f.lsq->parked_loads(), 3u);
   for (Cycle t = 1; t < 5; ++t) {
     f.step(t);
     EXPECT_FALSE(f.lsq->ticked_active()) << "cycle " << t;

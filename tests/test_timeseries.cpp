@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -14,6 +16,7 @@
 #include "graph/datasets.hpp"
 #include "graph/degree_sort.hpp"
 #include "linalg/gcn.hpp"
+#include "obs/json.hpp"
 #include "obs/observer.hpp"
 #include "sweep/sweep.hpp"
 
@@ -39,13 +42,14 @@ TEST(TimeSeries, ScheduleAdvancesByInterval) {
 }
 
 TEST(TimeSeries, ForcedSampleDeduplicatesPerCycle) {
-  TimeSeries ts(/*interval=*/10, /*capacity=*/8);
-  ts.record(sample_at(10));
-  ts.record_forced(sample_at(10));  // same cycle: dropped
-  EXPECT_EQ(ts.samples().size(), 1u);
-  ts.record_forced(sample_at(14));  // off-schedule: recorded
-  EXPECT_EQ(ts.samples().size(), 2u);
-  EXPECT_EQ(ts.next_due(), 24u);  // schedule realigned
+  Observer obs({.timeseries = true, .timeseries_interval = 10});
+  obs.sample(sample_at(10));
+  obs.sample_phase_end(sample_at(10));  // same cycle: dropped
+  obs.sample_phase_end(sample_at(14));  // off-schedule: recorded
+  EXPECT_EQ(obs.next_sample(), 24u);    // schedule realigned
+  const TimeSeriesData data = obs.take_timeseries();
+  ASSERT_EQ(data.samples.size(), 2u);
+  EXPECT_EQ(data.samples[1].cycle, 14u);
 }
 
 TEST(TimeSeries, CapacityThinsToEveryOtherSampleAndDoublesInterval) {
@@ -151,7 +155,9 @@ TEST(TimeSeriesSim, SamplerNeverAffectsTiming) {
 
 // The tentpole bit-identity guarantee: the fast-forward replay path
 // reconstructs the exact per-cycle samples the legacy loop takes, so
-// the two series compare equal field-for-field.
+// the series, the serialized trace (counter tracks, PE lanes, rate
+// tracks) and the metrics registry (gauges, the occupancy histogram,
+// lsq.load_rejects) compare equal across all three modes.
 TEST(TimeSeriesSim, SeriesBitIdenticalUnderFastForward) {
   ModeGuard guard;
   const Fixture f = build_fixture(0.1);
@@ -160,21 +166,36 @@ TEST(TimeSeriesSim, SeriesBitIdenticalUnderFastForward) {
         Dataflow::kHybrid}) {
     SCOPED_TRACE(to_string(flow));
     std::vector<TimeSeriesData> series;
+    std::vector<std::string> traces;
+    std::vector<std::string> metrics;
     for (const FastForwardMode mode :
          {FastForwardMode::kOff, FastForwardMode::kOn,
           FastForwardMode::kCheck}) {
       set_fast_forward_mode(mode);
-      ObserverOptions options;
-      options.timeseries = true;
-      options.timeseries_interval = 64;
-      Observer obs(options);
+      Observer obs({.trace = true, .sample_interval = 16, .timeseries = true,
+                    .timeseries_interval = 64, .spatial = true});
       obs.begin_run("ts");
-      series.push_back(run_with_observer(f, flow, &obs).timeseries);
+      const ExperimentResult r = run_with_observer(f, flow, &obs);
+      if (mode == FastForwardMode::kOn) {
+        // Otherwise nothing was back-filled and the test proves nothing.
+        EXPECT_GT(r.stats.skipped_cycles, 0u);
+      }
+      series.push_back(r.timeseries);
+      std::ostringstream trace, registry;
+      obs.trace().write(trace);
+      JsonWriter w(registry);
+      obs.metrics().write_json(w);
+      traces.push_back(trace.str());
+      metrics.push_back(registry.str());
     }
     ASSERT_FALSE(series[0].empty());
     EXPECT_EQ(series[0].interval, series[1].interval);
     EXPECT_EQ(series[0].samples, series[1].samples);  // off vs on
     EXPECT_EQ(series[0].samples, series[2].samples);  // off vs check
+    EXPECT_TRUE(traces[0] == traces[1]) << "trace differs, off vs on";
+    EXPECT_TRUE(traces[0] == traces[2]) << "trace differs, off vs check";
+    EXPECT_EQ(metrics[0], metrics[1]);
+    EXPECT_EQ(metrics[0], metrics[2]);
   }
 }
 

@@ -1,10 +1,11 @@
 // Ablation: DMB capacity sweep and LRU-vs-FIFO eviction. The paper
 // fixes a 256 KB unified buffer (Table III); this sweep shows the
 // sensitivity of each dataflow to the buffer size and the value of
-// recency-aware eviction.
+// recency-aware eviction, next to the area each buffer size costs.
 #include <iostream>
 
 #include "bench_common.hpp"
+#include "model/area.hpp"
 
 int main(int argc, char** argv) {
   using namespace hymm;
@@ -28,7 +29,7 @@ int main(int argc, char** argv) {
   const auto sweep = bench::run_config_sweep(opts, configs);
 
   Table table({"Dataset", "DMB", "Policy", "OP cycles", "RWP cycles",
-               "HyMM cycles", "HyMM hit"});
+               "HyMM cycles", "HyMM hit", "Area 40nm"});
   for (std::size_t d = 0; d < opts.datasets.size(); ++d) {
     for (std::size_t c = 0; c < configs.size(); ++c) {
       const DataflowComparison& cmp = sweep[c][d];
@@ -41,7 +42,8 @@ int main(int argc, char** argv) {
                cmp.by_flow(Dataflow::kRowWiseProduct).stats.cycles),
            std::to_string(cmp.by_flow(Dataflow::kHybrid).stats.cycles),
            Table::fmt_percent(
-               cmp.by_flow(Dataflow::kHybrid).stats.dmb_hit_rate(), 1)});
+               cmp.by_flow(Dataflow::kHybrid).stats.dmb_hit_rate(), 1),
+           Table::fmt(estimate_area(configs[c]).total_40nm_mm2, 3) + "mm^2"});
     }
   }
   table.print(std::cout);

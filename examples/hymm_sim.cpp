@@ -16,6 +16,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -176,8 +177,11 @@ int main(int argc, char** argv) {
   }
 
   // --- Build the workload (adjacency, features, weights, golden) ---
-  // Malformed input files raise CheckError naming the offending line.
+  // Malformed input files raise CheckError naming the offending line;
+  // an input whose sizes do not fit in memory raises std::bad_alloc,
+  // reported against the input being built.
   std::shared_ptr<const PreparedWorkload> prepared;
+  std::string input = dataset.empty() ? edge_list : dataset;
   try {
     if (!dataset.empty()) {
       const auto spec = find_dataset(dataset);
@@ -202,7 +206,9 @@ int main(int argc, char** argv) {
       workload.spec.edges = workload.adjacency.nnz();
       workload.spec.layer_dim = 16;
       if (!features_path.empty()) {
+        input = features_path;
         workload.features = load_sparse_matrix_file(features_path);
+        input = edge_list;
         if (workload.features.rows() != workload.adjacency.rows()) {
           std::cerr << "feature rows != graph nodes\n";
           return 2;
@@ -224,6 +230,9 @@ int main(int argc, char** argv) {
     }
   } catch (const CheckError& e) {
     std::cerr << e.what() << "\n";
+    return 1;
+  } catch (const std::bad_alloc&) {
+    std::cerr << input << ": does not fit in memory\n";
     return 1;
   }
 

@@ -46,7 +46,6 @@ GcnModel::InferenceResult GcnModel::run(const InferenceRequest& request) const {
     layer_request.a_hat = &a_hat_;
     layer_request.x = &x;
     layer_request.w = &weights_[l];
-    layer_request.observer = request.observer;
     LayerRunResult layer = accelerator.run_layer(layer_request);
     result.total_cycles += layer.stats.cycles;
     result.total_dram_bytes += layer.stats.dram_total_bytes();

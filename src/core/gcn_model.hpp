@@ -62,16 +62,17 @@ class GcnModel {
 
   /// Everything one inference needs, named instead of positional —
   /// mirrors ExperimentRequest (core/runner.hpp) and LayerRunRequest
-  /// (core/accelerator.hpp). `features` is required. `observer`
-  /// (optional) collects metrics/trace events for every layer; it
-  /// never affects timing. The hybrid degree-sorts a_hat in every
-  /// layer; that host-side cost is summed into total_preprocess_ms.
+  /// (core/accelerator.hpp). `features` is required. The hybrid
+  /// degree-sorts a_hat in every layer; that host-side cost is summed
+  /// into total_preprocess_ms. An inference takes no observer: an
+  /// observer's samples run on one clock, and each layer restarts at
+  /// cycle 0. Observed runs go through ExperimentRequest::observer
+  /// (core/runner.hpp), one layer each.
   struct InferenceRequest {
     Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow to simulate
     const CsrMatrix* features = nullptr;        ///< required: input features
     AcceleratorConfig config;                   ///< hardware parameters
     bool verify = true;          ///< compare output against reference()
-    Observer* observer = nullptr;  ///< optional; never affects timing
   };
 
   /// Simulates the whole network under the request's dataflow. When

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  BenchOptions opts = bench::init(argc, argv);
+  BenchOptions opts = bench::init(argc, argv, bench::Autotune::kHonoured);
   bench::print_header("Partition auto-tuner ablation (HyMM)",
                       "adaptive alternative to the fixed Section IV-E "
                       "threshold");

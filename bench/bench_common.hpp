@@ -15,10 +15,14 @@
 // count — the sweep executor guarantees bit-identical per-cell stats.
 #pragma once
 
+#include <algorithm>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,9 +38,30 @@
 
 namespace hymm::bench {
 
+// Whether a binary runs the measured threshold search on --autotune.
+enum class Autotune { kRejected, kHonoured };
+
 // Parses the shared bench knobs; exits 2 on a bad flag or env value.
-inline BenchOptions init(int argc, char** argv) {
-  return BenchOptions::from_env_and_args(argc, argv);
+// A binary that never tunes would run --autotune / HYMM_AUTOTUNE at the
+// fixed threshold without a word, so unless it honours the knob a mode
+// other than off exits 2 too, naming the knob as spelt (the flag when
+// the command line has it; flags win).
+inline BenchOptions init(int argc, char** argv,
+                         Autotune autotune = Autotune::kRejected) {
+  BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
+  if (autotune == Autotune::kRejected &&
+      opts.autotune != AutotuneMode::kOff) {
+    const bool flagged = std::any_of(argv + 1, argv + argc, [](auto a) {
+      return std::string_view(a).starts_with("--autotune");
+    });
+    std::cerr << (flagged ? "--autotune" : "HYMM_AUTOTUNE")
+              << " is not supported by "
+              << std::filesystem::path(argv[0]).filename().string()
+              << ": only perf_regression, paper_claims, ablation_autotune "
+                 "and hymm_sim tune the threshold\n";
+    std::exit(2);
+  }
+  return opts;
 }
 
 inline std::string scale_note(const DataflowComparison& comparison) {

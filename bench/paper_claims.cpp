@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  const BenchOptions opts = bench::init(argc, argv);
+  const BenchOptions opts = bench::init(argc, argv, bench::Autotune::kHonoured);
   const std::vector<DataflowComparison> grid =
       bench::run_datasets_with_policy(opts);
   const Dataflow flows[] = {Dataflow::kOuterProduct,

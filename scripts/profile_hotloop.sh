@@ -31,6 +31,11 @@
 #     HYMM_NO_FASTFWD=1  profile the legacy per-cycle loop instead —
 #                        useful to see what the fast-forward removed
 #
+# Build: function-level profiles need a build without link-time
+# optimisation, such as the default RelWithDebInfo build. A Release
+# build is link-time optimised (src/CMakeLists.txt), and there the
+# per-cycle hot path collapses into run_phase.
+#
 # Reading the output: sort by exclusive CPU time. The known hot spots
 # and their fixes are catalogued in docs/architecture.md ("Fast-forward
 # and the host-side hot path"). Rejected loads no longer re-probe the

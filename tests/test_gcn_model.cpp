@@ -1,7 +1,9 @@
 // Tests for the multi-layer GcnModel API and the report renderers.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
+#include <string>
 
 #include "common/check.hpp"
 #include "core/gcn_model.hpp"
@@ -51,6 +53,13 @@ TEST(GcnModel, WithRandomWeightsBuildsChain) {
   EXPECT_EQ(model.weights()[2].cols(), 4u);
 }
 
+GcnModel::InferenceRequest request_for(Dataflow flow, const CsrMatrix& x) {
+  GcnModel::InferenceRequest request;
+  request.flow = flow;
+  request.features = &x;
+  return request;
+}
+
 class GcnModelAllFlows : public ::testing::TestWithParam<Dataflow> {};
 
 TEST_P(GcnModelAllFlows, TwoLayerInferenceVerifies) {
@@ -71,6 +80,58 @@ TEST_P(GcnModelAllFlows, TwoLayerInferenceVerifies) {
   EXPECT_EQ(result.output.cols(), 8u);
 }
 
+// One layer's pinned counters: cycles, the stall vector in StallCause
+// order, and DRAM bytes.
+struct LayerPin {
+  Cycle cycles;
+  std::array<Cycle, kStallCauseCount> stalls;
+  std::uint64_t dram_bytes;
+};
+
+std::array<LayerPin, 2> inference_pin(Dataflow flow) {
+  switch (flow) {
+    case Dataflow::kRowWiseProduct:
+      return {{{40534, {16759, 0, 23569, 4, 0, 200, 0, 0, 2}, 569344},
+               {3791, {2964, 0, 621, 4, 0, 200, 0, 0, 2}, 67136}}};
+    case Dataflow::kOuterProduct:
+      return {{{52595, {16759, 16761, 451, 18036, 0, 200, 4, 0, 384}, 3361472},
+               {9680, {2964, 2966, 273, 2889, 0, 200, 4, 0, 384}, 613632}}};
+    case Dataflow::kHybrid:
+      return {{{41291, {16759, 0, 24182, 5, 0, 340, 2, 0, 3}, 585472},
+               {4542, {2964, 0, 1204, 5, 0, 364, 2, 0, 3}, 82752}}};
+  }
+  return {};
+}
+
+// Exact pin of a whole two-layer inference. Layer 1's W (256 x 16
+// floats, 16 KB) overflows the shrunk 8 KB DMB, so its combination
+// waits on DRAM like the infer-cs benchmark's (RWP and HyMM spend more
+// than half of layer 1 in dram_latency); layer 2's W fits.
+// Modeled timing is integer state, so these numbers hold in every
+// build type and fast-forward mode.
+TEST_P(GcnModelAllFlows, TwoLayerInferenceMatchesPin) {
+  const CsrMatrix a_hat = small_a_hat(200, 21);
+  const GcnModel model =
+      GcnModel::with_random_weights(a_hat, 256, {16, 16}, 22);
+  const CsrMatrix x = small_features(a_hat.rows(), 256, 23);
+  GcnModel::InferenceRequest request = request_for(GetParam(), x);
+  request.config.dmb_bytes = 8 * 1024;
+  const GcnModel::InferenceResult result = model.run(request);
+  ASSERT_TRUE(result.verified) << "max err " << result.max_abs_err;
+  ASSERT_EQ(result.layers.size(), 2u);
+  const std::array<LayerPin, 2> pin = inference_pin(GetParam());
+  for (std::size_t l = 0; l < pin.size(); ++l) {
+    const SimStats& s = result.layers[l].stats;
+    SCOPED_TRACE("layer " + std::to_string(l + 1));
+    EXPECT_EQ(s.cycles, pin[l].cycles);
+    for (std::size_t c = 0; c < kStallCauseCount; ++c) {
+      EXPECT_EQ(s.stall_cycles[c], pin[l].stalls[c])
+          << stall_cause_key(static_cast<StallCause>(c));
+    }
+    EXPECT_EQ(s.dram_total_bytes(), pin[l].dram_bytes);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Dataflows, GcnModelAllFlows,
                          ::testing::Values(Dataflow::kRowWiseProduct,
                                            Dataflow::kOuterProduct,
@@ -87,13 +148,6 @@ TEST(GcnModel, ReferenceMatchesStandaloneReference) {
   const GcnModel model(a_hat, weights);
   EXPECT_TRUE(DenseMatrix::allclose(
       model.reference(x), gcn_inference_reference(a_hat, x, weights)));
-}
-
-GcnModel::InferenceRequest request_for(Dataflow flow, const CsrMatrix& x) {
-  GcnModel::InferenceRequest request;
-  request.flow = flow;
-  request.features = &x;
-  return request;
 }
 
 TEST(GcnModel, HybridPaysPreprocessingPerLayer) {

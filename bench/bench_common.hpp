@@ -38,27 +38,41 @@
 
 namespace hymm::bench {
 
-// Whether a binary runs the measured threshold search on --autotune.
-enum class Autotune { kRejected, kHonoured };
+// What --autotune / HYMM_AUTOTUNE means to a binary.
+enum class Autotune {
+  kRejected,  // never tunes: a mode other than off exits 2
+  kHonoured,  // runs the measured threshold search when asked
+  kBuiltIn,   // always prints the fixed and the measured column: the
+              // knob, off included, would change nothing, so it exits 2
+};
 
 // Parses the shared bench knobs; exits 2 on a bad flag or env value.
 // A binary that never tunes would run --autotune / HYMM_AUTOTUNE at the
-// fixed threshold without a word, so unless it honours the knob a mode
-// other than off exits 2 too, naming the knob as spelt (the flag when
-// the command line has it; flags win).
+// fixed threshold without a word, and one that always tunes would
+// ignore the knob's value, so each exits 2 on the knobs it cannot
+// honour, naming the knob as spelt (the flag when the command line has
+// it; flags win).
 inline BenchOptions init(int argc, char** argv,
                          Autotune autotune = Autotune::kRejected) {
   BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
+  const bool flagged = std::any_of(argv + 1, argv + argc, [](auto a) {
+    return std::string_view(a).starts_with("--autotune");
+  });
+  const bool spelt = flagged || std::getenv("HYMM_AUTOTUNE") != nullptr;
+  const std::string knob = flagged ? "--autotune" : "HYMM_AUTOTUNE";
+  const std::string binary =
+      std::filesystem::path(argv[0]).filename().string();
   if (autotune == Autotune::kRejected &&
       opts.autotune != AutotuneMode::kOff) {
-    const bool flagged = std::any_of(argv + 1, argv + argc, [](auto a) {
-      return std::string_view(a).starts_with("--autotune");
-    });
-    std::cerr << (flagged ? "--autotune" : "HYMM_AUTOTUNE")
-              << " is not supported by "
-              << std::filesystem::path(argv[0]).filename().string()
+    std::cerr << knob << " is not supported by " << binary
               << ": only perf_regression, paper_claims, ablation_autotune "
                  "and hymm_sim tune the threshold\n";
+    std::exit(2);
+  }
+  if (autotune == Autotune::kBuiltIn && spelt) {
+    std::cerr << knob << " is not accepted by " << binary
+              << ": it always prints both the fixed-threshold and the "
+                 "measured column\n";
     std::exit(2);
   }
   return opts;

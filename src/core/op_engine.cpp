@@ -37,6 +37,7 @@ OpEngine::OpEngine(MemorySystem& ms, const OpEngineParams& params)
   HYMM_CHECK_MSG(params_.window >= chunks_,
                  "engine window smaller than one dense row");
   staged_.reserve(chunks_);
+  pending_.reserve(params_.window);
 
   // Count distinct output rows (needed for the flush stage).
   std::vector<bool> touched(params_.sparse->rows(), false);

@@ -22,12 +22,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <span>
 #include <vector>
 
 #include "common/lru_list.hpp"
+#include "common/ring_queue.hpp"
 #include "core/engine.hpp"
 #include "graph/csr.hpp"
 #include "linalg/dense.hpp"
@@ -165,7 +165,7 @@ class OpEngine final : public Engine {
   Stage stage_ = Stage::kStream;
   // Cycle accounting: what this tick was spent on (set every tick).
   StallCause cause_ = StallCause::kDrain;
-  std::deque<Pending> pending_;
+  RingQueue<Pending> pending_;
   // Issue-slot staging buffer, reused across cycles to avoid a heap
   // allocation per issued non-zero.
   std::vector<Pending> staged_;

@@ -22,6 +22,7 @@ RwpEngine::RwpEngine(MemorySystem& ms, const RwpEngineParams& params)
              params_.c->rows());
   HYMM_CHECK(params_.window > 0);
   chunks_ = lines_per_row(params_.b->cols());
+  pending_.reserve(params_.window);
   ms.smq().attach_csr(*params_.sparse, params_.sparse_class);
 }
 

@@ -10,10 +10,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <span>
 
+#include "common/ring_queue.hpp"
 #include "core/engine.hpp"
 #include "graph/csr.hpp"
 #include "linalg/dense.hpp"
@@ -102,10 +102,10 @@ class RwpEngine final : public Engine {
 
   RwpEngineParams params_;
   std::size_t chunks_ = 1;  // 64-byte lines per dense row
-  std::deque<Pending> pending_;
+  RingQueue<Pending> pending_;
   // Output-line stores the LSQ rejected; retried before any further
   // retirement.
-  std::deque<Addr> pending_stores_;
+  RingQueue<Addr> pending_stores_;
   std::uint64_t retired_ = 0;
   std::uint64_t region2_macs_ = 0;
   std::uint64_t region3_macs_ = 0;

@@ -18,7 +18,8 @@ DenseMatrixBuffer::DenseMatrixBuffer(const AcceleratorConfig& config,
       dram_(&dram),
       stats_(&stats) {
   HYMM_CHECK(capacity_lines_ > 0);
-  lines_.reserve(capacity_lines_ * 2);
+  mshr_lines_.reserve(mshr_capacity_);
+  mshrs_.reserve(mshr_capacity_);
   ready_waiters_.reserve(mshr_capacity_ * 2);
 }
 
@@ -35,6 +36,16 @@ Cycle DenseMatrixBuffer::next_event(Cycle now) const {
 
 std::uint64_t DenseMatrixBuffer::dram_tag_for(Addr line) const {
   return make_tag(kDmbTagSource, line);
+}
+
+void DenseMatrixBuffer::erase_mshr(std::size_t i) {
+  HYMM_DCHECK(i < mshrs_.size());
+  if (i + 1 != mshrs_.size()) {
+    mshr_lines_[i] = mshr_lines_.back();
+    mshrs_[i] = std::move(mshrs_.back());
+  }
+  mshr_lines_.pop_back();
+  mshrs_.pop_back();
 }
 
 void DenseMatrixBuffer::touch(Addr line, LineState& state) {
@@ -65,11 +76,11 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
     return ReadResult::kHit;
   }
 
-  if (Mshr* mshr = mshrs_.find(line)) {
+  if (const std::size_t i = mshr_index(line); i < mshrs_.size()) {
     // Secondary miss: piggyback on the outstanding fill.
     ++stats_->dmb_read_misses;
     HYMM_OBS(obs_, spatial().on_dmb_miss());
-    mshr->waiters.push_back(waiter_tag);
+    mshrs_[i].waiters.push_back(waiter_tag);
     return ReadResult::kMiss;
   }
 
@@ -79,7 +90,7 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read(Addr line,
 DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
     Addr line, TrafficClass cls, std::uint64_t waiter_tag, Cycle now) {
   HYMM_DCHECK(!lines_.contains(line) && !prefetch_inflight_.contains(line) &&
-              !mshrs_.contains(line));
+              !has_pending_miss_for(line));
   if (mshrs_.size() >= mshr_capacity_ || !dram_->can_accept_read()) {
     return ReadResult::kReject;
   }
@@ -90,7 +101,8 @@ DenseMatrixBuffer::ReadResult DenseMatrixBuffer::read_absent(
   mshr.cls = cls;
   mshr.alloc_cycle = now;
   mshr.waiters.push_back(waiter_tag);
-  mshrs_.emplace(line, std::move(mshr));
+  mshr_lines_.push_back(line);
+  mshrs_.push_back(std::move(mshr));
   joined_lines_.push_back(line);
   dram_->issue_read(line, cls, dram_tag_for(line), now);
   return ReadResult::kMiss;
@@ -191,7 +203,7 @@ bool DenseMatrixBuffer::contains(Addr line) const {
 }
 
 bool DenseMatrixBuffer::prefetch(Addr line, TrafficClass cls, Cycle now) {
-  if (lines_.contains(line) || mshrs_.contains(line) ||
+  if (lines_.contains(line) || has_pending_miss_for(line) ||
       prefetch_inflight_.contains(line)) {
     return false;
   }
@@ -247,18 +259,17 @@ bool DenseMatrixBuffer::pin_partial(Addr line, Cycle now) {
 }
 
 void DenseMatrixBuffer::unpin_and_writeback_outputs(Cycle now) {
-  pinned_scratch_.clear();
-  lines_.for_each([this](Addr line, LineState& state) {
-    if (state.pinned) pinned_scratch_.push_back(line);
-  });
-  for (const Addr line : pinned_scratch_) {
-    LineState& state = lines_.at(line);
+  // Visits lines in address order. The order is unobservable: each
+  // pinned line books one write of the same class, and the byte and
+  // partial-footprint counters are order-independent.
+  lines_.for_each([&](Addr line, LineState& state) {
+    if (!state.pinned) return;
     dram_->issue_write(line, TrafficClass::kOutput, now);
     stats_->note_partial_bytes(-static_cast<std::int64_t>(kLineBytes));
     --pinned_count_;
     list_for(state.cls).erase(state.lru_it);
     lines_.erase(line);
-  }
+  });
   HYMM_DCHECK(pinned_count_ == 0);
 }
 
@@ -280,8 +291,9 @@ bool DenseMatrixBuffer::writeback_one_partial(TrafficClass final_cls,
 }
 
 void DenseMatrixBuffer::flush_dirty(Cycle now) {
-  // Map-iteration order is unobservable here: each dirty line books
-  // one write and the per-class byte counters are order-independent.
+  // Visits lines in address order. The order is unobservable: each
+  // dirty line books one write and the per-class byte counters are
+  // order-independent.
   lines_.for_each([&](Addr line, LineState& state) {
     if (!state.dirty) return;
     dram_->issue_write(line, state.cls, now);
@@ -299,6 +311,7 @@ void DenseMatrixBuffer::reset_contents() {
   lines_.clear();
   data_lru_.clear();
   partial_lru_.clear();
+  mshr_lines_.clear();
   mshrs_.clear();
   pending_hits_.clear();
   ready_waiters_.clear();
@@ -330,18 +343,19 @@ void DenseMatrixBuffer::tick(Cycle now) {
     if (tag_source(tag) != kDmbTagSource) continue;
     tick_active_ = true;
     const Addr line = tag_payload(tag);
-    Mshr* mshr = mshrs_.find(line);
-    HYMM_DCHECK(mshr != nullptr);
+    const std::size_t i = mshr_index(line);
+    HYMM_DCHECK(i < mshrs_.size());
+    const Mshr& mshr = mshrs_[i];
     // MSHR allocation -> fill install (the buffer-side miss latency).
-    HYMM_OBS(obs_, observe_dmb_fill_latency(now - mshr->alloc_cycle));
+    HYMM_OBS(obs_, observe_dmb_fill_latency(now - mshr.alloc_cycle));
     // Install as a clean line; when no victim is available (e.g.
     // everything pinned or write back-pressure) the fill bypasses the
     // buffer — the waiters still get their data.
-    install(line, mshr->cls, /*dirty=*/false, now);
-    for (const std::uint64_t waiter : mshr->waiters) {
+    install(line, mshr.cls, /*dirty=*/false, now);
+    for (const std::uint64_t waiter : mshr.waiters) {
       ready_waiters_.push_back(waiter);
     }
-    mshrs_.erase(line);
+    erase_mshr(i);
   }
 }
 

@@ -9,13 +9,14 @@
 // timing").
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
+#include "common/line_map.hpp"
 #include "common/lru_list.hpp"
+#include "common/ring_queue.hpp"
 #include "common/small_vec.hpp"
 #include "sim/dram.hpp"
 #include "sim/stats.hpp"
@@ -55,7 +56,7 @@ class DenseMatrixBuffer {
 
   // Retry path for a parked load (see LoadStoreQueue): one the DMB
   // rejected while its line was absent from all three directories
-  // (lines_, prefetch_inflight_, mshrs_), with no join of that line
+  // (lines_, prefetch_inflight_, the MSHRs), with no join of that line
   // reported since. Skips the membership probes and goes straight to
   // the miss/reject decision, with outcomes and side effects identical
   // to read().
@@ -151,7 +152,9 @@ class DenseMatrixBuffer {
 
   // True when `line` has an outstanding miss fill in flight from DRAM
   // (cycle-accounting query; never mutates state).
-  bool has_pending_miss_for(Addr line) const { return mshrs_.contains(line); }
+  bool has_pending_miss_for(Addr line) const {
+    return mshr_index(line) < mshr_lines_.size();
+  }
 
  private:
   struct LineState {
@@ -187,6 +190,14 @@ class DenseMatrixBuffer {
 
   std::uint64_t dram_tag_for(Addr line) const;
 
+  // Index of the MSHR for `line` in mshrs_, mshrs_.size() when none.
+  std::size_t mshr_index(Addr line) const {
+    return static_cast<std::size_t>(
+        std::find(mshr_lines_.begin(), mshr_lines_.end(), line) -
+        mshr_lines_.begin());
+  }
+  void erase_mshr(std::size_t i);
+
   std::size_t capacity_lines_;
   Cycle hit_latency_;
   Cycle dram_latency_;
@@ -197,10 +208,9 @@ class DenseMatrixBuffer {
     return cls == TrafficClass::kPartial ? partial_lru_ : data_lru_;
   }
 
-  // Hot-path directories use the open-addressing FlatMap (see
-  // common/flat_map.hpp): every load offered to read() probes all
-  // three.
-  FlatMap<LineState> lines_;
+  // Line-indexed directory (common/line_map.hpp): every load offered
+  // to read() probes it, prefetch_inflight_ and the MSHRs.
+  LineMap<LineState> lines_;
   // Two recency tiers, front = oldest. Data lines (W, XW, ...) share
   // one LRU so the phase's live working set wins regardless of class;
   // partial-output lines are victimized only when no data line is
@@ -211,14 +221,16 @@ class DenseMatrixBuffer {
   LruList<Addr> partial_lru_;
   std::size_t pinned_count_ = 0;
 
-  FlatMap<Mshr> mshrs_;
+  // The MSHR file: at most mshr_capacity_ outstanding misses, kept
+  // dense (erase moves the last entry into the hole), so a lookup is a
+  // linear scan of mshr_lines_. mshr_lines_[i] is the line of
+  // mshrs_[i].
+  std::vector<Addr> mshr_lines_;
+  std::vector<Mshr> mshrs_;
   std::vector<Addr> joined_lines_;
-  std::deque<PendingHit> pending_hits_;
+  RingQueue<PendingHit> pending_hits_;
   std::vector<std::uint64_t> ready_waiters_;
   bool tick_active_ = false;
-  // Scratch for unpin_and_writeback_outputs (FlatMap forbids erasing
-  // during for_each).
-  std::vector<Addr> pinned_scratch_;
   // Scratch for demote_class's stable partition over the data tier.
   std::vector<LruList<Addr>::Handle> demote_scratch_;
 
@@ -227,9 +239,9 @@ class DenseMatrixBuffer {
     TrafficClass cls = TrafficClass::kCombined;
     Cycle ready_cycle = 0;
   };
-  std::deque<PendingPrefetch> pending_prefetches_;
+  RingQueue<PendingPrefetch> pending_prefetches_;
   // line -> arrival cycle of an in-flight prefetch
-  FlatMap<Cycle> prefetch_inflight_;
+  LineMap<Cycle> prefetch_inflight_;
 
   Dram* dram_;
   SimStats* stats_;

@@ -18,13 +18,14 @@ Dram::Dram(const AcceleratorConfig& config, SimStats& stats)
       1, static_cast<Cycle>(kLineBytes / config.dram_bytes_per_cycle));
   write_buffer_window_ =
       static_cast<Cycle>(config.dram_write_buffer_lines) * cycles_per_line_;
+  inflight_.reserve(queue_entries_);
   completions_.reserve(queue_entries_);
 }
 
 Cycle Dram::next_event(Cycle now) const {
   Cycle e = kNoEvent;
   if (!inflight_.empty()) {
-    // reserve_slot keeps next_slot_ monotone, so the deque is ordered
+    // reserve_slot keeps next_slot_ monotone, so the queue is ordered
     // by ready_cycle and the front is the earliest completion.
     e = std::min(e, std::max(inflight_.front().ready_cycle, now + 1));
   }

@@ -5,10 +5,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/config.hpp"
+#include "common/ring_queue.hpp"
 #include "common/types.hpp"
 #include "sim/stats.hpp"
 
@@ -91,7 +91,7 @@ class Dram {
   Cycle cycles_per_line_ = 1;      // bandwidth: cycles per 64-byte line
   Cycle write_buffer_window_ = 64; // slots a writer may book ahead
   Cycle next_slot_ = 0;            // next cycle the channel is free
-  std::deque<Inflight> inflight_;  // FIFO: fixed latency keeps order
+  RingQueue<Inflight> inflight_;  // FIFO: fixed latency keeps order
   std::vector<std::uint64_t> completions_;
   SimStats* stats_;
   Observer* obs_ = nullptr;

@@ -9,16 +9,22 @@ LoadStoreQueue::LoadStoreQueue(const AcceleratorConfig& config,
                                DenseMatrixBuffer& dmb, SimStats& stats)
     : capacity_(config.lsq_entries),
       forwarding_(config.lsq_store_to_load_forwarding),
+      slots_(config.lsq_entries),
       dmb_(&dmb),
       stats_(&stats) {
-  load_entries_.reserve(capacity_ * 2);
+  // Slot 0 on top of the free list, so loads fill slots from 0 up.
+  free_.reserve(capacity_);
+  for (std::size_t i = capacity_; i > 0; --i) {
+    free_.push_back(static_cast<EntryId>(i - 1));
+  }
   arrivals_.reserve(capacity_);
   parked_.reserve(capacity_);
-  parked_lines_.reserve(capacity_ * 2);
+  store_queue_.reserve(capacity_);
+  forward_fifo_.reserve(capacity_ + 1);
 }
 
 std::size_t LoadStoreQueue::free_entries() const {
-  const std::size_t used = load_entries_.size() + store_queue_.size();
+  const std::size_t used = pending_loads() + store_queue_.size();
   return used >= capacity_ ? 0 : capacity_ - used;
 }
 
@@ -27,11 +33,14 @@ std::optional<LoadStoreQueue::EntryId> LoadStoreQueue::load(Addr line,
                                                             Cycle now) {
   if (free_entries() == 0) return std::nullopt;
   ++stats_->lsq_loads;
-  const EntryId id = next_id_++;
-  LoadEntry entry;
+  const EntryId id = free_.back();
+  free_.pop_back();
+  LoadEntry& entry = slots_[id];
+  entry = LoadEntry{};
   entry.line = line;
   entry.cls = cls;
   entry.issue_cycle = now;
+  entry.live = true;
   if (forwarding_ && forward_lines_.contains(line)) {
     // A store entry for this line exists (pending or already
     // drained): forward its data without touching the memory system
@@ -42,30 +51,30 @@ std::optional<LoadStoreQueue::EntryId> LoadStoreQueue::load(Addr line,
   } else {
     arrivals_.push_back(UnissuedLoad{id, line, cls});
   }
-  load_entries_.emplace(id, entry);
   return id;
 }
 
 bool LoadStoreQueue::is_ready(EntryId id) const {
-  const LoadEntry* entry = load_entries_.find(id);
-  HYMM_DCHECK(entry != nullptr);
-  return entry != nullptr && entry->ready;
+  HYMM_DCHECK(id < slots_.size() && slots_[id].live);
+  return slots_[id].ready;
 }
 
 LoadStoreQueue::LoadWait LoadStoreQueue::load_wait_state(EntryId id) const {
-  const LoadEntry* entry = load_entries_.find(id);
-  HYMM_DCHECK(entry != nullptr);
-  if (entry == nullptr || entry->ready) return LoadWait::kReady;
-  if (!entry->issued) return LoadWait::kUnissued;
-  if (dmb_->has_pending_miss_for(entry->line)) return LoadWait::kDramFill;
+  HYMM_DCHECK(id < slots_.size() && slots_[id].live);
+  const LoadEntry& entry = slots_[id];
+  if (entry.ready) return LoadWait::kReady;
+  if (!entry.issued) return LoadWait::kUnissued;
+  if (dmb_->has_pending_miss_for(entry.line)) return LoadWait::kDramFill;
   return LoadWait::kDmbPending;
 }
 
 void LoadStoreQueue::release_load(EntryId id) {
-  const LoadEntry* entry = load_entries_.find(id);
-  HYMM_CHECK_MSG(entry != nullptr, "releasing unknown LSQ entry");
-  HYMM_CHECK_MSG(entry->ready, "releasing a load that is not ready");
-  load_entries_.erase(id);
+  HYMM_CHECK_MSG(id < slots_.size() && slots_[id].live,
+                 "releasing unknown LSQ entry");
+  LoadEntry& entry = slots_[id];
+  HYMM_CHECK_MSG(entry.ready, "releasing a load that is not ready");
+  entry.live = false;
+  free_.push_back(id);
 }
 
 bool LoadStoreQueue::store(Addr line, TrafficClass cls, StoreKind kind,
@@ -87,7 +96,8 @@ bool LoadStoreQueue::store(Addr line, TrafficClass cls, StoreKind kind,
 }
 
 void LoadStoreQueue::mark_issued(EntryId id) {
-  load_entries_.at(id).issued = true;
+  HYMM_DCHECK(slots_[id].live);
+  slots_[id].issued = true;
   tick_active_ = true;
 }
 
@@ -120,37 +130,32 @@ void LoadStoreQueue::issue_loads(Cycle now) {
   // rejected without a probe. A grant on a line another parked load
   // waits for makes that one a secondary miss, so the rest of the
   // queue then takes the full probe in order.
-  std::uint64_t rejects = 0;
-  std::size_t granted = 0;
-  while (!probe_all && granted < parked_.size()) {
-    const UnissuedLoad& u = parked_[granted];
+  while (!probe_all && !parked_.empty()) {
+    const UnissuedLoad u = parked_.front();
     if (dmb_->read_absent(u.line, u.cls, u.id, now) ==
         DenseMatrixBuffer::ReadResult::kReject) {
       break;
     }
-    ++granted;
+    parked_.pop_front();
     mark_issued(u.id);
     probe_all = unpark(u.line);
   }
   if (probe_all) {
-    std::size_t kept = 0;
-    for (std::size_t i = granted; i < parked_.size(); ++i) {
-      const UnissuedLoad u = parked_[i];
+    // One pass in age order; rejected loads rotate to the back, so
+    // the survivors keep their relative order.
+    for (std::size_t n = parked_.size(); n > 0; --n) {
+      const UnissuedLoad u = parked_.front();
+      parked_.pop_front();
       if (dmb_->read(u.line, u.cls, u.id, now) ==
           DenseMatrixBuffer::ReadResult::kReject) {
-        parked_[kept++] = u;
+        parked_.push_back(u);
       } else {
         mark_issued(u.id);
         unpark(u.line);
       }
     }
-    rejects += kept;
-    parked_.resize(kept);
-  } else {
-    rejects += parked_.size() - granted;
-    parked_.erase(parked_.begin(),
-                  parked_.begin() + static_cast<std::ptrdiff_t>(granted));
   }
+  std::uint64_t rejects = parked_.size();
 
   // New loads queue behind every parked one.
   for (const UnissuedLoad& u : arrivals_) {
@@ -169,16 +174,18 @@ void LoadStoreQueue::issue_loads(Cycle now) {
 
 void LoadStoreQueue::tick(Cycle now) {
   tick_active_ = false;
-  // 1. Data arriving from the DMB. Ids are never reused and an entry
-  // is released only once ready, so every waiter's entry must exist.
+  // 1. Data arriving from the DMB. A waiter tag is the slot id of a
+  // load the DMB accepted; a slot is released only once ready, so it
+  // cannot be reused while its waiter is still in the DMB.
   for (const std::uint64_t tag : dmb_->ready_waiters()) {
-    LoadEntry* entry = load_entries_.find(tag);
-    HYMM_DCHECK(entry != nullptr);
-    entry->ready = true;
+    HYMM_DCHECK(tag < slots_.size() && slots_[tag].live &&
+                slots_[tag].issued && !slots_[tag].ready);
+    LoadEntry& entry = slots_[tag];
+    entry.ready = true;
     tick_active_ = true;
     // Allocation -> ready latency; forwarded loads never pass through
     // here (they are born ready).
-    HYMM_OBS(obs_, observe_load_latency(now - entry->issue_cycle));
+    HYMM_OBS(obs_, observe_load_latency(now - entry.issue_cycle));
   }
 
   // 2. Offer new and parked loads to the DMB.

@@ -6,12 +6,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "common/config.hpp"
-#include "common/flat_map.hpp"
+#include "common/line_map.hpp"
+#include "common/ring_queue.hpp"
 #include "sim/dmb.hpp"
 #include "sim/stats.hpp"
 
@@ -28,12 +28,14 @@ class Observer;
 
 class LoadStoreQueue {
  public:
-  using EntryId = std::uint64_t;
+  // A load's slot index in [0, lsq_entries). A released slot goes
+  // back on the free list and a later load() may return it again.
+  using EntryId = std::uint32_t;
 
   LoadStoreQueue(const AcceleratorConfig& config, DenseMatrixBuffer& dmb,
                  SimStats& stats);
 
-  // Copyable: a copy carries the entries, new and parked loads, the
+  // Copyable: a copy carries the load slots, new and parked loads, the
   // store queue and the store-to-load forwarding window (which
   // persists across phases and feeds aggregation-phase forwards);
   // rebind() re-points its DMB and counters, see Dram::rebind.
@@ -100,7 +102,7 @@ class LoadStoreQueue {
   }
 
   bool all_stores_drained() const { return store_queue_.empty(); }
-  std::size_t pending_loads() const { return load_entries_.size(); }
+  std::size_t pending_loads() const { return slots_.size() - free_.size(); }
   std::size_t pending_stores() const { return store_queue_.size(); }
   // Loads the DMB rejected and that still wait for an offer.
   std::size_t parked_loads() const { return parked_.size(); }
@@ -110,6 +112,7 @@ class LoadStoreQueue {
     Addr line = 0;
     TrafficClass cls = TrafficClass::kCombined;
     Cycle issue_cycle = 0;  // allocation cycle, for latency histograms
+    bool live = false;      // slot holds an unreleased load
     bool issued = false;    // accepted by the DMB
     bool ready = false;
   };
@@ -124,7 +127,7 @@ class LoadStoreQueue {
   bool forwarding_;
 
   // A load not yet accepted by the DMB. Carries line/class so a
-  // reject costs no load_entries_ probe (the entry is only touched on
+  // reject does not touch its slot (the slot is only touched on
   // acceptance).
   struct UnissuedLoad {
     EntryId id = 0;
@@ -139,25 +142,27 @@ class LoadStoreQueue {
   // it.
   bool unpark(Addr line);
 
-  EntryId next_id_ = 1;
-  FlatMap<LoadEntry> load_entries_;
+  // One slot per LSQ entry (loads never outnumber the entries);
+  // free_ holds the unused slot ids.
+  std::vector<LoadEntry> slots_;
+  std::vector<EntryId> free_;
   // Loads allocated since the last tick; their first offer is a full
   // DenseMatrixBuffer::read().
   std::vector<UnissuedLoad> arrivals_;
   // Rejected loads, oldest first. Each one's line was absent from every
   // DMB directory when it was rejected, and any join of that line since
   // is still in dmb_->joined_lines().
-  std::vector<UnissuedLoad> parked_;
+  RingQueue<UnissuedLoad> parked_;
   // line -> parked loads waiting on it; derived from parked_.
-  FlatMap<std::uint32_t> parked_lines_;
+  LineMap<std::uint32_t> parked_lines_;
   bool tick_active_ = false;
-  std::deque<StoreEntry> store_queue_;
+  RingQueue<StoreEntry> store_queue_;
   // Store-to-load forwarding window: the last `capacity_` stored
   // lines. Section IV-B forwards from any matching entry — the store
   // need not still be pending, only not yet replaced. SpDeMM output
   // addresses are written once, so stale-data hazards cannot arise.
-  std::deque<Addr> forward_fifo_;
-  FlatMap<std::uint32_t> forward_lines_;
+  RingQueue<Addr> forward_fifo_;
+  LineMap<std::uint32_t> forward_lines_;
 
   DenseMatrixBuffer* dmb_;
   SimStats* stats_;

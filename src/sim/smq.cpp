@@ -22,6 +22,7 @@ SparseMatrixQueue::SparseMatrixQueue(const AcceleratorConfig& config,
   entry_capacity_ = config.smq_index_bytes / kEntryBytes;
   entries_per_line_ = kLineBytes / kEntryBytes;
   HYMM_CHECK(entry_capacity_ >= entries_per_line_);
+  ready_.reserve(entry_capacity_);
 }
 
 void SparseMatrixQueue::attach_common(TrafficClass cls,
@@ -132,7 +133,7 @@ void SparseMatrixQueue::tick(Cycle now) {
     dram_->issue_read(/*line_addr=*/0, cls_, make_tag(kSmqTagSource, payload),
                      now);
     HYMM_OBS(obs_, on_smq_refill());
-    inflight_refills_.emplace_back(payload, chunk);
+    inflight_refills_.push_back({payload, chunk});
     requested_ += chunk;
     tick_active_ = true;
 

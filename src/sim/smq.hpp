@@ -6,9 +6,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
+#include <utility>
 
 #include "common/config.hpp"
+#include "common/ring_queue.hpp"
 #include "graph/csr.hpp"
 #include "sim/dram.hpp"
 #include "sim/stats.hpp"
@@ -102,7 +103,7 @@ class SparseMatrixQueue {
   NodeId cursor_outer_ = 0;
   EdgeCount cursor_k_ = 0;  // index within the current outer unit
 
-  std::deque<SmqEntry> ready_;
+  RingQueue<SmqEntry> ready_;
   std::size_t entry_capacity_ = 0;   // index-buffer bound
   std::size_t entries_per_line_ = 0;
   // Pointer prefetch: one pointer line covers kLineBytes/4 outer
@@ -111,7 +112,7 @@ class SparseMatrixQueue {
 
   std::uint64_t next_refill_tag_ = 0;
   // In-flight refills: tag payload -> entry count (FIFO by tag).
-  std::deque<std::pair<std::uint64_t, std::size_t>> inflight_refills_;
+  RingQueue<std::pair<std::uint64_t, std::size_t>> inflight_refills_;
   bool tick_active_ = false;
 
   Dram* dram_;

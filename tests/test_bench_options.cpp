@@ -196,7 +196,7 @@ const std::vector<std::pair<std::string, std::string>> kRemovedServeKnobs = {
 
 TEST(BenchOptionsTest, ServeKnobDefaultsAreUnset) {
   std::map<std::string, std::string> env;
-  for (const auto& [flag, var] : kRemovedServeKnobs) env[var] = "8";
+  for (const auto& [flag, var] : kRemovedServeKnobs) env.emplace(var, "8");
   const BenchOptions opts = parse({}, env);
   const BenchOptions defaults = parse({});
   EXPECT_EQ(opts.seed, defaults.seed);

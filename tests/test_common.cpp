@@ -1,5 +1,6 @@
 // Unit tests for src/common: RNG determinism and distributions,
-// configuration validation, check macros and the table printer.
+// configuration validation, check macros, the table printer and the
+// simulator's line-indexed table and ring FIFO.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,9 +9,10 @@
 #include <sstream>
 
 #include "common/check.hpp"
-#include "common/flat_map.hpp"
 #include "common/config.hpp"
+#include "common/line_map.hpp"
 #include "common/rng.hpp"
+#include "common/ring_queue.hpp"
 #include "common/table.hpp"
 #include "common/types.hpp"
 
@@ -179,73 +181,145 @@ TEST(Types, LineGeometry) {
   EXPECT_EQ(kLineBytes, kLaneCount * sizeof(Value));
 }
 
-TEST(FlatMap, InsertFindEraseRoundTrip) {
-  FlatMap<int> map;
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.find(42), nullptr);
-  map.emplace(42, 7);
-  map.emplace(0, 1);  // key 0 is a valid key, not a sentinel
-  ASSERT_NE(map.find(42), nullptr);
-  EXPECT_EQ(*map.find(42), 7);
+TEST(LineMap, FindEmplaceEraseAcrossPageBoundary) {
+  LineMap<int> map;
+  EXPECT_EQ(map.size(), 0u);
+  // The last line of page 0 and the first line of page 1.
+  const Addr last = (LineMap<int>::kPageLines - 1) * kLineBytes;
+  const Addr first = LineMap<int>::kPageLines * kLineBytes;
+  EXPECT_EQ(map.find(last), nullptr);
+  EXPECT_EQ(map.find(first), nullptr);
+  map.emplace(last, 7);
+  map.emplace(first, 8);
+  map.emplace(0, 1);  // line 0 is a valid key, not a sentinel
+  ASSERT_NE(map.find(last), nullptr);
+  EXPECT_EQ(*map.find(last), 7);
+  EXPECT_EQ(*map.find(first), 8);
   EXPECT_EQ(*map.find(0), 1);
-  EXPECT_EQ(map.size(), 2u);
-  map.emplace(42, 8);  // overwrite, not duplicate
-  EXPECT_EQ(*map.find(42), 8);
-  EXPECT_EQ(map.size(), 2u);
-  EXPECT_TRUE(map.erase(42));
-  EXPECT_FALSE(map.erase(42));
-  EXPECT_EQ(map.find(42), nullptr);
-  EXPECT_EQ(*map.find(0), 1);
+  EXPECT_EQ(map.size(), 3u);
+  map.emplace(first, 9);  // overwrite, not duplicate
+  EXPECT_EQ(*map.find(first), 9);
+  EXPECT_EQ(map.size(), 3u);
+  ++map[first + kLineBytes];  // counter idiom default-constructs
+  EXPECT_EQ(map.at(first + kLineBytes), 1);
+  EXPECT_TRUE(map.erase(last));
+  EXPECT_FALSE(map.erase(last));
+  EXPECT_FALSE(map.erase(100 * first));  // untouched page
+  EXPECT_EQ(map.find(last), nullptr);
+  EXPECT_EQ(*map.find(first), 9);
+  EXPECT_EQ(map.size(), 3u);
 }
 
-TEST(FlatMap, OperatorBracketDefaultConstructs) {
-  FlatMap<std::uint32_t> counts;
-  ++counts[5];
-  ++counts[5];
-  ++counts[9];
-  EXPECT_EQ(counts[5], 2u);
-  EXPECT_EQ(counts[9], 1u);
-  EXPECT_EQ(counts.size(), 2u);
-}
-
-// Mirror model check across growth and backward-shift deletion: the
-// map must agree with std::map on a deterministic churn workload
-// (including 64-byte-aligned "line address" keys that stress the
-// low-bit-zero hashing case).
-TEST(FlatMap, MatchesReferenceModelUnderChurn) {
-  FlatMap<std::uint64_t> map;
-  std::map<std::uint64_t, std::uint64_t> model;
+// for_each against a std::map model under churn over several pages:
+// every entry once, in ascending address order.
+TEST(LineMap, ForEachVisitsEachEntryOnceInAddressOrder) {
+  LineMap<std::uint64_t> map;
+  std::map<Addr, std::uint64_t> model;
   Rng rng(123);
   for (int step = 0; step < 20000; ++step) {
-    const std::uint64_t key = (rng.next_below(512)) * 64;
-    const auto op = rng.next_below(3);
-    if (op == 0) {
-      map.emplace(key, step);
-      model[key] = static_cast<std::uint64_t>(step);
-    } else if (op == 1) {
-      EXPECT_EQ(map.erase(key), model.erase(key) > 0);
+    const Addr line = rng.next_below(4 * LineMap<int>::kPageLines) * kLineBytes;
+    if (rng.next_below(3) == 0) {
+      EXPECT_EQ(map.erase(line), model.erase(line) > 0);
     } else {
-      const std::uint64_t* found = map.find(key);
-      const auto it = model.find(key);
-      ASSERT_EQ(found != nullptr, it != model.end());
-      if (found != nullptr) {
-        EXPECT_EQ(*found, it->second);
-      }
+      map.emplace(line, static_cast<std::uint64_t>(step));
+      model[line] = static_cast<std::uint64_t>(step);
     }
     ASSERT_EQ(map.size(), model.size());
   }
-  // Full-content sweep via for_each.
+  auto it = model.begin();
   std::size_t visited = 0;
-  map.for_each([&](std::uint64_t key, std::uint64_t& value) {
+  map.for_each([&](Addr line, std::uint64_t& value) {
     ++visited;
-    const auto it = model.find(key);
     ASSERT_NE(it, model.end());
+    EXPECT_EQ(line, it->first);
     EXPECT_EQ(value, it->second);
+    ++it;
   });
   EXPECT_EQ(visited, model.size());
+}
+
+TEST(LineMap, CopyIsIndependentAndClearEmpties) {
+  LineMap<int> map;
+  map.emplace(64, 1);
+  map.emplace(5 * LineMap<int>::kPageLines * kLineBytes, 2);
+  LineMap<int> copy = map;
+  copy.emplace(64, 10);
+  copy.erase(5 * LineMap<int>::kPageLines * kLineBytes);
+  copy.emplace(128, 3);
+  EXPECT_EQ(*map.find(64), 1);
+  EXPECT_EQ(*map.find(5 * LineMap<int>::kPageLines * kLineBytes), 2);
+  EXPECT_EQ(map.find(128), nullptr);
+  EXPECT_EQ(map.size(), 2u);
+  EXPECT_EQ(*copy.find(64), 10);
+  EXPECT_EQ(copy.size(), 2u);
   map.clear();
-  EXPECT_TRUE(map.empty());
+  EXPECT_EQ(map.size(), 0u);
   EXPECT_EQ(map.find(64), nullptr);
+  int visited = 0;
+  map.for_each([&](Addr, int&) { ++visited; });
+  EXPECT_EQ(visited, 0);
+  map.emplace(64, 4);  // usable after clear
+  EXPECT_EQ(*map.find(64), 4);
+  EXPECT_EQ(*copy.find(64), 10);
+}
+
+TEST(RingQueue, WrapsAround) {
+  RingQueue<int> q;
+  q.reserve(4);  // rounds up to the 16-slot minimum
+  int next_in = 0;
+  int next_out = 0;
+  // Keep 10 elements in flight while 100 pass through: the head and
+  // tail wrap the 16-slot ring several times.
+  for (int step = 0; step < 100; ++step) {
+    q.push_back(next_in++);
+    if (q.size() > 10) {
+      EXPECT_EQ(q.front(), next_out++);
+      q.pop_front();
+    }
+  }
+  EXPECT_EQ(q.size(), 10u);
+  while (!q.empty()) {
+    EXPECT_EQ(q.front(), next_out++);
+    q.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+  q.push_back(7);
+  q.clear();
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(RingQueue, GrowthKeepsFifoOrder) {
+  RingQueue<int> q;
+  // Offset the head first so growth has to unwrap a split buffer.
+  for (int i = 0; i < 10; ++i) q.push_back(-1);
+  for (int i = 0; i < 10; ++i) q.pop_front();
+  for (int i = 0; i < 1000; ++i) q.push_back(i);
+  ASSERT_EQ(q.size(), 1000u);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(q.front(), i);
+    q.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(RingQueue, CopyIsIndependent) {
+  RingQueue<int> q;
+  for (int i = 0; i < 20; ++i) q.push_back(i);
+  for (int i = 0; i < 5; ++i) q.pop_front();
+  RingQueue<int> copy = q;
+  copy.pop_front();
+  copy.push_back(99);
+  for (int i = 5; i < 20; ++i) {
+    ASSERT_EQ(q.front(), i);
+    q.pop_front();
+  }
+  EXPECT_TRUE(q.empty());
+  for (int i = 6; i < 20; ++i) {
+    ASSERT_EQ(copy.front(), i);
+    copy.pop_front();
+  }
+  EXPECT_EQ(copy.front(), 99);
+  EXPECT_EQ(copy.size(), 1u);
 }
 
 }  // namespace

@@ -598,7 +598,10 @@ TEST(CompactTracks, TraceRebuildsEveryFedStepFunction) {
     const std::vector<std::uint64_t>& lanes =
         obs.spatial().data().lane_busy_cycles;
     for (std::size_t i = 0; i < lanes.size(); ++i) {
-      put("PE busy", (i < 10 ? "0" : "") + std::to_string(i), lanes[i]);
+      // Two-digit lane keys "00".."15", as the trace writes them.
+      const char key[] = {static_cast<char>('0' + i / 10 % 10),
+                          static_cast<char>('0' + i % 10), '\0'};
+      put("PE busy", key, lanes[i]);
     }
   };
   const std::size_t compute = static_cast<std::size_t>(StallCause::kCompute);

@@ -182,6 +182,56 @@ TEST(Lsq, ReleaseUnknownOrUnreadyThrows) {
   EXPECT_THROW(f.lsq->release_load(*id), CheckError);  // not ready yet
 }
 
+// Entry ids are slot indices: a released slot is handed out again,
+// and a second release of the same id is caught.
+TEST(Lsq, ReleasedSlotIsReusedAndDoubleReleaseThrows) {
+  Fixture f(/*entries=*/4);
+  // Forwarded loads are born ready, so slots cycle without ticking.
+  ASSERT_TRUE(f.lsq->store(L(0), TrafficClass::kCombined,
+                           StoreKind::kAllocate, 0));
+  const auto a = f.lsq->load(L(0), TrafficClass::kCombined, 0);
+  const auto b = f.lsq->load(L(0), TrafficClass::kCombined, 0);
+  ASSERT_TRUE(a.has_value() && b.has_value());
+  EXPECT_NE(*a, *b);
+  EXPECT_EQ(f.lsq->pending_loads(), 2u);
+  EXPECT_EQ(f.lsq->free_entries(), 1u);  // 4 - 2 loads - 1 store
+
+  f.lsq->release_load(*a);
+  EXPECT_EQ(f.lsq->pending_loads(), 1u);
+  EXPECT_EQ(f.lsq->free_entries(), 2u);
+  EXPECT_THROW(f.lsq->release_load(*a), CheckError);
+  EXPECT_EQ(f.lsq->pending_loads(), 1u);
+
+  const auto c = f.lsq->load(L(0), TrafficClass::kCombined, 0);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(*c, *a);  // the freed slot
+  EXPECT_TRUE(f.lsq->is_ready(*b));
+  EXPECT_TRUE(f.lsq->is_ready(*c));
+  EXPECT_EQ(f.lsq->pending_loads(), 2u);
+  f.lsq->release_load(*b);
+  f.lsq->release_load(*c);
+  EXPECT_EQ(f.lsq->pending_loads(), 0u);
+  EXPECT_EQ(f.lsq->free_entries(), 3u);
+  f.step(0);  // the store drains
+  EXPECT_EQ(f.lsq->free_entries(), 4u);
+}
+
+// A slot reused after a miss completes serves the next miss through
+// the DMB like a fresh one.
+TEST(Lsq, ReusedSlotCompletesAnotherMiss) {
+  Fixture f(/*entries=*/1);
+  const auto a = f.lsq->load(L(0), TrafficClass::kCombined, 0);
+  ASSERT_TRUE(a.has_value());
+  const Cycle t = f.run_until_ready(*a, 0);
+  f.lsq->release_load(*a);
+  const auto b = f.lsq->load(L(1), TrafficClass::kCombined, t + 1);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_EQ(*b, *a);
+  EXPECT_FALSE(f.lsq->is_ready(*b));
+  EXPECT_GE(f.run_until_ready(*b, t + 1), t + 1 + f.config.dram_latency);
+  EXPECT_EQ(f.stats.dmb_read_misses, 2u);
+}
+
 TEST(Lsq, CountsLoadsAndStores) {
   Fixture f;
   (void)f.lsq->load(L(0), TrafficClass::kCombined, 0);

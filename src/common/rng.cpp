@@ -39,12 +39,14 @@ std::uint64_t Rng::next_u64() {
 
 std::uint64_t Rng::next_below(std::uint64_t bound) {
   HYMM_CHECK(bound > 0);
-  // Rejection sampling to avoid modulo bias.
+  // Rejection sampling to avoid modulo bias: draws below
+  // threshold = 2^64 mod bound are redrawn. threshold < bound, so a
+  // draw of at least bound is accepted without computing it.
+  std::uint64_t r = next_u64();
+  if (r >= bound) return r % bound;
   const std::uint64_t threshold = (0ULL - bound) % bound;
-  for (;;) {
-    const std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
+  while (r < threshold) r = next_u64();
+  return r % bound;
 }
 
 double Rng::next_double() {

@@ -1,13 +1,14 @@
 #include "graph/generator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
-#include <unordered_set>
 #include <vector>
 
 #include "common/check.hpp"
 #include "common/rng.hpp"
+#include "graph/guide_table.hpp"
 
 namespace hymm {
 
@@ -19,13 +20,45 @@ std::uint64_t edge_key(NodeId a, NodeId b) {
   return (static_cast<std::uint64_t>(a) << 32) | b;
 }
 
-// Samples an index from a cumulative weight array via binary search.
-NodeId sample_node(const std::vector<double>& cumulative, Rng& rng) {
-  const double u = rng.next_double() * cumulative.back();
-  const auto it =
-      std::upper_bound(cumulative.begin(), cumulative.end(), u);
-  const auto idx = static_cast<std::size_t>(it - cumulative.begin());
-  return static_cast<NodeId>(std::min(idx, cumulative.size() - 1));
+// Open-addressing set of edge keys: linear probing over a power-of-two
+// table sized for at most `capacity` keys at load <= 1/2. ~0 marks an
+// empty slot; no edge key packs to it (both ids are below 2^32 - 1).
+class EdgeKeySet {
+ public:
+  explicit EdgeKeySet(std::size_t capacity) : capacity_(capacity) {
+    std::size_t slots = 16;
+    while (slots < 2 * capacity) slots <<= 1;
+    slots_.assign(slots, kEmpty);
+    shift_ = 64 - std::countr_zero(slots);
+  }
+
+  // True if `key` was not in the set yet.
+  bool insert(std::uint64_t key) {
+    const std::size_t mask = slots_.size() - 1;
+    // Fibonacci hashing: the multiply's top bits pick the home slot.
+    std::size_t i = (key * 0x9E3779B97F4A7C15ULL) >> shift_;
+    while (slots_[i] != kEmpty) {
+      if (slots_[i] == key) return false;
+      i = (i + 1) & mask;
+    }
+    HYMM_CHECK_MSG(size_ < capacity_, "edge key set is full");
+    slots_[i] = key;
+    ++size_;
+    return true;
+  }
+
+ private:
+  static constexpr std::uint64_t kEmpty = ~std::uint64_t{0};
+  std::vector<std::uint64_t> slots_;
+  std::size_t capacity_;
+  std::size_t size_ = 0;
+  int shift_ = 0;
+};
+
+// Samples a node id with probability proportional to its weight.
+NodeId sample_node(const GuideTable& weights, Rng& rng) {
+  const double u = rng.next_double() * weights.total();
+  return static_cast<NodeId>(weights.index_of(u));
 }
 
 std::vector<NodeId> random_permutation(NodeId n, Rng& rng) {
@@ -38,24 +71,47 @@ std::vector<NodeId> random_permutation(NodeId n, Rng& rng) {
   return perm;
 }
 
+// Builds the unit-weight CSR of distinct, loop-free pairs by counting
+// sort: per-row degree count, prefix sum, scatter, then a column sort
+// within each row. Distinct undirected keys stay distinct after the
+// id shuffle and the mirroring, so no entry ever needs merging.
 CsrMatrix build_from_pairs(NodeId nodes,
                            const std::vector<std::uint64_t>& pair_keys,
                            bool symmetric, bool shuffle_ids, Rng& rng) {
   std::vector<NodeId> perm;
   if (shuffle_ids) perm = random_permutation(nodes, rng);
-  CooMatrix coo(nodes, nodes);
-  for (const std::uint64_t key : pair_keys) {
-    NodeId a = static_cast<NodeId>(key >> 32);
-    NodeId b = static_cast<NodeId>(key & 0xFFFFFFFFu);
+  const auto endpoints = [&](std::uint64_t key) {
+    auto a = static_cast<NodeId>(key >> 32);
+    auto b = static_cast<NodeId>(key & 0xFFFFFFFFu);
     if (shuffle_ids) {
       a = perm[a];
       b = perm[b];
     }
-    coo.add(a, b, 1.0f);
-    if (symmetric) coo.add(b, a, 1.0f);
+    return std::pair{a, b};
+  };
+
+  std::vector<EdgeCount> row_ptr(static_cast<std::size_t>(nodes) + 1, 0);
+  for (const std::uint64_t key : pair_keys) {
+    const auto [a, b] = endpoints(key);
+    ++row_ptr[a + 1];
+    if (symmetric) ++row_ptr[b + 1];
   }
-  coo.sort_and_merge();
-  return CsrMatrix::from_coo(std::move(coo));
+  std::partial_sum(row_ptr.begin(), row_ptr.end(), row_ptr.begin());
+
+  std::vector<EdgeCount> cursor(row_ptr.begin(), row_ptr.end() - 1);
+  std::vector<NodeId> col_idx(row_ptr.back());
+  for (const std::uint64_t key : pair_keys) {
+    const auto [a, b] = endpoints(key);
+    col_idx[cursor[a]++] = b;
+    if (symmetric) col_idx[cursor[b]++] = a;
+  }
+  for (NodeId r = 0; r < nodes; ++r) {
+    std::sort(col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[r]),
+              col_idx.begin() + static_cast<std::ptrdiff_t>(row_ptr[r + 1]));
+  }
+  std::vector<Value> values(col_idx.size(), 1.0f);
+  return CsrMatrix::from_parts(nodes, nodes, std::move(row_ptr),
+                               std::move(col_idx), std::move(values));
 }
 
 }  // namespace
@@ -76,10 +132,10 @@ CsrMatrix generate_power_law_graph(const GraphSpec& spec) {
     acc += std::pow(static_cast<double>(i) + 1.0, -spec.skew);
     cumulative[i] = acc;
   }
+  const GuideTable weights(std::move(cumulative));
 
   Rng rng(spec.seed);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(target_pairs) * 2);
+  EdgeKeySet seen(target_pairs);
   std::vector<std::uint64_t> pairs;
   pairs.reserve(target_pairs);
 
@@ -90,11 +146,11 @@ CsrMatrix generate_power_law_graph(const GraphSpec& spec) {
   EdgeCount attempts = 0;
   while (pairs.size() < target_pairs && attempts < max_attempts) {
     ++attempts;
-    const NodeId a = sample_node(cumulative, rng);
-    const NodeId b = sample_node(cumulative, rng);
+    const NodeId a = sample_node(weights, rng);
+    const NodeId b = sample_node(weights, rng);
     if (a == b) continue;
     const std::uint64_t key = edge_key(a, b);
-    if (seen.insert(key).second) pairs.push_back(key);
+    if (seen.insert(key)) pairs.push_back(key);
   }
 
   CsrMatrix adj =
@@ -113,7 +169,7 @@ CsrMatrix generate_uniform_graph(NodeId nodes, EdgeCount edges,
   const EdgeCount target_pairs =
       std::min(max_pairs, symmetric ? (edges + 1) / 2 : edges);
   Rng rng(seed);
-  std::unordered_set<std::uint64_t> seen;
+  EdgeKeySet seen(target_pairs);
   std::vector<std::uint64_t> pairs;
   pairs.reserve(target_pairs);
   const EdgeCount max_attempts = 40 * target_pairs + 1000;
@@ -124,7 +180,7 @@ CsrMatrix generate_uniform_graph(NodeId nodes, EdgeCount edges,
     const auto b = static_cast<NodeId>(rng.next_below(nodes));
     if (a == b) continue;
     const std::uint64_t key = edge_key(a, b);
-    if (seen.insert(key).second) pairs.push_back(key);
+    if (seen.insert(key)) pairs.push_back(key);
   }
   return build_from_pairs(nodes, pairs, symmetric, /*shuffle_ids=*/false,
                           rng);
@@ -144,8 +200,7 @@ CsrMatrix generate_rmat_graph(const RmatSpec& spec) {
       std::min(max_pairs, spec.symmetric ? (spec.edges + 1) / 2 : spec.edges);
 
   Rng rng(spec.seed);
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(target_pairs) * 2);
+  EdgeKeySet seen(target_pairs);
   std::vector<std::uint64_t> pairs;
   pairs.reserve(target_pairs);
 
@@ -171,7 +226,7 @@ CsrMatrix generate_rmat_graph(const RmatSpec& spec) {
     }
     if (u == v || u >= spec.nodes || v >= spec.nodes) continue;
     const std::uint64_t key = edge_key(u, v);
-    if (seen.insert(key).second) pairs.push_back(key);
+    if (seen.insert(key)) pairs.push_back(key);
   }
   return build_from_pairs(spec.nodes, pairs, spec.symmetric,
                           spec.shuffle_ids, rng);
@@ -195,7 +250,10 @@ CsrMatrix generate_features(const FeatureSpec& spec) {
   // Error-diffused per-row counts keep the total nnz within one of
   // round(nodes * feature_length * density).
   double carry = 0.0;
-  std::unordered_set<NodeId> picked;
+  // One bit per column, reused by every row: a row's scan clears the
+  // words it reads, so the bitmap is all-zero again for the next row.
+  std::vector<std::uint64_t> picked(
+      (static_cast<std::size_t>(spec.feature_length) + 63) / 64, 0);
   for (NodeId r = 0; r < spec.nodes; ++r) {
     carry += per_row;
     auto k = static_cast<NodeId>(carry);
@@ -203,16 +261,22 @@ CsrMatrix generate_features(const FeatureSpec& spec) {
     k = std::min<NodeId>(k, spec.feature_length);
 
     // Floyd's algorithm: k distinct columns out of feature_length.
-    picked.clear();
     for (NodeId j = spec.feature_length - k; j < spec.feature_length; ++j) {
       const auto t = static_cast<NodeId>(rng.next_below(j + 1));
-      if (!picked.insert(t).second) picked.insert(j);
+      const bool taken = (picked[t / 64] >> (t % 64)) & 1u;
+      const NodeId c = taken ? j : t;
+      picked[c / 64] |= std::uint64_t{1} << (c % 64);
     }
-    std::vector<NodeId> cols(picked.begin(), picked.end());
-    std::sort(cols.begin(), cols.end());
-    for (const NodeId c : cols) {
-      col_idx.push_back(c);
-      values.push_back(static_cast<Value>(rng.next_double(0.1, 1.0)));
+    // Word-by-word scan yields the picked columns in ascending order.
+    if (k > 0) {
+      for (std::size_t w = 0; w < picked.size(); ++w) {
+        for (std::uint64_t bits = picked[w]; bits != 0; bits &= bits - 1) {
+          col_idx.push_back(static_cast<NodeId>(
+              w * 64 + static_cast<std::size_t>(std::countr_zero(bits))));
+          values.push_back(static_cast<Value>(rng.next_double(0.1, 1.0)));
+        }
+        picked[w] = 0;
+      }
     }
     row_ptr[r + 1] = col_idx.size();
   }

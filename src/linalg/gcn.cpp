@@ -1,6 +1,7 @@
 #include "linalg/gcn.hpp"
 
 #include <cmath>
+#include <vector>
 
 #include "common/check.hpp"
 #include "linalg/spdemm.hpp"
@@ -11,25 +12,54 @@ CsrMatrix normalize_adjacency(const CsrMatrix& adjacency,
                               bool add_self_loops) {
   HYMM_CHECK(adjacency.rows() == adjacency.cols());
   const NodeId n = adjacency.rows();
-  CooMatrix coo = adjacency.to_coo();
-  if (add_self_loops) {
-    for (NodeId i = 0; i < n; ++i) coo.add(i, i, 1.0f);
-    coo.sort_and_merge();
-  }
+  std::vector<EdgeCount> row_ptr(static_cast<std::size_t>(n) + 1, 0);
+  std::vector<NodeId> col_idx;
+  std::vector<Value> values;
+  const std::size_t capacity = adjacency.nnz() + (add_self_loops ? n : 0);
+  col_idx.reserve(capacity);
+  values.reserve(capacity);
+
+  // Copy each row, inserting the self loop in column order or adding
+  // it to a stored diagonal, and sum the degree in the same pass.
   // Degree = row sum of |values| (unit-weight graphs: the degree).
-  std::vector<double> degree(n, 0.0);
-  for (const Triplet& t : coo.entries()) degree[t.row] += std::abs(t.value);
   std::vector<double> inv_sqrt(n, 0.0);
-  for (NodeId i = 0; i < n; ++i) {
-    inv_sqrt[i] = degree[i] > 0.0 ? 1.0 / std::sqrt(degree[i]) : 0.0;
+  for (NodeId r = 0; r < n; ++r) {
+    const auto cols = adjacency.row_cols(r);
+    const auto vals = adjacency.row_values(r);
+    double degree = 0.0;
+    const auto emit = [&](NodeId c, Value v) {
+      col_idx.push_back(c);
+      values.push_back(v);
+      degree += std::abs(v);
+    };
+    bool loop_pending = add_self_loops;
+    for (std::size_t k = 0; k < cols.size(); ++k) {
+      HYMM_CHECK_MSG(k == 0 || cols[k - 1] < cols[k],
+                     "row " << r << " of the adjacency is not sorted and "
+                            "duplicate-free");
+      if (loop_pending && cols[k] >= r) {
+        loop_pending = false;
+        if (cols[k] == r) {
+          emit(r, vals[k] + 1.0f);
+          continue;
+        }
+        emit(r, 1.0f);
+      }
+      emit(cols[k], vals[k]);
+    }
+    if (loop_pending) emit(r, 1.0f);
+    row_ptr[r + 1] = col_idx.size();
+    inv_sqrt[r] = degree > 0.0 ? 1.0 / std::sqrt(degree) : 0.0;
   }
-  CooMatrix normalized(n, n);
-  for (const Triplet& t : coo.entries()) {
-    const auto v = static_cast<Value>(t.value * inv_sqrt[t.row] *
-                                      inv_sqrt[t.col]);
-    normalized.add(t.row, t.col, v);
+
+  for (NodeId r = 0; r < n; ++r) {
+    for (EdgeCount k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
+      values[k] = static_cast<Value>(values[k] * inv_sqrt[r] *
+                                     inv_sqrt[col_idx[k]]);
+    }
   }
-  return CsrMatrix::from_coo(std::move(normalized));
+  return CsrMatrix::from_parts(n, n, std::move(row_ptr), std::move(col_idx),
+                               std::move(values));
 }
 
 void relu_inplace(DenseMatrix& m) {
@@ -41,14 +71,22 @@ void relu_inplace(DenseMatrix& m) {
 }
 
 CsrMatrix dense_to_csr(const DenseMatrix& m) {
-  CooMatrix coo(m.rows(), m.cols());
+  // A row-major scan visits the non-zeros in canonical CSR order.
+  std::vector<EdgeCount> row_ptr(static_cast<std::size_t>(m.rows()) + 1, 0);
+  std::vector<NodeId> col_idx;
+  std::vector<Value> values;
   for (NodeId r = 0; r < m.rows(); ++r) {
     const auto row = m.row(r);
     for (NodeId c = 0; c < m.cols(); ++c) {
-      if (row[c] != 0.0f) coo.add(r, c, row[c]);
+      if (row[c] != 0.0f) {
+        col_idx.push_back(c);
+        values.push_back(row[c]);
+      }
     }
+    row_ptr[r + 1] = col_idx.size();
   }
-  return CsrMatrix::from_coo(std::move(coo));
+  return CsrMatrix::from_parts(m.rows(), m.cols(), std::move(row_ptr),
+                               std::move(col_idx), std::move(values));
 }
 
 GcnLayerResult gcn_layer_reference(const CsrMatrix& a_hat,

@@ -11,7 +11,9 @@ namespace hymm {
 
 // A_hat = D^-1/2 (A + I) D^-1/2 (Kipf-Welling symmetric
 // normalization). add_self_loops=false normalizes the matrix as-is
-// (rows/cols with zero degree are left untouched).
+// (rows/cols with zero degree are left untouched). The adjacency must
+// be canonical (columns strictly increasing within each row), as every
+// generator, reader and COO conversion produces it.
 CsrMatrix normalize_adjacency(const CsrMatrix& adjacency,
                               bool add_self_loops = true);
 

@@ -3,6 +3,7 @@
 // simulator's line-indexed table and ring FIFO.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <set>
@@ -64,6 +65,26 @@ TEST(Rng, NextBelowCoversSmallRange) {
   std::set<std::uint64_t> seen;
   for (int i = 0; i < 200; ++i) seen.insert(rng.next_below(5));
   EXPECT_EQ(seen.size(), 5u);
+}
+
+TEST(Rng, NextBelowMatchesRejectionFormula) {
+  // next_below(bound) must consume and return exactly what rejecting
+  // draws below (2^64 mod bound) and reducing modulo bound does, for
+  // tiny bounds, bounds near 2^64 (where rejection is frequent) and
+  // everything between.
+  Rng fast(2024);
+  Rng reference(2024);
+  Rng bounds(99);
+  for (int i = 0; i < 1000000; ++i) {
+    const int shift = static_cast<int>(bounds.next_below(64));
+    const std::uint64_t bound =
+        std::max<std::uint64_t>(bounds.next_u64() >> shift, 1);
+    const std::uint64_t threshold = (0ULL - bound) % bound;
+    std::uint64_t r = reference.next_u64();
+    while (r < threshold) r = reference.next_u64();
+    ASSERT_EQ(fast.next_below(bound), r % bound) << "draw " << i;
+  }
+  EXPECT_EQ(fast.next_u64(), reference.next_u64());
 }
 
 TEST(Rng, NextBelowRejectsZeroBound) {

@@ -88,6 +88,56 @@ TEST(NormalizeAdjacency, IsolatedNodesSurvive) {
   EXPECT_EQ(a_hat.row_nnz(2), 0u);
 }
 
+TEST(NormalizeAdjacency, MergesStoredDiagonalAndWeights) {
+  // Row 1 stores a diagonal (merged with the self loop), row 0 gets
+  // its loop inserted before its only column, rows 2 and 3 after;
+  // negative weights count by magnitude in the degree.
+  CooMatrix coo(4, 4);
+  coo.add(0, 2, 1.0f);
+  coo.add(1, 0, 1.0f);
+  coo.add(1, 1, 2.0f);
+  coo.add(1, 3, -1.0f);
+  coo.add(2, 0, 1.0f);
+  coo.add(3, 1, -1.0f);
+  const CsrMatrix a = CsrMatrix::from_coo(std::move(coo));
+  const CsrMatrix a_hat = normalize_adjacency(a, true);
+
+  const double loops[4][4] = {{1, 0, 1, 0},
+                              {1, 3, 0, -1},
+                              {1, 0, 1, 0},
+                              {0, -1, 0, 1}};
+  double degree[4] = {};
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) degree[i] += std::abs(loops[i][j]);
+  }
+  EXPECT_EQ(a_hat.nnz(), 9u);
+  for (NodeId r = 0; r < 4; ++r) {
+    const auto cols = a_hat.row_cols(r);
+    const auto vals = a_hat.row_values(r);
+    std::size_t k = 0;
+    for (NodeId c = 0; c < 4; ++c) {
+      if (loops[r][c] == 0.0) continue;
+      ASSERT_LT(k, cols.size()) << "row " << r;
+      EXPECT_EQ(cols[k], c) << "row " << r;
+      EXPECT_FLOAT_EQ(vals[k], static_cast<float>(
+                                   loops[r][c] / std::sqrt(degree[r]) /
+                                   std::sqrt(degree[c])))
+          << "(" << r << "," << c << ")";
+      ++k;
+    }
+    EXPECT_EQ(k, cols.size()) << "row " << r;
+  }
+}
+
+TEST(NormalizeAdjacency, RejectsUnsortedRows) {
+  const CsrMatrix unsorted =
+      CsrMatrix::from_parts(2, 2, {0, 2, 2}, {1, 0}, {1.0f, 1.0f});
+  EXPECT_THROW(normalize_adjacency(unsorted), CheckError);
+  const CsrMatrix duplicated =
+      CsrMatrix::from_parts(2, 2, {0, 2, 2}, {1, 1}, {1.0f, 1.0f});
+  EXPECT_THROW(normalize_adjacency(duplicated, false), CheckError);
+}
+
 TEST(Relu, ClampsNegatives) {
   DenseMatrix m = DenseMatrix::zeros(2, 2);
   m.at(0, 0) = -1.5f;

@@ -93,11 +93,9 @@ inline void print_header(const std::string& title,
                "values — see EXPERIMENTS.md)\n\n";
 }
 
-// Warns when a dataflow run failed functional verification. Sampled
-// runs are skipped: they produce no functional output by design.
+// Warns when a dataflow run failed functional verification.
 inline void check_verified(const DataflowComparison& comparison) {
   for (const ExperimentResult& r : comparison.results) {
-    if (r.sample.enabled) continue;
     if (!r.verified) {
       std::cerr << "[bench] WARNING: " << r.abbrev << "/"
                 << to_string(r.flow)

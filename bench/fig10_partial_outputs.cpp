@@ -30,12 +30,6 @@ double fraction_above(const hymm::TimeSeriesData& ts, std::uint64_t bytes) {
 int main(int argc, char** argv) {
   using namespace hymm;
   BenchOptions opts = bench::init(argc, argv);
-  if (opts.sample > 0.0) {
-    std::cerr << "--sample / HYMM_SAMPLE cannot be combined with "
-                 "fig10_partial_outputs: a sampled run records no "
-                 "footprint time series\n";
-    return 2;
-  }
   if (opts.timeseries_interval == 0) opts.timeseries_interval = 256;
   bench::print_header("Memory usage by partial outputs", "Fig 10");
 

@@ -12,10 +12,10 @@
 // Exit status, like diff(1): 0 when every baseline run has a partner
 // in CURRENT and the two are equal in every (phase or region, stall)
 // cell, in cycles and in DRAM bytes; 1 on any such delta, a baseline
-// run missing from CURRENT, or an exact current run that failed
+// run missing from CURRENT, or a current run that failed
 // verification; 2 on usage errors; 3 on an unreadable file, a schema
-// other than hymm-run-report/9, a baseline without runs, or a sampled
-// run paired with an exact one.
+// other than hymm-run-report/9, a baseline without runs, or a result
+// labeled "sampled": true (an estimate, not an exact run).
 #include <algorithm>
 #include <charconv>
 #include <iostream>
@@ -74,13 +74,6 @@ int main(int argc, char** argv) {
   }
 
   const std::vector<RunDiff> diffs = diff_reports(*base, *current);
-  for (const RunDiff& diff : diffs) {
-    if (diff.sampled_mismatch) {
-      std::cerr << "hymm_diff: " << diff.abbrev << '/' << diff.flow
-                << " is sampled in one report and exact in the other\n";
-      return 3;
-    }
-  }
 
   std::cout << "hymm_diff: " << positional[0] << " -> " << positional[1]
             << "\n";

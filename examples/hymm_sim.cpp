@@ -60,13 +60,8 @@ void usage() {
       "  --fifo               FIFO eviction instead of LRU\n"
       "  --no-accumulator     disable the near-memory accumulator\n"
       "  --csv <file>         append machine-readable results\n"
-      "Performance (see docs/performance.md):\n"
-      "  --sample[=F]         sampled simulation: estimate cycles from a\n"
-      "                       seeded band subset (bare = 0.25; also\n"
-      "                       HYMM_SAMPLE; results labeled, not verified)\n"
       "Observability (see DESIGN.md \"Observability\"):\n"
       "  --trace <file>       Chrome/Perfetto trace of the run(s)\n"
-      "                       (not with --sample)\n"
       "  --json <file>        JSON run report (full counter set)\n"
       "                       (--trace-dir, --json-dir, HYMM_TRACE_DIR and\n"
       "                       HYMM_JSON_DIR are bench knobs: exit 2 here)\n"
@@ -157,11 +152,6 @@ int main(int argc, char** argv) {
     }
   } catch (const UsageError& e) {
     std::cerr << e.what() << "\n";
-    return 2;
-  }
-  if (!trace_path.empty() && opts.sample > 0.0) {
-    std::cerr << "--trace cannot be combined with --sample / HYMM_SAMPLE: "
-                 "a sampled run records no observer output\n";
     return 2;
   }
 
@@ -286,17 +276,9 @@ int main(int argc, char** argv) {
         r.flow == Dataflow::kHybrid) {
       r.tune = to_tune_info(tune_decision);
     }
-    if (r.sample.enabled) {
-      // Sampled runs produce no functional output, so there is
-      // nothing to verify — label the estimate instead.
-      std::cout << to_string(r.flow) << " (sampled, fraction "
-                << r.sample.fraction << ", cycles ±"
-                << r.sample.rel_error_bound() * 100.0 << "%)\n";
-    } else {
-      std::cout << to_string(r.flow) << " ("
-                << (r.verified ? "verified" : "MISMATCH")
-                << ", max err " << r.max_abs_err << ")\n";
-    }
+    std::cout << to_string(r.flow) << " ("
+              << (r.verified ? "verified" : "MISMATCH") << ", max err "
+              << r.max_abs_err << ")\n";
     print_stats_summary(r.stats, std::cout, "  ",
                         r.dram_peak_bytes_per_cycle);
     if (!r.histograms.empty()) {

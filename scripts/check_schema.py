@@ -13,9 +13,9 @@ structural requirements:
                           per-region cell arrays must match the
                           declared grid geometry, with "pe" counters
                           and an "imbalance" summary present; a
-                          result labeled "sampled": true must carry a
-                          "sample" object with per-phase band counts
-                          and error bars; a "tune" object carries the
+                          result labeled "sampled": true is refused
+                          (an estimate from a removed mode, not an
+                          exact run); a "tune" object carries the
                           measured search's threshold, simulation
                           count, config hash and per-candidate
                           measured cycles.
@@ -29,8 +29,6 @@ import json
 import sys
 
 RUN_REPORT_SCHEMA = "hymm-run-report/9"
-SAMPLE_PHASE_KEYS = ("bands_total", "bands_simulated", "nnz_total",
-                     "nnz_simulated", "cycles_estimate", "cycles_stderr")
 
 RESULT_KEYS = ("dataset", "abbrev", "scale", "flow", "cycles", "verified")
 SPATIAL_CELL_KEYS = ("nnz", "macs", "dmb_hits", "dmb_misses",
@@ -77,28 +75,6 @@ def check_spatial(spatial, where, problems):
         problems.append(f"{where}: spatial has no \"imbalance\" object")
 
 
-def check_sample(sample, where, problems):
-    for key in ("fraction", "seed", "cycles_estimate", "cycles_stderr",
-                "rel_error_bound"):
-        if not isinstance(sample.get(key), (int, float)):
-            problems.append(f"{where}: {key!r} is not a number")
-    for phase in ("combination", "aggregation"):
-        obj = sample.get(phase)
-        if not isinstance(obj, dict):
-            problems.append(f"{where}: missing per-phase object {phase!r}")
-            continue
-        for key in SAMPLE_PHASE_KEYS:
-            if not isinstance(obj.get(key), (int, float)):
-                problems.append(f"{where}.{phase}: {key!r} is not a number")
-        bands = obj.get("bands_total")
-        simulated = obj.get("bands_simulated")
-        if isinstance(bands, int) and isinstance(simulated, int) \
-                and simulated > bands:
-            problems.append(
-                f"{where}.{phase}: bands_simulated {simulated} exceeds "
-                f"bands_total {bands}")
-
-
 def check_tune(tune, where, problems):
     for key in ("fixed_threshold", "threshold", "simulations"):
         if not isinstance(tune.get(key), (int, float)):
@@ -138,14 +114,10 @@ def check_run_report(doc, problems):
         spatial = result.get("spatial")
         if isinstance(spatial, dict):
             check_spatial(spatial, where, problems)
-        if result.get("sampled"):
-            sample = result.get("sample")
-            if not isinstance(sample, dict):
-                problems.append(
-                    f"{where}: \"sampled\" is true but there is no "
-                    "\"sample\" object")
-            else:
-                check_sample(sample, f"{where}.sample", problems)
+        if result.get("sampled") is True:
+            problems.append(
+                f"{where}: \"sampled\" is true: a sampled estimate, "
+                "not an exact run")
         tune = result.get("tune")
         if isinstance(tune, dict):
             check_tune(tune, f"{where}.tune", problems)

@@ -1,12 +1,10 @@
 #include "core/accelerator.hpp"
 
-#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdio>
 #include <span>
 #include <utility>
-#include <vector>
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
@@ -68,13 +66,13 @@ LayerRunResult Accelerator::run_layer(Dataflow flow, const CsrMatrix& a_hat,
 
 namespace {
 
-// Everything one layer streams, laid out once for the exact and the
-// sampled run: HyMM's degree sort (the request's precomputed one, or
-// its own) and region tiling, the W/XW/AXW/spill address layout on
-// `ms`, and the Table I stages over those operands — combination,
-// then one aggregation stage (RWP, OP) or two (HyMM's region-1 OP and
-// region-2/3 RWP). Stage parameters point into the plan, so it never
-// moves.
+// Everything one layer streams: HyMM's degree sort (the request's
+// precomputed one, or its own) and region tiling, the W/XW/AXW/spill
+// address layout on `ms`, and the Table I stages over those operands —
+// combination, then one aggregation stage (RWP, OP) or HyMM's
+// region-split aggregation inputs (run_hybrid_aggregation streams its
+// region-1 OP and region-2/3 RWP stages). Stage parameters point into
+// the plan, so it never moves.
 struct LayerPlan {
   LayerPlan(const AcceleratorConfig& config, const LayerRunRequest& request,
             MemorySystem& ms);
@@ -96,7 +94,7 @@ struct LayerPlan {
   HybridAggregationParams hybrid;  // hybrid aggregation inputs
 
   LayerStage combination;
-  std::vector<LayerStage> aggregation;
+  LayerStage aggregation;  // RWP and OP only
 };
 
 LayerPlan::LayerPlan(const AcceleratorConfig& config,
@@ -158,7 +156,6 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
   axw = DenseMatrix::zeros(n, w.cols());
 
   // --- Combination stage: XW = X * W ---
-  combination.sample_tag = 0x636f6d62ULL;  // "comb"
   if (flow == Dataflow::kOuterProduct) {
     // OP architecture streams X column-wise.
     x_csc = CscMatrix::from_csr(*x_used);
@@ -190,8 +187,7 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
     combination.params = rwp;
   }
 
-  // --- Aggregation stages: AXW = A_hat * XW ---
-  constexpr std::uint64_t kAggregationTag = 0x61676772ULL;  // "aggr"
+  // --- Aggregation stage(s): AXW = A_hat * XW ---
   switch (flow) {
     case Dataflow::kRowWiseProduct: {
       RwpEngineParams rwp;
@@ -209,8 +205,7 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
       rwp.spatial_in_grid = true;
       rwp.spatial_region2 = SpatialRegion::kRwp;
       rwp.spatial_region3 = SpatialRegion::kRwp;
-      aggregation.push_back(
-          LayerStage{.params = rwp, .sample_tag = kAggregationTag});
+      aggregation.params = rwp;
       break;
     }
     case Dataflow::kOuterProduct: {
@@ -230,8 +225,7 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
       // Pure OP aggregation: every tile is an OP tile.
       op.spatial_in_grid = true;
       op.spatial_region = SpatialRegion::kOp;
-      aggregation.push_back(
-          LayerStage{.params = op, .sample_tag = kAggregationTag});
+      aggregation.params = op;
       break;
     }
     case Dataflow::kHybrid: {
@@ -242,9 +236,6 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
       hybrid.c = &axw;
       hybrid.c_region = axw_region;
       hybrid.spill_region = spill_region;
-      const std::array<LayerStage, 2> stages =
-          hybrid_aggregation_stages(hybrid, config);
-      aggregation.assign(stages.begin(), stages.end());
       break;
     }
   }
@@ -262,9 +253,7 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   HYMM_CHECK(a_hat.cols() == request.x->rows());
   HYMM_CHECK(request.x->cols() == w.rows());
   const NodeId n = a_hat.rows();
-  const std::optional<SampleOptions>& sample = request.sample;
-  // Sampled runs attach no observer: band restarts have no trace.
-  Observer* obs = sample ? nullptr : request.observer;
+  Observer* obs = request.observer;
   LayerRunResult result;
   result.flow = flow;
 
@@ -281,41 +270,33 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   result.preprocess_ms = plan.preprocess_ms;
 
   // --- Combination phase: XW = X * W ---
-  if (sample) {
-    result.sample.enabled = true;
-    result.sample.fraction = sample->fraction;
-    result.sample.seed = sample->seed;
-    result.sample.combination =
-        sample_phase(ms, {&plan.combination, 1}, *sample);
-  } else {
-    // Observer runs never share: a restored combination would skip
-    // the phase's trace events and counter samples.
-    const CombinationShare& share = request.share;
-    const bool sharing =
-        obs == nullptr && (share.publish || share.restore != nullptr);
-    CheckpointKey key;
-    bool restored = false;
-    if (sharing) {
-      key = combination_checkpoint_key(*plan.x_used, w, config_, flow);
-      result.checkpoint.enabled = true;
-      result.checkpoint.key = checkpoint_key_hex(key);
-      if (share.restore != nullptr) {
-        HYMM_CHECK_MSG(share.restore->key == key,
-                       "warm state "
-                           << checkpoint_key_hex(share.restore->key)
-                           << " restored into run " << result.checkpoint.key);
-        ms = share.restore->ms;
-        plan.xw = share.restore->xw;
-        restored = true;
-      }
-      result.checkpoint.restored = restored;
+  // Observer runs never share: a restored combination would skip the
+  // phase's trace events and counter samples.
+  const CombinationShare& share = request.share;
+  const bool sharing =
+      obs == nullptr && (share.publish || share.restore != nullptr);
+  CheckpointKey key;
+  bool restored = false;
+  if (sharing) {
+    key = combination_checkpoint_key(*plan.x_used, w, config_, flow);
+    result.checkpoint.enabled = true;
+    result.checkpoint.key = checkpoint_key_hex(key);
+    if (share.restore != nullptr) {
+      HYMM_CHECK_MSG(share.restore->key == key,
+                     "warm state " << checkpoint_key_hex(share.restore->key)
+                                   << " restored into run "
+                                   << result.checkpoint.key);
+      ms = share.restore->ms;
+      plan.xw = share.restore->xw;
+      restored = true;
     }
-    if (!restored) run_stage(ms, plan.combination);
-    if (sharing && share.publish) {
-      share.publish(
-          std::make_shared<const WarmState>(WarmState{ms, plan.xw, key}));
-      result.checkpoint.built = true;
-    }
+    result.checkpoint.restored = restored;
+  }
+  if (!restored) run_stage(ms, plan.combination);
+  if (sharing && share.publish) {
+    share.publish(
+        std::make_shared<const WarmState>(WarmState{ms, plan.xw, key}));
+    result.checkpoint.built = true;
   }
   result.combination_stats = ms.stats();
   result.combination_stats.cycles = ms.now();
@@ -326,19 +307,10 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   // W is dead from here on: Section IV-D evicts W before XW, so the
   // combination results survive in the unified buffer instead.
   ms.dmb().demote_class(TrafficClass::kWeights);
-  if (sample) {
-    result.sample.aggregation = sample_phase(ms, plan.aggregation, *sample);
-    // Extrapolated counters only; there is no functional output.
-    result.combination_stats = result.sample.combination.stats;
-    result.aggregation_stats = result.sample.aggregation.stats;
-    result.stats = result.combination_stats;
-    result.stats.merge_phase(result.aggregation_stats);
-    return result;
-  }
   if (hybrid) {
     result.hybrid_info = run_hybrid_aggregation(ms, plan.hybrid);
   } else {
-    run_stage(ms, plan.aggregation.front());
+    run_stage(ms, plan.aggregation);
   }
   result.stats = ms.stats();
   result.stats.cycles = ms.now();

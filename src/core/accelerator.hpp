@@ -12,13 +12,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 
 #include "common/config.hpp"
 #include "core/engine.hpp"
 #include "core/hybrid_engine.hpp"
-#include "core/sampling.hpp"
 #include "graph/csr.hpp"
 #include "graph/degree_sort.hpp"
 #include "graph/partition.hpp"
@@ -78,17 +76,14 @@ struct CombinationShare {
 };
 
 /// Outcome of one simulated GCN layer (`Accelerator::run_layer`).
-/// A sampled run (sample.enabled) carries extrapolated counters only:
-/// its band MACs retire against scratch values, so `combination` and
-/// `output` stay empty and the result can never be verified.
 struct LayerRunResult {
   Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow that ran
 
   /// Functional combination output XW in the ORIGINAL node order
   /// (HyMM's internal degree-sorted order is un-permuted before
-  /// returning). Empty on sampled runs.
+  /// returning).
   DenseMatrix combination;
-  /// A_hat * XW, pre-activation, original order. Empty on sampled runs.
+  /// A_hat * XW, pre-activation, original order.
   DenseMatrix output;
 
   SimStats stats;              ///< whole-layer counters
@@ -97,17 +92,12 @@ struct LayerRunResult {
 
   /// Hybrid-only region split (zeroed otherwise).
   RegionPartition partition;
-  /// Hybrid-only per-phase/per-region breakdown of exact runs (zeroed
-  /// otherwise).
+  /// Hybrid-only per-phase/per-region breakdown (zeroed otherwise).
   HybridAggregationInfo hybrid_info;
   double preprocess_ms = 0.0;  ///< degree-sorting cost (Table II)
 
   /// Warm-state checkpoint interaction of this run.
   LayerCheckpointInfo checkpoint;
-
-  /// Estimator detail and error bars of a sampled run (enabled=false
-  /// on exact runs).
-  SampleInfo sample;
 };
 
 /// Everything one layer run needs. The required inputs are a_hat
@@ -124,10 +114,6 @@ struct LayerRunResult {
 /// homogeneous dataflows; when absent the hybrid sorts internally.
 /// Simulated cycles are identical either way — sorting is host-side
 /// preprocessing, only its wall-clock cost (preprocess_ms) differs.
-///
-/// `sample` selects sampled simulation (core/sampling.hpp): each phase
-/// simulates seeded bands of the same stages an exact run streams and
-/// extrapolates. Sampled runs ignore `observer` and `share`.
 struct LayerRunRequest {
   Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow to simulate
   const CsrMatrix* a_hat = nullptr;           ///< required: adjacency
@@ -139,9 +125,6 @@ struct LayerRunRequest {
 
   /// Optional combination-phase sharing; see CombinationShare.
   CombinationShare share;
-
-  /// Sampled simulation when set; exact when empty.
-  std::optional<SampleOptions> sample;
 };
 
 /// Key identifying the combination phase's warm state: the streamed
@@ -164,8 +147,7 @@ class Accelerator {
   /// The hardware parameters this instance was built with.
   const AcceleratorConfig& config() const { return config_; }
 
-  /// Simulates one GCN layer H = a_hat * x * w (no activation),
-  /// exactly or sampled (LayerRunRequest::sample).
+  /// Simulates one GCN layer H = a_hat * x * w (no activation).
   LayerRunResult run_layer(const LayerRunRequest& request) const;
 
   /// Convenience overload for callers without precomputed

@@ -1,10 +1,16 @@
 #include "core/hybrid_engine.hpp"
 
 #include "common/check.hpp"
+#include "core/stage.hpp"
 #include "obs/hooks.hpp"
 
 namespace hymm {
 
+namespace {
+
+// HyMM's two aggregation stages, in run order: OP over region 1 with
+// its output rows pinned (when `config` enables the near-memory
+// accumulator), then RWP over regions 2 and 3.
 std::array<LayerStage, 2> hybrid_aggregation_stages(
     const HybridAggregationParams& params, const AcceleratorConfig& config) {
   HYMM_CHECK(params.tiled != nullptr);
@@ -48,13 +54,12 @@ std::array<LayerStage, 2> hybrid_aggregation_stages(
   rwp.spatial_region3 = SpatialRegion::kRegion3;
 
   return {LayerStage{.params = op,
-                     .sample_tag = 0x72316f70ULL,  // "r1op"
                      .pinned_rows = accumulate ? partition.region1_rows : 0,
                      .skip_if_empty = true},
-          LayerStage{.params = rwp,
-                     .sample_tag = 0x72323372ULL,  // "r23r"
-                     .skip_if_empty = true}};
+          LayerStage{.params = rwp, .skip_if_empty = true}};
 }
+
+}  // namespace
 
 HybridAggregationInfo run_hybrid_aggregation(
     MemorySystem& ms, const HybridAggregationParams& params) {

@@ -10,7 +10,6 @@
 #include <array>
 
 #include "core/engine.hpp"
-#include "core/stage.hpp"
 #include "graph/partition.hpp"
 #include "linalg/dense.hpp"
 
@@ -57,14 +56,6 @@ struct HybridAggregationInfo {
   std::uint64_t region2_macs = 0;  ///< exact region-2 MAC count
   std::uint64_t region3_macs = 0;  ///< exact region-3 MAC count
 };
-
-/// HyMM's two aggregation stages, in run order: OP over region 1 with
-/// its output rows pinned (when `config` enables the near-memory
-/// accumulator), then RWP over regions 2 and 3. The exact run
-/// (run_hybrid_aggregation) and the sampled run stream these same
-/// stages.
-std::array<LayerStage, 2> hybrid_aggregation_stages(
-    const HybridAggregationParams& params, const AcceleratorConfig& config);
 
 /// Runs both phases to completion on `ms` and returns per-phase cycle
 /// counts. The caller provides a memory system that already holds

@@ -25,8 +25,7 @@ OpEngine::OpEngine(MemorySystem& ms, const OpEngineParams& params)
     : params_(params) {
   HYMM_CHECK(params_.sparse != nullptr && params_.b != nullptr &&
              params_.c != nullptr);
-  HYMM_CHECK(params_.sparse->cols() + params_.col_offset <=
-             params_.b->rows());
+  HYMM_CHECK(params_.sparse->cols() <= params_.b->rows());
   HYMM_CHECK(params_.c->cols() == params_.b->cols());
   HYMM_CHECK(params_.sparse->rows() + params_.row_offset <=
              params_.c->rows());
@@ -201,13 +200,12 @@ void OpEngine::tick_stream(MemorySystem& ms) {
   if (pending_.size() + chunks_ <= params_.window && ms.smq().has_ready() &&
       ms.lsq().free_entries() >= chunks_ + 1) {
     const SmqEntry& entry = ms.smq().front();
-    const NodeId global_col = entry.outer + params_.col_offset;
-    const Addr base = params_.b_region.line_of(global_col, chunks_);
+    const Addr base = params_.b_region.line_of(entry.outer, chunks_);
     bool ok = true;
     staged_.clear();
     for (std::size_t chunk = 0; chunk < chunks_ && ok; ++chunk) {
       Pending p;
-      p.col = global_col;
+      p.col = entry.outer;
       p.row = entry.inner;
       p.value = entry.value;
       p.chunk = chunk;
@@ -251,8 +249,7 @@ void OpEngine::tick_stream(MemorySystem& ms) {
       progressed_ = true;
       continue;
     }
-    const Addr base =
-        params_.b_region.line_of(pf_col_ + params_.col_offset, chunks_);
+    const Addr base = params_.b_region.line_of(pf_col_, chunks_);
     bool issued_any = false;
     for (std::size_t chunk = 0; chunk < chunks_; ++chunk) {
       issued_any |= ms.dmb().prefetch(base + chunk * kLineBytes,

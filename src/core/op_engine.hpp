@@ -64,10 +64,6 @@ struct OpEngineParams {
   bool outputs_pinned = false;
 
   NodeId row_offset = 0;  ///< rebase local output rows to global rows
-  /// Rebase local sparse column ids to global B rows / addresses. Zero
-  /// everywhere except sampled column-band runs (core/sampling.hpp),
-  /// where the streamed CSC is a column slice of the full operand.
-  NodeId col_offset = 0;
   std::size_t window = 64;  ///< maximum in-flight non-zeros
 
   /// Spatial attribution (obs/spatial.hpp): when the sparse operand is

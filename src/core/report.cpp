@@ -357,35 +357,6 @@ void write_spatial_json(JsonWriter& w, const SpatialData& sp) {
   w.end_object();
 }
 
-// Schema /7: one phase's sampled-mode measurement + extrapolation
-// (core/sampling.hpp; docs/performance.md has the estimator).
-void write_phase_sample_json(JsonWriter& w, const PhaseSampleEstimate& p) {
-  w.begin_object();
-  w.field("bands_total", p.bands_total);
-  w.field("bands_simulated", p.bands_simulated);
-  w.field("nnz_total", p.nnz_total);
-  w.field("nnz_simulated", p.nnz_simulated);
-  w.field("cycles_estimate", p.cycles_estimate);
-  w.field("cycles_stderr", p.cycles_stderr);
-  w.end_object();
-}
-
-// Schema /7: the sampled-run annotation. Only emitted (together with
-// the top-level "sampled": true label) on sampled runs.
-void write_sample_json(JsonWriter& w, const SampleInfo& s) {
-  w.begin_object();
-  w.field("fraction", s.fraction);
-  w.field("seed", s.seed);
-  w.field("cycles_estimate", s.cycles_estimate());
-  w.field("cycles_stderr", s.cycles_stderr());
-  w.field("rel_error_bound", s.rel_error_bound());
-  w.key("combination");
-  write_phase_sample_json(w, s.combination);
-  w.key("aggregation");
-  write_phase_sample_json(w, s.aggregation);
-  w.end_object();
-}
-
 // Schema /7: warm-state checkpoint interaction (core/accelerator.hpp).
 // Only emitted when the cell's combination phase was shared within its
 // sweep.
@@ -435,11 +406,6 @@ void write_results_json(std::span<const ExperimentResult> results,
     w.field("dram_peak_bytes_per_cycle", r.dram_peak_bytes_per_cycle);
     w.field("dram_bw_utilization", r.stats.dram_bandwidth_utilization(
                                         r.dram_peak_bytes_per_cycle));
-    w.field("sampled", r.sample.enabled);
-    if (r.sample.enabled) {
-      w.key("sample");
-      write_sample_json(w, r.sample);
-    }
     if (r.checkpoint.enabled) {
       w.key("checkpoint");
       write_checkpoint_json(w, r.checkpoint);

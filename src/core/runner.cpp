@@ -19,12 +19,6 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   layer_request.sort = request.sort;
   layer_request.sorted_features = request.sorted_features;
   layer_request.share = request.share;
-  if (request.sample > 0.0) {
-    SampleOptions options;
-    options.fraction = request.sample;
-    options.seed = request.sample_seed;
-    layer_request.sample = options;
-  }
   const Accelerator accelerator(request.config);
   const Timer sim_timer;
   const LayerRunResult layer = accelerator.run_layer(layer_request);
@@ -43,10 +37,6 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   r.aggregation_stats = layer.aggregation_stats;
   r.hybrid_info = layer.hybrid_info;
   r.checkpoint = layer.checkpoint;
-  r.sample = layer.sample;
-  // A sampled run has no functional output to verify and attaches no
-  // observer.
-  if (layer.sample.enabled) return r;
   const DenseMatrix& reference_output = *request.reference;
   r.max_abs_err =
       DenseMatrix::max_abs_diff(layer.output, reference_output);

@@ -10,7 +10,6 @@
 
 #include "common/config.hpp"
 #include "core/accelerator.hpp"
-#include "core/sampling.hpp"
 #include "graph/datasets.hpp"
 #include "linalg/gcn.hpp"
 #include "obs/histogram.hpp"
@@ -87,15 +86,6 @@ struct ExperimentResult {
   /// hymm-run-report/9.
   LayerCheckpointInfo checkpoint;
 
-  /// Sampled-mode annotation (core/sampling.hpp): enabled=false on
-  /// exact runs. On sampled runs every counter in the stats is a
-  /// ratio-estimator extrapolation with the error bars recorded
-  /// here, `verified` is always false (band runs produce no
-  /// functional output), and the run report labels the result
-  /// `"sampled": true`. Serialized as the "sample" object of
-  /// hymm-run-report/9.
-  SampleInfo sample;
-
   /// Per-run latency/duration histograms (obs/histogram.hpp), taken
   /// from the request's observer after the layer ran. Empty when the
   /// request had no observer.
@@ -136,14 +126,6 @@ struct ExperimentRequest {
   /// Optional combination-phase sharing (CombinationShare), forwarded
   /// to LayerRunRequest::share. Ignored when `observer` is set.
   CombinationShare share;
-  /// Sampled-simulation fraction (0 = exact run). When > 0 the layer
-  /// runs in sampled mode (core/sampling.hpp): cycles/stalls/DRAM
-  /// bytes are seeded-subset extrapolations with error bars, the
-  /// result is never functionally verified, and observer/share are
-  /// ignored.
-  double sample = 0.0;
-  /// Band-selection seed of sampled runs.
-  std::uint64_t sample_seed = 42;
 };
 
 /// Simulates one GCN layer of the request's workload under its flow

@@ -100,15 +100,6 @@ class CscMatrix {
 
   CsrMatrix to_csr() const { return transposed_.transpose(); }
 
-  // Extracts columns [col_begin, col_end) with the full row range.
-  // Column ids are rebased to zero; row ids are unchanged. Used by the
-  // sampled-simulation bands (core/sampling.hpp) together with
-  // OpEngineParams::col_offset.
-  CscMatrix submatrix_cols(NodeId col_begin, NodeId col_end) const {
-    return CscMatrix(
-        transposed_.submatrix(col_begin, col_end, 0, transposed_.cols()));
-  }
-
   std::size_t storage_bytes() const { return transposed_.storage_bytes(); }
 
   friend bool operator==(const CscMatrix&, const CscMatrix&) = default;

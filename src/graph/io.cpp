@@ -1,8 +1,11 @@
 #include "graph/io.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 
@@ -23,6 +26,34 @@ bool is_comment_or_blank(const std::string& line) {
     return c == '#' || c == '%';
   }
   return true;  // blank
+}
+
+// Reads a line's value column from `ls`, which has consumed the ids:
+// the rest of the line must hold one number, finite as a Value, and
+// nothing after it but whitespace. A line without the column yields
+// `absent`, or is an error when the column is required.
+Value read_value(std::istringstream& ls, std::optional<Value> absent,
+                 const char* source, std::size_t line_no,
+                 const std::string& line) {
+  std::string token;
+  if (!(ls >> token)) {
+    HYMM_CHECK_MSG(absent.has_value(), source << " line " << line_no
+                                              << " is malformed: '" << line
+                                              << "'");
+    return *absent;
+  }
+  char* end = nullptr;
+  const double value = std::strtod(token.c_str(), &end);
+  std::string trailing;
+  HYMM_CHECK_MSG(end == token.c_str() + token.size() &&
+                     std::isfinite(value) &&
+                     std::abs(value) <= std::numeric_limits<Value>::max() &&
+                     !(ls >> trailing),
+                 source << " line " << line_no << " has value '" << token
+                        << "', expected one finite number and nothing "
+                           "after it: '"
+                        << line << "'");
+  return static_cast<Value>(value);
 }
 
 std::ifstream open_input(const std::string& path) {
@@ -49,11 +80,11 @@ CsrMatrix load_edge_list(std::istream& in, const EdgeListOptions& options) {
     if (is_comment_or_blank(line)) continue;
     std::istringstream ls(line);
     long long src = 0, dst = 0;
-    double weight = 1.0;
     HYMM_CHECK_MSG(static_cast<bool>(ls >> src >> dst),
                    "edge list line " << line_no << " is malformed: '"
                                      << line << "'");
-    ls >> weight;  // optional third column
+    // Optional third column.
+    const Value weight = read_value(ls, 1.0f, "edge list", line_no, line);
     HYMM_CHECK_MSG(src >= 0 && dst >= 0,
                    "edge list line " << line_no << " has negative ids");
     HYMM_CHECK_MSG(src < kIdLimit && dst < kIdLimit,
@@ -64,9 +95,9 @@ CsrMatrix load_edge_list(std::istream& in, const EdgeListOptions& options) {
     const auto v = static_cast<NodeId>(dst);
     if (options.drop_self_loops && u == v) continue;
     max_id = std::max({max_id, u, v});
-    triplets.push_back(Triplet{u, v, static_cast<Value>(weight)});
+    triplets.push_back(Triplet{u, v, weight});
     if (options.symmetrize && u != v) {
-      triplets.push_back(Triplet{v, u, static_cast<Value>(weight)});
+      triplets.push_back(Triplet{v, u, weight});
     }
   }
   const NodeId nodes =
@@ -144,18 +175,18 @@ CsrMatrix load_sparse_matrix(std::istream& in) {
     if (is_comment_or_blank(line)) continue;
     std::istringstream ls(line);
     long long r = 0, c = 0;
-    double v = 0.0;
-    HYMM_CHECK_MSG(static_cast<bool>(ls >> r >> c >> v),
+    HYMM_CHECK_MSG(static_cast<bool>(ls >> r >> c),
                    "sparse matrix line " << line_no << " is malformed: '"
                                          << line << "'");
+    const Value v =
+        read_value(ls, std::nullopt, "sparse matrix", line_no, line);
     HYMM_CHECK_MSG(r >= 0 && c >= 0,
                    "sparse matrix line " << line_no << " has a negative index");
     HYMM_CHECK_MSG(r < rows && c < cols,
                    "sparse matrix line " << line_no << " has entry (" << r
                                          << ", " << c << ") outside the "
                                          << rows << "x" << cols << " header");
-    coo.add(static_cast<NodeId>(r), static_cast<NodeId>(c),
-            static_cast<Value>(v));
+    coo.add(static_cast<NodeId>(r), static_cast<NodeId>(c), v);
     ++seen;
   }
   HYMM_CHECK_MSG(seen == nnz, "sparse matrix truncated: header promised "

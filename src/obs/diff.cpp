@@ -113,7 +113,16 @@ std::optional<ReportSnapshot> normalize_report(const JsonValue& doc,
     run.flow = r.get_string("flow");
     run.cycles = r.get_number("cycles");
     run.verified = read_bool(r, "verified");
-    run.sampled = read_bool(r, "sampled");
+    if (read_bool(r, "sampled")) {
+      // Sampled estimates are no longer produced; an old sampled
+      // result is not an exact run and cannot be gated as one.
+      if (error != nullptr) {
+        *error = "result " + run.abbrev + "/" + run.flow +
+                 " is a sampled estimate (\"sampled\": true), not an "
+                 "exact run";
+      }
+      return std::nullopt;
+    }
     const JsonValue* stats = r.find("stats");
     if (stats != nullptr) {
       run.skipped_cycles = stats->get_number("skipped_cycles");
@@ -192,8 +201,7 @@ std::vector<RunDiff> diff_reports(const ReportSnapshot& base,
       continue;
     }
     const RunSnapshot& c = *match;
-    diff.sampled_mismatch = b.sampled != c.sampled;
-    diff.unverified = !c.sampled && !c.verified;
+    diff.unverified = !c.verified;
     diff.current_cycles = c.cycles;
     diff.skipped_cycles_delta = c.skipped_cycles - b.skipped_cycles;
     diff.dram_bytes_delta = c.dram_total_bytes - b.dram_total_bytes;

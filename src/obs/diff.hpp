@@ -55,7 +55,6 @@ struct RunSnapshot {
   double skipped_cycles = 0.0;  ///< fast-forwarded cycles
   double dram_total_bytes = 0.0;  ///< whole-run DRAM traffic
   bool verified = false;  ///< matched the golden model
-  bool sampled = false;   ///< sampled-mode estimate, not an exact run
   std::vector<PhaseBreakdown> phases;  ///< per-phase stall breakdowns
   TileGrid tiles;  ///< spatial grid; empty when not collected
 };
@@ -68,8 +67,9 @@ struct ReportSnapshot {
 /// Normalizes a parsed hymm-run-report/9 document. A hybrid run's
 /// aggregation phase is replaced by its per-region split when regions
 /// are present (the regions sum exactly to the aggregation phase).
-/// Returns nullopt and fills *error on any other schema or a
-/// malformed document.
+/// Returns nullopt and fills *error on any other schema, a malformed
+/// document, or a result labeled "sampled": true (an estimate written
+/// by older builds, never an exact run).
 std::optional<ReportSnapshot> normalize_report(const JsonValue& doc,
                                                std::string* error);
 
@@ -102,9 +102,7 @@ struct RunDiff {
   std::string abbrev;  ///< dataset abbreviation
   std::string flow;    ///< dataflow name
   bool missing = false;  ///< no (abbrev, flow) partner in the current report
-  /// One side is sampled and the other exact: not comparable.
-  bool sampled_mismatch = false;
-  bool unverified = false;  ///< the current run is exact but unverified
+  bool unverified = false;  ///< the current run failed verification
   double base_cycles = 0.0;     ///< total cycles, base side
   double current_cycles = 0.0;  ///< total cycles, current side
   double skipped_cycles_delta = 0.0;  ///< fast-forward coverage delta

@@ -100,7 +100,7 @@ void SimStats::merge_phase(const SimStats& other) {
 }
 
 SimStats scale_stats(const SimStats& s, double fraction) {
-  HYMM_DCHECK(fraction >= 0.0);
+  HYMM_DCHECK(fraction >= 0.0 && fraction <= 1.0);
   const auto scale = [fraction](std::uint64_t v) {
     return static_cast<std::uint64_t>(static_cast<double>(v) * fraction +
                                       0.5);

@@ -119,14 +119,12 @@ static_assert(std::is_trivially_copyable_v<SimStats>);
 // values.
 SimStats stats_delta(const SimStats& after, const SimStats& before);
 
-// Scales every additive counter by `fraction` >= 0 (rounded to
+// Scales every additive counter by `fraction` in [0, 1] (rounded to
 // nearest); non-additive fields (partial footprint and peak) are copied
-// unchanged. Used with fractions in [0, 1] for the hybrid's
-// per-region attribution of the shared region-2/3 RWP phase, where
-// exact cycle-level attribution is ill-defined (region-2 and region-3
-// non-zeros interleave within rows) — see DESIGN.md "Observability" —
-// and with fractions > 1 by sampled mode (core/sampling.hpp) to
-// extrapolate per-band counters to the whole phase.
+// unchanged. Used for the hybrid's per-region attribution of the
+// shared region-2/3 RWP phase, where exact cycle-level attribution is
+// ill-defined (region-2 and region-3 non-zeros interleave within
+// rows) — see DESIGN.md "Observability".
 SimStats scale_stats(const SimStats& s, double fraction);
 
 }  // namespace hymm

@@ -3,7 +3,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <sstream>
-#include <utility>
 
 namespace hymm {
 
@@ -70,15 +69,6 @@ std::uint64_t parse_spatial(const std::string& source,
   return parse_u64_value(source, value, 0);
 }
 
-// "0" = exact mode, otherwise a fraction in (0, 1] of tile bands to
-// simulate per phase. No clamping: 1.5 or -0.2 are errors.
-double parse_sample(const std::string& source, const std::string& value) {
-  const double fraction = parse_double_value(source, value, 0.0, 1.0);
-  // parse_double_value already rejects values outside [0, 1]; the only
-  // in-range value that is not a legal fraction is handled by 0 = off.
-  return fraction;
-}
-
 }  // namespace
 
 double BenchOptions::scale_for(const DatasetSpec& spec) const {
@@ -91,12 +81,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
                                  const EnvGetter& env,
                                  std::vector<std::string>* unrecognized) {
   BenchOptions options;
-  // Where the sampling fraction and each observer output came from,
-  // for the usage error that pairs them.
-  std::string sample_source = "HYMM_SAMPLE";
-  std::string trace_source = "HYMM_TRACE_DIR";
-  std::string timeseries_source = "HYMM_TIMESERIES";
-  std::string spatial_source = "HYMM_SPATIAL";
 
   // --- Environment first (flags override below) ---
   if (const char* v = env("HYMM_DATASETS")) {
@@ -120,9 +104,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
   }
   if (const char* v = env("HYMM_AUTOTUNE")) {
     options.autotune = parse_autotune("HYMM_AUTOTUNE", v);
-  }
-  if (const char* v = env("HYMM_SAMPLE")) {
-    options.sample = parse_sample("HYMM_SAMPLE", v);
   }
 
   // --- --key=value / --key value flags ---
@@ -149,7 +130,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       options.full_datasets = true;
     } else if (arg == "--trace-dir") {
       options.trace_dir = next();
-      trace_source = arg;
     } else if (arg == "--json-dir") {
       options.json_dir = next();
     } else if (arg == "--threads") {
@@ -162,24 +142,16 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // (never consumes the following argument).
       options.timeseries_interval = parse_timeseries(
           "--timeseries", inline_value ? *inline_value : "1");
-      timeseries_source = arg;
     } else if (arg == "--spatial") {
       // Value optional: bare --spatial means auto tile sizing (never
       // consumes the following argument).
       options.spatial_tile =
           parse_spatial("--spatial", inline_value ? *inline_value : "1");
-      spatial_source = arg;
     } else if (arg == "--autotune") {
       // Value optional: bare --autotune means the full measured
       // search (never consumes the following argument).
       options.autotune = parse_autotune(
           "--autotune", inline_value ? *inline_value : "measured");
-    } else if (arg == "--sample") {
-      // Value optional: bare --sample means the default 0.25 fraction
-      // (never consumes the following argument).
-      options.sample = parse_sample(
-          "--sample", inline_value ? *inline_value : "0.25");
-      sample_source = arg;
     } else if (unrecognized != nullptr) {
       // Pass the flag through untouched (original spelling), plus any
       // following non-flag tokens that may be its values.
@@ -192,22 +164,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
     }
   }
 
-  // A sampled run attaches no observer, so it cannot fill a trace, a
-  // time series or a spatial map (the JSON report carries "sample").
-  if (options.sample > 0.0) {
-    const std::pair<bool, const std::string*> outputs[] = {
-        {!options.trace_dir.empty(), &trace_source},
-        {options.timeseries_interval > 0, &timeseries_source},
-        {options.spatial_tile > 0, &spatial_source}};
-    for (const auto& [requested, source] : outputs) {
-      if (requested) {
-        throw UsageError(*source + " cannot be combined with " +
-                         sample_source +
-                         ": a sampled run records no observer output");
-      }
-    }
-  }
-
   options.datasets_explicit = !options.datasets.empty();
   if (options.datasets.empty()) options.datasets = paper_datasets();
   return options;
@@ -216,7 +172,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
 SweepOptions BenchOptions::sweep_options() const {
   SweepOptions sweep_options;
   sweep_options.threads = threads;
-  sweep_options.sample = sample;
   sweep_options.observe = observing();
   sweep_options.observer_options.trace = !trace_dir.empty();
   sweep_options.observer_options.timeseries = timeseries_interval > 0;

@@ -22,19 +22,10 @@
 ///   HYMM_AUTOTUNE       --autotune[=MODE]  measured threshold search:
 ///                                          off|measured (bare
 ///                                          --autotune = measured)
-///   HYMM_SAMPLE         --sample[=F]       sampled simulation: simulate
-///                                          a seeded fraction F of tile
-///                                          bands per phase and
-///                                          extrapolate (0 < F <= 1;
-///                                          bare --sample = 0.25;
-///                                          "0" = off)
 ///
 /// Flags accept "--flag value" and "--flag=value" and win over the
 /// environment. Unknown dataset tokens and malformed numbers fail
 /// fast with a UsageError naming the bad value — no silent fallback.
-/// A sampled run records no observer output, so a trace dir, a time
-/// series or spatial attribution together with a sampling fraction
-/// is a UsageError naming both knobs.
 #pragma once
 
 #include <cstdint>
@@ -77,12 +68,6 @@ struct BenchOptions {
   /// their tiling threshold. kOff keeps the config's fixed value.
   AutotuneMode autotune = AutotuneMode::kOff;
 
-  /// Sampled-simulation fraction (core/sampling.hpp): 0 = exact mode,
-  /// otherwise the fraction of tile bands simulated per phase
-  /// (0 < sample <= 1). Bare --sample selects the default 0.25.
-  /// Out-of-range values throw UsageError — no clamping.
-  double sample = 0.0;
-
   /// Effective scale for one dataset: the override, else 1.0 under
   /// --full-datasets, else the dataset's bench default.
   double scale_for(const DatasetSpec& spec) const;
@@ -93,8 +78,8 @@ struct BenchOptions {
            timeseries_interval > 0 || spatial_tile > 0;
   }
 
-  /// The sweep settings these options ask for: workers, sampling and
-  /// the observers the trace/json dirs and time-series/spatial knobs
+  /// The sweep settings these options ask for: workers and the
+  /// observers the trace/json dirs and time-series/spatial knobs
   /// need. Callers add their own group_key.
   SweepOptions sweep_options() const;
 

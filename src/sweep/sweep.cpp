@@ -204,7 +204,7 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
 
   // --- Plan reuse; the snapshot store lives for this run only ---
   ReusePlan reuse_plan;
-  if (!options_.observe && options_.sample <= 0.0) {
+  if (!options_.observe) {
     reuse_plan = plan_reuse(cells);
   } else {
     reuse_plan.cells.resize(cells.size());
@@ -256,8 +256,6 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
     request.flow = cell.flow;
     request.config = cell.config;
     request.observer = observer;
-    request.sample = options_.sample;
-    request.sample_seed = cell.seed;
     if (cell.flow == Dataflow::kHybrid) {
       request.sort = &prepared->sort();
       request.sorted_features = &prepared->sorted_features();

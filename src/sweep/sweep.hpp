@@ -20,7 +20,7 @@
 /// core/accelerator.hpp) and the others restore it, bit-identically.
 /// The plan depends only on the grid, so which cell builds and which
 /// restores does not depend on the thread count. The snapshots live
-/// only for one run(). Sampled runs reuse nothing.
+/// only for one run().
 ///
 /// Observability: observers are never shared across threads. Cells
 /// mapping to the same group key share one Observer and run serially
@@ -125,11 +125,6 @@ struct SweepOptions {
   /// the first simulated cell of a group starts — progress reporting.
   /// Groups whose every cell reuses an earlier result never start.
   std::function<void(const SweepCell& first_cell)> on_group_start;
-  /// Sampled-simulation fraction applied to every cell (0 = exact
-  /// runs; see core/sampling.hpp). Sampled cells extrapolate with
-  /// error bars, are never functionally verified, ignore observers
-  /// and reuse nothing.
-  double sample = 0.0;
 };
 
 /// Resolves a requested thread count: 0 = HYMM_THREADS env (strictly

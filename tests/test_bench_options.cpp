@@ -185,18 +185,19 @@ TEST(BenchOptionsTest, MissingValueIsError) {
   EXPECT_NE(error_of({"--scale="}), "");
 }
 
-// The open-loop request pipeline is gone: each of its five flags, in
-// every spelling, fails fast naming the flag, and its HYMM_* variables
-// are no longer read, so a leftover one can neither fail nor change
-// the options.
-const std::vector<std::pair<std::string, std::string>> kRemovedServeKnobs = {
+// Removed knobs: the open-loop request pipeline's five, sampled
+// simulation and the per-tile router. Each flag, in every spelling,
+// fails fast naming the flag, and its HYMM_* variable is no longer
+// read, so a leftover one can neither fail nor change the options.
+const std::vector<std::pair<std::string, std::string>> kRemovedKnobs = {
     {"--arrival-rate", "HYMM_ARRIVAL_RATE"}, {"--requests", "HYMM_REQUESTS"},
     {"--batch", "HYMM_BATCH"},               {"--queue-cap", "HYMM_QUEUE_CAP"},
-    {"--reuse", "HYMM_REUSE"}};
+    {"--reuse", "HYMM_REUSE"},               {"--sample", "HYMM_SAMPLE"},
+    {"--route", "HYMM_ROUTE"}};
 
 TEST(BenchOptionsTest, ServeKnobDefaultsAreUnset) {
   std::map<std::string, std::string> env;
-  for (const auto& [flag, var] : kRemovedServeKnobs) env.emplace(var, "8");
+  for (const auto& [flag, var] : kRemovedKnobs) env.emplace(var, "8");
   const BenchOptions opts = parse({}, env);
   const BenchOptions defaults = parse({});
   EXPECT_EQ(opts.seed, defaults.seed);
@@ -206,7 +207,7 @@ TEST(BenchOptionsTest, ServeKnobDefaultsAreUnset) {
 }
 
 TEST(BenchOptionsTest, ServeKnobsParseFromFlags) {
-  for (const auto& [flag, var] : kRemovedServeKnobs) {
+  for (const auto& [flag, var] : kRemovedKnobs) {
     for (const std::string& arg : {flag + "=8", flag}) {
       const std::string err = error_of({arg});
       EXPECT_NE(err.find(flag), std::string::npos) << arg << ": " << err;
@@ -217,7 +218,7 @@ TEST(BenchOptionsTest, ServeKnobsParseFromFlags) {
 }
 
 TEST(BenchOptionsTest, ServeKnobsParseFromEnvAndFlagsWin) {
-  for (const auto& [flag, var] : kRemovedServeKnobs) {
+  for (const auto& [flag, var] : kRemovedKnobs) {
     // The variable is ignored, and the flag still fails next to it.
     const BenchOptions opts = parse({"--seed=9"}, {{var, "4"}});
     EXPECT_EQ(opts.seed, 9u) << var;
@@ -229,7 +230,7 @@ TEST(BenchOptionsTest, ServeKnobsParseFromEnvAndFlagsWin) {
 TEST(BenchOptionsTest, ServeKnobsFailFastOnBadValues) {
   // Values the old parser rejected no longer reach a parser: a junk
   // variable is ignored, and the flag fails on its name, not its value.
-  for (const auto& [flag, var] : kRemovedServeKnobs) {
+  for (const auto& [flag, var] : kRemovedKnobs) {
     EXPECT_NO_THROW(parse({}, {{var, "banana"}})) << var;
     const std::string err = error_of({flag + "=banana"});
     EXPECT_NE(err.find(flag), std::string::npos) << flag << ": " << err;
@@ -237,74 +238,12 @@ TEST(BenchOptionsTest, ServeKnobsFailFastOnBadValues) {
   }
 }
 
-// Sampled-simulation knob: off by default, bare --sample means the
-// default 0.25 fraction (and never consumes the following argument),
-// out-of-range or malformed fractions fail fast naming the value —
-// no clamping, no silent fallback to exact mode.
-TEST(BenchOptionsTest, SampleKnob) {
-  EXPECT_EQ(parse({}).sample, 0.0);
-
-  EXPECT_DOUBLE_EQ(parse({"--sample"}).sample, 0.25);
-  EXPECT_DOUBLE_EQ(parse({"--sample=0.5"}).sample, 0.5);
-  EXPECT_DOUBLE_EQ(parse({"--sample=1"}).sample, 1.0);
-  // 0 = exact mode, legal from the environment and the flag.
-  EXPECT_DOUBLE_EQ(parse({"--sample=0"}).sample, 0.0);
-
-  std::vector<std::string> rest;
-  const BenchOptions opts = parse({"--sample", "--seed=9"}, {}, &rest);
-  EXPECT_DOUBLE_EQ(opts.sample, 0.25);
-  EXPECT_EQ(opts.seed, 9u);
-  EXPECT_TRUE(rest.empty());
-
-  EXPECT_DOUBLE_EQ(parse({}, {{"HYMM_SAMPLE", "0.1"}}).sample, 0.1);
-  // Flags win over the environment.
-  EXPECT_DOUBLE_EQ(parse({"--sample=0.75"}, {{"HYMM_SAMPLE", "0.1"}}).sample,
-                   0.75);
-
-  const std::string high = error_of({"--sample=1.5"});
-  EXPECT_NE(high.find("1.5"), std::string::npos) << high;
-  EXPECT_NE(high.find("--sample"), std::string::npos) << high;
-  EXPECT_NE(error_of({"--sample=-0.2"}), "");
-  const std::string junk = error_of({"--sample=abc"});
-  EXPECT_NE(junk.find("abc"), std::string::npos) << junk;
-  const std::string env_err = error_of({}, {{"HYMM_SAMPLE", "lots"}});
-  EXPECT_NE(env_err.find("HYMM_SAMPLE"), std::string::npos) << env_err;
-  EXPECT_NE(env_err.find("lots"), std::string::npos) << env_err;
-}
-
-// A sampled run attaches no observer, so asking for a trace, a time
-// series or spatial attribution with it is a usage error naming both
-// knobs, in whichever spelling set them. The JSON report stays legal.
-TEST(BenchOptionsTest, SampleRejectsObserverOutputs) {
-  const auto expect_conflict = [](const std::string& err,
-                                  const std::string& output,
-                                  const std::string& sample) {
-    EXPECT_NE(err.find(output), std::string::npos) << err;
-    EXPECT_NE(err.find(sample), std::string::npos) << err;
-  };
-  expect_conflict(error_of({"--sample", "--trace-dir=out"}), "--trace-dir",
-                  "--sample");
-  expect_conflict(
-      error_of({}, {{"HYMM_SAMPLE", "0.25"}, {"HYMM_TRACE_DIR", "out"}}),
-      "HYMM_TRACE_DIR", "HYMM_SAMPLE");
-  expect_conflict(error_of({"--timeseries=64", "--sample=0.5"}),
-                  "--timeseries", "--sample");
-  expect_conflict(error_of({"--spatial"}, {{"HYMM_SAMPLE", "0.5"}}),
-                  "--spatial", "HYMM_SAMPLE");
-
-  EXPECT_EQ(parse({"--sample", "--json-dir=out"}).json_dir, "out");
-  EXPECT_EQ(parse({"--sample=0", "--trace-dir=out"}).trace_dir, "out");
-  EXPECT_DOUBLE_EQ(parse({"--sample", "--timeseries=0", "--spatial=0"}).sample,
-                   0.25);
-}
-
-// sweep_options() carries the workers, the sampling fraction and the
-// observers the output knobs ask for.
+// sweep_options() carries the workers and the observers the output
+// knobs ask for.
 TEST(BenchOptionsTest, SweepOptionsFollowTheKnobs) {
   const SweepOptions plain = parse({"--threads=3"}).sweep_options();
   EXPECT_EQ(plain.threads, 3u);
   EXPECT_FALSE(plain.observe);
-  EXPECT_EQ(parse({"--sample=0.5"}).sweep_options().sample, 0.5);
 
   const SweepOptions observed =
       parse({"--trace-dir=t", "--timeseries=64", "--spatial=8"})
@@ -321,16 +260,9 @@ TEST(BenchOptionsTest, SweepOptionsFollowTheKnobs) {
   EXPECT_FALSE(report.observer_options.trace);
 }
 
-// The per-tile router is gone: --route in every spelling fails fast
-// naming the flag, and a stale HYMM_ROUTE in the environment is not
-// read at all, so it can neither fail nor change the options.
+// The per-tile router is gone (kRemovedKnobs checks the flag): a stale
+// HYMM_ROUTE leaves the autotune mode at its default.
 TEST(BenchOptionsTest, RouteKnob) {
-  for (const std::string arg : {"--route", "--route=global", "--route=tiles",
-                                "--route=tiles:measured"}) {
-    const std::string err = error_of({arg});
-    EXPECT_NE(err.find("--route"), std::string::npos) << arg << ": " << err;
-  }
-
   const BenchOptions opts = parse({"--seed=9"}, {{"HYMM_ROUTE", "tiles"}});
   EXPECT_EQ(opts.seed, 9u);
   EXPECT_EQ(opts.autotune, AutotuneMode::kOff);

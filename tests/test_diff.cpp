@@ -92,7 +92,6 @@ TEST(DiffNormalize, Bench2PhasesCarryStallVectors) {
   EXPECT_DOUBLE_EQ(run.skipped_cycles, 120000.0);
   EXPECT_DOUBLE_EQ(run.dram_total_bytes, 4096.0);
   EXPECT_TRUE(run.verified);
-  EXPECT_FALSE(run.sampled);
   ASSERT_EQ(run.phases.size(), 2u);
   EXPECT_EQ(run.phases[0].name, "combination");
   // Phase cycles are the stall-bucket sum (the accounting invariant).
@@ -351,20 +350,26 @@ TEST(DiffGate, UnverifiedExactRunFails) {
   EXPECT_FALSE(diffs[0].passes());
 }
 
-// Sampled runs are never verified by design, so only an exact current
-// run is held to its verdict; pairing sampled with exact is flagged.
-TEST(DiffGate, SampledRunsAreExemptFromVerificationButNotFromPairing) {
+// Sampled estimates are no longer produced: a stale report holding one
+// is refused as a schema error naming the result, never diffed as if
+// it were exact. An explicit "sampled": false still loads, and an
+// exact run that failed verification still fails the gate.
+TEST(DiffGate, SampledRunsAreRefused) {
   RunFields sampled;
   sampled.sampled = true;
-  sampled.verified = false;
-  const ReportSnapshot sampled_report = parse_snapshot(report9(sampled));
-  const RunDiff same = diff_reports(sampled_report, sampled_report)[0];
-  EXPECT_FALSE(same.unverified);
-  EXPECT_FALSE(same.sampled_mismatch);
-  EXPECT_TRUE(same.passes());
-  const RunDiff mixed =
-      diff_reports(parse_snapshot(report9(30000.0)), sampled_report)[0];
-  EXPECT_TRUE(mixed.sampled_mismatch);
+  const std::optional<JsonValue> doc = json_parse(report9(sampled));
+  ASSERT_TRUE(doc.has_value());
+  std::string error;
+  EXPECT_FALSE(normalize_report(*doc, &error).has_value());
+  EXPECT_NE(error.find("CR/HyMM"), std::string::npos) << error;
+  EXPECT_NE(error.find("sampled"), std::string::npos) << error;
+
+  RunFields unverified;
+  unverified.verified = false;
+  const RunDiff diff = diff_reports(parse_snapshot(report9(30000.0)),
+                                    parse_snapshot(report9(unverified)))[0];
+  EXPECT_TRUE(diff.unverified);
+  EXPECT_FALSE(diff.passes());
 }
 
 TEST(DiffPrint, RendersRankedTableAndShares) {

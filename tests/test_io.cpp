@@ -17,12 +17,16 @@ TEST(EdgeList, ParsesTriplesAndComments) {
       "% another comment\n"
       "\n"
       "0 1 2.5\n"
-      "2 0\n");
+      "2 0\n"
+      "1 2 -4e-1 \r\n"
+      "3 1 +2\t\n");
   const CsrMatrix m = load_edge_list(in);
-  EXPECT_EQ(m.rows(), 3u);
-  EXPECT_EQ(m.nnz(), 2u);
+  EXPECT_EQ(m.rows(), 4u);
+  EXPECT_EQ(m.nnz(), 4u);
   EXPECT_FLOAT_EQ(m.row_values(0)[0], 2.5f);
+  EXPECT_FLOAT_EQ(m.row_values(1)[0], -0.4f);
   EXPECT_FLOAT_EQ(m.row_values(2)[0], 1.0f);  // default weight
+  EXPECT_FLOAT_EQ(m.row_values(3)[0], 2.0f);
 }
 
 TEST(EdgeList, SymmetrizeAndSelfLoopOptions) {
@@ -48,13 +52,21 @@ TEST(EdgeList, ExplicitNodeCount) {
   EXPECT_THROW(load_edge_list(overflow, tight), CheckError);
 }
 
+// A weight that is present must be one finite float and nothing else.
+// A bare stream extraction would read "abc", "nan" and "inf" as 0,
+// "1e999" as inf and "2.5x" as 2.5.
 TEST(EdgeList, MalformedLinesThrowWithLineNumber) {
-  std::istringstream in("0 1\nbroken line\n");
-  try {
-    load_edge_list(in);
-    FAIL() << "expected CheckError";
-  } catch (const CheckError& e) {
-    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos);
+  for (const char* bad : {"broken line", "0 1 abc", "0 1 nan", "0 1 inf",
+                          "0 1 1e999", "0 1 1e39", "0 1 2.5x",
+                          "0 1 2.5 junk"}) {
+    std::istringstream in(std::string("0 1\n") + bad + "\n");
+    try {
+      load_edge_list(in);
+      FAIL() << "expected CheckError for " << bad;
+    } catch (const CheckError& e) {
+      EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -172,6 +184,19 @@ TEST(SparseMatrix, BadHeaderRejectedWithLineNumber) {
   expect_sparse_error_at("%%HyMMSparse 3 2 -1\n", "line 1");
   expect_sparse_error_at("%%HyMMSparse 4294967295 2 0\n", "line 1");
   expect_sparse_error_at("%%HyMMSparse 3 x 1\n", "line 1");
+}
+
+// The value column is required, finite as a float, and alone: "1e39"
+// is finite as a double but inf once narrowed to Value.
+TEST(SparseMatrix, BadValuesRejectedWithLineNumber) {
+  for (const char* bad : {"0 0 1e39", "0 0 1 junk", "0 0 nan", "0 0 -inf",
+                          "0 0 abc", "0 0 2.5x", "0 0"}) {
+    expect_sparse_error_at(
+        (std::string("%%HyMMSparse 2 2 1\n") + bad + "\n").c_str(),
+        "line 2");
+  }
+  std::istringstream ok("%%HyMMSparse 2 2 1\n1 0 -3.5e2 \r\n");
+  EXPECT_FLOAT_EQ(load_sparse_matrix(ok).row_values(1)[0], -350.0f);
 }
 
 TEST(IoFiles, MissingFileThrows) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 
 #include "common/check.hpp"
 #include "graph/datasets.hpp"
@@ -155,6 +156,13 @@ constexpr WorkloadPin kWorkloadPins[] = {
     {"YP", 1234, 0x2322782468fa37ecULL, 0x0ac4c52416cf88b8ULL,
      0x5631ebd3ab0e8645ULL},
 };
+
+// Without a printer GoogleTest names each case after the raw bytes of
+// its parameter, and `abbrev` is a pointer whose bytes change with
+// every address-space layout; this keeps the printed case names fixed.
+void PrintTo(const WorkloadPin& pin, std::ostream* os) {
+  *os << pin.abbrev << " seed " << pin.seed;
+}
 
 class WorkloadContent : public ::testing::TestWithParam<WorkloadPin> {};
 

@@ -8,7 +8,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  const BenchOptions opts = bench::init(argc, argv);
+  const BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
   bench::print_header("Near-memory accumulator ablation (HyMM)",
                       "Fig 10 / Section IV-D");
 

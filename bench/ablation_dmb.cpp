@@ -9,7 +9,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  BenchOptions opts = bench::init(argc, argv);
+  BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
   bench::print_header("DMB capacity / eviction-policy sweep",
                       "design-space ablation of Table III");
 

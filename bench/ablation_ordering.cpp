@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  BenchOptions opts = bench::init(argc, argv);
+  BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
   bench::print_header("Graph-reordering study (RWP baseline)",
                       "Section II-C context (graph preprocessing)");
 

@@ -15,14 +15,10 @@
 // count — the sweep executor guarantees bit-identical per-cell stats.
 #pragma once
 
-#include <algorithm>
-#include <cstdlib>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -34,49 +30,8 @@
 #include "obs/observer.hpp"
 #include "sweep/bench_options.hpp"
 #include "sweep/sweep.hpp"
-#include "tune/tuner.hpp"
 
 namespace hymm::bench {
-
-// What --autotune / HYMM_AUTOTUNE means to a binary.
-enum class Autotune {
-  kRejected,  // never tunes: a mode other than off exits 2
-  kHonoured,  // runs the measured threshold search when asked
-  kBuiltIn,   // always prints the fixed and the measured column: the
-              // knob, off included, would change nothing, so it exits 2
-};
-
-// Parses the shared bench knobs; exits 2 on a bad flag or env value.
-// A binary that never tunes would run --autotune / HYMM_AUTOTUNE at the
-// fixed threshold without a word, and one that always tunes would
-// ignore the knob's value, so each exits 2 on the knobs it cannot
-// honour, naming the knob as spelt (the flag when the command line has
-// it; flags win).
-inline BenchOptions init(int argc, char** argv,
-                         Autotune autotune = Autotune::kRejected) {
-  BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
-  const bool flagged = std::any_of(argv + 1, argv + argc, [](auto a) {
-    return std::string_view(a).starts_with("--autotune");
-  });
-  const bool spelt = flagged || std::getenv("HYMM_AUTOTUNE") != nullptr;
-  const std::string knob = flagged ? "--autotune" : "HYMM_AUTOTUNE";
-  const std::string binary =
-      std::filesystem::path(argv[0]).filename().string();
-  if (autotune == Autotune::kRejected &&
-      opts.autotune != AutotuneMode::kOff) {
-    std::cerr << knob << " is not supported by " << binary
-              << ": only perf_regression, paper_claims, ablation_autotune "
-                 "and hymm_sim tune the threshold\n";
-    std::exit(2);
-  }
-  if (autotune == Autotune::kBuiltIn && spelt) {
-    std::cerr << knob << " is not accepted by " << binary
-              << ": it always prints both the fixed-threshold and the "
-                 "measured column\n";
-    std::exit(2);
-  }
-  return opts;
-}
 
 inline std::string scale_note(const DataflowComparison& comparison) {
   if (comparison.scale == 1.0) return comparison.spec.abbrev;
@@ -204,80 +159,6 @@ inline std::vector<DataflowComparison> run_datasets(
   std::vector<std::vector<DataflowComparison>> by_config =
       run_config_sweep(opts, {config}, flows);
   return std::move(by_config.front());
-}
-
-// Auto-tuned variant of run_datasets (opts.autotune != kOff): tunes
-// each dataset's hybrid tiling threshold with the measured search,
-// then simulates the dataset's flows under its tuned config. The
-// tuned threshold is per dataset, so datasets run as successive
-// single-workload sweeps — the one prepared workload is shared
-// immutably between the tuner's candidate cells and the final run. Hybrid results carry
-// the TuneInfo annotation; `decisions_out` (optional) receives one
-// decision per dataset in selection order.
-inline std::vector<DataflowComparison> run_autotuned_datasets(
-    const BenchOptions& opts, const AcceleratorConfig& base = {},
-    const std::vector<Dataflow>& flows = {Dataflow::kOuterProduct,
-                                          Dataflow::kRowWiseProduct,
-                                          Dataflow::kHybrid},
-    std::vector<TuneDecision>* decisions_out = nullptr) {
-  WorkloadCache cache;
-  std::vector<DataflowComparison> out;
-  for (const DatasetSpec& dataset : opts.datasets) {
-    const double scale = opts.scale_for(dataset);
-    std::cerr << "[bench] tuning " << dataset.abbrev << " at scale " << scale
-              << " (" << to_string(opts.autotune) << ") ..." << std::endl;
-    const std::shared_ptr<const PreparedWorkload> prepared =
-        cache.get(dataset, scale, opts.seed);
-    const TuneDecision decision =
-        tune_threshold(prepared, base, opts.autotune, opts.threads);
-    std::cerr << "[bench]   threshold " << decision.fixed_threshold << " -> "
-              << decision.threshold << "\n";
-    AcceleratorConfig tuned = base;
-    tuned.tiling_threshold = decision.threshold;
-
-    SweepSpec spec;
-    spec.workloads = {prepared};
-    spec.configs = {tuned};
-    spec.flows = flows;
-    spec.seed = opts.seed;
-
-    SweepOptions sweep_options = opts.sweep_options();
-    sweep_options.group_key = [](const SweepCell&) {
-      return std::string("all");
-    };
-    SweepRunner runner(sweep_options);
-    const SweepRun run = runner.run(spec);
-
-    DataflowComparison comparison;
-    comparison.spec = run.cells.front().scaled_spec;
-    comparison.scale = run.cells.front().cell.scale;
-    for (const SweepCellResult& cell : run.cells) {
-      ExperimentResult r = cell.result;
-      if (r.flow == Dataflow::kHybrid) r.tune = to_tune_info(decision);
-      comparison.results.push_back(std::move(r));
-    }
-    check_verified(comparison);
-    if (opts.observing() && run.groups.front().observer != nullptr) {
-      write_group_artifacts(opts, comparison, *run.groups.front().observer,
-                            "");
-    }
-    if (decisions_out != nullptr) decisions_out->push_back(decision);
-    out.push_back(std::move(comparison));
-  }
-  return out;
-}
-
-// Mode dispatch shared by drivers that honour --autotune: the measured
-// threshold search, else the plain fixed-threshold sweep.
-inline std::vector<DataflowComparison> run_datasets_with_policy(
-    const BenchOptions& opts, const AcceleratorConfig& base = {},
-    const std::vector<Dataflow>& flows = {Dataflow::kOuterProduct,
-                                          Dataflow::kRowWiseProduct,
-                                          Dataflow::kHybrid}) {
-  if (opts.autotune != AutotuneMode::kOff) {
-    return run_autotuned_datasets(opts, base, flows);
-  }
-  return run_datasets(opts, base, flows);
 }
 
 }  // namespace hymm::bench

@@ -29,7 +29,7 @@ double fraction_above(const hymm::TimeSeriesData& ts, std::uint64_t bytes) {
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  BenchOptions opts = bench::init(argc, argv);
+  BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
   if (opts.timeseries_interval == 0) opts.timeseries_interval = 256;
   bench::print_header("Memory usage by partial outputs", "Fig 10");
 

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  const BenchOptions opts = bench::init(argc, argv);
+  const BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
   bench::print_header("Graph degree distribution", "Fig 2");
 
   const std::vector<double> fractions = {0.01, 0.05, 0.10, 0.20,

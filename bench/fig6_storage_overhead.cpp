@@ -10,7 +10,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  const BenchOptions opts = bench::init(argc, argv);
+  const BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
   bench::print_header("Storage usage of the adjacency matrix", "Fig 6");
 
   const AcceleratorConfig config;

@@ -2,8 +2,7 @@
 // selected dataset under OP (GCNAX-like), RWP (GROW-like) and HyMM,
 // printed as Fig 7 (speedup), Fig 8 (ALU utilization), Fig 9 (DMB hit
 // rate) and Fig 11 (DRAM breakdown), then one verdict per paper claim
-// (core/paper_claims.hpp). With --autotune the hybrid runs at each
-// dataset's tuned tiling threshold.
+// (core/paper_claims.hpp).
 #include <iostream>
 
 #include "bench_common.hpp"
@@ -11,9 +10,8 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  const BenchOptions opts = bench::init(argc, argv, bench::Autotune::kHonoured);
-  const std::vector<DataflowComparison> grid =
-      bench::run_datasets_with_policy(opts);
+  const BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
+  const std::vector<DataflowComparison> grid = bench::run_datasets(opts);
   const Dataflow flows[] = {Dataflow::kOuterProduct,
                             Dataflow::kRowWiseProduct, Dataflow::kHybrid};
   const auto percent = [](double v) { return Table::fmt_percent(v, 1); };

@@ -10,9 +10,7 @@
 // directory; the file name is the snapshot's only label. Dataset
 // selection, scaling and sweep parallelism follow the shared bench
 // knobs (HYMM_DATASETS, HYMM_SCALE, HYMM_FULL_DATASETS, HYMM_THREADS /
-// --datasets, --scale, --threads, ...). With --autotune
-// (HYMM_AUTOTUNE=measured) the hybrid runs under each dataset's
-// measured-best tiling threshold instead of the fixed default.
+// --datasets, --scale, --threads, ...).
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -36,14 +34,16 @@ int main(int argc, char** argv) {
                 << "  run-report schema: " << kRunReportSchema << '\n';
       return 0;
     } else {
-      std::cerr << "usage: perf_regression [--out FILE] [bench flags]\n";
+      std::cerr << (rest[i] == "--out" ? "missing value for "
+                                       : "unknown argument ")
+                << rest[i] << "\nusage: perf_regression [--out FILE] "
+                << "[bench flags]\n";
       return 2;
     }
   }
 
   std::vector<ExperimentResult> results;
-  for (DataflowComparison& comparison :
-       bench::run_datasets_with_policy(opts)) {
+  for (DataflowComparison& comparison : bench::run_datasets(opts)) {
     for (ExperimentResult& r : comparison.results) {
       results.push_back(std::move(r));
     }

@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  const BenchOptions opts = bench::init(argc, argv);
+  const BenchOptions opts = BenchOptions::from_env_and_args(argc, argv);
   bench::print_header("Graph datasets", "Table II");
 
   Table table({"Dataset", "Nodes", "Edges", "Adj sparsity", "Feat sparsity",

@@ -7,7 +7,7 @@
 
 int main(int argc, char** argv) {
   using namespace hymm;
-  (void)bench::init(argc, argv);
+  (void)BenchOptions::from_env_and_args(argc, argv);
   bench::print_header("Hardware parameters and estimated area",
                       "Table III");
 

@@ -34,7 +34,6 @@
 #include "obs/observer.hpp"
 #include "sweep/bench_options.hpp"
 #include "sweep/sweep.hpp"
-#include "tune/tuner.hpp"
 
 namespace {
 
@@ -55,8 +54,6 @@ void usage() {
       "  --threads <n>        sweep workers (default: HYMM_THREADS/auto)\n"
       "  --dmb-kb <n>         DMB capacity in KB (default 256)\n"
       "  --tiling <0..1>      tiling threshold (default 0.2)\n"
-      "  --autotune[=mode]    pick the hybrid tiling threshold by simulating\n"
-      "                       every candidate (off|measured; bare = measured)\n"
       "  --fifo               FIFO eviction instead of LRU\n"
       "  --no-accumulator     disable the near-memory accumulator\n"
       "  --csv <file>         append machine-readable results\n"
@@ -231,18 +228,6 @@ int main(int argc, char** argv) {
             << prepared->workload().adjacency.nnz() << " edges, "
             << prepared->workload().features.cols() << " features\n\n";
 
-  // --- Auto-tune the hybrid tiling threshold (src/tune/) ---
-  TuneDecision tune_decision;
-  if (opts.autotune != AutotuneMode::kOff) {
-    tune_decision =
-        tune_threshold(prepared, config, opts.autotune, opts.threads);
-    config.tiling_threshold = tune_decision.threshold;
-    std::cout << "Autotune (" << to_string(tune_decision.mode)
-              << "): threshold " << tune_decision.fixed_threshold << " -> "
-              << tune_decision.threshold << " after "
-              << tune_decision.simulations << " candidate simulations\n\n";
-  }
-
   // --- Run the flows as one sweep ---
   SweepSpec sweep_spec;
   sweep_spec.workloads = {prepared};
@@ -271,11 +256,7 @@ int main(int argc, char** argv) {
 
   std::vector<ExperimentResult> results;
   for (const SweepCellResult& cell : run.cells) {
-    ExperimentResult r = cell.result;
-    if (opts.autotune != AutotuneMode::kOff &&
-        r.flow == Dataflow::kHybrid) {
-      r.tune = to_tune_info(tune_decision);
-    }
+    const ExperimentResult& r = cell.result;
     std::cout << to_string(r.flow) << " ("
               << (r.verified ? "verified" : "MISMATCH") << ", max err "
               << r.max_abs_err << ")\n";

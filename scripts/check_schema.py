@@ -15,10 +15,7 @@ structural requirements:
                           and an "imbalance" summary present; a
                           result labeled "sampled": true is refused
                           (an estimate from a removed mode, not an
-                          exact run); a "tune" object carries the
-                          measured search's threshold, simulation
-                          count, config hash and per-candidate
-                          measured cycles.
+                          exact run).
 
 Prints one OK/FAIL line per file with every problem found. Exit
 status: 0 when all files validate, 1 when any file fails, 2 on usage
@@ -75,24 +72,6 @@ def check_spatial(spatial, where, problems):
         problems.append(f"{where}: spatial has no \"imbalance\" object")
 
 
-def check_tune(tune, where, problems):
-    for key in ("fixed_threshold", "threshold", "simulations"):
-        if not isinstance(tune.get(key), (int, float)):
-            problems.append(f"{where}: {key!r} is not a number")
-    if not isinstance(tune.get("config_hash"), str):
-        problems.append(f"{where}: 'config_hash' is not a string")
-    candidates = tune.get("candidates")
-    if not isinstance(candidates, list):
-        problems.append(f"{where}: missing \"candidates\" array")
-        return
-    for i, candidate in enumerate(candidates):
-        for key in ("threshold", "measured_cycles"):
-            if not isinstance(candidate, dict) or \
-                    not isinstance(candidate.get(key), (int, float)):
-                problems.append(
-                    f"{where}.candidates[{i}]: {key!r} is not a number")
-
-
 def check_run_report(doc, problems):
     results = doc.get("results")
     if not isinstance(results, list) or not results:
@@ -118,9 +97,6 @@ def check_run_report(doc, problems):
             problems.append(
                 f"{where}: \"sampled\" is true: a sampled estimate, "
                 "not an exact run")
-        tune = result.get("tune")
-        if isinstance(tune, dict):
-            check_tune(tune, f"{where}.tune", problems)
 
 
 def check_file(path):

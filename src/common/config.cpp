@@ -21,20 +21,6 @@ std::string to_string(EvictionPolicy policy) {
   return "?";
 }
 
-std::string to_string(AutotuneMode mode) {
-  switch (mode) {
-    case AutotuneMode::kOff: return "off";
-    case AutotuneMode::kMeasured: return "measured";
-  }
-  return "?";
-}
-
-std::optional<AutotuneMode> parse_autotune_mode(std::string_view text) {
-  if (text == "off") return AutotuneMode::kOff;
-  if (text == "measured") return AutotuneMode::kMeasured;
-  return std::nullopt;
-}
-
 void AcceleratorConfig::validate() const {
   HYMM_CHECK_MSG(pe_count > 0, "need at least one PE");
   HYMM_CHECK_MSG(clock_ghz > 0.0, "clock must be positive");

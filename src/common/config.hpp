@@ -3,9 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
-#include <string_view>
 
 #include "common/types.hpp"
 
@@ -27,20 +25,6 @@ enum class EvictionPolicy {
 };
 
 std::string to_string(EvictionPolicy policy);
-
-// How a driver picks the hybrid tiling threshold (src/tune/). Lives
-// here (not in src/tune/) so option parsing in hymm_sweep can carry
-// the mode without depending on the tuner library.
-enum class AutotuneMode {
-  kOff,       // fixed config.tiling_threshold (paper default: 20 %)
-  kMeasured,  // simulate every candidate, pick the cycle-minimal one
-};
-
-std::string to_string(AutotuneMode mode);
-
-// Parses "off" / "measured" (the --autotune= / HYMM_AUTOTUNE values);
-// nullopt for anything else.
-std::optional<AutotuneMode> parse_autotune_mode(std::string_view text);
 
 // All microarchitectural parameters of the simulated accelerator.
 // Defaults reproduce Table III and Section IV of the paper.

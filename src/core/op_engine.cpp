@@ -27,8 +27,7 @@ OpEngine::OpEngine(MemorySystem& ms, const OpEngineParams& params)
              params_.c != nullptr);
   HYMM_CHECK(params_.sparse->cols() <= params_.b->rows());
   HYMM_CHECK(params_.c->cols() == params_.b->cols());
-  HYMM_CHECK(params_.sparse->rows() + params_.row_offset <=
-             params_.c->rows());
+  HYMM_CHECK(params_.sparse->rows() <= params_.c->rows());
   HYMM_CHECK(params_.window > 0);
   HYMM_CHECK_MSG(!params_.outputs_pinned || params_.accumulate_in_buffer,
                  "pinned outputs require the near-memory accumulator");
@@ -164,7 +163,7 @@ void OpEngine::tick_stream(MemorySystem& ms) {
         ms.lsq().free_entries() > 0) {
       attributed = StallCause::kCompute;
       progressed_ = true;
-      const NodeId out_row = head.row + params_.row_offset;
+      const NodeId out_row = head.row;
       if (params_.spatial_in_grid) {
         // Adjacency coordinate of the retiring non-zero: focus its
         // tile so subsequent cycles/DRAM/DMB traffic attribute there.

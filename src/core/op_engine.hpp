@@ -63,7 +63,6 @@ struct OpEngineParams {
   /// back on unpin; merge and flush stages are skipped.
   bool outputs_pinned = false;
 
-  NodeId row_offset = 0;  ///< rebase local output rows to global rows
   std::size_t window = 64;  ///< maximum in-flight non-zeros
 
   /// Spatial attribution (obs/spatial.hpp): when the sparse operand is

@@ -200,26 +200,6 @@ void write_stats_json(JsonWriter& w, const SimStats& s) {
   w.end_object();
 }
 
-// How the measured search chose the tiling threshold (docs/tuning.md).
-// Only emitted when the tuner actually ran (tune.enabled).
-void write_tune_json(JsonWriter& w, const TuneInfo& t) {
-  w.begin_object();
-  w.field("fixed_threshold", t.fixed_threshold);
-  w.field("threshold", t.threshold);
-  w.field("simulations", t.simulations);
-  w.field("config_hash", t.config_hash);
-  w.key("candidates");
-  w.begin_array();
-  for (const TuneCandidateInfo& c : t.candidates) {
-    w.begin_object();
-    w.field("threshold", c.threshold);
-    w.field("measured_cycles", c.measured_cycles);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-}
-
 // Schema /5: bounded-error quantile summary of one latency/duration
 // histogram (docs/schemas.md "histograms").
 void write_histogram_json(JsonWriter& w, const LogHistogram& h) {
@@ -413,10 +393,6 @@ void write_results_json(std::span<const ExperimentResult> results,
     if (r.flow == Dataflow::kHybrid) {
       w.key("partition");
       write_partition_json(w, r.partition);
-    }
-    if (r.tune.enabled) {
-      w.key("tune");
-      write_tune_json(w, r.tune);
     }
     w.key("stats");
     write_stats_json(w, r.stats);

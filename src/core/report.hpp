@@ -46,9 +46,8 @@ void write_results_csv(std::span<const ExperimentResult> results,
 /// counter set (whole layer plus the combination/aggregation phase
 /// deltas and, for hybrid runs, the per-region breakdown), each with
 /// its stall-cycle breakdown and bottleneck verdict, plus the
-/// partition, the verification verdict, — when a result was
-/// auto-tuned — the tuner decision under "tune", — when
-/// an observer was attached — the latency-histogram summary under
+/// partition, the verification verdict, — when an observer was
+/// attached — the latency-histogram summary under
 /// "histograms" and the windowed telemetry under "timeseries", and
 /// — with --spatial — the tile heatmap and per-PE counters under
 /// "spatial".

@@ -16,29 +16,9 @@
 #include "obs/spatial.hpp"
 #include "obs/timeseries.hpp"
 
-/// Everything in the HyMM reproduction — simulator, graph pipeline,
-/// sweep harness and auto-tuner — lives in this namespace.
+/// Everything in the HyMM reproduction — simulator, graph pipeline and
+/// sweep harness — lives in this namespace.
 namespace hymm {
-
-/// One evaluated tuner candidate, as recorded in the run report.
-struct TuneCandidateInfo {
-  double threshold = 0.0;        ///< candidate tiling threshold
-  double measured_cycles = 0.0;  ///< simulated cycles
-};
-
-/// Driver-level annotation describing how a result's tiling threshold
-/// was chosen (src/tune/). Plain data: core does not depend on the
-/// tuner library — drivers that ran the tuner attach the decision to
-/// their hybrid results, and the JSON run report serializes it under
-/// "tune".
-struct TuneInfo {
-  bool enabled = false;          ///< false = fixed config threshold
-  double fixed_threshold = 0.0;  ///< baseline before tuning
-  double threshold = 0.0;        ///< threshold actually simulated
-  std::uint64_t simulations = 0; ///< candidate simulations this run paid
-  std::string config_hash;       ///< hex digest of the timing config
-  std::vector<TuneCandidateInfo> candidates;  ///< search detail
-};
 
 /// One simulated (dataset, dataflow, config) cell: the whole-layer
 /// counter set, its per-phase/per-region breakdowns and the
@@ -74,11 +54,6 @@ struct ExperimentResult {
   SimStats combination_stats;        ///< XW-phase share of `stats`
   SimStats aggregation_stats;        ///< A_hat*XW-phase share of `stats`
   HybridAggregationInfo hybrid_info; ///< per-region stats (hybrid only)
-
-  /// How the tiling threshold was picked (tune.enabled=false means the
-  /// fixed config value was used). Filled by drivers, not by
-  /// run_experiment itself.
-  TuneInfo tune;
 
   /// Combination-phase sharing within the cell's sweep
   /// (core/accelerator.hpp); all-false unless the request carried a

@@ -2,11 +2,11 @@
 /// Stable content digests. The sweep executor and the combination
 /// checkpoint key (core/accelerator.hpp) pair a graph fingerprint
 /// with a config hash to decide when two cells share work, and the
-/// run report's "tune" object names the timing config by its hash.
-/// Both are plain FNV/splitmix-style 64-bit digests: stable across
-/// processes and platforms (they hash the logical contents, never
-/// pointers or iteration order), and cheap relative to even one
-/// simulation.
+/// workload content pins (tests/test_datasets.cpp) print graph
+/// fingerprints with fingerprint_hex. Both digests are plain
+/// FNV/splitmix-style 64-bit hashes: stable across processes and
+/// platforms (they hash the logical contents, never pointers or
+/// iteration order), and cheap relative to even one simulation.
 #pragma once
 
 #include <cstdint>

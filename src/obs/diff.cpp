@@ -44,42 +44,69 @@ bool read_bool(const JsonValue& obj, std::string_view key) {
   return v != nullptr && v->kind == JsonValue::Kind::kBool && v->bool_value;
 }
 
-// Accumulates one region's per-cell array into `out` (resized to
-// `cells` on first use; short or missing arrays contribute zeros).
-void accumulate_cells(const JsonValue* arr, std::size_t cells,
-                      std::vector<double>* out) {
-  if (arr == nullptr || !arr->is_array()) return;
-  if (out->size() != cells) out->assign(cells, 0.0);
-  const std::size_t n = std::min(cells, arr->array_items.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (arr->array_items[i].is_number()) {
-      (*out)[i] += arr->array_items[i].number_value;
+// Adds one region's per-cell array into `out` (non-numbers add 0).
+void accumulate_cells(const JsonValue& arr, std::vector<double>* out) {
+  for (std::size_t i = 0; i < out->size(); ++i) {
+    if (arr.array_items[i].is_number()) {
+      (*out)[i] += arr.array_items[i].number_value;
     }
   }
 }
 
 // The "spatial" object reduced to a region-summed tile grid of
-// cycles and DRAM bytes. Malformed geometry yields an empty grid.
-TileGrid read_tile_grid(const JsonValue* spatial) {
-  TileGrid grid;
-  if (spatial == nullptr || !spatial->is_object()) return grid;
-  const auto rows = static_cast<std::size_t>(spatial->get_number("grid_rows"));
-  const auto cols = static_cast<std::size_t>(spatial->get_number("grid_cols"));
-  if (rows == 0 || cols == 0) return grid;
-  grid.rows = rows;
-  grid.cols = cols;
-  grid.tile = spatial->get_number("tile");
-  const std::size_t cells = rows * cols;
-  grid.cycles.assign(cells, 0.0);
-  grid.dram_bytes.assign(cells, 0.0);
-  const JsonValue* regions = spatial->find("regions");
+// cycles and DRAM bytes. The dimensions must be non-negative integers
+// and every region's cycles and dram_bytes arrays must hold exactly
+// grid_rows x grid_cols entries, so the grid is never larger than the
+// arrays the report carries; a grid with cells needs at least one
+// region. Anything else sets `problem` and returns nullopt.
+std::optional<TileGrid> read_tile_grid(const JsonValue& spatial,
+                                       std::string* problem) {
+  double dims[2] = {0.0, 0.0};
+  const char* const dim_keys[2] = {"grid_rows", "grid_cols"};
+  for (int d = 0; d < 2; ++d) {
+    dims[d] = spatial.get_number(dim_keys[d]);
+    if (!std::isfinite(dims[d]) || dims[d] < 0.0 ||
+        dims[d] != std::floor(dims[d])) {
+      std::ostringstream oss;
+      oss << "spatial " << dim_keys[d] << " is not a non-negative integer";
+      *problem = oss.str();
+      return std::nullopt;
+    }
+  }
+  const double cells = dims[0] * dims[1];
+  std::vector<const JsonValue*> arrays;
+  const JsonValue* regions = spatial.find("regions");
   if (regions != nullptr && regions->is_object()) {
     for (const auto& [name, region] : regions->object_members) {
-      (void)name;
-      if (!region.is_object()) continue;
-      accumulate_cells(region.find("cycles"), cells, &grid.cycles);
-      accumulate_cells(region.find("dram_bytes"), cells, &grid.dram_bytes);
+      for (const char* key : {"cycles", "dram_bytes"}) {
+        const JsonValue* arr = region.is_object() ? region.find(key) : nullptr;
+        if (arr == nullptr || !arr->is_array() ||
+            static_cast<double>(arr->array_items.size()) != cells) {
+          std::ostringstream oss;
+          oss << "spatial region \"" << name << "\" has no " << key
+              << " array of grid_rows x grid_cols = " << dims[0] << " x "
+              << dims[1] << " entries";
+          *problem = oss.str();
+          return std::nullopt;
+        }
+        arrays.push_back(arr);
+      }
     }
+  }
+  TileGrid grid;
+  if (cells == 0.0) return grid;
+  if (arrays.empty()) {
+    *problem = "spatial grid has cells but no region arrays";
+    return std::nullopt;
+  }
+  grid.rows = static_cast<std::size_t>(dims[0]);
+  grid.cols = static_cast<std::size_t>(dims[1]);
+  grid.tile = spatial.get_number("tile");
+  grid.cycles.assign(arrays.front()->array_items.size(), 0.0);
+  grid.dram_bytes.assign(grid.cycles.size(), 0.0);
+  for (std::size_t i = 0; i < arrays.size(); i += 2) {
+    accumulate_cells(*arrays[i], &grid.cycles);
+    accumulate_cells(*arrays[i + 1], &grid.dram_bytes);
   }
   return grid;
 }
@@ -149,7 +176,18 @@ std::optional<ReportSnapshot> normalize_report(const JsonValue& doc,
     } else if (aggregation != nullptr) {
       run.phases.push_back(read_phase("aggregation", *aggregation));
     }
-    run.tiles = read_tile_grid(r.find("spatial"));
+    if (const JsonValue* spatial = r.find("spatial");
+        spatial != nullptr && spatial->is_object()) {
+      std::string problem;
+      std::optional<TileGrid> tiles = read_tile_grid(*spatial, &problem);
+      if (!tiles.has_value()) {
+        if (error != nullptr) {
+          *error = "result " + run.abbrev + "/" + run.flow + ": " + problem;
+        }
+        return std::nullopt;
+      }
+      run.tiles = std::move(*tiles);
+    }
     report.runs.push_back(std::move(run));
   }
   return report;

@@ -68,8 +68,10 @@ struct ReportSnapshot {
 /// aggregation phase is replaced by its per-region split when regions
 /// are present (the regions sum exactly to the aggregation phase).
 /// Returns nullopt and fills *error on any other schema, a malformed
-/// document, or a result labeled "sampled": true (an estimate written
-/// by older builds, never an exact run).
+/// document, a result labeled "sampled": true (an estimate written
+/// by older builds, never an exact run), or a "spatial" object whose
+/// grid_rows x grid_cols is not made of non-negative integers equal
+/// to the length of every region's cycles and dram_bytes array.
 std::optional<ReportSnapshot> normalize_report(const JsonValue& doc,
                                                std::string* error);
 

@@ -44,16 +44,6 @@ bool env_truthy(const char* value) {
   return value != nullptr && value[0] == '1';
 }
 
-AutotuneMode parse_autotune(const std::string& source,
-                            const std::string& value) {
-  const std::optional<AutotuneMode> mode = parse_autotune_mode(value);
-  if (!mode) {
-    throw UsageError("invalid value '" + value + "' for " + source +
-                     " (expected off or measured)");
-  }
-  return *mode;
-}
-
 // "0" = off, "1" = on at the default 256-cycle interval, N >= 2 = a
 // custom interval of N cycles.
 std::uint64_t parse_timeseries(const std::string& source,
@@ -102,9 +92,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
     options.threads = static_cast<unsigned>(
         parse_u64_value("HYMM_THREADS", v, 0, 4096));
   }
-  if (const char* v = env("HYMM_AUTOTUNE")) {
-    options.autotune = parse_autotune("HYMM_AUTOTUNE", v);
-  }
 
   // --- --key=value / --key value flags ---
   for (std::size_t i = 0; i < args.size(); ++i) {
@@ -147,11 +134,6 @@ BenchOptions BenchOptions::parse(const std::vector<std::string>& args,
       // consumes the following argument).
       options.spatial_tile =
           parse_spatial("--spatial", inline_value ? *inline_value : "1");
-    } else if (arg == "--autotune") {
-      // Value optional: bare --autotune means the full measured
-      // search (never consumes the following argument).
-      options.autotune = parse_autotune(
-          "--autotune", inline_value ? *inline_value : "measured");
     } else if (unrecognized != nullptr) {
       // Pass the flag through untouched (original spelling), plus any
       // following non-flag tokens that may be its values.

@@ -19,9 +19,6 @@
 ///                                          edge; "0" = off)
 ///   HYMM_THREADS        --threads=N        sweep workers (0 = auto)
 ///                       --seed=N           workload seed (default 42)
-///   HYMM_AUTOTUNE       --autotune[=MODE]  measured threshold search:
-///                                          off|measured (bare
-///                                          --autotune = measured)
 ///
 /// Flags accept "--flag value" and "--flag=value" and win over the
 /// environment. Unknown dataset tokens and malformed numbers fail
@@ -34,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "common/config.hpp"
 #include "common/flags.hpp"
 #include "graph/datasets.hpp"
 #include "sweep/sweep.hpp"
@@ -64,9 +60,6 @@ struct BenchOptions {
   std::uint64_t spatial_tile = 0;
   unsigned threads = 0;               ///< 0 = HYMM_THREADS/auto
   std::uint64_t seed = 42;
-  /// Measured threshold search (src/tune/): how hybrid cells pick
-  /// their tiling threshold. kOff keeps the config's fixed value.
-  AutotuneMode autotune = AutotuneMode::kOff;
 
   /// Effective scale for one dataset: the override, else 1.0 under
   /// --full-datasets, else the dataset's bench default.

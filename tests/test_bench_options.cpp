@@ -186,14 +186,15 @@ TEST(BenchOptionsTest, MissingValueIsError) {
 }
 
 // Removed knobs: the open-loop request pipeline's five, sampled
-// simulation and the per-tile router. Each flag, in every spelling,
-// fails fast naming the flag, and its HYMM_* variable is no longer
-// read, so a leftover one can neither fail nor change the options.
+// simulation, the per-tile router and the threshold search. Each flag,
+// in every spelling, fails fast naming the flag, and its HYMM_*
+// variable is no longer read, so a leftover one can neither fail nor
+// change the options.
 const std::vector<std::pair<std::string, std::string>> kRemovedKnobs = {
     {"--arrival-rate", "HYMM_ARRIVAL_RATE"}, {"--requests", "HYMM_REQUESTS"},
     {"--batch", "HYMM_BATCH"},               {"--queue-cap", "HYMM_QUEUE_CAP"},
     {"--reuse", "HYMM_REUSE"},               {"--sample", "HYMM_SAMPLE"},
-    {"--route", "HYMM_ROUTE"}};
+    {"--route", "HYMM_ROUTE"},               {"--autotune", "HYMM_AUTOTUNE"}};
 
 TEST(BenchOptionsTest, ServeKnobDefaultsAreUnset) {
   std::map<std::string, std::string> env;
@@ -261,45 +262,27 @@ TEST(BenchOptionsTest, SweepOptionsFollowTheKnobs) {
 }
 
 // The per-tile router is gone (kRemovedKnobs checks the flag): a stale
-// HYMM_ROUTE leaves the autotune mode at its default.
+// HYMM_ROUTE is ignored.
 TEST(BenchOptionsTest, RouteKnob) {
   const BenchOptions opts = parse({"--seed=9"}, {{"HYMM_ROUTE", "tiles"}});
   EXPECT_EQ(opts.seed, 9u);
-  EXPECT_EQ(opts.autotune, AutotuneMode::kOff);
 }
 
-// With --route gone there is no route/autotune conflict left: --route
-// next to --autotune fails on the unknown --route, and every spelling
-// of --autotune alone still selects the measured search.
+// The router and the threshold search are both gone: --route next to
+// --autotune fails on the first unknown flag, --route.
 TEST(BenchOptionsTest, RouteConflictsWithAutotune) {
   const std::string err = error_of({"--route=tiles", "--autotune=measured"});
   EXPECT_NE(err.find("--route"), std::string::npos) << err;
-  EXPECT_EQ(
-      parse({}, {{"HYMM_ROUTE", "tiles"}, {"HYMM_AUTOTUNE", "measured"}})
-          .autotune,
-      AutotuneMode::kMeasured);
-
-  EXPECT_EQ(parse({}).autotune, AutotuneMode::kOff);
-  std::vector<std::string> rest;
-  const BenchOptions bare = parse({"--autotune", "--seed=9"}, {}, &rest);
-  EXPECT_EQ(bare.autotune, AutotuneMode::kMeasured);
-  EXPECT_EQ(bare.seed, 9u);
-  EXPECT_TRUE(rest.empty());
-  EXPECT_EQ(parse({"--autotune=measured"}).autotune, AutotuneMode::kMeasured);
-  EXPECT_EQ(parse({"--autotune=off"}).autotune, AutotuneMode::kOff);
 }
 
-// The analytic tuner and the tune cache are gone: their knobs must
-// fail fast naming the knob and the rejected value.
+// The analytic tuner and the tune cache went before the measured
+// search: their flags fail fast naming the flag as spelt.
 TEST(BenchOptionsTest, RemovedTuningKnobsFailCleanly) {
   const std::string cache = error_of({"--tune-cache=x"});
   EXPECT_NE(cache.find("--tune-cache"), std::string::npos) << cache;
   const std::string analytic = error_of({"--autotune=analytic"});
   EXPECT_NE(analytic.find("--autotune"), std::string::npos) << analytic;
   EXPECT_NE(analytic.find("analytic"), std::string::npos) << analytic;
-  const std::string env_err = error_of({}, {{"HYMM_AUTOTUNE", "analytic"}});
-  EXPECT_NE(env_err.find("HYMM_AUTOTUNE"), std::string::npos) << env_err;
-  EXPECT_NE(env_err.find("analytic"), std::string::npos) << env_err;
 }
 
 }  // namespace

@@ -47,8 +47,9 @@ Problem make_problem(NodeId nodes = 200, EdgeCount edges = 2400,
 }
 
 // The config half deliberately excludes the tiling threshold (it only
-// affects aggregation), so all tuner candidates share one checkpoint;
-// any timing-relevant knob — or the streamed inputs — must split it.
+// affects aggregation), so the cells of a threshold sweep share one
+// checkpoint; any timing-relevant knob — or the streamed inputs — must
+// split it.
 TEST(CheckpointKeying, ThresholdInvariantButTimingSensitive) {
   const Problem p = make_problem();
   AcceleratorConfig base;

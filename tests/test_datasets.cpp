@@ -2,14 +2,19 @@
 // workload builder.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <ostream>
+#include <string>
+#include <vector>
 
 #include "common/check.hpp"
 #include "graph/datasets.hpp"
 #include "graph/fingerprint.hpp"
 #include "graph/generator.hpp"
 #include "linalg/gcn.hpp"
+#include "sweep/workload_cache.hpp"
 
 namespace hymm {
 namespace {
@@ -189,6 +194,70 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(info.param.abbrev) + "_seed" +
              std::to_string(info.param.seed);
     });
+
+// --- Fingerprints ---
+
+std::shared_ptr<const PreparedWorkload> cora_workload(double scale) {
+  const DatasetSpec spec = *find_dataset("CR");
+  return std::make_shared<PreparedWorkload>(spec, scale, 42);
+}
+
+TEST(Fingerprint, StableAndContentSensitive) {
+  const auto w = cora_workload(0.25);
+  const std::uint64_t fp1 = graph_fingerprint(w->a_hat());
+  const std::uint64_t fp2 = graph_fingerprint(w->a_hat());
+  EXPECT_EQ(fp1, fp2);
+
+  // Any value change moves the fingerprint.
+  CsrMatrix perturbed = w->a_hat();
+  std::vector<Value> values = perturbed.values();
+  values.front() += 1.0f;
+  perturbed = CsrMatrix::from_parts(perturbed.rows(), perturbed.cols(),
+                                    perturbed.row_ptr(), perturbed.col_idx(),
+                                    std::move(values));
+  EXPECT_NE(fp1, graph_fingerprint(perturbed));
+
+  // Another seed draws other features.
+  const std::uint64_t features = graph_fingerprint(w->workload().features);
+  EXPECT_EQ(features, graph_fingerprint(w->workload().features));
+  const auto other_seed = std::make_shared<PreparedWorkload>(
+      *find_dataset("CR"), 0.25, 43);
+  EXPECT_NE(features, graph_fingerprint(other_seed->workload().features));
+}
+
+TEST(Fingerprint, ConfigHashIgnoresThresholdAndObservability) {
+  AcceleratorConfig base;
+  const std::uint64_t h = tuning_config_hash(base);
+
+  AcceleratorConfig threshold = base;
+  threshold.tiling_threshold = 0.37;
+  EXPECT_EQ(h, tuning_config_hash(threshold));
+
+  AcceleratorConfig observed = base;
+  observed.obs_sample_interval = 1;
+  EXPECT_EQ(h, tuning_config_hash(observed));
+
+  AcceleratorConfig resized = base;
+  resized.dmb_bytes *= 2;
+  EXPECT_NE(h, tuning_config_hash(resized));
+
+  AcceleratorConfig repinned = base;
+  repinned.dmb_pin_fraction = 0.5;
+  EXPECT_NE(h, tuning_config_hash(repinned));
+}
+
+TEST(Fingerprint, HexRoundTrip) {
+  for (const std::uint64_t v :
+       {std::uint64_t{0}, std::uint64_t{0xdeadbeefcafef00dULL},
+        ~std::uint64_t{0}}) {
+    const std::string hex = fingerprint_hex(v);
+    ASSERT_EQ(hex.size(), 18u);
+    EXPECT_EQ(hex.substr(0, 2), "0x");
+    EXPECT_EQ(hex.find_first_not_of("0123456789abcdef", 2), std::string::npos)
+        << hex;
+    EXPECT_EQ(std::strtoull(hex.c_str(), nullptr, 16), v);
+  }
+}
 
 }  // namespace
 }  // namespace hymm

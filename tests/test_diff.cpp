@@ -11,6 +11,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "obs/diff.hpp"
 #include "obs/json.hpp"
@@ -239,6 +240,36 @@ TEST(DiffPrint, RendersTileDeltaTable) {
   EXPECT_NE(text.find("spatial tiles"), std::string::npos) << text;
   EXPECT_NE(text.find("(0,0)"), std::string::npos) << text;
   EXPECT_NE(text.find("(1,1)"), std::string::npos) << text;
+}
+
+// Spatial geometry that does not match the region arrays is a schema
+// error naming the result (hymm_diff exits 3), never an allocation
+// sized by the header: 1e6 x 1e6 with no arrays used to abort with
+// std::bad_alloc and -3 x 2 with std::length_error.
+TEST(DiffNormalize, BadSpatialGeometryIsASchemaError) {
+  const std::string flow = R"("flow": "HyMM",)";
+  std::string unbacked = report9(30000.0);
+  unbacked.insert(unbacked.find(flow) + flow.size(),
+                  R"( "spatial": {"grid_rows": 1e6, "grid_cols": 1e6,
+                                  "tile": 1},)");
+  std::vector<std::string> docs = {unbacked};
+  const std::string dims = R"("grid_rows": 2, "grid_cols": 2)";
+  for (const char* bad :
+       {R"("grid_rows": -3, "grid_cols": 2)",
+        R"("grid_rows": 2.5, "grid_cols": 2)",
+        R"("grid_rows": 2, "grid_cols": 3)",
+        R"("grid_rows": 0, "grid_cols": 2)"}) {
+    std::string doc = report6_with_spatial(900.0);
+    docs.push_back(doc.replace(doc.find(dims), dims.size(), bad));
+  }
+  for (const std::string& text : docs) {
+    const std::optional<JsonValue> doc = json_parse(text);
+    ASSERT_TRUE(doc.has_value()) << text;
+    std::string error;
+    EXPECT_FALSE(normalize_report(*doc, &error).has_value()) << text;
+    EXPECT_NE(error.find("CR/HyMM"), std::string::npos) << error;
+    EXPECT_NE(error.find("spatial"), std::string::npos) << error;
+  }
 }
 
 TEST(DiffNormalize, RejectsUnsupportedSchema) {

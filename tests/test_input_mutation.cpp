@@ -1,9 +1,11 @@
 // Deterministic byte-mutation tests of the input surfaces: the
 // edge-list and %%HyMMSparse loaders (graph/io.hpp) and the JSON
-// reader behind hymm_diff (obs/json.hpp). Each surface gets kMutants
-// seeded variants of one small valid input — byte flips, inserts,
-// deletes and splices — and every variant must either load or be
-// refused cleanly: CheckError from a loader, nullopt from json_parse.
+// reader behind hymm_diff (obs/json.hpp), whose parsed documents go on
+// through the run-report reader (obs/diff.hpp). Each surface gets
+// kMutants seeded variants of one small valid input — byte flips,
+// inserts, deletes and splices — and every variant must either load or
+// be refused cleanly: CheckError from a loader, nullopt from json_parse
+// or normalize_report.
 // Any other exception, a crash or a sanitizer report fails the test.
 // The seed and the count are fixed, so a failure names a mutant that
 // reproduces.
@@ -22,6 +24,7 @@
 #include "common/check.hpp"
 #include "common/rng.hpp"
 #include "graph/io.hpp"
+#include "obs/diff.hpp"
 #include "obs/json.hpp"
 
 namespace hymm {
@@ -123,12 +126,17 @@ TEST(InputMutation, RunReportJsonParsesOrIsRejected) {
    "stats": {"skipped_cycles": 120000, "dram_total_bytes": 4096},
    "combination": {"stalls": {"compute": 90000, "smq_backlog": 10000}},
    "regions": [{"stalls": {"compute": -4.2E-1}}, {}, null],
+   "spatial": {"tile": 4, "grid_rows": 2, "grid_cols": 2, "regions": {
+     "op": {"cycles": [7, 0, 0, 1], "dram_bytes": [64, 0, 0, 128]}}},
    "name": "a\"b\\c\u00e9\n", "tags": [false, [], {}]}]})";
-  ASSERT_TRUE(json_parse(seed).has_value());
+  const std::optional<JsonValue> doc = json_parse(seed);
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_TRUE(normalize_report(*doc, nullptr).has_value());
   expect_clean_failures(seed, [](const std::string& input) {
-    const bool parsed = json_parse(input).has_value();
-    EXPECT_EQ(parsed, json_is_valid(input));
-    return parsed;
+    const std::optional<JsonValue> mutant = json_parse(input);
+    EXPECT_EQ(mutant.has_value(), json_is_valid(input));
+    if (mutant.has_value()) normalize_report(*mutant, nullptr);
+    return mutant.has_value();
   });
 }
 

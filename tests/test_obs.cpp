@@ -126,6 +126,62 @@ TEST(Json, WriterEmitsNullForNonFiniteNumbers) {
   EXPECT_EQ(out.str(), "[null,null]");
 }
 
+// --- JSON parser ---
+
+TEST(JsonParse, ParsesScalarsAndStructure) {
+  const auto doc = json_parse(
+      R"({"a": 1.5, "b": [true, false, null], "s": "x\ny", "n": -3e2})");
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_TRUE(doc->is_object());
+  EXPECT_DOUBLE_EQ(doc->get_number("a"), 1.5);
+  EXPECT_DOUBLE_EQ(doc->get_number("n"), -300.0);
+  EXPECT_EQ(doc->get_string("s"), "x\ny");
+  const JsonValue* b = doc->find("b");
+  ASSERT_NE(b, nullptr);
+  ASSERT_TRUE(b->is_array());
+  ASSERT_EQ(b->array_items.size(), 3u);
+  EXPECT_TRUE(b->array_items[0].bool_value);
+  EXPECT_FALSE(b->array_items[1].bool_value);
+  EXPECT_EQ(b->array_items[2].kind, JsonValue::Kind::kNull);
+}
+
+TEST(JsonParse, PreservesMemberOrderAndDecodesEscapes) {
+  const auto doc = json_parse(R"({"z": "Aé", "a": "\"\\/"})");
+  ASSERT_TRUE(doc.has_value());
+  ASSERT_EQ(doc->object_members.size(), 2u);
+  EXPECT_EQ(doc->object_members[0].first, "z");
+  EXPECT_EQ(doc->object_members[1].first, "a");
+  EXPECT_EQ(doc->get_string("z"), "A\xc3\xa9");  // é as UTF-8
+  EXPECT_EQ(doc->get_string("a"), "\"\\/");
+}
+
+TEST(JsonParse, RejectsMalformedDocuments) {
+  EXPECT_FALSE(json_parse("").has_value());
+  EXPECT_FALSE(json_parse("{").has_value());
+  EXPECT_FALSE(json_parse("{} extra").has_value());
+  EXPECT_FALSE(json_parse("{'single': 1}").has_value());
+  EXPECT_FALSE(json_parse("[1, 2,]").has_value());
+  EXPECT_FALSE(json_parse("01").has_value());
+  EXPECT_FALSE(json_parse("\"unterminated").has_value());
+  EXPECT_FALSE(json_parse("{\"k\": \"bad\\q\"}").has_value());
+}
+
+TEST(JsonParse, AcceptsEverythingTheValidatorAccepts) {
+  const std::string doc =
+      R"({"schema": "hymm-tune-cache/1", "entries": [{"threshold": 0.2}]})";
+  EXPECT_TRUE(json_is_valid(doc));
+  EXPECT_TRUE(json_parse(doc).has_value());
+}
+
+TEST(JsonParse, TypedAccessorsFallBackOnWrongTypeOrAbsence) {
+  const auto doc = json_parse(R"({"s": "str", "n": 4})");
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->get_string("n", "fb"), "fb");
+  EXPECT_DOUBLE_EQ(doc->get_number("s", -1.0), -1.0);
+  EXPECT_DOUBLE_EQ(doc->get_number("missing", 7.0), 7.0);
+  EXPECT_EQ(doc->find("missing"), nullptr);
+}
+
 // --- Metrics registry ---
 
 TEST(Metrics, CounterGaugeHistogramBasics) {

@@ -180,31 +180,8 @@ TEST(ResultsJson, IsValidAndCarriesFullCounterSet) {
   EXPECT_NE(doc.find("\"regions\""), std::string::npos);
   // Derived ratios are numbers, not NaN (JSON has no NaN).
   EXPECT_EQ(doc.find("nan"), std::string::npos);
-  // No "tune" object unless the tuner actually ran.
+  // No "tune" object: the threshold search that wrote it is gone.
   EXPECT_EQ(doc.find("\"tune\""), std::string::npos);
-}
-
-TEST(ResultsJson, TunedResultCarriesTheDecision) {
-  ExperimentResult r = make_result();
-  r.tune.enabled = true;
-  r.tune.fixed_threshold = 0.20;
-  r.tune.threshold = 0.05;
-  r.tune.simulations = 8;
-  r.tune.config_hash = "0xfedcba9876543210";
-  r.tune.candidates.push_back({0.05, 60911.0});
-  r.tune.candidates.push_back({0.20, 61230.0});
-  std::vector<ExperimentResult> results = {r};
-  std::ostringstream out;
-  write_results_json(results, out);
-  const std::string doc = out.str();
-  ASSERT_TRUE(json_is_valid(doc)) << doc;
-  EXPECT_NE(doc.find("\"tune\""), std::string::npos);
-  EXPECT_NE(doc.find("\"fixed_threshold\": 0.2"), std::string::npos);
-  EXPECT_NE(doc.find("\"simulations\": 8"), std::string::npos);
-  EXPECT_NE(doc.find("\"config_hash\": \"0xfedcba9876543210\""),
-            std::string::npos);
-  EXPECT_NE(doc.find("\"candidates\""), std::string::npos);
-  EXPECT_NE(doc.find("\"measured_cycles\": 60911"), std::string::npos);
 }
 
 TEST(ResultsJson, NonHybridOmitsPartitionAndRegions) {

@@ -3,13 +3,13 @@
 #include <bit>
 #include <cstddef>
 #include <cstdio>
-#include <span>
+#include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "common/check.hpp"
-#include "common/timer.hpp"
 #include "core/stage.hpp"
-#include "graph/degree_sort.hpp"
 #include "graph/fingerprint.hpp"
 #include "obs/hooks.hpp"
 
@@ -23,11 +23,14 @@ std::string checkpoint_key_hex(const CheckpointKey& key) {
   return buf;
 }
 
-CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
-                                         const DenseMatrix& w,
-                                         const AcceleratorConfig& config,
-                                         Dataflow flow) {
-  std::uint64_t workload = graph_fingerprint(x_used);
+namespace {
+
+// Combines the streamed features' digest with the weights, the
+// combination engine kind and the timing model.
+CheckpointKey checkpoint_key_of(std::uint64_t features_digest,
+                                const DenseMatrix& w,
+                                const AcceleratorConfig& config,
+                                Dataflow flow) {
   std::uint64_t w_digest = fingerprint_combine(
       static_cast<std::uint64_t>(w.rows()),
       static_cast<std::uint64_t>(w.cols()));
@@ -37,7 +40,7 @@ CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
           w_digest, std::bit_cast<std::uint32_t>(w.at(r, c)));
     }
   }
-  workload = fingerprint_combine(workload, w_digest);
+  std::uint64_t workload = fingerprint_combine(features_digest, w_digest);
   // Only the engine kind matters for the combination phase: RWP and
   // hybrid share the RWP combination engine.
   const bool op_combination = flow == Dataflow::kOuterProduct;
@@ -46,6 +49,24 @@ CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
   return CheckpointKey{workload, tuning_config_hash(config)};
 }
 
+}  // namespace
+
+CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
+                                         const DenseMatrix& w,
+                                         const AcceleratorConfig& config,
+                                         Dataflow flow) {
+  return checkpoint_key_of(graph_fingerprint(x_used), w, config, flow);
+}
+
+CheckpointKey combination_checkpoint_key(const LayerOperands& operands,
+                                         const DenseMatrix& w,
+                                         const AcceleratorConfig& config,
+                                         Dataflow flow) {
+  const std::uint64_t digest = flow == Dataflow::kHybrid
+                                   ? operands.sorted_features_digest()
+                                   : operands.features_digest();
+  return checkpoint_key_of(digest, w, config, flow);
+}
 
 Accelerator::Accelerator(const AcceleratorConfig& config) : config_(config) {
   config_.validate();
@@ -66,29 +87,25 @@ LayerRunResult Accelerator::run_layer(Dataflow flow, const CsrMatrix& a_hat,
 
 namespace {
 
-// Everything one layer streams: HyMM's degree sort (the request's
-// precomputed one, or its own) and region tiling, the W/XW/AXW/spill
-// address layout on `ms`, and the Table I stages over those operands —
-// combination, then one aggregation stage (RWP, OP) or HyMM's
-// region-split aggregation inputs (run_hybrid_aggregation streams its
-// region-1 OP and region-2/3 RWP stages). Stage parameters point into
-// the plan, so it never moves.
+// Everything one layer streams: its operand set (the request's shared
+// one, or one of its own) and, for OP, a hold on the set's column-major
+// pair; HyMM's region tiling of the degree-sorted adjacency; the
+// W/XW/AXW/spill address layout on `ms`; and the Table I stages over
+// those operands — combination, then one aggregation stage (RWP, OP)
+// or HyMM's region-split aggregation inputs (run_hybrid_aggregation
+// streams its region-1 OP and region-2/3 RWP stages). Stage parameters
+// point into the plan and its operands, so the plan never moves.
 struct LayerPlan {
   LayerPlan(const AcceleratorConfig& config, const LayerRunRequest& request,
             MemorySystem& ms);
   LayerPlan(const LayerPlan&) = delete;
   LayerPlan& operator=(const LayerPlan&) = delete;
 
-  DegreeSortResult own_sort;  // hybrid without a precomputed sort
-  CsrMatrix own_sorted_x;     // features under own_sort
-  std::span<const NodeId> perm;  // hybrid: original id -> sorted id
-  const CsrMatrix* a_used;       // the adjacency the stages stream
-  const CsrMatrix* x_used;       // the features the stages stream
-  TiledAdjacency tiled;          // hybrid only
-  double preprocess_ms = 0.0;    // sort + tiling wall-clock (Table II)
+  std::optional<LayerOperands> own_operands;  // when the request has none
+  const LayerOperands& operands;  // the set every stage reads
+  TiledAdjacency tiled;           // hybrid only
+  std::shared_ptr<const LayerOperands::Csc> csc;  // OP only
 
-  CscMatrix x_csc;  // OP combination operand
-  CscMatrix a_csc;  // OP aggregation operand
   DenseMatrix xw;
   DenseMatrix axw;
   HybridAggregationParams hybrid;  // hybrid aggregation inputs
@@ -99,7 +116,12 @@ struct LayerPlan {
 
 LayerPlan::LayerPlan(const AcceleratorConfig& config,
                      const LayerRunRequest& request, MemorySystem& ms)
-    : a_used(request.a_hat), x_used(request.x) {
+    : operands(request.operands != nullptr
+                   ? *request.operands
+                   : own_operands.emplace(*request.a_hat, *request.x)) {
+  HYMM_CHECK_MSG(&operands.a_hat() == request.a_hat &&
+                     &operands.features() == request.x,
+                 "LayerRunRequest.operands built on other matrices");
   const Dataflow flow = request.flow;
   const CsrMatrix& a_hat = *request.a_hat;
   const CsrMatrix& x = *request.x;
@@ -110,31 +132,14 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
       (static_cast<std::size_t>(w.cols()) + kLaneCount - 1) / kLaneCount;
 
   // --- HyMM preprocessing: degree sorting + tiling ---
-  if (flow == Dataflow::kHybrid) {
-    const Timer timer;
-    if (request.sort != nullptr) {
-      // Precomputed degree sort (shared immutably by the caller, e.g.
-      // the sweep executor's WorkloadCache); only the region
-      // partition and tiling remain, which depend on this config.
-      HYMM_CHECK_MSG(request.sorted_features != nullptr,
-                     "LayerRunRequest.sort without sorted_features");
-      HYMM_CHECK(request.sort->perm.size() == n);
-      HYMM_CHECK(request.sort->sorted.rows() == n);
-      perm = request.sort->perm;
-      a_used = &request.sort->sorted;
-      x_used = request.sorted_features;
-    } else {
-      own_sort = degree_sort(a_hat);
-      own_sorted_x = permute_feature_rows(x, own_sort.perm);
-      perm = own_sort.perm;
-      a_used = &own_sort.sorted;
-      x_used = &own_sorted_x;
-    }
-    // Splits the sorted adjacency by the global 3-region partition.
+  // The hybrid streams the degree-sorted operands; the tiling depends
+  // on this config, so it is the layer's own.
+  const bool sorted = flow == Dataflow::kHybrid;
+  const CsrMatrix& a_used = sorted ? operands.sort().sorted : a_hat;
+  const CsrMatrix& x_used = sorted ? operands.sorted_features() : x;
+  if (sorted) {
     tiled = TiledAdjacency::build(
-        *a_used, partition_regions(*a_used, config, chunks));
-    preprocess_ms = request.sort != nullptr ? request.sort->sort_cost_ms
-                                            : timer.elapsed_ms();
+        a_used, partition_regions(a_used, config, chunks));
   }
 
   // --- Address space ---
@@ -158,9 +163,9 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
   // --- Combination stage: XW = X * W ---
   if (flow == Dataflow::kOuterProduct) {
     // OP architecture streams X column-wise.
-    x_csc = CscMatrix::from_csr(*x_used);
+    csc = operands.csc();
     OpEngineParams op;
-    op.sparse = &x_csc;
+    op.sparse = &csc->features;
     op.sparse_class = TrafficClass::kFeatures;
     op.b = &w;
     op.b_region = w_region;
@@ -174,7 +179,7 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
     combination.params = op;
   } else {
     RwpEngineParams rwp;
-    rwp.sparse = x_used;
+    rwp.sparse = &x_used;
     rwp.sparse_class = TrafficClass::kFeatures;
     rwp.b = &w;
     rwp.b_region = w_region;
@@ -191,7 +196,7 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
   switch (flow) {
     case Dataflow::kRowWiseProduct: {
       RwpEngineParams rwp;
-      rwp.sparse = a_used;
+      rwp.sparse = &a_used;
       rwp.sparse_class = TrafficClass::kAdjacency;
       rwp.b = &xw;
       rwp.b_region = xw_region;
@@ -209,9 +214,8 @@ LayerPlan::LayerPlan(const AcceleratorConfig& config,
       break;
     }
     case Dataflow::kOuterProduct: {
-      a_csc = CscMatrix::from_csr(*a_used);
       OpEngineParams op;
-      op.sparse = &a_csc;
+      op.sparse = &csc->adjacency;
       op.sparse_class = TrafficClass::kAdjacency;
       op.b = &xw;
       op.b_region = xw_region;
@@ -266,8 +270,10 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
   HYMM_OBS(obs, begin_layer(n, config_.pe_count));
   LayerPlan plan(config_, request, ms);
   const bool hybrid = flow == Dataflow::kHybrid;
-  if (hybrid) result.partition = plan.tiled.partition();
-  result.preprocess_ms = plan.preprocess_ms;
+  if (hybrid) {
+    result.partition = plan.tiled.partition();
+    result.preprocess_ms = plan.operands.sort_cost_ms();
+  }
 
   // --- Combination phase: XW = X * W ---
   // Observer runs never share: a restored combination would skip the
@@ -277,26 +283,31 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
       obs == nullptr && (share.publish || share.restore != nullptr);
   CheckpointKey key;
   bool restored = false;
-  if (sharing) {
-    key = combination_checkpoint_key(*plan.x_used, w, config_, flow);
-    result.checkpoint.enabled = true;
-    result.checkpoint.key = checkpoint_key_hex(key);
-    if (share.restore != nullptr) {
-      HYMM_CHECK_MSG(share.restore->key == key,
-                     "warm state " << checkpoint_key_hex(share.restore->key)
-                                   << " restored into run "
-                                   << result.checkpoint.key);
-      ms = share.restore->ms;
-      plan.xw = share.restore->xw;
-      restored = true;
-    }
-    result.checkpoint.restored = restored;
+  if (sharing && share.restore != nullptr) {
+    key = combination_checkpoint_key(plan.operands, w, config_, flow);
+    HYMM_CHECK_MSG(share.restore->key == key,
+                   "warm state " << checkpoint_key_hex(share.restore->key)
+                                 << " restored into run "
+                                 << checkpoint_key_hex(key));
+    ms = share.restore->ms;
+    plan.xw = share.restore->xw;
+    restored = true;
   }
   if (!restored) run_stage(ms, plan.combination);
   if (sharing && share.publish) {
+    // A leader keys its state only after its own combination phase:
+    // of two leaders on one operand set, the first to get here
+    // computes the shared feature digest and the later one reads it,
+    // instead of one blocking on the other before either starts.
+    key = combination_checkpoint_key(plan.operands, w, config_, flow);
     share.publish(
         std::make_shared<const WarmState>(WarmState{ms, plan.xw, key}));
     result.checkpoint.built = true;
+  }
+  if (sharing) {
+    result.checkpoint.enabled = true;
+    result.checkpoint.restored = restored;
+    result.checkpoint.key = checkpoint_key_hex(key);
   }
   result.combination_stats = ms.stats();
   result.combination_stats.cycles = ms.now();
@@ -332,10 +343,11 @@ LayerRunResult Accelerator::run_layer(const LayerRunRequest& request) const {
 
   // --- Return results in the original node order ---
   if (hybrid) {
+    const std::vector<NodeId>& perm = plan.operands.sort().perm;
     DenseMatrix xw_orig(n, w.cols());
     DenseMatrix axw_orig(n, w.cols());
     for (NodeId old_id = 0; old_id < n; ++old_id) {
-      const NodeId new_id = plan.perm[old_id];
+      const NodeId new_id = perm[old_id];
       for (NodeId c = 0; c < w.cols(); ++c) {
         xw_orig.at(old_id, c) = plan.xw.at(new_id, c);
         axw_orig.at(old_id, c) = plan.axw.at(new_id, c);

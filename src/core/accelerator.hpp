@@ -17,8 +17,8 @@
 #include "common/config.hpp"
 #include "core/engine.hpp"
 #include "core/hybrid_engine.hpp"
+#include "core/layer_operands.hpp"
 #include "graph/csr.hpp"
-#include "graph/degree_sort.hpp"
 #include "graph/partition.hpp"
 #include "linalg/dense.hpp"
 
@@ -94,7 +94,9 @@ struct LayerRunResult {
   RegionPartition partition;
   /// Hybrid-only per-phase/per-region breakdown (zeroed otherwise).
   HybridAggregationInfo hybrid_info;
-  double preprocess_ms = 0.0;  ///< degree-sorting cost (Table II)
+  /// Hybrid-only: the operand set's sort_cost_ms (Table II's sorting
+  /// cost), whether the set was shared or built for this layer.
+  double preprocess_ms = 0.0;
 
   /// Warm-state checkpoint interaction of this run.
   LayerCheckpointInfo checkpoint;
@@ -106,22 +108,20 @@ struct LayerRunResult {
 /// trace events for the run; it never affects timing — cycle counts
 /// are identical with or without an observer attached.
 ///
-/// `sort` + `sorted_features` optionally supply the hybrid's
-/// degree-sorting preprocessing precomputed (the WorkloadCache shares
-/// one sort across every cell of a sweep): sort->sorted must be a_hat
-/// symmetrically permuted by sort->perm and sorted_features the
-/// feature rows under the same permutation. Ignored for the
-/// homogeneous dataflows; when absent the hybrid sorts internally.
-/// Simulated cycles are identical either way — sorting is host-side
-/// preprocessing, only its wall-clock cost (preprocess_ms) differs.
+/// `operands` optionally supplies a shared LayerOperands set built on
+/// this same a_hat and x (the WorkloadCache shares one across every
+/// cell of a sweep): the layer then reads its degree sort, OP's CSC
+/// operands and the checkpoint key's feature digest from it, building
+/// whatever is still missing there. When absent, the layer builds a
+/// set of its own that lives only for the call. Simulated cycles are
+/// identical either way — the set holds host-side derivatives only.
 struct LayerRunRequest {
   Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow to simulate
   const CsrMatrix* a_hat = nullptr;           ///< required: adjacency
   const CsrMatrix* x = nullptr;               ///< required: features
   const DenseMatrix* w = nullptr;             ///< required: weights
   Observer* observer = nullptr;  ///< optional; never affects timing
-  const DegreeSortResult* sort = nullptr;  ///< optional precomputed sort
-  const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
+  const LayerOperands* operands = nullptr;  ///< optional shared set
 
   /// Optional combination-phase sharing; see CombinationShare.
   CombinationShare share;
@@ -138,6 +138,14 @@ CheckpointKey combination_checkpoint_key(const CsrMatrix& x_used,
                                          const AcceleratorConfig& config,
                                          Dataflow flow);
 
+/// The same key from an operand set, hashing its cached digest of the
+/// features `flow` streams (the sorted ones for the hybrid) instead
+/// of the matrix.
+CheckpointKey combination_checkpoint_key(const LayerOperands& operands,
+                                         const DenseMatrix& w,
+                                         const AcceleratorConfig& config,
+                                         Dataflow flow);
+
 /// One accelerator instance: a config plus the layer sequencing logic.
 class Accelerator {
  public:
@@ -150,8 +158,8 @@ class Accelerator {
   /// Simulates one GCN layer H = a_hat * x * w (no activation).
   LayerRunResult run_layer(const LayerRunRequest& request) const;
 
-  /// Convenience overload for callers without precomputed
-  /// preprocessing (equivalent to filling a LayerRunRequest).
+  /// Convenience overload for callers without a shared operand set
+  /// (equivalent to filling a LayerRunRequest).
   LayerRunResult run_layer(Dataflow flow, const CsrMatrix& a_hat,
                            const CsrMatrix& x, const DenseMatrix& w,
                            Observer* obs = nullptr) const;

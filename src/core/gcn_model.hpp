@@ -62,9 +62,10 @@ class GcnModel {
 
   /// Everything one inference needs, named instead of positional —
   /// mirrors ExperimentRequest (core/runner.hpp) and LayerRunRequest
-  /// (core/accelerator.hpp). `features` is required. The hybrid
-  /// degree-sorts a_hat in every layer; that host-side cost is summed
-  /// into total_preprocess_ms. An inference takes no observer: an
+  /// (core/accelerator.hpp). `features` is required. Each layer
+  /// builds its own LayerOperands set, freed with the layer, so the
+  /// hybrid degree-sorts a_hat in every layer; that host-side cost is
+  /// summed into total_preprocess_ms. An inference takes no observer: an
   /// observer's samples run on one clock, and each layer restarts at
   /// cycle 0. Observed runs go through ExperimentRequest::observer
   /// (core/runner.hpp), one layer each.

@@ -16,8 +16,7 @@ ExperimentResult run_experiment(const ExperimentRequest& request) {
   layer_request.x = &workload.features;
   layer_request.w = request.weights;
   layer_request.observer = request.observer;
-  layer_request.sort = request.sort;
-  layer_request.sorted_features = request.sorted_features;
+  layer_request.operands = request.operands;
   layer_request.share = request.share;
   const Accelerator accelerator(request.config);
   const Timer sim_timer;

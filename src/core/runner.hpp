@@ -33,7 +33,8 @@ struct ExperimentResult {
   /// of stats.dram_bandwidth_utilization() in the reports.
   std::uint64_t dram_peak_bytes_per_cycle = 0;
 
-  double preprocess_ms = 0.0;  ///< Table II sorting cost (hybrid only)
+  /// Table II sorting cost (hybrid only): LayerRunResult::preprocess_ms.
+  double preprocess_ms = 0.0;
   /// Host wall-clock of the simulation itself (run_layer, excluding
   /// workload build and verification) — the perf-gate artifact's
   /// wall-clock evidence. Machine-dependent; never gated on.
@@ -85,9 +86,10 @@ struct ExperimentResult {
 /// workload/a_hat/weights/reference are required and shared immutably
 /// across flows (and, via the sweep executor's WorkloadCache, across
 /// threads) to avoid rebuilding them. `observer` (optional) collects
-/// metrics and trace events; it never affects timing. `sort` +
-/// `sorted_features` optionally hand the hybrid its degree-sorting
-/// preprocessing precomputed (see LayerRunRequest).
+/// metrics and trace events; it never affects timing. `operands`
+/// optionally hands the layer a shared LayerOperands set built on
+/// a_hat and workload->features (see LayerRunRequest); without one
+/// the layer builds its own.
 struct ExperimentRequest {
   const GcnWorkload* workload = nullptr;   ///< required: the input graph
   const CsrMatrix* a_hat = nullptr;        ///< required: normalized adjacency
@@ -96,8 +98,7 @@ struct ExperimentRequest {
   Dataflow flow = Dataflow::kRowWiseProduct;  ///< dataflow to simulate
   AcceleratorConfig config;                ///< hardware parameters
   Observer* observer = nullptr;            ///< optional; never affects timing
-  const DegreeSortResult* sort = nullptr;  ///< optional precomputed sort
-  const CsrMatrix* sorted_features = nullptr;  ///< features under `sort`
+  const LayerOperands* operands = nullptr;  ///< optional shared set
   /// Optional combination-phase sharing (CombinationShare), forwarded
   /// to LayerRunRequest::share. Ignored when `observer` is set.
   CombinationShare share;

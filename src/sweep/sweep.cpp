@@ -8,6 +8,7 @@
 #include <future>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <tuple>
 #include <unordered_map>
@@ -217,12 +218,23 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
   if (options_.observe) {
     for (const SweepGroup& group : run.groups) tasks.push_back(group.cells);
   } else {
-    // Leaders first, then cells that wait on nobody, then followers. A
-    // follower only waits on a leader claimed before it, so no worker
-    // blocks while independent work is still unclaimed.
-    for (const Role role : {Role::kLeader, Role::kCold, Role::kFollower}) {
+    // Leaders first: they unblock the followers. Then the cells that
+    // wait on nobody, slowest flow first — OP's merge pass makes it
+    // the slowest flow, then RWP, then HyMM — so the longest cells do
+    // not start last. Followers last: a follower only waits on a
+    // leader claimed before it, so no worker blocks while independent
+    // work is still unclaimed.
+    const std::pair<Role, std::optional<Dataflow>> passes[] = {
+        {Role::kLeader, std::nullopt},
+        {Role::kCold, Dataflow::kOuterProduct},
+        {Role::kCold, Dataflow::kRowWiseProduct},
+        {Role::kCold, Dataflow::kHybrid},
+        {Role::kFollower, std::nullopt}};
+    for (const auto& [role, flow] : passes) {
       for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (plan[i].role == role) tasks.push_back({i});
+        if (plan[i].role == role && (!flow || cells[i].flow == *flow)) {
+          tasks.push_back({i});
+        }
       }
     }
   }
@@ -256,10 +268,7 @@ SweepRun SweepRunner::run(const SweepSpec& spec) {
     request.flow = cell.flow;
     request.config = cell.config;
     request.observer = observer;
-    if (cell.flow == Dataflow::kHybrid) {
-      request.sort = &prepared->sort();
-      request.sorted_features = &prepared->sorted_features();
-    }
+    request.operands = &prepared->operands();
     SweepCellResult& slot = run.cells[index];
     slot.cell = cell;
     slot.scaled_spec = prepared->workload().spec;

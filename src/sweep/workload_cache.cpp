@@ -18,24 +18,8 @@ PreparedWorkload::PreparedWorkload(GcnWorkload workload, std::uint64_t seed)
       weights_(DenseMatrix::random(workload_.features.cols(),
                                    workload_.spec.layer_dim, seed + 7)),
       golden_(gcn_layer_reference(a_hat_, workload_.features, weights_,
-                                  /*apply_relu=*/false)) {}
-
-void PreparedWorkload::ensure_sorted() const {
-  std::call_once(sort_once_, [this] {
-    sort_ = degree_sort(a_hat_);
-    sorted_features_ = permute_feature_rows(workload_.features, sort_.perm);
-  });
-}
-
-const DegreeSortResult& PreparedWorkload::sort() const {
-  ensure_sorted();
-  return sort_;
-}
-
-const CsrMatrix& PreparedWorkload::sorted_features() const {
-  ensure_sorted();
-  return sorted_features_;
-}
+                                  /*apply_relu=*/false)),
+      operands_(a_hat_, workload_.features) {}
 
 std::string WorkloadCache::key_of(const DatasetSpec& spec, double scale,
                                   std::uint64_t seed) {

@@ -1,10 +1,11 @@
 /// @file
 /// Shared, immutable workload state for sweeps. Every (spec, scale,
 /// seed) cell of a sweep needs the same synthetic workload, normalized
-/// adjacency, weight matrix, golden reference and (for the hybrid)
-/// degree sort — building them once and sharing them read-only across
-/// worker threads is what makes a dataset x dataflow x config grid
-/// cheap. See DESIGN.md "Sweep executor".
+/// adjacency, weight matrix, golden reference and layer operands
+/// (degree sort, OP's CSC operands, feature digests) — building them
+/// once and sharing them read-only across worker threads is what makes
+/// a dataset x dataflow x config grid cheap. See DESIGN.md "Sweep
+/// executor".
 #pragma once
 
 #include <atomic>
@@ -14,14 +15,14 @@
 #include <string>
 #include <unordered_map>
 
+#include "core/layer_operands.hpp"
 #include "graph/datasets.hpp"
-#include "graph/degree_sort.hpp"
 #include "linalg/gcn.hpp"
 
 namespace hymm {
 
 /// One fully-built workload, immutable after construction (the lazy
-/// degree sort is internally synchronized). Always held by shared_ptr
+/// operand set is internally synchronized). Always held by shared_ptr
 /// so concurrent sweep cells can alias it safely.
 class PreparedWorkload {
  public:
@@ -43,24 +44,21 @@ class PreparedWorkload {
   const GcnLayerResult& golden() const { return golden_; }    ///< full golden layer result
   std::uint64_t seed() const { return seed_; }                ///< seed the build used
 
-  /// The hybrid's degree-sorting preprocessing, built on first use
-  /// (homogeneous-only sweeps never pay for it) and thread-safe:
-  /// concurrent callers block until the single build finishes.
-  const DegreeSortResult& sort() const;
-  const CsrMatrix& sorted_features() const;
+  /// The layer operands of (a_hat, features), each built on first use
+  /// (a sweep pays only for what its flows stream) and thread-safe:
+  /// concurrent callers block until the single build finishes. OP's
+  /// CSC pair lives only while an OP cell holds it (LayerOperands::csc).
+  const LayerOperands& operands() const { return operands_; }
+  /// operands().sort(): the hybrid's degree sort.
+  const DegreeSortResult& sort() const { return operands_.sort(); }
 
  private:
-  void ensure_sorted() const;
-
   GcnWorkload workload_;
   std::uint64_t seed_ = 0;
   CsrMatrix a_hat_;
   DenseMatrix weights_;
   GcnLayerResult golden_;
-
-  mutable std::once_flag sort_once_;
-  mutable DegreeSortResult sort_;
-  mutable CsrMatrix sorted_features_;
+  LayerOperands operands_;
 };
 
 /// Thread-safe cache of PreparedWorkloads keyed on (spec, scale,

@@ -14,9 +14,9 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/layer_operands.hpp"
 #include "core/runner.hpp"
 #include "graph/datasets.hpp"
-#include "graph/degree_sort.hpp"
 #include "linalg/gcn.hpp"
 
 namespace hymm {
@@ -207,9 +207,8 @@ TEST(FastForward, BitIdenticalOnDegreeSortedInput) {
   ModeGuard guard;
   const DatasetSpec& spec = paper_datasets().front();
   DatasetFixture fixture = build_fixture(spec);
-  const DegreeSortResult sort = degree_sort(fixture.a_hat);
-  const CsrMatrix sorted_features =
-      permute_feature_rows(fixture.workload.features, sort.perm);
+  const LayerOperands operands(fixture.a_hat, fixture.workload.features);
+  (void)operands.sort();  // sorted before either run
 
   const auto run_sorted = [&](FastForwardMode mode) {
     set_fast_forward_mode(mode);
@@ -220,8 +219,7 @@ TEST(FastForward, BitIdenticalOnDegreeSortedInput) {
     request.reference = &fixture.reference;
     request.flow = Dataflow::kHybrid;
     request.config = AcceleratorConfig{};
-    request.sort = &sort;
-    request.sorted_features = &sorted_features;
+    request.operands = &operands;
     return fingerprint(run_experiment(request));
   };
   const TimingFingerprint off = run_sorted(FastForwardMode::kOff);

@@ -233,29 +233,32 @@ TEST(ExperimentRequestTest, RepeatedRequestIsDeterministic) {
   EXPECT_TRUE(first.verified);
 }
 
-// Handing the hybrid its precomputed degree sort must not change the
-// simulated cycles — sorting is host-side preprocessing.
+// Handing a run the workload's shared operand set (degree sort, OP's
+// CSC operands) must not change the simulated cycles of any flow
+// against a layer-local set — the set is host-side preprocessing.
 TEST(ExperimentRequestTest, PrecomputedSortDoesNotChangeCycles) {
   PreparedWorkload prepared(*find_dataset("CR"), 0.1, 42);
 
-  ExperimentRequest request;
-  request.workload = &prepared.workload();
-  request.a_hat = &prepared.a_hat();
-  request.weights = &prepared.weights();
-  request.reference = &prepared.reference();
-  request.flow = Dataflow::kHybrid;
-  const ExperimentResult internal_sort = run_experiment(request);
+  for (const Dataflow flow : {Dataflow::kOuterProduct,
+                              Dataflow::kRowWiseProduct, Dataflow::kHybrid}) {
+    SCOPED_TRACE(to_string(flow));
+    ExperimentRequest request;
+    request.workload = &prepared.workload();
+    request.a_hat = &prepared.a_hat();
+    request.weights = &prepared.weights();
+    request.reference = &prepared.reference();
+    request.flow = flow;
+    const ExperimentResult layer_local = run_experiment(request);
 
-  request.sort = &prepared.sort();
-  request.sorted_features = &prepared.sorted_features();
-  const ExperimentResult precomputed_sort = run_experiment(request);
+    request.operands = &prepared.operands();
+    const ExperimentResult shared = run_experiment(request);
 
-  EXPECT_EQ(internal_sort.stats.cycles, precomputed_sort.stats.cycles);
-  EXPECT_EQ(internal_sort.stats.dram_total_bytes(),
-            precomputed_sort.stats.dram_total_bytes());
-  EXPECT_EQ(internal_sort.stats.stall_cycles,
-            precomputed_sort.stats.stall_cycles);
-  EXPECT_TRUE(precomputed_sort.verified);
+    EXPECT_EQ(layer_local.stats.cycles, shared.stats.cycles);
+    EXPECT_EQ(layer_local.stats.dram_total_bytes(),
+              shared.stats.dram_total_bytes());
+    EXPECT_EQ(layer_local.stats.stall_cycles, shared.stats.stall_cycles);
+    EXPECT_TRUE(shared.verified);
+  }
 }
 
 TEST(WorkloadCacheTest, ConcurrentGetsBuildOnce) {
@@ -358,6 +361,39 @@ SweepSpec dmb_threshold_grid() {
     }
   }
   return spec;
+}
+
+// Cells are claimed leaders first, then cold cells slowest flow first
+// (OP, then RWP), then followers; duplicates never start. One worker
+// claims in exactly that order.
+TEST(SweepReuse, ClaimsLeadersThenColdOpThenColdRwpThenFollowers) {
+  std::vector<SweepCell> started;
+  SweepOptions options;
+  options.threads = 1;
+  options.on_group_start = [&](const SweepCell& cell) {
+    started.push_back(cell);
+  };
+  const SweepRun run = SweepRunner(options).run(dmb_threshold_grid());
+
+  // Grid index = config * 3 + flow slot (OP, RWP, HyMM); configs 0-2
+  // are DMB 128 KB at thresholds 0.10/0.20/0.35, configs 3-5 256 KB.
+  std::vector<std::size_t> order;
+  for (const SweepCell& cell : started) order.push_back(cell.index);
+  EXPECT_EQ(order, (std::vector<std::size_t>{2, 11,      // leaders
+                                             0, 9,       // cold OP
+                                             1, 10,      // cold RWP
+                                             5, 8, 14, 17}));  // followers
+  ASSERT_EQ(started.size(), 10u);
+  for (std::size_t i = 0; i < started.size(); ++i) {
+    const ExperimentResult& r = run.cells[started[i].index].result;
+    SCOPED_TRACE("claim " + std::to_string(i));
+    EXPECT_EQ(r.checkpoint.built, i < 2);
+    EXPECT_EQ(r.checkpoint.restored, i >= 6);
+    const Dataflow expected = i < 2 || i >= 6 ? Dataflow::kHybrid
+                              : i < 4         ? Dataflow::kOuterProduct
+                                              : Dataflow::kRowWiseProduct;
+    EXPECT_EQ(started[i].flow, expected);
+  }
 }
 
 // Every cell of a reusing sweep — deduped, restored or cold — must

@@ -94,6 +94,10 @@ void MemorySystem::tick_components() {
   dmb_.tick(now_);
   lsq_.tick(now_);
   smq_.tick(now_);
+  sample_observer_if_due();
+}
+
+void MemorySystem::sample_observer_if_due() {
 #ifndef HYMM_OBS_DISABLED
   if (obs_ != nullptr && now_ >= obs_->next_sample()) {
     obs_->sample(timeseries_sample());
@@ -171,7 +175,17 @@ Cycle run_phase(MemorySystem& ms, Engine& engine, Cycle max_cycles) {
     HYMM_CHECK_MSG(ms.now() - start < max_cycles,
                    "engine exceeded " << max_cycles
                                       << " cycles — likely a deadlock");
-    ms.tick_components();
+    if (mode == FastForwardMode::kOn && ms.components_idle()) {
+      // The tick of an idle system changes nothing (kCheck proves it
+      // below); only the observer's schedule runs.
+      ms.sample_observer_if_due();
+    } else {
+      [[maybe_unused]] const bool idle =
+          mode == FastForwardMode::kCheck && ms.components_idle();
+      ms.tick_components();
+      HYMM_DCHECK(!idle || (ms.components_idle() &&
+                            ms.components_quiescent()));
+    }
     engine.tick(ms);
     ms.stats().account(engine.cycle_cause());
     // Spatial attribution mirrors the stall accounting: one cycle to

@@ -95,9 +95,22 @@ class MemorySystem {
   /// The attached observer, or nullptr.
   Observer* observer() const { return obs_; }
 
-  /// Delivers completions / retries / drains for the current cycle.
+  /// Delivers completions / retries / drains for the current cycle,
+  /// then takes the observer sample due at it (sample_observer_if_due).
   /// The phase loop calls this before the engine's tick.
   void tick_components();
+
+  /// True when every component's tick at the current cycle would
+  /// change nothing (Dram, DenseMatrixBuffer, LoadStoreQueue and
+  /// SparseMatrixQueue idle()). Under FastForwardMode::kOn the phase
+  /// loop then skips tick_components() and only samples the observer.
+  bool components_idle() const {
+    return dram_.idle() && dmb_.idle() && lsq_.idle() && smq_.idle();
+  }
+
+  /// Hands the observer a snapshot when one is due at the current
+  /// cycle. Reads state only.
+  void sample_observer_if_due();
 
   /// True when none of the component ticks at the current cycle made
   /// an observable state change — together with an engine that made no

@@ -39,12 +39,15 @@ GcnModel::InferenceResult GcnModel::run(const InferenceRequest& request) const {
   const Accelerator accelerator(request.config);
 
   InferenceResult result;
-  CsrMatrix x = features;
+  // Layer 1 streams the request's features; later layers stream the
+  // re-sparsified activations this run owns.
+  const CsrMatrix* x = &features;
+  CsrMatrix activations;
   for (std::size_t l = 0; l < weights_.size(); ++l) {
     LayerRunRequest layer_request;
     layer_request.flow = request.flow;
     layer_request.a_hat = &a_hat_;
-    layer_request.x = &x;
+    layer_request.x = x;
     layer_request.w = &weights_[l];
     LayerRunResult layer = accelerator.run_layer(layer_request);
     result.total_cycles += layer.stats.cycles;
@@ -56,7 +59,8 @@ GcnModel::InferenceResult GcnModel::run(const InferenceRequest& request) const {
     } else {
       DenseMatrix h = layer.output;
       relu_inplace(h);
-      x = dense_to_csr(h);
+      activations = dense_to_csr(h);
+      x = &activations;
     }
     result.layers.push_back(std::move(layer));
   }

@@ -198,7 +198,7 @@ void OpEngine::tick_stream(MemorySystem& ms) {
   // --- Issue (one SMQ entry per cycle, expanded per chunk) ---
   if (pending_.size() + chunks_ <= params_.window && ms.smq().has_ready() &&
       ms.lsq().free_entries() >= chunks_ + 1) {
-    const SmqEntry& entry = ms.smq().front();
+    const SmqEntry entry = ms.smq().front();
     const Addr base = params_.b_region.line_of(entry.outer, chunks_);
     bool ok = true;
     staged_.clear();

@@ -83,7 +83,7 @@ void RwpEngine::try_issue(MemorySystem& ms) {
   if (!ms.smq().has_ready()) return;
   // Keep headroom for stores: never fill the LSQ completely.
   if (ms.lsq().free_entries() < chunks_ + 1) return;
-  const SmqEntry& entry = ms.smq().front();
+  const SmqEntry entry = ms.smq().front();
   const Addr base = params_.b_region.line_of(entry.inner, chunks_);
   for (std::size_t chunk = 0; chunk < chunks_; ++chunk) {
     const auto load_id = ms.lsq().load(

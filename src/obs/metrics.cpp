@@ -1,20 +1,51 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
 
 namespace hymm {
 
+std::vector<std::uint64_t> pow2_bounds(std::uint64_t lo, std::uint64_t hi) {
+  HYMM_CHECK(lo > 0);
+  std::vector<std::uint64_t> bounds;
+  for (std::uint64_t b = lo; b <= hi; b *= 2) {
+    bounds.push_back(b);
+    if (b > hi / 2) break;  // the next doubling would pass hi (or wrap)
+  }
+  return bounds;
+}
+
 Histogram::Histogram(std::vector<std::uint64_t> upper_bounds)
     : bounds_(std::move(upper_bounds)), buckets_(bounds_.size() + 1, 0) {
   HYMM_CHECK_MSG(std::is_sorted(bounds_.begin(), bounds_.end()),
                  "histogram bounds must be increasing");
+  bool doubling = !bounds_.empty() && std::has_single_bit(bounds_[0]);
+  for (std::size_t i = 1; doubling && i < bounds_.size(); ++i) {
+    doubling = bounds_[i] == 2 * bounds_[i - 1];
+  }
+  if (doubling) first_bit_width_ = std::bit_width(bounds_[0]) - 1;
 }
 
 void Histogram::observe(std::uint64_t sample) {
-  const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), sample);
-  ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
+  std::size_t bucket;
+  if (first_bit_width_ >= 0) {
+    // bounds_[i] == 2^(first_bit_width_ + i): a sample above bounds_[0]
+    // lands in the first bucket whose bound reaches it, the one of
+    // exponent bit_width(sample - 1), capped at the overflow bucket.
+    bucket = sample <= bounds_[0]
+                 ? 0
+                 : std::min<std::size_t>(
+                       static_cast<std::size_t>(std::bit_width(sample - 1) -
+                                                first_bit_width_),
+                       bounds_.size());
+  } else {
+    bucket = static_cast<std::size_t>(
+        std::lower_bound(bounds_.begin(), bounds_.end(), sample) -
+        bounds_.begin());
+  }
+  ++buckets_[bucket];
   ++count_;
   sum_ += sample;
 }

@@ -43,6 +43,11 @@ class Gauge {
   std::int64_t max_ = 0;
 };
 
+/// The bounds lo, 2 lo, 4 lo, ... up to and including the last one not
+/// above `hi`. With `lo` a power of two they take Histogram's
+/// bit-width fast path.
+std::vector<std::uint64_t> pow2_bounds(std::uint64_t lo, std::uint64_t hi);
+
 /// Fixed-bucket histogram over unsigned samples. `upper_bounds` are
 /// inclusive bucket upper edges in increasing order; an implicit
 /// overflow bucket catches everything above the last bound.
@@ -52,6 +57,11 @@ class Histogram {
   explicit Histogram(std::vector<std::uint64_t> upper_bounds);
 
   void observe(std::uint64_t sample);  ///< records one sample
+
+  /// True when the bounds double from a power of two (pow2_bounds), so
+  /// observe() picks the bucket from the sample's bit width instead of
+  /// searching the bounds.
+  bool doubling() const { return first_bit_width_ >= 0; }
 
   std::uint64_t count() const { return count_; }  ///< samples observed
   std::uint64_t sum() const { return sum_; }  ///< sum of all samples
@@ -64,6 +74,9 @@ class Histogram {
  private:
   std::vector<std::uint64_t> bounds_;
   std::vector<std::uint64_t> buckets_;
+  // bit_width(bounds_[0]) - 1 when the bounds double from a power of
+  // two, else -1.
+  int first_bit_width_ = -1;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
 };

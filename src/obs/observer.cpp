@@ -10,16 +10,6 @@
 
 namespace hymm {
 
-namespace {
-
-std::vector<std::uint64_t> pow2_bounds(std::uint64_t lo, std::uint64_t hi) {
-  std::vector<std::uint64_t> bounds;
-  for (std::uint64_t b = lo; b <= hi; b *= 2) bounds.push_back(b);
-  return bounds;
-}
-
-}  // namespace
-
 Observer::Observer(ObserverOptions options)
     : options_(options),
       timeseries_(options.timeseries_interval > 0

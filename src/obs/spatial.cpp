@@ -168,6 +168,8 @@ void SpatialTracker::begin(NodeId nodes, std::size_t pe_count) {
 
   data_.lane_busy_cycles.assign(pe_count, 0);
   data_.lane_mac_ops.assign(pe_count, 0);
+  ops_by_width_.assign(pe_count + 1, 0);
+  macs_by_width_.assign(pe_count + 1, 0);
 
   focused_ = false;
   active_ = true;
@@ -175,6 +177,8 @@ void SpatialTracker::begin(NodeId nodes, std::size_t pe_count) {
 
 void SpatialTracker::reset() {
   data_ = SpatialData{};
+  ops_by_width_.clear();
+  macs_by_width_.clear();
   focused_ = false;
   active_ = false;
 }
@@ -220,12 +224,21 @@ void SpatialTracker::on_pe_op(std::size_t lanes, bool is_mac) {
     return;
   }
   ++data_.array_busy_cycles;
-  const std::size_t n = std::min(lanes, data_.lane_busy_cycles.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    ++data_.lane_busy_cycles[i];
-    if (is_mac) {
-      ++data_.lane_mac_ops[i];
-    }
+  const std::size_t width = std::min(lanes, data_.lane_busy_cycles.size());
+  ++ops_by_width_[width];
+  if (is_mac) {
+    ++macs_by_width_[width];
+  }
+}
+
+void SpatialTracker::derive_lanes() {
+  std::uint64_t busy = 0;
+  std::uint64_t macs = 0;
+  for (std::size_t lane = data_.lane_busy_cycles.size(); lane-- > 0;) {
+    busy += ops_by_width_[lane + 1];
+    macs += macs_by_width_[lane + 1];
+    data_.lane_busy_cycles[lane] = busy;
+    data_.lane_mac_ops[lane] = macs;
   }
 }
 
@@ -274,6 +287,7 @@ void SpatialTracker::account_cycles(std::uint64_t n) {
 }
 
 SpatialData SpatialTracker::take() {
+  derive_lanes();
   SpatialData out = std::move(data_);
   reset();
   return out;

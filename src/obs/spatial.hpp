@@ -178,6 +178,8 @@ class SpatialTracker {
   void unfocus();
 
   /// One retired PE-array op engaging `lanes` lanes ([0, lanes)).
+  /// Counted per lane width; the per-lane vectors are derived when
+  /// read (data(), take()).
   void on_pe_op(std::size_t lanes, bool is_mac);
 
   void on_dram_bytes(std::uint64_t bytes);  ///< DRAM traffic while focused
@@ -190,7 +192,11 @@ class SpatialTracker {
   /// so the bulk charge is exact.
   void account_cycles(std::uint64_t n);
 
-  const SpatialData& data() const { return data_; }  ///< live counters
+  /// Live counters, with the per-lane vectors brought up to date.
+  const SpatialData& data() {
+    derive_lanes();
+    return data_;
+  }
   /// Hands the finished data over and deactivates until begin().
   SpatialData take();
 
@@ -202,11 +208,18 @@ class SpatialTracker {
  private:
   std::size_t cell_index(NodeId row, NodeId col) const;
   SpatialTileCounters& region_cells(SpatialRegion region);
+  // Fills data_.lane_busy_cycles and lane_mac_ops from the per-width
+  // op counts: lane i was busied by every op wider than i.
+  void derive_lanes();
 
   bool enabled_ = false;
   NodeId tile_override_ = 0;
   bool active_ = false;
   SpatialData data_;
+  // Retired ops (and MACs) by engaged lane count, clamped to the lane
+  // count: index w counts ops on lanes [0, w).
+  std::vector<std::uint64_t> ops_by_width_;
+  std::vector<std::uint64_t> macs_by_width_;
 
   bool focused_ = false;
   std::size_t focus_region_ = 0;

@@ -4,8 +4,11 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <memory>
 #include <ostream>
+#include <system_error>
 
 #include "common/check.hpp"
 #include "obs/json.hpp"
@@ -14,41 +17,56 @@ namespace hymm {
 
 namespace {
 
-// Accumulates the serialized document in memory and hands it to the
-// stream in large writes.
+// Formats the serialized document into one fixed buffer and hands it
+// to the stream in large writes. A piece that does not fit flushes the
+// buffer first; a piece larger than the whole buffer goes straight
+// through.
 class ChunkedOut {
  public:
-  explicit ChunkedOut(std::ostream& out) : out_(out) {
-    buf_.reserve(kFlushBytes + 4096);
-  }
+  explicit ChunkedOut(std::ostream& out)
+      : out_(out), buf_(std::make_unique_for_overwrite<char[]>(kBufferBytes)) {}
 
-  void put(std::string_view s) { buf_.append(s); }
-  void put(char c) { buf_.push_back(c); }
+  void put(std::string_view s) {
+    if (s.size() > kBufferBytes - used_) {
+      flush();
+      if (s.size() > kBufferBytes) {
+        out_.write(s.data(), static_cast<std::streamsize>(s.size()));
+        return;
+      }
+    }
+    std::memcpy(buf_.get() + used_, s.data(), s.size());
+    used_ += s.size();
+  }
+  void put(char c) {
+    if (used_ == kBufferBytes) flush();
+    buf_[used_++] = c;
+  }
 
   // Integers in decimal; doubles in the shortest form that reads back
   // to the same value.
   template <typename Number>
   void num(Number v) {
-    char digits[32];
-    const auto r = std::to_chars(digits, digits + sizeof digits, v);
-    buf_.append(digits, r.ptr);
-  }
-
-  // Called between records, so a flush never splits one.
-  void maybe_flush() {
-    if (buf_.size() >= kFlushBytes) flush();
+    if (kBufferBytes - used_ < kMaxNumberChars) flush();
+    char* const end = buf_.get() + kBufferBytes;
+    const auto r = std::to_chars(buf_.get() + used_, end, v);
+    HYMM_DCHECK(r.ec == std::errc{});
+    used_ = static_cast<std::size_t>(r.ptr - buf_.get());
   }
 
   void flush() {
-    out_.write(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-    buf_.clear();
+    out_.write(buf_.get(), static_cast<std::streamsize>(used_));
+    used_ = 0;
   }
 
  private:
-  static constexpr std::size_t kFlushBytes = 1 << 20;
+  static constexpr std::size_t kBufferBytes = TraceWriter::kWriteBufferBytes;
+  // Longest to_chars output of any number written: a shortest-form
+  // double such as -2.2250738585072014e-308 takes 24 characters.
+  static constexpr std::size_t kMaxNumberChars = 32;
 
   std::ostream& out_;
-  std::string buf_;
+  std::unique_ptr<char[]> buf_;
+  std::size_t used_ = 0;
 };
 
 }  // namespace
@@ -123,16 +141,48 @@ void TraceWriter::instant(int pid, NameId name, Cycle ts) {
 
 void TraceWriter::write(std::ostream& out) const {
   // Chrome's JSON importer tolerates any order, but downstream tools
-  // (and our own acceptance test) want monotone timestamps.
+  // (and our own acceptance test) want monotone timestamps. Events
+  // arrive in long runs of rising ts (the clock restarts at each layer
+  // and a span is added when it ends), so merging adjacent runs
+  // pairwise sorts them stably in O(events x log runs).
   std::vector<const Event*> ordered;
   ordered.reserve(events_.size());
-  for (const Event& e : events_) ordered.push_back(&e);
-  std::stable_sort(ordered.begin(), ordered.end(),
-                   [](const Event* a, const Event* b) { return a->ts < b->ts; });
+  std::vector<std::size_t> runs{0};  // run boundaries in `ordered`
+  for (const Event& e : events_) {
+    if (!ordered.empty() && e.ts < ordered.back()->ts) {
+      runs.push_back(ordered.size());
+    }
+    ordered.push_back(&e);
+  }
+  runs.push_back(ordered.size());
+  const auto by_ts = [](const Event* a, const Event* b) {
+    return a->ts < b->ts;
+  };
+  while (runs.size() > 2) {
+    std::size_t kept = 1;
+    for (std::size_t r = 0; r + 2 < runs.size(); r += 2) {
+      std::inplace_merge(ordered.begin() + runs[r],
+                         ordered.begin() + runs[r + 1],
+                         ordered.begin() + runs[r + 2], by_ts);
+      runs[kept++] = runs[r + 2];
+    }
+    if (runs.size() % 2 == 0) runs[kept++] = runs.back();  // odd run out
+    runs.resize(kept);
+  }
 
   std::vector<std::string> escaped;
   escaped.reserve(strings_.size());
   for (const std::string& s : strings_) escaped.push_back(json_escape(s));
+  // Each series set's keys as written, with their quotes, colon and
+  // leading separator: {"00": then ,"01": and so on.
+  std::vector<std::vector<std::string>> set_keys;
+  set_keys.reserve(series_sets_.size());
+  for (const std::vector<NameId>& set : series_sets_) {
+    std::vector<std::string>& keys = set_keys.emplace_back();
+    for (const NameId key : set) {
+      keys.push_back((keys.empty() ? "{\"" : ",\"") + escaped[key] + "\":");
+    }
+  }
 
   // The same bytes JsonWriter(out, /*pretty=*/false) produces, except
   // that doubles take their shortest round-trip form, not %.17g.
@@ -160,16 +210,10 @@ void TraceWriter::write(std::ostream& out) const {
     }
     if (e.ph == 'i') o.put(",\"s\":\"t\"");  // thread-scoped instant
     if (e.ph == 'S') {
-      const std::vector<NameId>& series = series_sets_[e.arg];
       const std::uint64_t* value = series_values_.data() + e.word;
-      char sep = '{';
       o.put(",\"args\":");
-      for (const NameId key : series) {
-        o.put(sep);
-        sep = ',';
-        o.put('"');
-        o.put(escaped[key]);
-        o.put("\":");
+      for (const std::string& key : set_keys[e.arg]) {
+        o.put(key);
         o.num(*value++);
       }
       o.put('}');
@@ -189,7 +233,6 @@ void TraceWriter::write(std::ostream& out) const {
       o.put('}');
     }
     o.put('}');
-    o.maybe_flush();
   };
   o.put("{\"traceEvents\":[");
   for (const Event& e : metadata_) emit(e);

@@ -54,6 +54,12 @@ class TraceWriter {
   /// recorded in the emitted metadata.
   static constexpr std::size_t kMaxInstantEvents = 1 << 18;
 
+  /// write() formats into one buffer of this many bytes and hands it
+  /// to the stream whenever the next piece would not fit; a single
+  /// piece (an escaped name) longer than the buffer is written
+  /// straight through.
+  static constexpr std::size_t kWriteBufferBytes = 1 << 20;
+
   /// Id of `s` in the string table, adding it on first use. Ids stay
   /// valid for the writer's lifetime; the empty string is always id 0.
   NameId intern(std::string_view s);

@@ -134,6 +134,15 @@ class DenseMatrixBuffer {
   // prefetch, expired a pending hit, or processed a DRAM fill).
   bool ticked_active() const { return tick_active_; }
 
+  // True when a tick() now would change nothing, and no join awaits
+  // the LSQ tick that clears them: no MSHR, pending hit, prefetch,
+  // ready waiter or unread join, and the last tick was inactive.
+  bool idle() const {
+    return mshrs_.empty() && pending_hits_.empty() &&
+           pending_prefetches_.empty() && ready_waiters_.empty() &&
+           joined_lines_.empty() && !tick_active_;
+  }
+
   // Earliest cycle after `now` at which this buffer changes state on
   // its own: the head pending prefetch installing or the head pending
   // hit expiring. Both queues drain head-first, so the fronts bound

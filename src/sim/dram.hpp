@@ -64,6 +64,10 @@ class Dram {
   // least one completion). Part of the fast-forward quiescence check.
   bool ticked_active() const { return !completions_.empty(); }
 
+  // True when a tick() now would change nothing: no read in flight and
+  // none delivered by the last tick.
+  bool idle() const { return inflight_.empty() && completions_.empty(); }
+
   // Earliest cycle after `now` at which this channel changes state on
   // its own: the head in-flight read completing, or write headroom
   // returning once the booked slots drain back inside the

@@ -94,6 +94,14 @@ class LoadStoreQueue {
   // a DRAM/DMB event, so they do not count.
   bool ticked_active() const { return tick_active_; }
 
+  // True when a tick() now would change nothing: no new or parked load
+  // to offer, no store to drain, and the last tick was inactive
+  // (ready waiters are the DMB's, see DenseMatrixBuffer::idle).
+  bool idle() const {
+    return arrivals_.empty() && parked_.empty() && store_queue_.empty() &&
+           !tick_active_;
+  }
+
   // The queue holds no internal timers: every state change is driven
   // by the DMB/DRAM events or by engine action.
   Cycle next_event(Cycle now) const {

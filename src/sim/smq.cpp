@@ -22,89 +22,74 @@ SparseMatrixQueue::SparseMatrixQueue(const AcceleratorConfig& config,
   entry_capacity_ = config.smq_index_bytes / kEntryBytes;
   entries_per_line_ = kLineBytes / kEntryBytes;
   HYMM_CHECK(entry_capacity_ >= entries_per_line_);
-  ready_.reserve(entry_capacity_);
 }
 
 void SparseMatrixQueue::attach_common(TrafficClass cls,
-                                      EdgeCount total_entries,
-                                      NodeId outer_count) {
+                                      const std::vector<EdgeCount>& ptr,
+                                      const std::vector<NodeId>& inner,
+                                      const std::vector<Value>& values) {
   HYMM_CHECK_MSG(finished(), "previous SMQ stream still active");
   cls_ = cls;
-  total_entries_ = total_entries;
-  outer_count_ = outer_count;
+  ptr_ = ptr.data();
+  inner_ = inner.data();
+  values_ = values.data();
+  total_entries_ = inner.size();
+  outer_count_ = static_cast<NodeId>(ptr.empty() ? 0 : ptr.size() - 1);
+  popped_ = 0;
   decoded_ = 0;
   requested_ = 0;
-  cursor_outer_ = 0;
-  cursor_k_ = 0;
+  pop_outer_ = 0;
+  decode_outer_ = 0;
+  degree_outer_ = 0;
   pointer_lines_issued_ = 0;
-  ready_.clear();
   inflight_refills_.clear();
+  // The front starts at the first non-empty outer unit.
+  while (popped_ < total_entries_ && ptr_[pop_outer_ + 1] <= popped_) {
+    ++pop_outer_;
+  }
 }
 
 void SparseMatrixQueue::attach_csr(const CsrMatrix& matrix,
                                    TrafficClass cls) {
-  attach_common(cls, matrix.nnz(), matrix.rows());
-  csr_ = &matrix;
-  csc_ = nullptr;
+  attach_common(cls, matrix.row_ptr(), matrix.col_idx(), matrix.values());
 }
 
 void SparseMatrixQueue::attach_csc(const CscMatrix& matrix,
                                    TrafficClass cls) {
-  attach_common(cls, matrix.nnz(), matrix.cols());
-  csc_ = &matrix;
-  csr_ = nullptr;
+  attach_common(cls, matrix.col_ptr(), matrix.row_idx(), matrix.values());
 }
 
-bool SparseMatrixQueue::finished() const {
-  return decoded_ == total_entries_ && ready_.empty();
-}
-
-const SmqEntry& SparseMatrixQueue::front() const {
+SmqEntry SparseMatrixQueue::front() const {
   HYMM_DCHECK(has_ready());
-  return ready_.front();
+  SmqEntry entry;
+  entry.outer = pop_outer_;
+  entry.inner = inner_[popped_];
+  entry.value = values_[popped_];
+  entry.first_of_outer = popped_ == ptr_[pop_outer_];
+  entry.last_of_outer = popped_ + 1 == ptr_[pop_outer_ + 1];
+  return entry;
 }
 
 void SparseMatrixQueue::pop() {
   HYMM_DCHECK(has_ready());
-  ready_.pop_front();
-}
-
-SmqEntry SparseMatrixQueue::next_entry() {
-  SmqEntry entry;
-  for (;;) {
-    const EdgeCount outer_nnz = csr_ != nullptr
-                                    ? csr_->row_nnz(cursor_outer_)
-                                    : csc_->col_nnz(cursor_outer_);
-    if (cursor_k_ < outer_nnz) break;
-    ++cursor_outer_;
-    cursor_k_ = 0;
-    HYMM_DCHECK(cursor_outer_ < outer_count_);
+  ++popped_;
+  // Past the unit's last entry: move to the next non-empty unit.
+  while (popped_ < total_entries_ && ptr_[pop_outer_ + 1] <= popped_) {
+    ++pop_outer_;
   }
-  entry.outer = cursor_outer_;
-  if (csr_ != nullptr) {
-    entry.inner = csr_->row_cols(cursor_outer_)[cursor_k_];
-    entry.value = csr_->row_values(cursor_outer_)[cursor_k_];
-    entry.last_of_outer = cursor_k_ + 1 == csr_->row_nnz(cursor_outer_);
-  } else {
-    entry.inner = csc_->col_rows(cursor_outer_)[cursor_k_];
-    entry.value = csc_->col_values(cursor_outer_)[cursor_k_];
-    entry.last_of_outer = cursor_k_ + 1 == csc_->col_nnz(cursor_outer_);
-  }
-  entry.first_of_outer = cursor_k_ == 0;
-  if (entry.last_of_outer) {
-    // cursor_k_ is the 0-based index of the unit's final non-zero, so
-    // + 1 is the outer unit's degree (row degree for CSR streams).
-    HYMM_OBS(obs_, observe_row_degree(cursor_k_ + 1));
-  }
-  ++cursor_k_;
-  return entry;
 }
 
 void SparseMatrixQueue::decode_entries(std::size_t count) {
-  for (std::size_t i = 0; i < count; ++i) {
-    HYMM_DCHECK(decoded_ < total_entries_);
-    ready_.push_back(next_entry());
-    ++decoded_;
+  HYMM_DCHECK(decoded_ + count <= total_entries_);
+  decoded_ += count;
+  while (ptr_[decode_outer_ + 1] < decoded_) ++decode_outer_;
+  // Every non-empty unit decoded to its end reports its degree (row
+  // degree for CSR streams).
+  while (degree_outer_ < outer_count_ &&
+         ptr_[degree_outer_ + 1] <= decoded_) {
+    const EdgeCount degree = ptr_[degree_outer_ + 1] - ptr_[degree_outer_];
+    if (degree > 0) HYMM_OBS(obs_, observe_row_degree(degree));
+    ++degree_outer_;
   }
 }
 
@@ -122,11 +107,7 @@ void SparseMatrixQueue::tick(Cycle now) {
 
   // 2. Issue refills while there is stream left, buffer headroom and
   //    DRAM queue space.
-  while (requested_ < total_entries_) {
-    const std::size_t outstanding =
-        ready_.size() + static_cast<std::size_t>(requested_ - decoded_);
-    if (outstanding + entries_per_line_ > entry_capacity_) break;
-    if (!dram_->can_accept_read()) break;
+  while (wants_refill()) {
     const std::size_t chunk = static_cast<std::size_t>(std::min<EdgeCount>(
         entries_per_line_, total_entries_ - requested_));
     const std::uint64_t payload = next_refill_tag_++;
@@ -141,9 +122,9 @@ void SparseMatrixQueue::tick(Cycle now) {
     // kLineBytes/4 outer units; issued as deeply prefetched
     // sequential reads (they never gate decode — the 4 KB pointer
     // buffer runs far ahead of the index buffer).
-    const auto outer_seen = cursor_outer_;
     const auto pointer_lines_needed = static_cast<NodeId>(
-        (static_cast<std::size_t>(outer_seen) * kPointerBytes) / kLineBytes +
+        (static_cast<std::size_t>(decode_outer_) * kPointerBytes) /
+            kLineBytes +
         1);
     while (pointer_lines_issued_ < pointer_lines_needed) {
       dram_->issue_streaming_read(cls_, now);

@@ -221,6 +221,57 @@ TEST(Metrics, CounterGaugeHistogramBasics) {
   EXPECT_EQ(reg.find_histogram("smq.row_degree")->count(), 4u);
 }
 
+// The bucket std::lower_bound picks for `sample`: the first bound that
+// reaches it, or the overflow bucket.
+std::size_t searched_bucket(const std::vector<std::uint64_t>& bounds,
+                            std::uint64_t sample) {
+  return static_cast<std::size_t>(
+      std::lower_bound(bounds.begin(), bounds.end(), sample) -
+      bounds.begin());
+}
+
+// Every sample observed alone must land in the searched bucket: 0,
+// every bound and its neighbours, and the top of the range.
+void expect_buckets_match_search(const std::vector<std::uint64_t>& bounds) {
+  std::vector<std::uint64_t> samples = {0, std::uint64_t{1} << 63,
+                                        std::numeric_limits<std::uint64_t>::max()};
+  for (const std::uint64_t b : bounds) {
+    samples.insert(samples.end(), {b - 1, b, b + 1});
+  }
+  for (const std::uint64_t sample : samples) {
+    Histogram h(bounds);
+    h.observe(sample);
+    std::vector<std::uint64_t> expected(bounds.size() + 1, 0);
+    ++expected[searched_bucket(bounds, sample)];
+    EXPECT_EQ(h.buckets(), expected) << "sample " << sample;
+  }
+}
+
+// Bounds that double from a power of two take the bit-width path; it
+// must agree with the search everywhere.
+TEST(Metrics, DoublingBoundsPickTheSearchedBucketByBitWidth) {
+  const std::pair<std::uint64_t, std::uint64_t> ranges[] = {
+      {1, 256}, {1, 4096}, {16, 65536}, {1, 1 << 20}};
+  for (const auto& [lo, hi] : ranges) {
+    SCOPED_TRACE(std::to_string(lo) + ".." + std::to_string(hi));
+    const std::vector<std::uint64_t> bounds = pow2_bounds(lo, hi);
+    EXPECT_EQ(bounds.front(), lo);
+    EXPECT_EQ(bounds.back(), hi);
+    EXPECT_TRUE(Histogram(bounds).doubling());
+    expect_buckets_match_search(bounds);
+  }
+}
+
+// Bounds that do not double keep the search.
+TEST(Metrics, OtherBoundsKeepTheSearch) {
+  for (const std::vector<std::uint64_t>& bounds :
+       {std::vector<std::uint64_t>{1, 4, 16},
+        std::vector<std::uint64_t>{10, 100}}) {
+    EXPECT_FALSE(Histogram(bounds).doubling());
+    expect_buckets_match_search(bounds);
+  }
+}
+
 TEST(Metrics, WriteJsonIsValidAndComplete) {
   MetricsRegistry reg;
   reg.counter("a.count").add(2);
@@ -268,15 +319,19 @@ TEST(Trace, WriteSortsEventsAndEmitsValidJson) {
   t.duration(1, 0, t.intern("late"), 500, 600);
   t.counter(1, t.intern("track"), t.intern("v"), 250, 42);
   t.instant(1, t.intern("blip"), 10);
+  t.counter(1, t.intern("track"), t.intern("v"), 250, 43);
   std::ostringstream out;
   t.write(out);
   const std::string doc = out.str();
   EXPECT_TRUE(json_is_valid(doc)) << doc;
   const auto ts = extract_timestamps(doc);
-  ASSERT_EQ(ts.size(), 3u);
+  ASSERT_EQ(ts.size(), 4u);
   EXPECT_TRUE(std::is_sorted(ts.begin(), ts.end()));
   // Metadata precedes timed events.
   EXPECT_LT(doc.find("process_name"), doc.find("\"blip\""));
+  // Equal timestamps keep the order the events were added in, also
+  // across runs of rising ts.
+  EXPECT_LT(doc.find("\"v\":42"), doc.find("\"v\":43"));
 }
 
 TEST(Trace, InstantEventsAreCappedWithDropAccounting) {
@@ -322,6 +377,74 @@ TEST(Trace, NamesSerializeExactlyAsJsonEscape) {
       "\"ts\":8,\"s\":\"t\"}"
       "],\"displayTimeUnit\":\"ms\"}\n");
   EXPECT_TRUE(json_is_valid(out.str()));
+}
+
+// write() formats into a fixed buffer: names longer than the whole
+// buffer go straight through, and pieces that do not fit flush it
+// first. Either way the bytes are exactly what json_escape and the
+// event layout give.
+TEST(Trace, PiecesLongerThanTheWriteBufferSerializeExactly) {
+  const auto long_name = [](char salt) {
+    std::string name;
+    while (name.size() <= 2 * TraceWriter::kWriteBufferBytes) {
+      name += salt;
+      name += "\"\\\x01\n\x1f";
+    }
+    return name;
+  };
+  const std::string process = long_name('p');
+  const std::string thread = long_name('t');
+  TraceWriter t;
+  t.set_process_name(0, process);
+  t.set_thread_name(0, 1, thread);
+  // Series sets whose events each span several buffer flushes.
+  constexpr std::size_t kSeries = 60000;
+  std::vector<TraceWriter::NameId> keys;
+  std::vector<std::uint64_t> values;
+  for (std::size_t i = 0; i < kSeries; ++i) {
+    std::string key = "s";
+    key += std::to_string(i);
+    keys.push_back(t.intern(key));
+    values.push_back(std::numeric_limits<std::uint64_t>::max() - i);
+  }
+  const TraceWriter::SeriesSetId set = t.series_set(keys);
+  const TraceWriter::NameId track = t.intern("wide");
+  t.multi_counter(0, track, set, 3, values);
+  t.multi_counter(0, track, set, 5, values);
+  std::ostringstream out;
+  t.write(out);
+
+  std::string expected =
+      "{\"traceEvents\":["
+      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,"
+      "\"args\":{\"name\":\"" +
+      json_escape(process) +
+      "\"}},"
+      "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":1,"
+      "\"args\":{\"name\":\"" +
+      json_escape(thread) + "\"}}";
+  for (const int ts : {3, 5}) {
+    expected += ",{\"name\":\"wide\",\"ph\":\"C\",\"pid\":0,\"tid\":0,"
+                "\"ts\":" +
+                std::to_string(ts) + ",\"args\":";
+    for (std::size_t i = 0; i < kSeries; ++i) {
+      expected += i == 0 ? "{\"s" : ",\"s";
+      expected += std::to_string(i);
+      expected += "\":";
+      expected += std::to_string(values[i]);
+    }
+    expected += "}}";
+  }
+  expected += "],\"displayTimeUnit\":\"ms\"}\n";
+  const std::string doc = out.str();
+  ASSERT_GT(doc.size(), 4 * TraceWriter::kWriteBufferBytes);
+  EXPECT_TRUE(doc == expected);  // too long to print on a mismatch
+  const auto parsed = json_parse(doc);
+  ASSERT_TRUE(parsed.has_value());
+  const auto& events = parsed->find("traceEvents")->array_items;
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(events[0].find("args")->get_string("name"), process);
+  EXPECT_EQ(events[1].find("args")->get_string("name"), thread);
 }
 
 TEST(Trace, CounterWithEmptySeriesEmitsNoArgs) {

@@ -7,14 +7,18 @@
 // and sweep thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <sstream>
 #include <vector>
 
+#include "core/accelerator.hpp"
 #include "core/engine.hpp"
 #include "core/runner.hpp"
 #include "graph/datasets.hpp"
 #include "graph/degree_sort.hpp"
 #include "linalg/gcn.hpp"
+#include "obs/json.hpp"
 #include "obs/observer.hpp"
 #include "obs/spatial.hpp"
 #include "sweep/sweep.hpp"
@@ -174,6 +178,35 @@ TEST(SpatialTrackerTest, FocusAttributionAndResidualConservation) {
   EXPECT_FALSE(t.active());
   t.account_cycles(99);
   EXPECT_TRUE(t.data().empty());
+}
+
+// Lanes are counted per op width and derived when read: after every
+// op, data(), and at the end take(), equal the per-op definition (an
+// op on L lanes busies lanes [0, L), L clamped to the lane count).
+TEST(SpatialTrackerTest, LaneCountsByWidthMatchThePerOpDefinition) {
+  constexpr std::size_t kLanes = 16;
+  SpatialTracker t(/*enabled=*/true, /*tile_override=*/0);
+  t.begin(8, kLanes);
+  std::vector<std::uint64_t> busy(kLanes, 0);
+  std::vector<std::uint64_t> macs(kLanes, 0);
+  const std::size_t widths[] = {16, 4, 0, 1, 20, 7, 16, 4, 15};
+  std::size_t ops = 0;
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t lanes : widths) {
+      const bool is_mac = ++ops % 3 != 0;
+      t.on_pe_op(lanes, is_mac);
+      for (std::size_t i = 0; i < std::min(lanes, kLanes); ++i) {
+        ++busy[i];
+        if (is_mac) ++macs[i];
+      }
+      EXPECT_EQ(t.data().lane_busy_cycles, busy) << "after op " << ops;
+      EXPECT_EQ(t.data().lane_mac_ops, macs) << "after op " << ops;
+    }
+  }
+  const SpatialData d = t.take();
+  EXPECT_EQ(d.array_busy_cycles, ops);
+  EXPECT_EQ(d.lane_busy_cycles, busy);
+  EXPECT_EQ(d.lane_mac_ops, macs);
 }
 
 TEST(SpatialTrackerTest, RowBandCyclesSumAcrossRegionsAndColumns) {
@@ -378,6 +411,91 @@ TEST(SpatialSim, SweepSpatialIndependentOfThreadCount) {
     EXPECT_EQ(a.stats.cycles, b.stats.cycles);
     ASSERT_FALSE(a.spatial.empty());
     EXPECT_EQ(a.spatial, b.spatial);
+  }
+}
+
+// FNV-1a over 64-bit words.
+std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xff;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+// A layer of dimension 20 splits every dense row into a 16-lane and a
+// 4-lane chunk, so each nonzero makes one 16-lane op and one 4-lane op
+// and every merge is 16 lanes wide. The per-op definition then fixes
+// the lane vectors from SimStats: lanes 0-3 count every op, lanes 4-15
+// every op but the 4-lane MACs. It must hold mid-run (each "PE busy"
+// sample reads data()), through data() at the end and after take().
+TEST(SpatialSim, Dimension20LaneCountsMatchThePerOpDefinition) {
+  const Fixture f = build_fixture(0.1);
+  const DenseMatrix w =
+      DenseMatrix::random(f.workload.spec.feature_length, 20, 49);
+  const Accelerator accelerator{AcceleratorConfig{}};
+  // The "PE busy" track of each flow, as counted lane by lane per op
+  // before lanes were counted by width: event count and FNV-1a digest
+  // of every sample's (ts, lanes).
+  const struct {
+    Dataflow flow;
+    std::size_t samples;
+    std::uint64_t digest;
+  } flows[] = {
+      {Dataflow::kRowWiseProduct, 337, 2833113324837371139ULL},
+      {Dataflow::kOuterProduct, 476, 16013837101939702503ULL},
+      {Dataflow::kHybrid, 341, 8512665685352369040ULL}};
+  for (const auto& [flow, pinned_samples, pinned_digest] : flows) {
+    SCOPED_TRACE(to_string(flow));
+    ObserverOptions options;
+    options.trace = true;
+    options.spatial = true;
+    Observer obs(options);
+    obs.begin_run(to_string(flow));
+    const LayerRunResult r =
+        accelerator.run_layer(flow, f.a_hat, f.workload.features, w, &obs);
+
+    const std::uint64_t ops = r.stats.alu_busy_cycles;
+    const std::uint64_t mac_ops = r.stats.mac_ops;
+    ASSERT_EQ(mac_ops % 2, 0u);
+    std::vector<std::uint64_t> busy(16, ops - mac_ops / 2);
+    std::vector<std::uint64_t> macs(16, mac_ops / 2);
+    std::fill_n(busy.begin(), 4, ops);
+    std::fill_n(macs.begin(), 4, mac_ops);
+    EXPECT_EQ(obs.spatial().data().lane_busy_cycles, busy);
+    EXPECT_EQ(obs.spatial().data().lane_mac_ops, macs);
+
+    std::ostringstream out;
+    obs.trace().write(out);
+    const auto doc = json_parse(out.str());
+    ASSERT_TRUE(doc.has_value());
+    std::size_t samples = 0;
+    std::uint64_t digest = 0xcbf29ce484222325ULL;
+    std::vector<std::uint64_t> last(16, 0);
+    for (const JsonValue& e : doc->find("traceEvents")->array_items) {
+      if (e.get_string("name") != "PE busy") continue;
+      ++samples;
+      digest = fnv1a(digest, static_cast<std::uint64_t>(e.get_number("ts")));
+      const auto& lanes = e.find("args")->object_members;
+      ASSERT_EQ(lanes.size(), 16u);
+      std::vector<std::uint64_t> now;
+      for (const auto& [key, value] : lanes) {
+        now.push_back(static_cast<std::uint64_t>(value.number_value));
+        digest = fnv1a(digest, now.back());
+      }
+      for (std::size_t i = 0; i < 16; ++i) {
+        EXPECT_EQ(now[i], now[i < 4 ? 0 : 4]) << "lane " << i;
+        EXPECT_GE(now[i], last[i]) << "lane " << i;
+      }
+      last = now;
+    }
+    EXPECT_EQ(last, busy);  // the phase-end sample
+    EXPECT_EQ(samples, pinned_samples);
+    EXPECT_EQ(digest, pinned_digest);
+
+    const SpatialData d = obs.take_spatial();
+    EXPECT_EQ(d.lane_busy_cycles, busy);
+    EXPECT_EQ(d.lane_mac_ops, macs);
   }
 }
 
